@@ -2,8 +2,9 @@
 
 The fast table is an indexed, mutable snapshot of whatever the slow source
 (an external KB dump or endpoint) has served, plus edits injected directly.
-Reads hit the fast table first; a miss fetches from the slow source, stores
-the result, and optionally prefetches the neighbors of what was fetched.
+Reads hit the fast table first; a subject not held in full is fetched from
+the slow source, stored whole under any edits to it, and optionally its
+neighbors are prefetched.
 Updates replace the object under a (subject, relation) key, so repeated
 edits to the same fact converge to the last value written.
 """
@@ -14,10 +15,15 @@ import dataclasses
 import enum
 import json
 import logging
+import os
+import tempfile
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
@@ -55,7 +61,8 @@ class CacheStats:
     hits + misses equals the number of retrieve calls that completed;
     slow_fetches counts only miss-driven read-through fetches, so it equals
     misses whenever the slow source is reachable. Prefetch and sync traffic
-    is tracked separately so that equality stays exact.
+    is tracked separately so that equality stays exact. evictions counts
+    whole subjects.
     """
 
     hits: int = 0
@@ -67,15 +74,7 @@ class CacheStats:
     evictions: int = 0
 
     def snapshot(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "slow_fetches": self.slow_fetches,
-            "updates_applied": self.updates_applied,
-            "replacements": self.replacements,
-            "prefetch_fetches": self.prefetch_fetches,
-            "evictions": self.evictions,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,7 @@ def row_to_triple(row: dict) -> FactTriple:
         object_is_entity=object_id is not None,
         source=Source(row.get("source", "manual")),
         fetched_at=parse_rfc3339(fetched) if fetched else None,
+        version=row.get("version", 1),
     )
 
 
@@ -308,23 +308,35 @@ class RemoteSparqlSource:
 # --- the store --------------------------------------------------------------
 
 @dataclass
-class _Entry:
-    triple: FactTriple
-    edited: bool
-    last_access: int
+class _Subject:
+    """Everything the fast table holds about one subject."""
+
+    facts: dict[str, FactTriple] = field(default_factory=dict)  # by relation
+    complete: bool = True  # holds the slow source's facts, not only edits
+    pinned: bool = False  # has an edit, so is never evicted
 
 
 class TieredFactStore:
     """Fast table over a slow source, with stats, prefetch, and eviction.
 
-    The fast table maps each (subject, relation) to at most one triple.
+    The subject is the unit of residency. A resident subject maps each of
+    its relations to exactly one triple and is either complete (the slow
+    source's facts with edits laid over them) or incomplete (edits made
+    before the subject was ever read). Retrieving an incomplete subject
+    reads it through once, as a miss; the fetched facts go in under the
+    edits, so every edit wins. Absence is not cached.
+
+    Capacity counts facts, as len() does. Past it, whole unpinned subjects
+    are evicted, least recently used first. A subject with an edit
+    (apply_update / inject_manual) is pinned and never evicted, so edits
+    alone may exceed capacity.
+
     Structural access goes through one short-held lock; read-through fetches
     run unlocked and insert idempotently, so two concurrent misses on the
     same entity converge to a single stored copy (both fetches are counted).
     Updates and sync additionally serialize against each other on a writer
     mutex, which sync holds across its whole fetch-then-apply cycle so an
-    interleaved edit can never be clobbered by stale slow data. Edited
-    triples (apply_update / inject_manual) are never evicted.
+    interleaved edit can never be clobbered by stale slow data.
     """
 
     def __init__(self, slow: Optional[SlowSource] = None,
@@ -338,20 +350,22 @@ class TieredFactStore:
         self.capacity = capacity
         self.prefetch_depth = prefetch_depth
         self.stats = CacheStats()
-        self._entries: dict[tuple[str, str], _Entry] = {}
-        self._subject_keys: dict[str, set[tuple[str, str]]] = {}
-        self._tick = 0
+        self._subjects: dict[str, _Subject] = {}
+        # the unpinned resident subjects, least recently used first
+        self._lru: OrderedDict[str, _Subject] = OrderedDict()
+        self._facts = 0
         self._lock = threading.RLock()
         self._write_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._facts
 
     # -- reads ---------------------------------------------------------------
 
     def retrieve(self, entity: str) -> TripleSet:
-        """All fast-table triples with the given subject, reading through to
-        the slow source on a miss (and prefetching neighbors)."""
+        """All triples with the given subject. A subject not held complete
+        is read through from the slow source (a miss) under any edits, and
+        its neighbors are prefetched."""
         if not entity:
             raise ValueError("entity must be non-empty")
         with self._lock:
@@ -363,67 +377,58 @@ class TieredFactStore:
         with self._lock:
             self.stats.misses += 1
             self.stats.slow_fetches += 1
-            already = self._serve_fast(entity)
-            if already is not None:
-                # a concurrent miss stored its copy first; serve that one
-                return already
-            protect = set()
-            for t in fetched:
-                self._insert_readonly(t)
-                protect.add((t.subject, t.relation))
-            self._evict_if_needed(protect)
-        if fetched and self.prefetch_depth > 0:
+            self._absorb(entity, fetched)
+            result = self._serve_fast(entity) or TripleSet()
+            self._evict()
+        if result and self.prefetch_depth > 0:
             try:
-                self.prefetch_neighbors(TripleSet(fetched))
+                self.prefetch_neighbors(result)
             except SlowUnreachable as exc:
                 log.warning("prefetch after retrieve(%s) incomplete: %s",
                             entity, exc)
-        return TripleSet(fetched)
+        return result
 
     def get(self, subject: str, relation: str) -> Optional[FactTriple]:
         """Fast-table lookup without read-through; no counters touched."""
         with self._lock:
-            entry = self._entries.get((subject, relation))
-            return entry.triple if entry else None
+            record = self._subjects.get(subject)
+            return record.facts.get(relation) if record else None
 
     def fast_snapshot(self) -> TripleSet:
         with self._lock:
-            return TripleSet(e.triple for e in self._entries.values())
+            return TripleSet(t for record in self._subjects.values()
+                             for t in record.facts.values())
 
     def bulk_load(self, triples: Iterable[FactTriple]) -> int:
-        """Warm the fast table with read-only triples; existing (subject,
-        relation) keys are left untouched. Returns the number inserted."""
-        added = 0
+        """Warm the fast table with read-only triples, taking each subject
+        they name as complete; resident (subject, relation) keys are left
+        untouched. Returns the number inserted."""
         with self._write_lock, self._lock:
-            for t in triples:
-                if self._insert_readonly(t):
-                    added += 1
-            self._evict_if_needed(set())
+            added = sum(self._absorb(subject, group) for subject, group
+                        in groupby(triples, key=attrgetter("subject")))
+            self._evict()
         return added
 
     def _serve_fast(self, entity: str) -> Optional[TripleSet]:
-        keys = self._subject_keys.get(entity)
-        if not keys:
+        record = self._subjects.get(entity)
+        if record is None or not record.complete:
             return None
-        triples = []
-        for key in sorted(keys):
-            entry = self._entries[key]
-            entry.last_access = self._next_tick()
-            triples.append(entry.triple)
-        return TripleSet(triples)
+        if not record.pinned:
+            self._lru.move_to_end(entity)
+        return TripleSet(record.facts.values())
 
     # -- prefetch -------------------------------------------------------------
 
     def prefetch_neighbors(self, seeds: TripleSet) -> int:
         """Fetch the subjects reachable from seed objects, up to
-        prefetch_depth hops, and insert them as read-only triples.
+        prefetch_depth hops, and insert them as complete subjects under any
+        edits. Subjects already held complete are skipped.
 
         Returns the number of newly inserted triples. On SlowUnreachable the
         partial prefetch already inserted is kept and the error raised.
         """
         if self.prefetch_depth == 0:
             return 0
-        protect = {(t.subject, t.relation) for t in seeds}
         seen: set[str] = set()
         level = list(seeds)
         added = 0
@@ -434,7 +439,8 @@ class TieredFactStore:
                     continue
                 seen.add(t.obj)
                 with self._lock:
-                    if t.obj in self._subject_keys:
+                    record = self._subjects.get(t.obj)
+                    if record is not None and record.complete:
                         continue
                 targets.append(t.obj)
             next_level: list[FactTriple] = []
@@ -442,12 +448,9 @@ class TieredFactStore:
                 fetched = self.slow.fetch_subject(entity)  # may raise
                 with self._lock:
                     self.stats.prefetch_fetches += 1
-                    for t in fetched:
-                        if self._insert_readonly(t):
-                            added += 1
-                        next_level.append(t)
-                        protect.add((t.subject, t.relation))
-                    self._evict_if_needed(protect)
+                    added += self._absorb(entity, fetched)
+                    self._evict()
+                next_level.extend(fetched)
             if not next_level:
                 break
             level = next_level
@@ -457,24 +460,27 @@ class TieredFactStore:
 
     def apply_update(self, edit: EditRequest,
                      source: Source = Source.SYNTHETIC) -> UpdateOutcome:
-        """Replace the object under (subject, relation), or insert the fact.
+        """Replace the object under (subject, relation), or insert the fact,
+        and pin the subject. An edit to a subject that is not resident is
+        laid over the slow source's facts on its next retrieve.
 
         Re-applying the current object is a no-op reported as REPLACED with
         no version bump. The (subject, relation) key stays unique.
         """
+        triple = FactTriple(
+            subject=edit.subject,
+            relation=edit.relation,
+            obj=edit.new_object,
+            subject_label=edit.subject_label,
+            relation_label=edit.relation_label,
+            object_label=edit.object_label,
+            object_is_entity=edit.object_is_entity,
+            source=source,
+            fetched_at=edit.issued_at,
+        )
         with self._write_lock, self._lock:
-            outcome, _ = self._upsert(
-                subject=edit.subject,
-                relation=edit.relation,
-                obj=edit.new_object,
-                subject_label=edit.subject_label,
-                relation_label=edit.relation_label,
-                object_label=edit.object_label,
-                object_is_entity=edit.object_is_entity,
-                source=source,
-                fetched_at=edit.issued_at,
-                edited=True,
-            )
+            outcome, _ = self._upsert(triple, edited=True)
+            self._evict()
             return outcome
 
     def inject_manual(self, edit: EditRequest) -> UpdateOutcome:
@@ -482,44 +488,35 @@ class TieredFactStore:
         directly, ahead of the slow source absorbing it."""
         return self.apply_update(edit, source=Source.MANUAL)
 
-    def _upsert(self, *, subject: str, relation: str, obj: str,
-                subject_label: str, relation_label: str, object_label: str,
-                object_is_entity: bool, source: Source,
-                fetched_at: Optional[datetime],
+    def _upsert(self, triple: FactTriple,
                 edited: bool) -> tuple[UpdateOutcome, bool]:
-        key = (subject, relation)
-        existing = self._entries.get(key)
         self.stats.updates_applied += 1
-        if existing is not None and existing.triple.obj == obj:
-            if edited and not existing.edited:
-                existing.edited = True  # an edit pins the fact against eviction
-            existing.last_access = self._next_tick()
+        record = self._subjects.get(triple.subject)
+        if record is None:
+            # only edits reach a subject that is not resident
+            record = self._admit(triple.subject,
+                                 _Subject(complete=False, pinned=True))
+        elif edited and not record.pinned:
+            record.pinned = True
+            del self._lru[triple.subject]
+        existing = record.facts.get(triple.relation)
+        if existing is None:
+            record.facts[triple.relation] = triple
+            self._facts += 1
+            return UpdateOutcome.INSERTED, True
+        if existing.obj == triple.obj:
             return UpdateOutcome.REPLACED, False
-        version = existing.triple.version + 1 if existing is not None else 1
-        triple = FactTriple(
-            subject=subject,
-            relation=relation,
-            obj=obj,
-            subject_label=subject_label,
-            relation_label=relation_label,
-            object_label=object_label,
-            object_is_entity=object_is_entity,
-            source=source,
-            fetched_at=fetched_at,
-            version=version,
-        )
-        self._store(triple, edited=edited)
-        if existing is not None:
-            self.stats.replacements += 1
-            return UpdateOutcome.REPLACED, True
-        self._evict_if_needed({key})
-        return UpdateOutcome.INSERTED, True
+        record.facts[triple.relation] = dataclasses.replace(
+            triple, version=existing.version + 1)
+        self.stats.replacements += 1
+        return UpdateOutcome.REPLACED, True
 
     # -- sync ------------------------------------------------------------------
 
     def sync(self) -> int:
         """Re-fetch every fast-table subject from the slow source and apply
         update semantics per triple; returns replacements + insertions.
+        Every subject synced is complete afterwards.
 
         Manual triples issued after the slow snapshot timestamp are
         preserved. All subjects are fetched before anything is applied, so a
@@ -528,39 +525,33 @@ class TieredFactStore:
         """
         with self._write_lock:
             with self._lock:
-                subjects = sorted(self._subject_keys)
-            fetched: dict[str, list[FactTriple]] = {}
-            for subject in subjects:
-                fetched[subject] = self.slow.fetch_subject(subject)  # may raise
+                subjects = sorted(self._subjects)
+            fetched = {subject: self.slow.fetch_subject(subject)  # may raise
+                       for subject in subjects}
             changed = 0
             with self._lock:
                 snapshot_at = getattr(self.slow, "snapshot_at", None)
                 for subject in subjects:
+                    record = self._subjects.get(subject)
+                    if record is None:
+                        continue  # evicted by a read-through during the fetch
                     for t in fetched[subject]:
-                        if self._manual_wins(t, snapshot_at):
+                        if self._manual_wins(record.facts.get(t.relation),
+                                             snapshot_at):
                             continue
-                        _, did_change = self._upsert(
-                            subject=t.subject,
-                            relation=t.relation,
-                            obj=t.obj,
-                            subject_label=t.subject_label,
-                            relation_label=t.relation_label,
-                            object_label=t.object_label,
-                            object_is_entity=t.object_is_entity,
-                            source=t.source,
-                            fetched_at=t.fetched_at,
-                            edited=False,
-                        )
+                        _, did_change = self._upsert(t, edited=False)
                         if did_change:
                             changed += 1
+                    record.complete = True
+                self._evict()
         return changed
 
-    def _manual_wins(self, incoming: FactTriple,
+    @staticmethod
+    def _manual_wins(resident: Optional[FactTriple],
                      snapshot_at: Optional[datetime]) -> bool:
-        entry = self._entries.get((incoming.subject, incoming.relation))
-        if entry is None or entry.triple.source is not Source.MANUAL:
+        if resident is None or resident.source is not Source.MANUAL:
             return False
-        issued = entry.triple.fetched_at
+        issued = resident.fetched_at
         if issued is None:
             return False
         if snapshot_at is None:
@@ -569,81 +560,94 @@ class TieredFactStore:
 
     # -- internals --------------------------------------------------------------
 
-    def _next_tick(self) -> int:
-        self._tick += 1
-        return self._tick
+    def _admit(self, subject: str, record: _Subject) -> _Subject:
+        self._subjects[subject] = record
+        if not record.pinned:
+            self._lru[subject] = record
+        self._facts += len(record.facts)
+        return record
 
-    def _store(self, triple: FactTriple, edited: bool) -> None:
-        key = (triple.subject, triple.relation)
-        self._entries[key] = _Entry(triple, edited, self._next_tick())
-        self._subject_keys.setdefault(triple.subject, set()).add(key)
+    def _absorb(self, subject: str, fetched: Iterable[FactTriple]) -> int:
+        """Lay the slow source's facts about `subject` under what is
+        resident, so each resident fact wins, and mark the subject complete.
+        Returns the number of facts added."""
+        record = self._subjects.get(subject)
+        facts = record.facts if record is not None else {}
+        before = len(facts)
+        for t in fetched:
+            facts.setdefault(t.relation, t)
+        if record is None:
+            if facts:  # absence is not cached
+                self._admit(subject, _Subject(facts))
+            return len(facts)
+        record.complete = True
+        self._facts += len(facts) - before
+        return len(facts) - before
 
-    def _insert_readonly(self, triple: FactTriple) -> bool:
-        key = (triple.subject, triple.relation)
-        if key in self._entries:
-            return False
-        self._store(triple, edited=False)
-        return True
-
-    def _remove(self, key: tuple[str, str]) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        subject_keys = self._subject_keys.get(entry.triple.subject)
-        if subject_keys is not None:
-            subject_keys.discard(key)
-            if not subject_keys:
-                del self._subject_keys[entry.triple.subject]
-
-    def _evict_if_needed(self, protect: set[tuple[str, str]]) -> None:
+    def _evict(self) -> None:
         if self.capacity is None:
             return
-        while len(self._entries) > self.capacity:
-            victims = [
-                (entry.last_access, key)
-                for key, entry in self._entries.items()
-                if not entry.edited and key not in protect
-            ]
-            if not victims:
-                break  # only edits/protected left; capacity may be exceeded
-            _, key = min(victims)
-            self._remove(key)
+        while self._facts > self.capacity and self._lru:
+            subject, record = self._lru.popitem(last=False)
+            del self._subjects[subject]
+            self._facts -= len(record.facts)
             self.stats.evictions += 1
 
     def reset(self) -> None:
         """Drop all fast-table contents and zero the counters."""
         with self._lock:
-            self._entries.clear()
-            self._subject_keys.clear()
+            self._subjects.clear()
+            self._lru.clear()
+            self._facts = 0
             self.stats = CacheStats()
-            self._tick = 0
 
 
 # --- store state persistence (CLI sessions) ---------------------------------
 
 def save_state(store: TieredFactStore, path: str | Path) -> None:
+    """Write the store's facts and counters to `path` as JSON. The file is
+    replaced atomically: a failed write leaves the previous state intact."""
     with store._lock:
         entries = [
-            {**triple_to_row(e.triple), "version": e.triple.version,
-             "edited": e.edited}
-            for _, e in sorted(store._entries.items())
+            {**triple_to_row(t), "version": t.version, "edited": record.pinned}
+            for _, record in sorted(store._subjects.items())
+            for _, t in sorted(record.facts.items())
         ]
-        state = {"stats": store.stats.snapshot(), "entries": entries}
-    Path(path).write_text(json.dumps(state, ensure_ascii=False, indent=2),
-                          encoding="utf-8")
+        incomplete = sorted(subject for subject, record
+                            in store._subjects.items() if not record.complete)
+        state = {"stats": store.stats.snapshot(), "entries": entries,
+                 "incomplete": incomplete}
+    text = json.dumps(state, ensure_ascii=False, indent=2)
+    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_state(path: str | Path, slow: Optional[SlowSource] = None,
                capacity: Optional[int] = None,
                prefetch_depth: int = 1) -> TieredFactStore:
+    """Rebuild a store written by save_state. An edited row pins its
+    subject; a subject listed as incomplete reads through on its next
+    retrieve, and a file without that list loads every subject complete."""
     store = TieredFactStore(slow=slow, capacity=capacity,
                             prefetch_depth=prefetch_depth)
     state = json.loads(Path(path).read_text(encoding="utf-8"))
+    incomplete = set(state.get("incomplete", ()))
+    records: dict[str, _Subject] = {}
     for row in state.get("entries", []):
         triple = row_to_triple(row)
-        if row.get("version", 1) != 1:
-            triple = dataclasses.replace(triple, version=row["version"])
-        store._store(triple, edited=bool(row.get("edited", False)))
+        record = records.setdefault(
+            triple.subject,
+            _Subject(complete=triple.subject not in incomplete))
+        record.facts[triple.relation] = triple
+        record.pinned |= bool(row.get("edited", False))
+    for subject, record in records.items():
+        store._admit(subject, record)
     stats = state.get("stats", {})
     store.stats = CacheStats(**{k: stats.get(k, 0)
                                 for k in CacheStats().snapshot()})

@@ -102,7 +102,6 @@ def _pipeline(cfg: Config, store: TieredFactStore) -> Pipeline:
         aliases=_aliases(cfg, store),
         model=_model(cfg),
         k=cfg.k,
-        max_hops=cfg.max_hops,
         extractor=ExtractorKind(cfg.extractor),
     )
 

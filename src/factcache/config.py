@@ -2,7 +2,8 @@
 
 One JSON document configures the slow source, the model client, pipeline
 knobs, evaluation parameters, and data paths. Anything omitted falls back
-to a sensible default; referenced input paths must resolve at load time.
+to a sensible default and unknown keys are ignored; referenced input paths
+must resolve at load time.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class Config:
     model_priors: dict[str, str] = field(default_factory=dict)
     # pipeline
     k: int = 1
-    max_hops: int = 5
-    scorer: str = "lexical"
     extractor: str = "alias_dictionary"
     # eval
     sure_params: SUREParams = field(default_factory=SUREParams)
@@ -86,8 +85,6 @@ def load_config(path: Optional[str] = None) -> Config:
             model_max_tokens=model.get("max_tokens", 64),
             model_priors=dict(model.get("priors", {})),
             k=pipe.get("k", 1),
-            max_hops=pipe.get("max_hops", 5),
-            scorer=pipe.get("scorer", "lexical"),
             extractor=pipe.get("extractor", "alias_dictionary"),
             sure_params=SUREParams(**eval_cfg.get("sure", {})),
             seed=eval_cfg.get("seed", 7),
@@ -121,14 +118,10 @@ def _validate(cfg: Config, base: Path) -> None:
         raise ConfigError("http model needs an endpoint")
     if cfg.k < 1:
         raise ConfigError("pipeline.k must be >= 1")
-    if cfg.max_hops < 1:
-        raise ConfigError("pipeline.max_hops must be >= 1")
     if cfg.prefetch_depth < 0:
         raise ConfigError("store.prefetch_depth must be >= 0")
     if cfg.capacity is not None and cfg.capacity < 1:
         raise ConfigError("store.capacity must be >= 1 when set")
-    if cfg.scorer not in ("lexical",):
-        raise ConfigError(f"unknown scorer: {cfg.scorer!r}")
     if cfg.extractor not in ("alias_dictionary", "model_prompted"):
         raise ConfigError(f"unknown extractor: {cfg.extractor!r}")
     cfg.state_path = str(_resolve(base, cfg.state_path))

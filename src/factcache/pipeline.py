@@ -180,7 +180,6 @@ class Pipeline:
     k: int = 1
     scorer: Optional[Scorer] = None
     extractor: ExtractorKind = ExtractorKind.ALIAS_DICTIONARY
-    max_hops: int = 5
 
     # -- extraction -----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import threading
 from datetime import timedelta
 
@@ -89,6 +90,19 @@ class TestRetrieve:
         store, _ = make_store()
         with pytest.raises(ValueError):
             store.retrieve("")
+
+    def test_edit_before_first_fetch_reads_through(self):
+        capital = triple("US", "capital", "Washington",
+                         source=Source.WIKIDATA, fetched_at=SNAPSHOT)
+        store, slow = make_store([US_BIDEN, capital], prefetch_depth=0)
+        store.apply_update(EditRequest("US", "head_of_gov", "Harris"))
+        merged = TripleSet([triple("US", "head_of_gov", "Harris"), capital])
+        assert store.retrieve("US") == merged  # the edit wins
+        assert store.stats.misses == store.stats.slow_fetches == 1
+        assert store.stats.hits == 0
+        assert store.retrieve("US") == merged
+        assert store.stats.hits == 1
+        assert slow.fetch_log == ["US"]
 
 
 class TestPrefetch:
@@ -238,6 +252,64 @@ def test_functional_dependency_invariant(ops):
     assert seen == last
 
 
+MODEL_SUBJECTS = ["s0", "s1", "s2", "s3"]
+MODEL_RELATIONS = ["r0", "r1", "r2"]
+
+
+@st.composite
+def _store_scenarios(draw):
+    objects = st.sampled_from(MODEL_SUBJECTS + ["x", "y"])
+    slow_facts = draw(st.dictionaries(
+        st.tuples(st.sampled_from(MODEL_SUBJECTS),
+                  st.sampled_from(MODEL_RELATIONS)), objects, max_size=8))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("retrieve"), st.sampled_from(MODEL_SUBJECTS)),
+        st.tuples(st.just("edit"), st.sampled_from(MODEL_SUBJECTS),
+                  st.sampled_from(MODEL_RELATIONS), objects),
+        st.tuples(st.just("bulk_load"),
+                  st.sets(st.sampled_from(MODEL_SUBJECTS), max_size=2)),
+    ), max_size=30))
+    return (slow_facts, draw(st.integers(1, 4)), draw(st.integers(0, 1)),
+            ops)
+
+
+@given(_store_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_store_matches_reference_model(scenario):
+    """The store against the slow source's facts with the edits laid over
+    them: every read equals that view, and only edits outgrow capacity."""
+    slow_facts, capacity, prefetch_depth, ops = scenario
+    slow_rows = [triple(s, r, o) for (s, r), o in slow_facts.items()]
+    store, _ = make_store(slow_rows, capacity=capacity,
+                          prefetch_depth=prefetch_depth)
+    edits: dict[tuple[str, str], str] = {}
+    retrieves = 0
+
+    def view(subject):
+        model = {r: o for (s, r), o in slow_facts.items() if s == subject}
+        model.update({r: o for (s, r), o in edits.items() if s == subject})
+        return {(subject, r, o) for r, o in model.items()}
+
+    for op in ops:
+        if op[0] == "retrieve":
+            retrieves += 1
+            assert store.retrieve(op[1]).keys() == view(op[1])
+        elif op[0] == "edit":
+            _, subject, relation, obj = op
+            store.apply_update(EditRequest(subject, relation, obj))
+            edits[(subject, relation)] = obj
+        else:
+            store.bulk_load([t for t in slow_rows if t.subject in op[1]])
+        resident = store.fast_snapshot()
+        assert all(t.key in view(t.subject) for t in resident)
+        assert all(store.get(s, r).obj == o for (s, r), o in edits.items())
+        pinned = {s for s, _ in edits}
+        assert len(resident) == len(store) <= capacity + sum(
+            t.subject in pinned for t in resident)
+        assert store.stats.hits + store.stats.misses == retrieves
+        assert store.stats.misses == store.stats.slow_fetches
+
+
 class TestSync:
     def test_unchanged_slow_is_a_fixed_point(self):
         store, _ = make_store([US_BIDEN], prefetch_depth=0)
@@ -324,6 +396,41 @@ class TestCapacity:
         store.apply_update(EditRequest("a", "r", "x"))
         store.apply_update(EditRequest("b", "r", "y"))
         assert len(store) == 2  # edits are never dropped
+
+    def test_partly_pushed_out_subject_is_never_a_partial_hit(self):
+        a_facts = [triple("A", "r1", "x"), triple("A", "r2", "y")]
+        store, _ = make_store(a_facts + [triple("B", "r1", "z")],
+                              capacity=2, prefetch_depth=0)
+        store.retrieve("A")
+        store.retrieve("B")  # three facts: A must leave whole
+        assert store.retrieve("A") == TripleSet(a_facts)
+        assert store.stats.hits == 0
+        assert store.stats.misses == store.stats.slow_fetches == 3
+
+    def test_eviction_removes_whole_subjects_in_lru_order(self):
+        store, _ = make_store(capacity=4, prefetch_depth=0)
+        store.bulk_load([triple(s, r, "o") for s in "abc"
+                         for r in ("r1", "r2")])
+        assert len(store) == 4
+        assert store.get("a", "r1") is None and store.get("a", "r2") is None
+        store.retrieve("b")  # refresh b; c is now least recently used
+        store.bulk_load([triple("d", "r1", "o")])
+        assert store.get("c", "r1") is None and store.get("c", "r2") is None
+        assert store.retrieve("b") == TripleSet(
+            [triple("b", "r1", "o"), triple("b", "r2", "o")])
+        assert len(store) == 3
+        assert store.stats.evictions == 2
+
+    def test_pinned_subject_survives_any_number_of_evictions(self):
+        store, _ = make_store(capacity=1, prefetch_depth=0)
+        store.bulk_load([triple("p", "r1", "x")])
+        store.apply_update(EditRequest("p", "r2", "v"))  # pins all of p
+        for i in range(50):
+            store.bulk_load([triple(f"s{i}", "r", "o")])
+        assert store.stats.evictions == 50
+        assert store.retrieve("p") == TripleSet(
+            [triple("p", "r1", "x"), triple("p", "r2", "v")])
+        assert store.stats.hits == 1
 
 
 class TestConcurrency:
@@ -495,3 +602,43 @@ class TestDumpFormat:
         # edited flag survives: the restored edit still wins over slow data
         restored.bulk_load([US_BIDEN])
         assert restored.get("US", "head_of_gov").obj == "Harris"
+
+    def test_state_keeps_incomplete_subjects(self, tmp_path):
+        capital = triple("US", "capital", "Washington",
+                         source=Source.WIKIDATA, fetched_at=SNAPSHOT)
+        store, slow = make_store([US_BIDEN, capital], prefetch_depth=0)
+        store.apply_update(EditRequest("US", "head_of_gov", "Harris"))
+        state_path = tmp_path / "state.json"
+        save_state(store, state_path)
+        restored = load_state(state_path, slow=slow, prefetch_depth=0)
+        assert restored.retrieve("US") == TripleSet(
+            [triple("US", "head_of_gov", "Harris"), capital])
+        assert restored.stats.misses == restored.stats.slow_fetches == 1
+
+    def test_state_without_incomplete_list_loads_complete(self, tmp_path):
+        store, slow = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        state_path = tmp_path / "state.json"
+        save_state(store, state_path)
+        state = json.loads(state_path.read_text(encoding="utf-8"))
+        del state["incomplete"]
+        state_path.write_text(json.dumps(state), encoding="utf-8")
+        restored = load_state(state_path, slow=slow, prefetch_depth=0)
+        assert restored.retrieve("US") == TripleSet([US_BIDEN])
+        assert restored.stats.hits == 1
+        assert slow.fetch_log == ["US"]
+
+    def test_failed_save_leaves_previous_state(self, tmp_path):
+        store, slow = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        state_path = tmp_path / "state.json"
+        save_state(store, state_path)
+        saved = state_path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails midway
+        store.apply_update(EditRequest("US", "capital", "\ud800"))
+        with pytest.raises(UnicodeEncodeError):
+            save_state(store, state_path)
+        assert state_path.read_bytes() == saved
+        restored = load_state(state_path, slow=slow, prefetch_depth=0)
+        assert restored.fast_snapshot() == TripleSet([US_BIDEN])
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
