@@ -24,8 +24,7 @@ from .models import HttpCompletionModel, MockTableModel, ModelAnswer
 from .pipeline import (AliasIndex, ExtractorKind, MultihopMode, Pipeline,
                        aliases_for_items)
 from .prompts import AssembledPrompt, assemble_prompt, task_instruction
-from .ranking import (EmbeddingScorer, LexicalScorer, RankedEvidence,
-                      rank_triples)
+from .ranking import RankedEvidence, rank_triples
 from .scope import (EquivalenceOracle, ScopeClass, SimpleOracle, classify_scope,
                     compute_ex, frontier, join)
 from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
@@ -35,11 +34,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliasIndex", "AssembledPrompt", "BenchmarkItem", "CacheStats",
-    "EditRequest", "EmbeddingScorer", "EntityRef", "EquivalenceOracle",
-    "EquivalentPropertyPair", "EvalReport", "ExtractorKind", "FactCacheError",
-    "FactTriple", "HttpCompletionModel", "InMemorySlowSource",
-    "KnowledgeBaseClient", "LexicalScorer", "LocalDumpSource", "MockTableModel",
-    "ModelAnswer", "MultiHopItem", "MultihopMode", "MultihopReport", "Pipeline",
+    "EditRequest", "EntityRef", "EquivalenceOracle", "EquivalentPropertyPair",
+    "EvalReport", "ExtractorKind", "FactCacheError", "FactTriple",
+    "HttpCompletionModel", "InMemorySlowSource", "KnowledgeBaseClient",
+    "LocalDumpSource", "MockTableModel", "ModelAnswer", "MultiHopItem",
+    "MultihopMode", "MultihopReport", "Pipeline",
     "RankedEvidence", "RawTripleRow", "RelationRef", "RemoteSparqlSource",
     "SUREParams", "ScalePoint", "ScopeClass", "SimpleOracle", "Source",
     "TaskKind", "TieredFactStore", "TripleSet", "UpdateOutcome",

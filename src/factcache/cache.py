@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
 from .errors import SlowUnreachable
-from .sparqlio import Transport, exec_sparql, parse_bindings, uri_tail
+from .sparqlio import (Transport, exec_sparql, parse_bindings, uri_tail,
+                       with_retries)
 from .triples import FactTriple, Source, TripleSet
 
 log = logging.getLogger(__name__)
@@ -174,21 +175,24 @@ def write_dump(path: str | Path, triples: Iterable[FactTriple],
 # --- slow sources -----------------------------------------------------------
 
 class LocalDumpSource:
-    """Slow tier backed by a triple dump file on disk."""
+    """Slow tier backed by a triple dump file on disk.
 
-    kind = "local_dump"
+    `triples` keeps the parsed rows in file order, so callers that need the
+    whole dump (alias registration) reuse this parse.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.snapshot_at: Optional[datetime] = None
+        self.triples: list[FactTriple] = []
         self._by_subject: dict[str, list[FactTriple]] = {}
         self.reload()
 
     def reload(self) -> None:
         """Re-read the dump; lets tests and sync observe file changes."""
-        self.snapshot_at, triples = read_dump(self.path)
+        self.snapshot_at, self.triples = read_dump(self.path)
         by_subject: dict[str, list[FactTriple]] = {}
-        for t in triples:
+        for t in self.triples:
             by_subject.setdefault(t.subject, []).append(t)
         self._by_subject = by_subject
 
@@ -201,8 +205,6 @@ class InMemorySlowSource:
 
     Set `unreachable` to make every fetch raise SlowUnreachable.
     """
-
-    kind = "memory"
 
     def __init__(self, triples: Iterable[FactTriple] = (),
                  snapshot_at: Optional[datetime] = None):
@@ -241,10 +243,9 @@ class RemoteSparqlSource:
     """Slow tier backed by a public SPARQL endpoint.
 
     Retries transient failures with exponential backoff (3 attempts starting
-    at 250 ms) before raising SlowUnreachable; public endpoints rate-limit.
+    at 250 ms, or the server's Retry-After hint) before raising
+    SlowUnreachable; public endpoints rate-limit.
     """
-
-    kind = "remote_sparql"
 
     def __init__(self, endpoint: str,
                  query_template: str = DEFAULT_SUBJECT_QUERY,
@@ -267,20 +268,18 @@ class RemoteSparqlSource:
 
     def fetch_subject(self, entity: str) -> list[FactTriple]:
         query = self.query_template.replace("{subject}", entity)
-        delay = self.backoff_s
-        last_error: Exception | None = None
-        for attempt in range(self.attempts):
-            try:
-                payload = exec_sparql(self.endpoint, query, self.transport)
-                return self._rows_to_triples(entity, parse_bindings(payload))
-            except Exception as exc:
-                last_error = exc
-                if attempt + 1 < self.attempts:
-                    self.sleep(delay)
-                    delay *= 2
-        raise SlowUnreachable(
-            f"slow source {self.endpoint} failed after "
-            f"{self.attempts} attempts: {last_error}") from last_error
+
+        def attempt() -> list[FactTriple]:
+            payload = exec_sparql(self.endpoint, query, self.transport)
+            return self._rows_to_triples(entity, parse_bindings(payload))
+
+        try:
+            return with_retries(attempt, self.attempts, self.backoff_s,
+                                self.sleep, Exception)
+        except Exception as exc:
+            raise SlowUnreachable(
+                f"slow source {self.endpoint} failed after "
+                f"{self.attempts} attempts: {exc}") from exc
 
     def _rows_to_triples(self, entity: str,
                          rows: list[dict]) -> list[FactTriple]:

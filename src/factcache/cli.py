@@ -84,12 +84,9 @@ def load_entities(path: str) -> dict[str, EntityRef]:
 
 def _aliases(cfg: Config, store: TieredFactStore) -> AliasIndex:
     index = AliasIndex.from_triples(store.fast_snapshot())
-    if cfg.slow_kind == "local_dump":
-        _, triples = read_dump(cfg.slow_locator)
-        for t in triples:
-            index.add(t.subject_label, t.subject)
-            if t.object_is_entity:
-                index.add(t.object_label, t.obj)
+    if isinstance(store.slow, LocalDumpSource):
+        for t in store.slow.triples:  # already parsed, in dump-file order
+            index.add_triple(t)
     if cfg.entities_path:
         for ref in load_entities(cfg.entities_path).values():
             index.add_entity(ref)
@@ -233,6 +230,8 @@ def cmd_data_build(cfg: Config, args, seed: int) -> int:
     if args.multihop:
         pool = TripleSet(t for group in by_relation.values()
                          for _, t in group)
+        relation_map = {t.relation: ref for group in by_relation.values()
+                        for ref, t in group}
         for first in pool:
             chain = [first]
             while len(chain) < args.hops:
@@ -241,9 +240,6 @@ def cmd_data_build(cfg: Config, args, seed: int) -> int:
                     break
                 chain.append(nxt[0])
             if len(chain) == args.hops:
-                relation_map = {t.relation: ref
-                                for group in by_relation.values()
-                                for ref, t in group}
                 items.append(build_multihop(chain, relation_map, entities))
     else:
         for relation_id, group in sorted(by_relation.items()):

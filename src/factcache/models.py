@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Protocol
 from .errors import EmptyCompletion, ModelError
 from .prompts import AssembledPrompt, task_instruction
 from .ranking import contains_phrase, tokenize
-from .sparqlio import TransportReply
+from .sparqlio import TransportReply, with_retries
 from .triples import TaskKind
 
 DISTRIBUTION_TOLERANCE = 1e-9
@@ -166,18 +166,9 @@ class HttpCompletionModel:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        attempts = self.retry_budget + 1
-        delay = self.backoff_s
-        last_error: Exception | None = None
-        for attempt in range(attempts):
-            try:
-                return self._post_once(payload, headers)
-            except ModelError as exc:
-                last_error = exc
-                if attempt + 1 < attempts:
-                    self.sleep(delay)
-                    delay *= 2
-        raise last_error  # final error verbatim
+        return with_retries(lambda: self._post_once(payload, headers),
+                            self.retry_budget + 1, self.backoff_s,
+                            self.sleep, ModelError)  # final error verbatim
 
     def _post_once(self, payload: dict, headers: Mapping[str, str]) -> str:
         try:

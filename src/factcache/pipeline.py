@@ -19,7 +19,7 @@ from .dataset import MultiHopItem, substitute_pronoun
 from .errors import HopFailed
 from .models import ModelAnswer, ModelClient
 from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
-from .ranking import RankedEvidence, Scorer, rank_triples, tokenize
+from .ranking import RankedEvidence, rank_triples, tokenize
 from .triples import EntityRef, FactTriple, TaskKind, TripleSet
 
 
@@ -60,7 +60,14 @@ class AliasIndex:
         if not tokens:
             return
         self._by_tokens.setdefault(tokens, entity_id)
-        self._max_tokens = max(self._max_tokens, len(tokens))
+        if len(tokens) > self._max_tokens:
+            self._max_tokens = len(tokens)
+
+    def add_triple(self, t: FactTriple) -> None:
+        """Register the subject label and any entity-object label."""
+        self.add(t.subject_label, t.subject)
+        if t.object_is_entity:
+            self.add(t.object_label, t.obj)
 
     def add_entity(self, entity: EntityRef) -> None:
         for surface in sorted(entity.surface_forms):
@@ -78,9 +85,7 @@ class AliasIndex:
         """Index subject and entity-object labels of a triple collection."""
         index = cls()
         for t in triples:
-            index.add(t.subject_label, t.subject)
-            if t.object_is_entity:
-                index.add(t.object_label, t.obj)
+            index.add_triple(t)
         return index
 
     def merge(self, other: "AliasIndex") -> None:
@@ -112,14 +117,9 @@ def aliases_for_items(items) -> AliasIndex:
     for item in items:
         if isinstance(item, MultiHopItem):
             for t in item.chain:
-                index.add(t.subject_label, t.subject)
-                if t.object_is_entity:
-                    index.add(t.object_label, t.obj)
+                index.add_triple(t)
             continue
-        t = item.triple
-        index.add(t.subject_label, t.subject)
-        if t.object_is_entity:
-            index.add(t.object_label, t.obj)
+        index.add_triple(item.triple)
         index.add(item.locality_subject, item.locality_subject)
         index.add(item.locality_object, item.locality_object)
     return index
@@ -178,7 +178,6 @@ class Pipeline:
     aliases: AliasIndex = field(default_factory=AliasIndex)
     model: Optional[ModelClient] = None
     k: int = 1
-    scorer: Optional[Scorer] = None
     extractor: ExtractorKind = ExtractorKind.ALIAS_DICTIONARY
 
     # -- extraction -----------------------------------------------------------
@@ -245,14 +244,13 @@ class Pipeline:
         latencies["extract"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        candidates = TripleSet()
-        for entity in entities:
-            candidates = candidates | self.store.retrieve(entity)
+        candidates = TripleSet(triple for entity in entities
+                               for triple in self.store.retrieve(entity))
         latencies["retrieve"] = time.perf_counter() - t
 
         t = time.perf_counter()
         if use_evidence and len(candidates):
-            evidence = rank_triples(query, candidates, self.k, self.scorer)
+            evidence = rank_triples(query, candidates, self.k)
         else:
             evidence = EMPTY_EVIDENCE
         latencies["rank"] = time.perf_counter() - t

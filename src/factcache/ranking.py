@@ -1,8 +1,7 @@
 """Evidence ranking: score candidate triples against a query, keep top-k.
 
-The default scorer is a deterministic lexical one (cosine over lowercase
-token-count vectors of the serialized triple vs. the query). An embedding
-provider can be plugged in instead; the ranking logic is identical.
+The score is a deterministic lexical one: cosine over lowercase token-count
+vectors of the serialized triple vs. the query.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
 
 from .triples import FactTriple, TripleSet
 
@@ -22,15 +20,24 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def token_cosine(a: str, b: str) -> float:
-    """Cosine similarity of token-count vectors; 0 when either is empty."""
-    ca, cb = Counter(tokenize(a)), Counter(tokenize(b))
+def _vector(text: str) -> tuple[Counter, float]:
+    """Token counts of `text` and their Euclidean norm."""
+    counts = Counter(tokenize(text))
+    return counts, math.sqrt(sum(v * v for v in counts.values()))
+
+
+def _cosine(a: tuple[Counter, float], b: tuple[Counter, float]) -> float:
+    (ca, norm_a), (cb, norm_b) = a, b
     if not ca or not cb:
         return 0.0
-    dot = sum(ca[t] * cb[t] for t in ca.keys() & cb.keys())
-    norm = math.sqrt(sum(v * v for v in ca.values()))
-    norm *= math.sqrt(sum(v * v for v in cb.values()))
+    dot = sum(n * ca.get(t, 0) for t, n in cb.items())
+    norm = norm_a * norm_b
     return dot / norm if norm else 0.0
+
+
+def token_cosine(a: str, b: str) -> float:
+    """Cosine similarity of token-count vectors; 0 when either is empty."""
+    return _cosine(_vector(a), _vector(b))
 
 
 def contains_phrase(text: str, phrase: str) -> bool:
@@ -43,43 +50,6 @@ def contains_phrase(text: str, phrase: str) -> bool:
     n = len(phrase_tokens)
     return any(text_tokens[i:i + n] == phrase_tokens
                for i in range(len(text_tokens) - n + 1))
-
-
-class Scorer(Protocol):
-    def score(self, query: str, candidates: Sequence[FactTriple]) -> list[float]:
-        ...
-
-
-class LexicalScorer:
-    """Token-count cosine between the query and each serialized triple."""
-
-    def score(self, query: str, candidates: Sequence[FactTriple]) -> list[float]:
-        return [token_cosine(query, t.render()) for t in candidates]
-
-
-class EmbeddingScorer:
-    """Cosine over externally supplied vectors, clamped into [0, 1].
-
-    `embed` maps a string to its vector; serialized triples and the query go
-    through the same provider.
-    """
-
-    def __init__(self, embed: Callable[[str], Sequence[float]]):
-        self.embed = embed
-
-    def score(self, query: str, candidates: Sequence[FactTriple]) -> list[float]:
-        q = self.embed(query)
-        scores = []
-        for t in candidates:
-            v = self.embed(t.render())
-            scores.append(max(0.0, min(1.0, _vector_cosine(q, v))))
-        return scores
-
-
-def _vector_cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    norm = math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
-    return dot / norm if norm else 0.0
 
 
 @dataclass(frozen=True)
@@ -107,17 +77,16 @@ class RankedEvidence:
         return tuple(t for t, _ in self.triples)
 
 
-def rank_triples(query: str, candidates: TripleSet, k: int = 1,
-                 scorer: Scorer | None = None) -> RankedEvidence:
-    """Score every candidate and keep the top k.
+def rank_triples(query: str, candidates: TripleSet,
+                 k: int = 1) -> RankedEvidence:
+    """Score every candidate against the query and keep the top k.
 
     Ties break on the (subject, relation, object) key, so identical inputs
     always select identical evidence.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scorer = scorer or LexicalScorer()
-    ordered = list(candidates)
-    scores = scorer.score(query, ordered)
-    ranked = sorted(zip(ordered, scores), key=lambda ts: (-ts[1], ts[0].key))
-    return RankedEvidence(triples=tuple(ranked[:k]), k=k)
+    q = _vector(query)
+    scored = [(t, _cosine(q, _vector(t.render()))) for t in candidates]
+    scored.sort(key=lambda ts: (-ts[1], ts[0].key))
+    return RankedEvidence(triples=tuple(scored[:k]), k=k)

@@ -1,5 +1,6 @@
 """Low-level SPARQL-over-HTTP plumbing shared by the KB clients and the
-remote slow source: request execution, results-JSON parsing, URI helpers.
+remote slow source: request execution, retries, results-JSON parsing, URI
+helpers.
 
 The transport is injectable so every test can run against recorded
 responses; the default transport issues a real GET via requests.
@@ -9,11 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, TypeVar
 
 from .errors import HttpError, MalformedResponse, RateLimited
 
 RESULTS_JSON = "application/sparql-results+json"
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -64,6 +67,28 @@ def exec_sparql(endpoint: str, query: str,
     if "results" not in payload or "bindings" not in payload.get("results", {}):
         raise MalformedResponse("missing results.bindings")
     return payload
+
+
+def with_retries(call: Callable[[], T], attempts: int, backoff_s: float,
+                 sleep: Callable[[float], None],
+                 retry_on: type[Exception]) -> T:
+    """Run `call` up to `attempts` times while it raises `retry_on`.
+
+    Between attempts, sleep for the error's `retry_after` hint when it
+    carries one (RateLimited does), else for a backoff that starts at
+    `backoff_s` and doubles each attempt. The last error propagates as is.
+    """
+    if attempts < 1:
+        raise ValueError("attempts must be >= 1")
+    delay = backoff_s
+    for _ in range(attempts - 1):
+        try:
+            return call()
+        except retry_on as exc:
+            hint = getattr(exc, "retry_after", None)
+            sleep(max(0.0, hint) if hint is not None else delay)
+            delay *= 2
+    return call()
 
 
 def _parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:

@@ -211,6 +211,3 @@ class TripleSet:
     @property
     def objects(self) -> frozenset[str]:
         return frozenset(t.obj for t in self)
-
-
-EMPTY_TRIPLES = TripleSet()

@@ -526,8 +526,9 @@ class TestRemoteSparqlSource:
 
         def transport(url, params, headers):
             calls.append(params["query"])
-            status, text = replies[min(len(calls) - 1, len(replies) - 1)]
-            return TransportReply(status=status, text=text)
+            status, text, *hdrs = replies[min(len(calls) - 1, len(replies) - 1)]
+            return TransportReply(status=status, text=text,
+                                  headers=hdrs[0] if hdrs else {})
 
         source = RemoteSparqlSource("https://unit.test/sparql",
                                     transport=transport,
@@ -564,6 +565,15 @@ class TestRemoteSparqlSource:
         assert len(triples) == 2
         assert len(calls) == 2
         assert naps == [0.25]
+
+    def test_rate_limit_waits_for_the_retry_after_hint(self):
+        naps = []
+        source, calls = self.make_source(
+            [(429, "slow down", {"Retry-After": "3"}),
+             (200, self.WIKIDATA_PAYLOAD)], naps)
+        assert len(source.fetch_subject("Q30")) == 2
+        assert len(calls) == 2
+        assert naps == [3.0]
 
 
 class TestDumpFormat:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import factcache.cache
+import factcache.cli
 from factcache.cache import write_dump
 from factcache.cli import main
 from factcache.triples import Source
@@ -83,6 +85,39 @@ class TestQuery:
         assert "1 hit(s), 0 miss(es)" in err
         assert "(Sioux Falls, head of government, Paul Ten Haken)" in err
         assert "Q: Who is the current head of government for Sioux Falls?" in err
+
+    def test_one_query_parses_the_dump_once(self, workdir, capsys,
+                                           monkeypatch):
+        calls = []
+        real = factcache.cache.read_dump
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        for module in (factcache.cache, factcache.cli):
+            monkeypatch.setattr(module, "read_dump", counting)
+        code, out, _ = run(capsys, "query", self.QUESTION)
+        assert code == 0 and out.strip() == "Paul Ten Haken"
+        assert len(calls) == 1
+
+    def test_shared_label_resolves_to_the_first_dump_subject(
+            self, workdir, capsys):
+        # two subjects named "Springfield"; the one first in the file wins,
+        # though its id sorts after the other's
+        write_dump(workdir / "dump.jsonl", [
+            triple("Q2", "population", "116250", subject_label="Springfield",
+                   object_is_entity=False),
+            triple("Q1", "population", "169176", subject_label="Springfield",
+                   object_is_entity=False),
+        ], snapshot_at=SNAPSHOT)
+        for _ in range(2):  # fresh state, then with Q2 resident
+            code, out, err = run(capsys, "query",
+                                 "What is the population of Springfield?",
+                                 "--trace")
+            assert code == 0
+            assert "entities: Q2" in err
+            assert out.strip() == "116250"
 
     def test_unknown_task_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:
@@ -164,6 +199,20 @@ class TestData:
                            "items.jsonl")
         assert code == 0
         assert out.strip().endswith("items OK")
+
+    def test_multihop_build_validates_and_repeats(self, workdir, capsys):
+        sample = Path(__file__).parent.parent / "sample_data" / "dump.jsonl"
+        (workdir / "desk.jsonl").write_bytes(sample.read_bytes())
+        for name in ("a.jsonl", "b.jsonl"):
+            code, out, _ = run(capsys, "data", "build", "--triples",
+                               "desk.jsonl", "--out", name, "--multihop",
+                               "--hops", "2")
+            assert code == 0
+            assert not out.startswith("0 items")
+        code, out, _ = run(capsys, "data", "validate", "--items", "a.jsonl")
+        assert code == 0 and out.strip().endswith("items OK")
+        assert (workdir / "a.jsonl").read_bytes() == \
+            (workdir / "b.jsonl").read_bytes()
 
     def test_fetch_fixture_mode(self, workdir, capsys):
         code, out, _ = run(

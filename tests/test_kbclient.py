@@ -12,7 +12,7 @@ from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
                                 _identifier_like, dbpedia_triples_query,
                                 equivalent_properties_query, filter_ambiguous,
                                 wikidata_triples_query)
-from factcache.sparqlio import TransportReply
+from factcache.sparqlio import TransportReply, with_retries
 from factcache.triples import Source
 from conftest import FIXTURES
 
@@ -189,6 +189,43 @@ class TestFetchTriples:
             requests_per_second=10_000)
         with pytest.raises(MalformedResponse):
             client.fetch_triples("P6", limit=5)
+
+
+class TestWithRetries:
+    @staticmethod
+    def failing(errors):
+        calls = []
+
+        def call():
+            calls.append(1)
+            raise errors[len(calls) - 1]
+
+        return call, calls
+
+    def test_backoff_doubles_and_the_last_error_propagates(self):
+        errors = [HttpError("a"), HttpError("b"), HttpError("c")]
+        call, calls = self.failing(errors)
+        naps = []
+        with pytest.raises(HttpError) as exc:
+            with_retries(call, 3, 0.25, naps.append, HttpError)
+        assert exc.value is errors[-1]
+        assert naps == [0.25, 0.5]
+
+    def test_retry_after_hint_replaces_the_backoff_for_that_wait(self):
+        call, calls = self.failing(
+            [RateLimited("a", retry_after=3.0), HttpError("b"),
+             RateLimited("c", retry_after=-1.0), HttpError("d")])
+        naps = []
+        with pytest.raises(HttpError):
+            with_retries(call, 4, 0.25, naps.append, HttpError)
+        assert naps == [3.0, 0.5, 0.0]  # a negative hint waits not at all
+
+    def test_other_errors_are_not_retried(self):
+        call, calls = self.failing([MalformedResponse("bad")])
+        naps = []
+        with pytest.raises(MalformedResponse):
+            with_retries(call, 3, 0.25, naps.append, HttpError)
+        assert len(calls) == 1 and naps == []
 
 
 class TestRateLimiter:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factcache.ranking import (EmbeddingScorer, LexicalScorer, RankedEvidence,
-                               rank_triples, token_cosine, tokenize)
+from factcache.ranking import (RankedEvidence, rank_triples, token_cosine,
+                               tokenize)
 from factcache.triples import TripleSet
 from conftest import triple
 
@@ -76,23 +79,45 @@ class TestRankTriples:
             rank_triples(QUERY, TripleSet(), k=0)
 
 
-class TestScorers:
-    def test_lexical_scorer_matches_token_cosine(self):
-        scores = LexicalScorer().score(QUERY, [HOG, CAPITAL])
-        assert scores == [token_cosine(QUERY, HOG.render()),
-                          token_cosine(QUERY, CAPITAL.render())]
+def _reference_cosine(a: str, b: str) -> float:
+    """The token cosine written out longhand, as a fixed reference."""
+    ca, cb = Counter(tokenize(a)), Counter(tokenize(b))
+    if not ca or not cb:
+        return 0.0
+    dot = sum(ca[t] * cb[t] for t in ca.keys() & cb.keys())
+    norm = math.sqrt(sum(v * v for v in ca.values()))
+    norm *= math.sqrt(sum(v * v for v in cb.values()))
+    return dot / norm if norm else 0.0
 
-    def test_embedding_scorer_uses_supplied_vectors(self):
-        vectors = {QUERY: [1.0, 0.0], HOG.render(): [1.0, 0.0],
-                   CAPITAL.render(): [0.0, 1.0]}
-        scorer = EmbeddingScorer(lambda text: vectors[text])
-        assert scorer.score(QUERY, [HOG, CAPITAL]) == \
-            [pytest.approx(1.0), pytest.approx(0.0)]
 
-    def test_embedding_scores_clamped_to_unit_interval(self):
-        vectors = {QUERY: [1.0, 0.0], HOG.render(): [-1.0, 0.0]}
-        scorer = EmbeddingScorer(lambda text: vectors[text])
-        assert scorer.score(QUERY, [HOG]) == [0.0]
+# a small vocabulary, so labels and queries share tokens and scores tie
+_WORDS = st.sampled_from(["head", "of", "government", "America", "capital",
+                          "Paris", "the", "1", "10", "Who", "is", "?", ","])
+_TEXT = st.lists(_WORDS, max_size=6).map(" ".join)
+_LABEL = st.lists(_WORDS, min_size=1, max_size=4).map(" ".join)
+
+
+@st.composite
+def _candidates(draw):
+    triples = []
+    for i in range(draw(st.integers(0, 12))):
+        triples.append(triple(
+            f"s{draw(st.integers(0, 4))}", f"r{i % 3}", f"o{i}",
+            subject_label=draw(_LABEL), relation_label=draw(_LABEL),
+            object_label=draw(_LABEL)))
+    return TripleSet(triples)
+
+
+@given(query=_TEXT, candidates=_candidates(), k=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_rank_triples_matches_brute_force(query, candidates, k):
+    evidence = rank_triples(query, candidates, k)
+    for t, score in evidence.triples:
+        assert score == token_cosine(query, t.render())
+        assert score == _reference_cosine(query, t.render())
+    brute = sorted(((t, token_cosine(query, t.render())) for t in candidates),
+                   key=lambda ts: (-ts[1], ts[0].key))[:k]
+    assert evidence.triples == tuple(brute)
 
 
 class TestRankedEvidence:
