@@ -183,18 +183,10 @@ class LocalDumpSource:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.snapshot_at: Optional[datetime] = None
-        self.triples: list[FactTriple] = []
-        self._by_subject: dict[str, list[FactTriple]] = {}
-        self.reload()
-
-    def reload(self) -> None:
-        """Re-read the dump; lets tests and sync observe file changes."""
         self.snapshot_at, self.triples = read_dump(self.path)
-        by_subject: dict[str, list[FactTriple]] = {}
+        self._by_subject: dict[str, list[FactTriple]] = {}
         for t in self.triples:
-            by_subject.setdefault(t.subject, []).append(t)
-        self._by_subject = by_subject
+            self._by_subject.setdefault(t.subject, []).append(t)
 
     def fetch_subject(self, entity: str) -> list[FactTriple]:
         return list(self._by_subject.get(entity, ()))
@@ -229,14 +221,16 @@ class InMemorySlowSource:
         return list(self._by_subject.get(entity, {}).values())
 
 
-# Default by-subject query for Wikidata-style endpoints; {subject} is the
-# only placeholder. Overridable for other endpoint schemas.
-DEFAULT_SUBJECT_QUERY = """\
+# By-subject query for Wikidata-style endpoints; {subject} is the only
+# placeholder.
+SUBJECT_QUERY = """\
 SELECT ?relation ?relationLabel ?object ?objectLabel WHERE {
   wd:{subject} ?p ?object .
   ?relation wikibase:directClaim ?p .
   SERVICE wikibase:label { bd:serviceParam wikibase:language "en" . }
 }"""
+FETCH_ATTEMPTS = 3
+FETCH_BACKOFF_S = 0.25  # doubles per retry unless the server sends a hint
 
 
 class RemoteSparqlSource:
@@ -248,38 +242,32 @@ class RemoteSparqlSource:
     """
 
     def __init__(self, endpoint: str,
-                 query_template: str = DEFAULT_SUBJECT_QUERY,
                  source: Source = Source.WIKIDATA,
                  transport: Optional[Transport] = None,
-                 attempts: int = 3,
-                 backoff_s: float = 0.25,
                  sleep: Callable[[float], None] = time.sleep,
                  snapshot_at: Optional[datetime] = None):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
         self.endpoint = endpoint
-        self.query_template = query_template
         self.source = source
         self.transport = transport
-        self.attempts = attempts
-        self.backoff_s = backoff_s
         self.sleep = sleep
         self.snapshot_at = snapshot_at
 
     def fetch_subject(self, entity: str) -> list[FactTriple]:
-        query = self.query_template.replace("{subject}", entity)
+        query = SUBJECT_QUERY.replace("{subject}", entity)
 
         def attempt() -> list[FactTriple]:
             payload = exec_sparql(self.endpoint, query, self.transport)
             return self._rows_to_triples(entity, parse_bindings(payload))
 
         try:
-            return with_retries(attempt, self.attempts, self.backoff_s,
+            return with_retries(attempt, FETCH_ATTEMPTS, FETCH_BACKOFF_S,
                                 self.sleep, Exception)
         except Exception as exc:
             raise SlowUnreachable(
                 f"slow source {self.endpoint} failed after "
-                f"{self.attempts} attempts: {exc}") from exc
+                f"{FETCH_ATTEMPTS} attempts: {exc}") from exc
 
     def _rows_to_triples(self, entity: str,
                          rows: list[dict]) -> list[FactTriple]:

@@ -20,8 +20,9 @@ from . import cache as cachemod
 from .cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
                     RemoteSparqlSource, TieredFactStore, read_dump)
 from .config import Config, DEFAULT_CONFIG_PATH, load_config
-from .dataset import (BenchmarkItem, MultiHopItem, build_item, build_multihop,
-                      emit_benchmark, load_benchmark, load_relation_templates)
+from .dataset import (BenchmarkItem, MultiHopItem, build_benchmark,
+                      build_multihop_benchmark, emit_benchmark, load_benchmark,
+                      load_relation_templates)
 from .errors import FactCacheError
 from .harness import (run_main_eval, run_multihop_scenario,
                       run_scale_scenario, run_transition_scenario)
@@ -30,7 +31,7 @@ from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
 from .models import HttpCompletionModel, MockTableModel
 from .pipeline import (AliasIndex, ExtractorKind, Pipeline, aliases_for_items)
 from .sparqlio import TransportReply
-from .triples import EntityRef, TaskKind, TripleSet
+from .triples import EntityRef, TaskKind
 
 
 def _err(message: str) -> None:
@@ -218,45 +219,11 @@ def cmd_data_build(cfg: Config, args, seed: int) -> int:
     templates = load_relation_templates(cfg.templates_path or None)
     entities = (load_entities(cfg.entities_path)
                 if cfg.entities_path else None)
-    rng = random.Random(seed)
-
-    by_relation: dict[str, list] = {}
-    for t in sorted(triples, key=lambda t: t.key):
-        ref = templates.get(t.relation) or templates.get(t.relation_label)
-        if ref is not None:
-            by_relation.setdefault(ref.id, []).append((ref, t))
-
-    items: list = []
     if args.multihop:
-        pool = TripleSet(t for group in by_relation.values()
-                         for _, t in group)
-        relation_map = {t.relation: ref for group in by_relation.values()
-                        for ref, t in group}
-        for first in pool:
-            chain = [first]
-            while len(chain) < args.hops:
-                nxt = pool.by_subject(chain[-1].obj)
-                if not nxt:
-                    break
-                chain.append(nxt[0])
-            if len(chain) == args.hops:
-                items.append(build_multihop(chain, relation_map, entities))
+        items: list = build_multihop_benchmark(triples, templates, args.hops,
+                                               entities)
     else:
-        for relation_id, group in sorted(by_relation.items()):
-            if len(group) < 3:
-                continue
-            object_labels = sorted({t.object_label for _, t in group})
-            for i, (ref, t) in enumerate(group):
-                candidates = [o for o in object_labels if o != t.object_label]
-                if len(candidates) < 2:
-                    continue
-                distractors = rng.sample(candidates, 2)
-                locality = next(
-                    (lt for _, lt in group[i + 1:] + group[:i]
-                     if lt.subject != t.subject), None)
-                if locality is None:
-                    continue
-                items.append(build_item(t, ref, distractors, locality, rng))
+        items = build_benchmark(triples, templates, random.Random(seed))
     if args.count is not None:
         items = items[:args.count]
     written = emit_benchmark(items, args.out)

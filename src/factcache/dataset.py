@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .errors import (BadTemplate, BrokenChain, DistractorCollision, ParseError,
                      SchemaViolation)
 from .ranking import contains_phrase
-from .triples import EntityRef, FactTriple, RelationRef, Source, TaskKind
+from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
+                      TripleSet)
 
 log = logging.getLogger(__name__)
 
@@ -45,10 +46,6 @@ def fill_template(template: str, subject_label: str) -> str:
 
 
 # --- pronouns for dialogue turns ---------------------------------------------
-
-POSSESSIVE_PRONOUNS = ("his", "her", "its", "their")
-OBJECTIVE_PRONOUNS = ("him", "her", "it", "them")
-
 
 def pronoun_for(entity: Optional[EntityRef], possessive: bool) -> str:
     """Deterministic pronoun: person entities get his/her (their when gender
@@ -425,6 +422,66 @@ def build_multihop(chain: Sequence[FactTriple],
 
 
 AnyItem = Union[BenchmarkItem, MultiHopItem]
+
+
+# --- item selection from a triple dump ----------------------------------------
+
+def _by_relation(triples: Iterable[FactTriple],
+                 templates: Mapping[str, RelationRef]) -> dict[str, list]:
+    """(template, triple) pairs in key order, grouped by relation id;
+    triples whose relation id or label has no templates are left out."""
+    by_relation: dict[str, list] = {}
+    for t in sorted(triples, key=lambda t: t.key):
+        ref = templates.get(t.relation) or templates.get(t.relation_label)
+        if ref is not None:
+            by_relation.setdefault(ref.id, []).append((ref, t))
+    return by_relation
+
+
+def build_benchmark(triples: Iterable[FactTriple],
+                    templates: Mapping[str, RelationRef],
+                    rng: random.Random) -> list[BenchmarkItem]:
+    """Single-hop items for relations with three or more facts, in relation
+    id order. Each fact needs two distractors from the relation's other
+    object labels and, as its locality probe, the relation's next fact
+    (wrapping around) about another subject; without them it is skipped."""
+    items = []
+    for _, group in sorted(_by_relation(triples, templates).items()):
+        if len(group) < 3:
+            continue
+        object_labels = sorted({t.object_label for _, t in group})
+        for i, (ref, t) in enumerate(group):
+            candidates = [o for o in object_labels if o != t.object_label]
+            if len(candidates) < 2:
+                continue
+            distractors = rng.sample(candidates, 2)
+            locality = next((lt for _, lt in group[i + 1:] + group[:i]
+                             if lt.subject != t.subject), None)
+            if locality is None:
+                continue
+            items.append(build_item(t, ref, distractors, locality, rng))
+    return items
+
+
+def build_multihop_benchmark(triples: Iterable[FactTriple],
+                             templates: Mapping[str, RelationRef], hops: int,
+                             entities: Optional[Mapping[str, EntityRef]] = None
+                             ) -> list[MultiHopItem]:
+    """One chain per templated fact, in key order: follow each object to
+    the first fact (by key) about it until the chain has `hops` links;
+    walks that dead-end earlier are dropped."""
+    pairs = [p for group in _by_relation(triples, templates).values()
+             for p in group]
+    pool = TripleSet(t for _, t in pairs)
+    relation_map = {t.relation: ref for ref, t in pairs}
+    items = []
+    for first in pool:
+        chain = [first]
+        while len(chain) < hops and pool.by_subject(chain[-1].obj):
+            chain.append(pool.by_subject(chain[-1].obj)[0])
+        if len(chain) == hops:
+            items.append(build_multihop(chain, relation_map, entities))
+    return items
 
 
 # --- file I/O -----------------------------------------------------------------

@@ -20,7 +20,6 @@ from .dataset import BenchmarkItem, MultiHopItem, load_relation_templates
 from .errors import EmptySet, HopFailed
 from .metrics import (NKL_REPORT_SCALE, SUREParams, drawdown, em_score, nkl,
                       normalize_answer, sure)
-from .models import ModelClient
 from .pipeline import AliasIndex, MultihopMode, Pipeline
 from .triples import SINGLE_HOP_TASKS, FactTriple, TaskKind
 
@@ -36,7 +35,6 @@ REFERENCE_MULTIHOP_EM = {
     (MultihopMode.DIALOGUE.value, 4): 39.0,
     (MultihopMode.DIALOGUE.value, 5): 18.1,
 }
-REFERENCE_FLAT_EM = 98.6  # repeated-edit and bulk-scale curves stay flat here
 
 
 def _align_support(p, q):
@@ -117,11 +115,8 @@ class EvalReport:
 
 
 def run_main_eval(items: Iterable[BenchmarkItem], pipeline: Pipeline,
-                  model: Optional[ModelClient] = None,
                   params: SUREParams = SUREParams(),
-                  apply_edits: bool = True,
-                  use_evidence: bool = True,
-                  tasks: Sequence[TaskKind] = SINGLE_HOP_TASKS) -> EvalReport:
+                  use_evidence: bool = True) -> EvalReport:
     """Edit every item's fact, then score each task; DD and NKL come from
     the paired locality probes (base = evidence suppressed).
 
@@ -133,19 +128,17 @@ def run_main_eval(items: Iterable[BenchmarkItem], pipeline: Pipeline,
         raise EmptySet("no single-hop items to evaluate")
     started = time.perf_counter()
 
-    if apply_edits:
-        for item in single_hop:
-            pipeline.store.apply_update(_edit_for(item.triple))
+    for item in single_hop:
+        pipeline.store.apply_update(_edit_for(item.triple))
 
     per_task_pairs: dict[TaskKind, list[tuple[str, str]]] = {}
     choice_maps: list[dict[str, str]] = []
     for item in single_hop:
-        for task in tasks:
+        for task in SINGLE_HOP_TASKS:
             query = item.queries.get(task)
             if query is None:
                 continue
-            answer = pipeline.answer(query, task, model,
-                                     use_evidence=use_evidence)
+            answer = pipeline.answer(query, task, use_evidence=use_evidence)
             per_task_pairs.setdefault(task, []).append(
                 (answer.text, item.gold_for(task)))
             if task is TaskKind.CHOICE:
@@ -166,9 +159,9 @@ def run_main_eval(items: Iterable[BenchmarkItem], pipeline: Pipeline,
     base_pairs, edited_pairs = [], []
     base_dists, edited_dists = [], []
     for item in single_hop:
-        base = pipeline.answer(item.locality_query, TaskKind.LOCALITY, model,
+        base = pipeline.answer(item.locality_query, TaskKind.LOCALITY,
                                use_evidence=False)
-        edited = pipeline.answer(item.locality_query, TaskKind.LOCALITY, model,
+        edited = pipeline.answer(item.locality_query, TaskKind.LOCALITY,
                                  use_evidence=use_evidence)
         base_pairs.append((base.text, item.locality_object))
         edited_pairs.append((edited.text, item.locality_object))
@@ -197,7 +190,6 @@ def run_main_eval(items: Iterable[BenchmarkItem], pipeline: Pipeline,
 
 def run_transition_scenario(items: Iterable[BenchmarkItem],
                             pipeline: Pipeline,
-                            model: Optional[ModelClient] = None,
                             edit_counts: Sequence[int] = (1, 2, 5, 10),
                             withhold_updates: bool = False
                             ) -> dict[int, float]:
@@ -230,8 +222,7 @@ def run_transition_scenario(items: Iterable[BenchmarkItem],
                 ))
         pairs = []
         for item in single_hop:
-            answer = pipeline.answer(item.queries[TaskKind.QA], TaskKind.QA,
-                                     model)
+            answer = pipeline.answer(item.queries[TaskKind.QA], TaskKind.QA)
             pairs.append((answer.text, item.gold))
         results[n] = em_score(pairs)
     return results
@@ -246,7 +237,6 @@ class ScalePoint:
 
 
 def run_scale_scenario(pipeline: Pipeline,
-                       model: Optional[ModelClient] = None,
                        sizes: Sequence[int] = (1, 10, 100, 1000, 10_000, 100_000),
                        probe_count: int = 100,
                        latency_samples: int = 200) -> dict[int, ScalePoint]:
@@ -282,7 +272,7 @@ def run_scale_scenario(pipeline: Pipeline,
         for subject in probes:
             query = qa_template.replace("{}", subject)
             t0 = time.perf_counter()
-            answer = pipeline.answer(query, TaskKind.QA, model)
+            answer = pipeline.answer(query, TaskKind.QA)
             answer_times.append(time.perf_counter() - t0)
             pairs.append((answer.text, f"Mayor Number {subject.split()[-1]}"))
 
@@ -329,11 +319,8 @@ class MultihopReport:
 
 
 def run_multihop_scenario(items: Iterable[MultiHopItem], pipeline: Pipeline,
-                          model: Optional[ModelClient] = None,
-                          modes: Sequence[MultihopMode] = (
-                              MultihopMode.DECOMPOSE, MultihopMode.DIALOGUE),
                           apply_edits: bool = True) -> MultihopReport:
-    """EM per hop count and traversal mode; a failed hop scores as wrong."""
+    """EM per hop count in each traversal mode; a failed hop scores as wrong."""
     chains = [i for i in items if isinstance(i, MultiHopItem)]
     if not chains:
         raise EmptySet("no multi-hop items to evaluate")
@@ -348,14 +335,14 @@ def run_multihop_scenario(items: Iterable[MultiHopItem], pipeline: Pipeline,
 
     em: dict[str, dict[int, float]] = {}
     reference: dict[str, dict[int, float]] = {}
-    for mode in modes:
+    for mode in (MultihopMode.DECOMPOSE, MultihopMode.DIALOGUE):
         em[mode.value] = {}
         reference[mode.value] = {}
         for hops, group in sorted(by_hops.items()):
             correct = 0
             for item in group:
                 try:
-                    answer = pipeline.answer_multihop(item, mode, model)
+                    answer = pipeline.answer_multihop(item, mode)
                 except HopFailed:
                     continue
                 if normalize_answer(answer.text) == normalize_answer(

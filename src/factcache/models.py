@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Protocol
 from .errors import EmptyCompletion, ModelError
 from .prompts import AssembledPrompt, task_instruction
 from .ranking import contains_phrase, tokenize
-from .sparqlio import TransportReply, with_retries
+from .sparqlio import TransportReply, parse_retry_after, with_retries
 from .triples import TaskKind
 
 DISTRIBUTION_TOLERANCE = 1e-9
@@ -142,7 +142,8 @@ class HttpCompletionModel:
     Request: {"prompt": str, "max_tokens": int}; response: {"text": str}.
     The answer is the trimmed first line of the completion. Generation is
     not idempotent, so the request is retried at most `retry_budget` extra
-    times and the final error is surfaced verbatim.
+    times and the final error is surfaced verbatim. A 429 reply's
+    Retry-After hint replaces the doubling backoff.
     """
 
     endpoint: str
@@ -178,7 +179,9 @@ class HttpCompletionModel:
         if not 200 <= reply.status < 300:
             raise ModelError(
                 f"completion endpoint returned HTTP {reply.status}: "
-                f"{reply.text[:200]}")
+                f"{reply.text[:200]}",
+                retry_after=(parse_retry_after(reply.headers)
+                             if reply.status == 429 else None))
         try:
             body = json.loads(reply.text)
             completion = body["text"]

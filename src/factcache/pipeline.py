@@ -20,7 +20,7 @@ from .errors import HopFailed
 from .models import ModelAnswer, ModelClient
 from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
 from .ranking import RankedEvidence, rank_triples, tokenize
-from .triples import EntityRef, FactTriple, TaskKind, TripleSet
+from .triples import EntityRef, FactTriple, TaskKind
 
 
 class ExtractorKind(enum.Enum):
@@ -182,9 +182,7 @@ class Pipeline:
 
     # -- extraction -----------------------------------------------------------
 
-    def extract_entity(self, text: str,
-                       kind: Optional[ExtractorKind] = None,
-                       model: Optional[ModelClient] = None) -> Optional[str]:
+    def extract_entity(self, text: str) -> Optional[str]:
         """Primary entity id mentioned in `text`, or None when nothing
         resolves.
 
@@ -194,14 +192,13 @@ class Pipeline:
         """
         if not text:
             raise ValueError("input must be non-empty")
-        kind = kind or self.extractor
-        if kind is ExtractorKind.ALIAS_DICTIONARY:
+        if self.extractor is ExtractorKind.ALIAS_DICTIONARY:
             return longest_alias_match(self.aliases, text)
-        model = model or self.model
-        if model is None or not hasattr(model, "complete_text"):
+        if not hasattr(self.model, "complete_text"):
             raise ValueError(
                 "model-prompted extraction needs a client with complete_text")
-        surface = model.complete_text(build_extraction_prompt(text)).strip()
+        surface = self.model.complete_text(
+            build_extraction_prompt(text)).strip()
         return self.aliases.lookup(surface)
 
     def extract_entities(self, text: str) -> list[str]:
@@ -213,14 +210,12 @@ class Pipeline:
 
     # -- answering --------------------------------------------------------------
 
-    def answer(self, query: str, task: TaskKind = TaskKind.QA,
-               model: Optional[ModelClient] = None,
+    def answer(self, query: str, task: TaskKind = TaskKind.QA, *,
                use_evidence: bool = True) -> ModelAnswer:
-        answer, _ = self.answer_traced(query, task, model, use_evidence)
+        answer, _ = self.answer_traced(query, task, use_evidence=use_evidence)
         return answer
 
-    def answer_traced(self, query: str, task: TaskKind = TaskKind.QA,
-                      model: Optional[ModelClient] = None,
+    def answer_traced(self, query: str, task: TaskKind = TaskKind.QA, *,
                       use_evidence: bool = True
                       ) -> tuple[ModelAnswer, AnswerTrace]:
         """extract -> retrieve -> rank -> assemble -> generate, with
@@ -230,8 +225,7 @@ class Pipeline:
         which is the unedited-model baseline. A failed extraction degrades
         to an empty-evidence prompt.
         """
-        model = model or self.model
-        if model is None:
+        if self.model is None:
             raise ValueError("no model client configured")
         latencies: dict[str, float] = {}
         hits0 = self.store.stats.hits
@@ -244,15 +238,14 @@ class Pipeline:
         latencies["extract"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        candidates = TripleSet(triple for entity in entities
-                               for triple in self.store.retrieve(entity))
+        # distinct entities, one subject per retrieve: no key repeats
+        candidates = [triple for entity in entities
+                      for triple in self.store.retrieve(entity)]
         latencies["retrieve"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        if use_evidence and len(candidates):
-            evidence = rank_triples(query, candidates, self.k)
-        else:
-            evidence = EMPTY_EVIDENCE
+        evidence = (rank_triples(query, candidates, self.k) if candidates
+                    else EMPTY_EVIDENCE)
         latencies["rank"] = time.perf_counter() - t
 
         t = time.perf_counter()
@@ -260,7 +253,7 @@ class Pipeline:
         latencies["assemble"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        answer = model.generate(prompt)  # ModelError propagates
+        answer = self.model.generate(prompt)  # ModelError propagates
         latencies["generate"] = time.perf_counter() - t
 
         trace = AnswerTrace(
@@ -276,29 +269,27 @@ class Pipeline:
     # -- multi-hop ---------------------------------------------------------------
 
     def answer_multihop(self, item: MultiHopItem,
-                        mode: MultihopMode = MultihopMode.DECOMPOSE,
-                        model: Optional[ModelClient] = None) -> ModelAnswer:
+                        mode: MultihopMode = MultihopMode.DECOMPOSE
+                        ) -> ModelAnswer:
         """Traverse a chain item turn by turn (DIALOGUE) or by hopping to
         each evidence object (DECOMPOSE); returns the final answer.
 
         Raises HopFailed(i) when hop i selects no evidence at all.
         """
         if mode is MultihopMode.DIALOGUE:
-            return self._answer_dialogue(item, model)
-        return self._answer_decompose(item, model)
+            return self._answer_dialogue(item)
+        return self._answer_decompose(item)
 
-    def _answer_dialogue(self, item: MultiHopItem,
-                         model: Optional[ModelClient]) -> ModelAnswer:
+    def _answer_dialogue(self, item: MultiHopItem) -> ModelAnswer:
         answer: Optional[ModelAnswer] = None
         for i, turn in enumerate(item.dialogue_turns):
             query = turn if i == 0 else substitute_pronoun(turn, answer.text)
-            answer, trace = self.answer_traced(query, TaskKind.DIALOGUE, model)
+            answer, trace = self.answer_traced(query, TaskKind.DIALOGUE)
             if not trace.evidence:
                 raise HopFailed(i + 1)
         return answer
 
-    def _answer_decompose(self, item: MultiHopItem,
-                          model: Optional[ModelClient]) -> ModelAnswer:
+    def _answer_decompose(self, item: MultiHopItem) -> ModelAnswer:
         current = item.chain[0].subject_label
         answer: Optional[ModelAnswer] = None
         for i, (link, hop_query) in enumerate(zip(item.chain,
@@ -308,8 +299,7 @@ class Pipeline:
             query = hop_query
             if link.subject_label != current:
                 query = hop_query.replace(link.subject_label, current)
-            answer, trace = self.answer_traced(query, TaskKind.MULTI_HOP_QA,
-                                               model)
+            answer, trace = self.answer_traced(query, TaskKind.MULTI_HOP_QA)
             if not trace.evidence:
                 raise HopFailed(i + 1)
             current = trace.evidence.selected[0].object_label

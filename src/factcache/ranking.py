@@ -10,8 +10,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
-from .triples import FactTriple, TripleSet
+from .triples import FactTriple
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -77,12 +78,12 @@ class RankedEvidence:
         return tuple(t for t, _ in self.triples)
 
 
-def rank_triples(query: str, candidates: TripleSet,
+def rank_triples(query: str, candidates: Iterable[FactTriple],
                  k: int = 1) -> RankedEvidence:
     """Score every candidate against the query and keep the top k.
 
-    Ties break on the (subject, relation, object) key, so identical inputs
-    always select identical evidence.
+    Ties break on the (subject, relation, object) key, so with distinct
+    keys the selection does not depend on the order of the candidates.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

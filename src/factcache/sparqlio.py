@@ -55,7 +55,7 @@ def exec_sparql(endpoint: str, query: str,
     except Exception as exc:  # connection errors from the real transport
         raise HttpError(f"request to {endpoint} failed: {exc}") from exc
     if reply.status == 429:
-        retry_after = _parse_retry_after(reply.headers)
+        retry_after = parse_retry_after(reply.headers)
         raise RateLimited(f"{endpoint} rate-limited", retry_after=retry_after)
     if not 200 <= reply.status < 300:
         raise HttpError(f"{endpoint} returned HTTP {reply.status}",
@@ -91,7 +91,8 @@ def with_retries(call: Callable[[], T], attempts: int, backoff_s: float,
     return call()
 
 
-def _parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
+def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
+    """Seconds in a Retry-After header; None if absent or not a number."""
     for name, value in headers.items():
         if name.lower() == "retry-after":
             try:

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from factcache.dataset import (BenchmarkItem, MultiHopItem, build_item,
-                               build_multihop, dialogue_turn, emit_benchmark,
+from factcache.dataset import (BenchmarkItem, MultiHopItem, build_benchmark,
+                               build_item, build_multihop,
+                               build_multihop_benchmark, dialogue_turn,
+                               emit_benchmark,
                                fill_template, load_benchmark, pronoun_for,
                                record_line, substitute_pronoun)
 from factcache.errors import (BadTemplate, BrokenChain, DistractorCollision,
@@ -166,6 +168,48 @@ class TestBuildMultihop:
                  for i in range(length)]
         with pytest.raises(BrokenChain):
             build_multihop(chain, templates)
+
+
+def _fact(subject, relation, obj):
+    return triple(subject, relation, obj, subject_label=subject,
+                  object_label=obj)
+
+
+class TestBuildFromDump:
+    HOG = [_fact("Naples", "P6", "Gaetano Manfredi"),
+           _fact("Kyoto", "P6", "Koji Matsui"),
+           _fact("Paris", "P6", "Anne Hidalgo")]
+
+    def test_items_come_in_key_order_whatever_the_input_order(self,
+                                                              templates):
+        other = [_fact("Gaetano Manfredi", "P26", "Cristina Bertoni"),
+                 _fact("Paris", "P999", "no templates")]
+        forward = build_benchmark(self.HOG + other, templates,
+                                  random.Random(3))
+        backward = build_benchmark((self.HOG + other)[::-1], templates,
+                                   random.Random(3))
+        assert [record_line(i) for i in forward] == \
+            [record_line(i) for i in backward]
+        # one spouse fact is too few for distractors; P999 has no templates
+        assert [i.triple.subject for i in forward] == \
+            ["Kyoto", "Naples", "Paris"]
+        # the probe is the relation's next fact, wrapping around
+        assert [i.locality_subject for i in forward] == \
+            ["Naples", "Paris", "Kyoto"]
+
+    def test_chains_follow_objects_and_drop_dead_ends(self, templates):
+        facts = [_fact("Westwood", "P17", "United States"),
+                 _fact("Route 128 station", "P131", "Westwood"),
+                 _fact("Amtrak", "P1830", "Route 128 station")]
+
+        def subjects(hops):
+            return [[t.subject for t in item.chain] for item in
+                    build_multihop_benchmark(facts, templates, hops)]
+
+        assert subjects(2) == [["Amtrak", "Route 128 station"],
+                               ["Route 128 station", "Westwood"]]
+        assert subjects(3) == [["Amtrak", "Route 128 station", "Westwood"]]
+        assert subjects(4) == []
 
 
 class TestPronouns:

@@ -175,6 +175,19 @@ class TestHttpCompletionModel:
             model.generate(qa_prompt("q"))
         assert len(calls) == 1
 
+    def test_rate_limit_waits_for_the_retry_after_hint(self):
+        replies = [TransportReply(status=429, text="slow down",
+                                  headers={"Retry-After": "3"}),
+                   TransportReply(status=200,
+                                  text=json.dumps({"text": "Paul Ten Haken"}))]
+        naps = []
+        model = HttpCompletionModel(endpoint="https://unit.test",
+                                    retry_budget=1,
+                                    transport=lambda *_: replies.pop(0),
+                                    sleep=naps.append)
+        assert model.generate(qa_prompt("q")).text == "Paul Ten Haken"
+        assert naps == [3.0]
+
     def test_against_a_live_local_endpoint(self):
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):

@@ -9,6 +9,7 @@ from factcache.models import MockTableModel
 from factcache.pipeline import (AliasIndex, ExtractorKind, MultihopMode,
                                 Pipeline, aliases_for_items,
                                 greedy_alias_matches, longest_alias_match)
+from factcache.ranking import rank_triples
 from factcache.triples import EntityRef, Source, TaskKind, TripleSet
 from conftest import triple
 
@@ -152,9 +153,19 @@ class TestAnswer:
         assert trace.cache_hits == 1
 
     def test_multi_entity_query_unions_retrievals(self, us_pipeline):
-        _, trace = us_pipeline.answer_traced(
-            "Does Joe Biden lead America?")
+        query = "Does Joe Biden lead America?"
+        us_pipeline.k = 10  # rank every candidate, not just the best
+        _, trace = us_pipeline.answer_traced(query)
         assert set(trace.entities) == {"Joe Biden", "America"}
+        retrieved = TripleSet(t for entity in trace.entities
+                              for t in us_pipeline.store.retrieve(entity))
+        assert len(trace.evidence) == len(retrieved) > 1
+        assert trace.evidence == rank_triples(query, retrieved, 10)
+
+    def test_model_is_not_a_positional_argument(self, us_pipeline):
+        with pytest.raises(TypeError):
+            us_pipeline.answer("Who is the head of government in America?",
+                               TaskKind.QA, MockTableModel())
 
     def test_format_invariance_across_phrasings(self, us_pipeline, templates):
         hog = templates["head of government"]

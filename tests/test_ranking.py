@@ -108,10 +108,14 @@ def _candidates(draw):
     return TripleSet(triples)
 
 
-@given(query=_TEXT, candidates=_candidates(), k=st.integers(1, 6))
+@given(query=_TEXT, candidates=_candidates(), k=st.integers(1, 6),
+       order=st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_rank_triples_matches_brute_force(query, candidates, k):
+def test_rank_triples_matches_brute_force(query, candidates, k, order):
     evidence = rank_triples(query, candidates, k)
+    shuffled = list(candidates)  # a plain list, in no particular order
+    order.shuffle(shuffled)
+    assert rank_triples(query, shuffled, k) == evidence
     for t, score in evidence.triples:
         assert score == token_cosine(query, t.render())
         assert score == _reference_cosine(query, t.render())
