@@ -137,9 +137,12 @@ def longest_alias_match(index: AliasIndex, text: str) -> Optional[str]:
 def greedy_alias_matches(index: AliasIndex, text: str) -> list[str]:
     """Non-overlapping matches, longest span first, then leftmost; returned
     in reading order with duplicates removed."""
+    matches = index.matches(text)
+    if len(matches) < 2:  # nothing can overlap or repeat
+        return [m.entity_id for m in matches]
     chosen: list[AliasMatch] = []
     taken: set[int] = set()
-    for m in sorted(index.matches(text), key=lambda m: (-m.length, m.start)):
+    for m in sorted(matches, key=lambda m: (-m.length, m.start)):
         span = set(range(m.start, m.start + m.length))
         if span & taken:
             continue

@@ -1,15 +1,19 @@
 """Evidence ranking: score candidate triples against a query, keep top-k.
 
 The score is a deterministic lexical one: cosine over lowercase token-count
-vectors of the serialized triple vs. the query.
+vectors of the serialized triple vs. the query. A triple's vector is
+computed once, the first time it is ranked, and kept on the triple; later
+queries tokenize only themselves.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from .triples import FactTriple
@@ -27,8 +31,9 @@ def _vector(text: str) -> tuple[Counter, float]:
     return counts, math.sqrt(sum(v * v for v in counts.values()))
 
 
-def _cosine(a: tuple[Counter, float], b: tuple[Counter, float]) -> float:
-    (ca, norm_a), (cb, norm_b) = a, b
+def token_cosine(a: str, b: str) -> float:
+    """Cosine similarity of token-count vectors; 0 when either is empty."""
+    (ca, norm_a), (cb, norm_b) = _vector(a), _vector(b)
     if not ca or not cb:
         return 0.0
     dot = sum(n * ca.get(t, 0) for t, n in cb.items())
@@ -36,9 +41,13 @@ def _cosine(a: tuple[Counter, float], b: tuple[Counter, float]) -> float:
     return dot / norm if norm else 0.0
 
 
-def token_cosine(a: str, b: str) -> float:
-    """Cosine similarity of token-count vectors; 0 when either is empty."""
-    return _cosine(_vector(a), _vector(b))
+def _cache_vector(t: FactTriple) -> tuple:
+    """Store `(norm, *tokens)` of the rendered triple on it, each token as
+    often as it occurs, and return it."""
+    counts, norm = _vector(t.render())
+    vector = (norm, *map(sys.intern, counts.elements()))
+    object.__setattr__(t, "token_vector", vector)
+    return vector
 
 
 def contains_phrase(text: str, phrase: str) -> bool:
@@ -87,7 +96,14 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = _vector(query)
-    scored = [(t, _cosine(q, _vector(t.render()))) for t in candidates]
+    q, qnorm = _vector(query)
+    get = q.get
+    scored = []
+    for t in candidates:
+        vector = t.token_vector or _cache_vector(t)
+        norm = vector[0]
+        # the same integer dot product and division as token_cosine
+        dot = sum(map(get, vector[1:], repeat(0)))
+        scored.append((t, dot / (qnorm * norm) if q and norm else 0.0))
     scored.sort(key=lambda ts: (-ts[1], ts[0].key))
     return RankedEvidence(triples=tuple(scored[:k]), k=k)

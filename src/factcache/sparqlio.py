@@ -9,6 +9,7 @@ responses; the default transport issues a real GET via requests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, TypeVar
 
@@ -92,13 +93,15 @@ def with_retries(call: Callable[[], T], attempts: int, backoff_s: float,
 
 
 def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
-    """Seconds in a Retry-After header; None if absent or not a number."""
+    """Seconds in a Retry-After header; None if absent or not a finite
+    number (an infinite wait cannot be slept)."""
     for name, value in headers.items():
         if name.lower() == "retry-after":
             try:
-                return float(value)
+                seconds = float(value)
             except ValueError:
                 return None
+            return seconds if math.isfinite(seconds) else None
     return None
 
 

@@ -111,13 +111,18 @@ class RelationRef:
         return self.task_templates[kind][variant]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactTriple:
     """One (subject, relation, object) assertion with provenance.
 
     `obj` holds an entity id when `object_is_entity` is true, otherwise a
     literal string (literals have no outgoing edges). Labels default to the
     ids so desk-scale data can use labels directly as identifiers.
+
+    `token_vector` is a cache that ranking fills the first time it scores the
+    triple. It is not a constructor argument and takes no part in equality,
+    hashing or repr. A triple is frozen and an edit makes a new one, which
+    starts empty, so a cached vector is never stale.
     """
 
     subject: str
@@ -130,6 +135,8 @@ class FactTriple:
     source: Source = Source.MANUAL
     fetched_at: datetime | None = None
     version: int = 1
+    token_vector: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if not self.subject or not self.relation:

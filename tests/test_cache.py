@@ -575,6 +575,17 @@ class TestRemoteSparqlSource:
         assert len(calls) == 2
         assert naps == [3.0]
 
+    @pytest.mark.parametrize("hint", ["inf", "-inf", "nan"])
+    def test_a_non_finite_retry_after_hint_falls_back_to_the_backoff(
+            self, hint):
+        naps = []
+        source, calls = self.make_source(
+            [(429, "slow down", {"Retry-After": hint}),
+             (200, self.WIKIDATA_PAYLOAD)], naps)
+        assert len(source.fetch_subject("Q30")) == 2
+        assert len(calls) == 2
+        assert naps == [0.25]
+
 
 class TestDumpFormat:
     def test_round_trip(self, tmp_path):

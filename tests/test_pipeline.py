@@ -9,7 +9,7 @@ from factcache.models import MockTableModel
 from factcache.pipeline import (AliasIndex, ExtractorKind, MultihopMode,
                                 Pipeline, aliases_for_items,
                                 greedy_alias_matches, longest_alias_match)
-from factcache.ranking import rank_triples
+from factcache.ranking import rank_triples, token_cosine
 from factcache.triples import EntityRef, Source, TaskKind, TripleSet
 from conftest import triple
 
@@ -161,6 +161,20 @@ class TestAnswer:
                               for t in us_pipeline.store.retrieve(entity))
         assert len(trace.evidence) == len(retrieved) > 1
         assert trace.evidence == rank_triples(query, retrieved, 10)
+
+    def test_an_edit_is_ranked_from_its_own_vector(self, us_pipeline):
+        query = "Who is the head of government in America?"
+        us_pipeline.answer(query)  # ranks, and so vectorizes, every fact
+        old = us_pipeline.store.get("America", "capital")
+        assert old.token_vector is not None
+        us_pipeline.store.apply_update(EditRequest(
+            "America", "capital", "Q1",
+            object_label="who is the head of government in America"))
+        new = us_pipeline.store.get("America", "capital")
+        _, trace = us_pipeline.answer_traced(query)
+        assert trace.evidence.selected == (new,)
+        assert trace.evidence.triples[0][1] == \
+            token_cosine(query, new.render())
 
     def test_model_is_not_a_positional_argument(self, us_pipeline):
         with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 from collections import Counter
 
@@ -7,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factcache.cache import TieredFactStore, save_state, write_dump
 from factcache.ranking import (RankedEvidence, rank_triples, token_cosine,
                                tokenize)
-from factcache.triples import TripleSet
-from conftest import triple
+from factcache.triples import FactTriple, Source, TripleSet
+from conftest import SNAPSHOT, triple
 
 HOG = triple("America", "head of government", "Biden",
              relation_label="head of government")
@@ -108,10 +111,10 @@ def _candidates(draw):
     return TripleSet(triples)
 
 
-@given(query=_TEXT, candidates=_candidates(), k=st.integers(1, 6),
-       order=st.randoms(use_true_random=False))
+@given(query=_TEXT, query2=_TEXT, candidates=_candidates(),
+       k=st.integers(1, 6), order=st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_rank_triples_matches_brute_force(query, candidates, k, order):
+def test_rank_triples_matches_brute_force(query, query2, candidates, k, order):
     evidence = rank_triples(query, candidates, k)
     shuffled = list(candidates)  # a plain list, in no particular order
     order.shuffle(shuffled)
@@ -122,6 +125,13 @@ def test_rank_triples_matches_brute_force(query, candidates, k, order):
     brute = sorted(((t, token_cosine(query, t.render())) for t in candidates),
                    key=lambda ts: (-ts[1], ts[0].key))[:k]
     assert evidence.triples == tuple(brute)
+    # the same, now warm, triples against another query: a cached vector
+    # must hold nothing of the query that first ranked it
+    assert all(t.token_vector is not None for t in candidates)
+    again = rank_triples(query2, candidates, max(1, len(candidates)))
+    assert len(again) == len(candidates)
+    for t, score in again.triples:
+        assert score == token_cosine(query2, t.render())
 
 
 class TestRankedEvidence:
@@ -132,3 +142,48 @@ class TestRankedEvidence:
     def test_rejects_overfull_selection(self):
         with pytest.raises(ValueError):
             RankedEvidence(triples=((HOG, 0.9), (CAPITAL, 0.1)), k=1)
+
+
+class TestCachedVector:
+    """The vector cached on a ranked triple is invisible to its identity,
+    its copies and its serialized forms."""
+
+    @staticmethod
+    def ranked_and_fresh():
+        def make():
+            return triple("America", "head of government", "Joe Biden",
+                          source=Source.WIKIDATA, fetched_at=SNAPSHOT)
+        ranked, fresh = make(), make()
+        rank_triples(QUERY, [ranked])
+        assert ranked.token_vector is not None
+        assert fresh.token_vector is None
+        return ranked, fresh
+
+    def test_identity_ignores_the_cache(self):
+        ranked, fresh = self.ranked_and_fresh()
+        assert ranked == fresh
+        assert hash(ranked) == hash(fresh)
+        assert repr(ranked) == repr(fresh)
+
+    def test_constructor_takes_only_the_data_fields(self):
+        assert list(inspect.signature(FactTriple).parameters) == [
+            "subject", "relation", "obj", "subject_label", "relation_label",
+            "object_label", "object_is_entity", "source", "fetched_at",
+            "version"]
+
+    def test_a_replaced_triple_starts_without_a_vector(self):
+        ranked, _ = self.ranked_and_fresh()
+        edited = dataclasses.replace(ranked, version=2)
+        assert edited.version == 2
+        assert edited.token_vector is None
+
+    def test_files_do_not_depend_on_ranking(self, tmp_path):
+        ranked, fresh = self.ranked_and_fresh()
+        for name, t in (("ranked", ranked), ("fresh", fresh)):
+            write_dump(tmp_path / f"{name}.jsonl", [t], snapshot_at=SNAPSHOT)
+            store = TieredFactStore()
+            store.bulk_load([t])
+            save_state(store, tmp_path / f"{name}.json")
+        for suffix in (".jsonl", ".json"):
+            assert (tmp_path / f"ranked{suffix}").read_bytes() == \
+                (tmp_path / f"fresh{suffix}").read_bytes()
