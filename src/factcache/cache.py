@@ -294,13 +294,14 @@ class RemoteSparqlSource:
 
 # --- the store --------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _Subject:
     """Everything the fast table holds about one subject."""
 
     facts: dict[str, FactTriple] = field(default_factory=dict)  # by relation
     complete: bool = True  # holds the slow source's facts, not only edits
     pinned: bool = False  # has an edit, so is never evicted
+    view: Optional[TripleSet] = None  # served by hits until a write
 
 
 class TieredFactStore:
@@ -312,6 +313,13 @@ class TieredFactStore:
     before the subject was ever read). Retrieving an incomplete subject
     reads it through once, as a miss; the fetched facts go in under the
     edits, so every edit wins. Absence is not cached.
+
+    A hit serves the subject's view: one immutable TripleSet, built on the
+    first hit and returned by every later hit until a write changes the
+    subject's facts (an edit; a read-through, prefetch or bulk_load that
+    adds facts; a sync that replaces one). Eviction and reset drop it with
+    the record. Ranking indexes the view once, so a subject read many times
+    is sorted and indexed once per write, not once per read.
 
     Capacity counts facts, as len() does. Past it, whole unpinned subjects
     are evicted, least recently used first. A subject with an edit
@@ -402,7 +410,9 @@ class TieredFactStore:
             return None
         if not record.pinned:
             self._lru.move_to_end(entity)
-        return TripleSet(record.facts.values())
+        if record.view is None:
+            record.view = TripleSet(record.facts.values())
+        return record.view
 
     # -- prefetch -------------------------------------------------------------
 
@@ -487,12 +497,13 @@ class TieredFactStore:
             record.pinned = True
             del self._lru[triple.subject]
         existing = record.facts.get(triple.relation)
+        if existing is not None and existing.obj == triple.obj:
+            return UpdateOutcome.REPLACED, False
+        record.view = None
         if existing is None:
             record.facts[triple.relation] = triple
             self._facts += 1
             return UpdateOutcome.INSERTED, True
-        if existing.obj == triple.obj:
-            return UpdateOutcome.REPLACED, False
         record.facts[triple.relation] = dataclasses.replace(
             triple, version=existing.version + 1)
         self.stats.replacements += 1
@@ -568,6 +579,8 @@ class TieredFactStore:
                 self._admit(subject, _Subject(facts))
             return len(facts)
         record.complete = True
+        if len(facts) > before:
+            record.view = None
         self._facts += len(facts) - before
         return len(facts) - before
 
@@ -620,7 +633,8 @@ def load_state(path: str | Path, slow: Optional[SlowSource] = None,
                prefetch_depth: int = 1) -> TieredFactStore:
     """Rebuild a store written by save_state. An edited row pins its
     subject; a subject listed as incomplete reads through on its next
-    retrieve, and a file without that list loads every subject complete."""
+    retrieve, and a file without that list loads every subject complete.
+    Unpinned subjects past `capacity` are evicted, as after any write."""
     store = TieredFactStore(slow=slow, capacity=capacity,
                             prefetch_depth=prefetch_depth)
     state = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -638,4 +652,5 @@ def load_state(path: str | Path, slow: Optional[SlowSource] = None,
     stats = state.get("stats", {})
     store.stats = CacheStats(**{k: stats.get(k, 0)
                                 for k in CacheStats().snapshot()})
+    store._evict()  # the file may hold more than this capacity
     return store

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .cache import TieredFactStore
 from .dataset import MultiHopItem, substitute_pronoun
@@ -241,9 +241,14 @@ class Pipeline:
         latencies["extract"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        # distinct entities, one subject per retrieve: no key repeats
-        candidates = [triple for entity in entities
-                      for triple in self.store.retrieve(entity)]
+        candidates: Collection[FactTriple] = ()
+        if len(entities) == 1:
+            # the store's cached set, which ranking indexes once
+            candidates = self.store.retrieve(entities[0])
+        elif entities:
+            # distinct entities, one subject per retrieve: no key repeats
+            candidates = [triple for entity in entities
+                          for triple in self.store.retrieve(entity)]
         latencies["retrieve"] = time.perf_counter() - t
 
         t = time.perf_counter()

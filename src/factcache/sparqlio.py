@@ -16,6 +16,9 @@ from typing import Callable, Mapping, Optional, TypeVar
 from .errors import HttpError, MalformedResponse, RateLimited
 
 RESULTS_JSON = "application/sparql-results+json"
+# A Retry-After hint longer than this is treated as no hint, so the caller's
+# backoff applies; time.sleep rejects a huge value with OverflowError.
+MAX_RETRY_AFTER_S = 3600.0
 
 T = TypeVar("T")
 
@@ -93,15 +96,17 @@ def with_retries(call: Callable[[], T], attempts: int, backoff_s: float,
 
 
 def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
-    """Seconds in a Retry-After header; None if absent or not a finite
-    number (an infinite wait cannot be slept)."""
+    """Seconds in a Retry-After header; None if absent, not a finite
+    number, or above MAX_RETRY_AFTER_S."""
     for name, value in headers.items():
         if name.lower() == "retry-after":
             try:
                 seconds = float(value)
             except ValueError:
                 return None
-            return seconds if math.isfinite(seconds) else None
+            if not math.isfinite(seconds) or seconds > MAX_RETRY_AFTER_S:
+                return None
+            return seconds
     return None
 
 

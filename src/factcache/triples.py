@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 TripleKey = tuple[str, str, str]
@@ -165,34 +167,52 @@ class TripleSet:
     Membership and equality are keyed on (subject, relation, object) only;
     when duplicates are supplied the first occurrence wins. Iteration order
     is sorted by key, so downstream output is deterministic.
+
+    The set stores one key-sorted tuple, `triples`. The key and subject
+    indexes are built the first time membership, equality, `keys()`,
+    `by_subject()` or `subjects` needs them, so a set that is only iterated
+    and ranked never holds them. `rank_index` is a cache that ranking fills
+    the first time it ranks a set of two or more facts; the set is
+    immutable, so the index never goes stale.
     """
 
-    __slots__ = ("_by_key", "_by_subject")
+    __slots__ = ("triples", "_by_key", "_by_subject", "rank_index")
 
     def __init__(self, triples: Iterable[FactTriple] = ()):
         by_key: dict[TripleKey, FactTriple] = {}
         for t in triples:
             by_key.setdefault(t.key, t)
-        self._by_key = dict(sorted(by_key.items()))
-        by_subject: dict[str, list[FactTriple]] = {}
-        for t in self._by_key.values():
-            by_subject.setdefault(t.subject, []).append(t)
-        self._by_subject = {s: tuple(ts) for s, ts in by_subject.items()}
+        self.triples = tuple(map(by_key.__getitem__, sorted(by_key)))
+        self._by_key: dict[TripleKey, FactTriple] | None = None
+        self._by_subject: dict[str, tuple[FactTriple, ...]] | None = None
+        self.rank_index: tuple | None = None
+
+    def _keyed(self) -> dict[TripleKey, FactTriple]:
+        if self._by_key is None:
+            self._by_key = {t.key: t for t in self.triples}
+        return self._by_key
+
+    def _grouped(self) -> dict[str, tuple[FactTriple, ...]]:
+        if self._by_subject is None:
+            self._by_subject = {
+                subject: tuple(group) for subject, group
+                in groupby(self.triples, key=attrgetter("subject"))}
+        return self._by_subject
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self.triples)
 
     def __iter__(self) -> Iterator[FactTriple]:
-        return iter(self._by_key.values())
+        return iter(self.triples)
 
     def __contains__(self, item) -> bool:
         key = item.key if isinstance(item, FactTriple) else tuple(item)
-        return key in self._by_key
+        return key in self._keyed()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripleSet):
             return NotImplemented
-        return self._by_key.keys() == other._by_key.keys()
+        return self._keyed().keys() == other._keyed().keys()
 
     __hash__ = None  # mutable-free but identity is by key set; not hashable
 
@@ -206,14 +226,14 @@ class TripleSet:
         return TripleSet(t for t in self if t not in other)
 
     def keys(self) -> frozenset[TripleKey]:
-        return frozenset(self._by_key)
+        return frozenset(self._keyed())
 
     def by_subject(self, subject: str) -> tuple[FactTriple, ...]:
-        return self._by_subject.get(subject, ())
+        return self._grouped().get(subject, ())
 
     @property
     def subjects(self) -> frozenset[str]:
-        return frozenset(self._by_subject)
+        return frozenset(self._grouped())
 
     @property
     def objects(self) -> frozenset[str]:

@@ -433,6 +433,95 @@ class TestCapacity:
         assert store.stats.hits == 1
 
 
+def served_fresh(store, subject):
+    """retrieve(subject), after checking it triple by triple (versions
+    and labels too) against a set built now from the facts the store
+    holds."""
+    view = store.retrieve(subject)
+    fresh = TripleSet(store.fast_snapshot().by_subject(subject))
+    assert view.triples == fresh.triples
+    return view
+
+
+class TestCachedView:
+    """A hit serves the subject's cached TripleSet; every write that
+    changes the subject's facts must drop it."""
+
+    CAPITAL = triple("US", "capital", "Washington", source=Source.WIKIDATA,
+                     fetched_at=SNAPSHOT)
+
+    def test_hits_without_a_write_share_one_set(self):
+        store, _ = make_store([US_BIDEN, self.CAPITAL], prefetch_depth=0)
+        first = store.retrieve("US")  # the miss builds the view
+        assert store.retrieve("US") is first
+        assert store.retrieve("US") is first
+        assert store.stats.hits == 2
+
+    def test_an_inserting_edit_drops_the_view(self):
+        store, _ = make_store([US_BIDEN], prefetch_depth=0)
+        before = store.retrieve("US")
+        assert store.apply_update(EditRequest("US", "capital", "Washington")) \
+            is UpdateOutcome.INSERTED
+        after = served_fresh(store, "US")
+        assert after is not before
+        assert after == TripleSet([US_BIDEN, self.CAPITAL])
+
+    def test_a_replacing_edit_drops_the_view(self):
+        store, _ = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        store.apply_update(EditRequest("US", "head_of_gov", "Harris"))
+        after = served_fresh(store, "US")
+        assert [(t.obj, t.version) for t in after] == [("Harris", 2)]
+
+    def test_reapplying_the_current_object_keeps_the_view(self):
+        store, _ = make_store([US_BIDEN], prefetch_depth=0)
+        before = store.retrieve("US")
+        assert store.apply_update(EditRequest("US", "head_of_gov", "Biden")) \
+            is UpdateOutcome.REPLACED
+        assert served_fresh(store, "US") is before
+
+    def test_reading_through_an_incomplete_subject(self):
+        store, _ = make_store([US_BIDEN, self.CAPITAL], prefetch_depth=0)
+        store.apply_update(EditRequest("US", "head_of_gov", "Harris"))
+        first = served_fresh(store, "US")  # the read-through
+        assert first == TripleSet([triple("US", "head_of_gov", "Harris"),
+                                   self.CAPITAL])
+        assert served_fresh(store, "US") is first
+
+    def test_a_bulk_load_that_adds_a_fact_drops_the_view(self):
+        store, _ = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        assert store.bulk_load([US_BIDEN, self.CAPITAL]) == 1
+        assert served_fresh(store, "US") == TripleSet([US_BIDEN, self.CAPITAL])
+
+    def test_a_sync_that_replaces_a_fact_drops_the_view(self):
+        store, slow = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        slow.put(triple("US", "head_of_gov", "Harris"))
+        assert store.sync() == 1
+        assert served_fresh(store, "US") == TripleSet(
+            [triple("US", "head_of_gov", "Harris")])
+
+    def test_an_evicted_subject_is_read_again(self):
+        store, slow = make_store([US_BIDEN, BIDEN_JILL], capacity=1,
+                                 prefetch_depth=0)
+        store.retrieve("US")
+        store.retrieve("Biden")  # pushes US out
+        slow.put(triple("US", "head_of_gov", "Harris"))
+        assert served_fresh(store, "US") == TripleSet(
+            [triple("US", "head_of_gov", "Harris")])
+        assert store.stats.misses == 3
+
+    def test_reset_drops_the_view(self):
+        store, slow = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        store.reset()
+        slow.put(triple("US", "head_of_gov", "Harris"))
+        assert served_fresh(store, "US") == TripleSet(
+            [triple("US", "head_of_gov", "Harris")])
+        assert store.stats.misses == 1
+
+
 class TestConcurrency:
     def test_concurrent_misses_converge_to_one_copy(self):
         barrier = threading.Barrier(2)
@@ -586,6 +675,16 @@ class TestRemoteSparqlSource:
         assert len(calls) == 2
         assert naps == [0.25]
 
+    @pytest.mark.parametrize("hint", ["1e300", "3601"])
+    def test_a_huge_retry_after_hint_falls_back_to_the_backoff(self, hint):
+        naps = []
+        source, calls = self.make_source(
+            [(429, "slow down", {"Retry-After": hint}),
+             (200, self.WIKIDATA_PAYLOAD)], naps)
+        assert len(source.fetch_subject("Q30")) == 2
+        assert len(calls) == 2
+        assert naps == [0.25]
+
 
 class TestDumpFormat:
     def test_round_trip(self, tmp_path):
@@ -648,6 +747,21 @@ class TestDumpFormat:
         assert restored.retrieve("US") == TripleSet([US_BIDEN])
         assert restored.stats.hits == 1
         assert slow.fetch_log == ["US"]
+
+    def test_load_state_evicts_down_to_a_smaller_capacity(self, tmp_path):
+        store, slow = make_store(prefetch_depth=0)
+        store.bulk_load([triple(f"s{i}", "r", f"o{i}") for i in range(10)])
+        store.apply_update(EditRequest("p", "r", "v"))  # pinned: stays
+        state_path = tmp_path / "state.json"
+        save_state(store, state_path)
+        restored = load_state(state_path, slow=slow, capacity=3,
+                              prefetch_depth=0)
+        assert len(restored) == 3
+        assert restored.get("p", "r").obj == "v"
+        survivor = sorted(restored.fast_snapshot().subjects - {"p"})[0]
+        restored.retrieve(survivor)
+        assert len(restored) == 3
+        assert restored.stats.hits == 1
 
     def test_failed_save_leaves_previous_state(self, tmp_path):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)

@@ -201,6 +201,20 @@ class TestHttpCompletionModel:
         assert model.generate(qa_prompt("q")).text == "Paul Ten Haken"
         assert naps == [0.25]
 
+    def test_a_huge_retry_after_hint_falls_back_to_the_backoff(self):
+        # time.sleep(1e300) raises OverflowError, which is no ModelError
+        replies = [TransportReply(status=429, text="slow down",
+                                  headers={"Retry-After": "1e300"}),
+                   TransportReply(status=200,
+                                  text=json.dumps({"text": "Paul Ten Haken"}))]
+        naps = []
+        model = HttpCompletionModel(endpoint="https://unit.test",
+                                    retry_budget=1,
+                                    transport=lambda *_: replies.pop(0),
+                                    sleep=naps.append)
+        assert model.generate(qa_prompt("q")).text == "Paul Ten Haken"
+        assert naps == [0.25]
+
     def test_against_a_live_local_endpoint(self):
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):

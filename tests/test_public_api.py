@@ -9,6 +9,7 @@ import inspect
 import pytest
 
 import factcache
+from factcache import pipeline as pipeline_module
 from factcache.cache import RemoteSparqlSource, TieredFactStore
 from factcache.pipeline import Pipeline
 
@@ -48,6 +49,28 @@ def test_benchmark_patch_points_exist(module, path):
     for name in path.split("."):
         owner = getattr(owner, name)
     assert callable(owner)
+
+
+# The traced benchmark wraps pipeline.rank_triples and takes len() of its
+# second argument as the answer's candidate count.
+@pytest.mark.parametrize("question, entities, candidates", [
+    ("Who is the head of government of America?", ("America",), 2),
+    ("Who is the spouse of Joe Biden, head of government of America?",
+     ("Joe Biden", "America"), 3),
+])
+def test_each_answer_ranks_once_over_a_sized_candidate_set(
+        us_pipeline, monkeypatch, question, entities, candidates):
+    calls = []
+    rank = pipeline_module.rank_triples
+
+    def spy(query, found, *args, **kwargs):
+        calls.append(len(found))
+        return rank(query, found, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "rank_triples", spy)
+    _, trace = us_pipeline.answer_traced(question)
+    assert trace.entities == entities
+    assert calls == [candidates]
 
 
 def test_benchmark_constructor_calls_bind():

@@ -134,6 +134,20 @@ def test_rank_triples_matches_brute_force(query, query2, candidates, k, order):
         assert score == token_cosine(query2, t.render())
 
 
+def test_a_set_is_indexed_once_and_counts_repeated_tokens():
+    paris = triple("Paris", "capital of", "Paris")  # "paris" twice
+    ts = TripleSet([paris, CAPITAL, HOG])
+    assert ts.rank_index is None
+    rank_triples(QUERY, ts)
+    index = ts.rank_index
+    assert index is not None
+    evidence = rank_triples("Paris capital", ts, k=3)
+    assert ts.rank_index is index
+    assert evidence.selected[0] == paris
+    for t, score in evidence.triples:
+        assert score == token_cosine("Paris capital", t.render())
+
+
 class TestRankedEvidence:
     def test_rejects_increasing_scores(self):
         with pytest.raises(ValueError):
