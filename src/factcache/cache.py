@@ -634,7 +634,9 @@ def load_state(path: str | Path, slow: Optional[SlowSource] = None,
     """Rebuild a store written by save_state. An edited row pins its
     subject; a subject listed as incomplete reads through on its next
     retrieve, and a file without that list loads every subject complete.
-    Unpinned subjects past `capacity` are evicted, as after any write."""
+    Unpinned subjects past `capacity` are evicted, as after any write.
+    The file keeps no recency, so subjects load in name order and that
+    eviction takes the first unpinned subjects by name."""
     store = TieredFactStore(slow=slow, capacity=capacity,
                             prefetch_depth=prefetch_depth)
     state = json.loads(Path(path).read_text(encoding="utf-8"))

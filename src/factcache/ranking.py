@@ -142,9 +142,6 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
         # the same integer dot product and division as token_cosine
         dot = sum(map(get, vector[1:], repeat(0)))
         scored.append((t, dot / (qnorm * norm) if q and norm else 0.0))
-    if len(scored) > k:  # sort only what can make the top k
-        floor = heapq.nlargest(k, [score for _, score in scored])[-1]
-        scored = [ts for ts in scored if ts[1] >= floor]
     scored.sort(key=lambda ts: (-ts[1], ts[0].key))
     return RankedEvidence(triples=tuple(scored[:k]), k=k)
 
