@@ -3,45 +3,51 @@
 The score is a deterministic lexical one: cosine over lowercase token-count
 vectors of the serialized triple vs. the query. A triple's vector is
 computed once, the first time it is ranked, and kept on the triple; later
-queries tokenize only themselves.
+queries tokenize only themselves. The vector is built from the tokens of
+the triple's labels, which are the tokens of its rendered line: the
+brackets and commas that join them are not token characters.
 
 A TripleSet of two or more facts is ranked through an index kept on the
-set: each fact's norm, in key order, and each token's postings (the
-positions of the facts that contain it, once per occurrence). A query then
-touches only the facts that share a token with it, and the top k come from
-a stable heap selection over the key order. Any other candidates are
-scored one by one. Both give the same scores and the same selection.
+set (see `_cache_index`). When all its facts share one subject label, the
+label's tokens add the same count to every fact's dot product, so a query
+scores only the facts its other tokens touch, plus the k best of the rest,
+which the index keeps in norm order. Any other candidates are scored one
+by one. Both give the same scores and the same selection.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
-import sys
-from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from functools import lru_cache
+from itertools import filterfalse, islice, repeat
+from operator import mul
 from typing import Iterable
 
 from .triples import FactTriple, TripleSet
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+# distinct relation labels whose tokens are kept for reuse
+RELATION_MEMO_SIZE = 4096
 
 
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _vector(text: str) -> tuple[Counter, float]:
-    """Token counts of `text` and their Euclidean norm."""
-    counts = Counter(tokenize(text))
-    return counts, math.sqrt(sum(v * v for v in counts.values()))
+def _vector(tokens: Iterable[str]) -> tuple[dict[str, int], float]:
+    """How often each token occurs, and the Euclidean norm of the counts."""
+    counts: dict[str, int] = {}
+    for token in tokens:
+        counts[token] = counts.get(token, 0) + 1
+    values = counts.values()
+    return counts, math.sqrt(sum(map(mul, values, values)))
 
 
 def token_cosine(a: str, b: str) -> float:
     """Cosine similarity of token-count vectors; 0 when either is empty."""
-    (ca, norm_a), (cb, norm_b) = _vector(a), _vector(b)
+    (ca, norm_a), (cb, norm_b) = _vector(tokenize(a)), _vector(tokenize(b))
     if not ca or not cb:
         return 0.0
     dot = sum(n * ca.get(t, 0) for t, n in cb.items())
@@ -49,11 +55,25 @@ def token_cosine(a: str, b: str) -> float:
     return dot / norm if norm else 0.0
 
 
-def _cache_vector(t: FactTriple) -> tuple:
-    """Store `(norm, *tokens)` of the rendered triple on it, each token as
-    often as it occurs, and return it."""
-    counts, norm = _vector(t.render())
-    vector = (norm, *map(sys.intern, counts.elements()))
+@lru_cache(maxsize=RELATION_MEMO_SIZE)
+def _relation_tokens(label: str) -> tuple[str, ...]:
+    return tuple(tokenize(label))
+
+
+def _cache_vector(t: FactTriple, subject_tokens: Iterable[str] | None = None
+                  ) -> tuple:
+    """Store `(norm, *tokens)` on the triple and return it: the tokens of
+    its subject, relation and object labels, in that order and each as
+    often as it occurs. A caller that has the subject label's tokens
+    passes them in."""
+    if subject_tokens is None:
+        subject_tokens = tokenize(t.subject_label)
+    tokens = (*subject_tokens, *_relation_tokens(t.relation_label),
+              *tokenize(t.object_label))
+    # the same integer sum of squares, and so the same norm, as _vector
+    norm = (math.sqrt(len(tokens)) if len(set(tokens)) == len(tokens)
+            else _vector(tokens)[1])
+    vector = (norm, *tokens)
     object.__setattr__(t, "token_vector", vector)
     return vector
 
@@ -96,16 +116,23 @@ class RankedEvidence:
 
 
 def _cache_index(candidates: TripleSet) -> tuple:
-    """Store `(norms, postings)` on the set and return it. `norms` follows
-    the set's key order; `postings` maps each token to the position of the
-    one fact that holds it once, or else to a list with a position per
-    occurrence."""
+    """Store `(norms, postings, shared, by_norm)` on the set and return it.
+    `norms` follows the set's key order. If all facts have one subject
+    label, `shared` holds its tokens, which lead every vector, and
+    `by_norm` the positions by ascending norm, then key; else both are
+    empty. `postings` maps each token past `shared` to the position of the
+    one fact that holds it once, or else to a position per occurrence."""
+    triples = candidates.triples
+    label = triples[0].subject_label
+    shared = (tuple(tokenize(label))
+              if all(t.subject_label == label for t in triples) else None)
+    skip = 1 + len(shared or ())
     norms = []
     postings: dict[str, int | list[int]] = {}
-    for position, t in enumerate(candidates.triples):
-        vector = t.token_vector or _cache_vector(t)
+    for position, t in enumerate(triples):
+        vector = t.token_vector or _cache_vector(t, shared)
         norms.append(vector[0])
-        for token in vector[1:]:
+        for token in vector[skip:]:
             hit = postings.get(token)
             if hit is None:
                 postings[token] = position
@@ -113,7 +140,9 @@ def _cache_index(candidates: TripleSet) -> tuple:
                 postings[token] = [hit, position]
             else:
                 hit.append(position)
-    index = (tuple(norms), postings)
+    by_norm = (tuple(sorted(range(len(norms)), key=norms.__getitem__))
+               if shared else ())
+    index = (tuple(norms), postings, shared or (), by_norm)
     candidates.rank_index = index
     return index
 
@@ -130,7 +159,7 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q, qnorm = _vector(query)
+    q, qnorm = _vector(tokenize(query))
     # one fact needs no index: scoring it directly is cheaper
     if isinstance(candidates, TripleSet) and len(candidates) > 1:
         return _rank_indexed(q, qnorm, candidates, k)
@@ -146,25 +175,35 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
     return RankedEvidence(triples=tuple(scored[:k]), k=k)
 
 
-def _rank_indexed(q: Counter, qnorm: float, candidates: TripleSet,
+def _rank_indexed(q: dict[str, int], qnorm: float, candidates: TripleSet,
                   k: int) -> RankedEvidence:
-    norms, postings = candidates.rank_index or _cache_index(candidates)
-    dots = [0] * len(norms)
+    norms, postings, shared, by_norm = (candidates.rank_index
+                                        or _cache_index(candidates))
+    # the integer dot product of token_cosine, split into the shared
+    # subject tokens' part, the same for every fact, and the rest
+    base = sum(map(q.get, shared, repeat(0)))
+    dots: dict[int, int] = {}
     for token, count in q.items():
         hit = postings.get(token)
         if hit is None:
             continue
         if type(hit) is int:
-            dots[hit] += count
+            dots[hit] = dots.get(hit, base) + count
         else:
             for position in hit:
-                dots[position] += count
-    # the same integer dot product and division as token_cosine; a fact
-    # that shares no token with the query scores 0.0 either way
-    scores = [dot / (qnorm * norm) if dot else 0.0
-              for dot, norm in zip(dots, norms)]
-    # stable: equal scores keep key order, so ties go to the smaller key
-    top = heapq.nlargest(k, range(len(scores)), key=scores.__getitem__)
+                dots[position] = dots.get(position, base) + count
+    # The k best of the untouched facts. They score base / (qnorm * norm):
+    # the square roots of distinct small integers differ by far more than
+    # rounding, so a larger norm scores strictly lower. With base 0 they
+    # all score 0.0 and the first positions win.
+    order = by_norm if base else range(len(norms))
+    for position in islice(filterfalse(dots.__contains__, order), k):
+        dots[position] = base
+    # token_cosine's division, negated exactly: an ascending sort puts the
+    # best first, ties on the smaller key; a zero dot scores 0.0 either way
+    ranked = [(-dot / (qnorm * norms[position]) if dot else -0.0, position)
+              for position, dot in dots.items()]
+    ranked.sort()
     triples = candidates.triples
     return RankedEvidence(
-        triples=tuple((triples[i], scores[i]) for i in top), k=k)
+        triples=tuple((triples[i], -score) for score, i in ranked[:k]), k=k)

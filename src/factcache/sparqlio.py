@@ -68,7 +68,9 @@ def exec_sparql(endpoint: str, query: str,
         payload = json.loads(reply.text)
     except ValueError as exc:
         raise MalformedResponse(f"not JSON: {exc}") from exc
-    if "results" not in payload or "bindings" not in payload.get("results", {}):
+    results = payload.get("results") if isinstance(payload, dict) else None
+    if not isinstance(results, dict) or \
+            not isinstance(results.get("bindings"), list):
         raise MalformedResponse("missing results.bindings")
     return payload
 

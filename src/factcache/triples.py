@@ -122,9 +122,11 @@ class FactTriple:
     ids so desk-scale data can use labels directly as identifiers.
 
     `token_vector` is a cache that ranking fills the first time it scores the
-    triple. It is not a constructor argument and takes no part in equality,
-    hashing or repr. A triple is frozen and an edit makes a new one, which
-    starts empty, so a cached vector is never stale.
+    triple: its norm, then the tokens of its subject, relation and object
+    labels in that order, so a ranking index can drop a shared subject's
+    leading tokens. It is not a constructor argument and takes no part in
+    equality, hashing or repr. A triple is frozen and an edit makes a new
+    one, which starts empty, so a cached vector is never stale.
     """
 
     subject: str

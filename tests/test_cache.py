@@ -685,6 +685,19 @@ class TestRemoteSparqlSource:
         assert len(calls) == 2
         assert naps == [0.25]
 
+    @pytest.mark.parametrize("body", [
+        "null", "42", '"results"', '{"results": {"bindings": null}}'])
+    def test_a_reply_that_is_not_a_results_object_is_retried(self, body):
+        from factcache.cache import FETCH_ATTEMPTS
+        from factcache.errors import MalformedResponse
+
+        naps = []
+        source, calls = self.make_source([(200, body)], naps)
+        with pytest.raises(SlowUnreachable) as exc:
+            source.fetch_subject("Q30")
+        assert isinstance(exc.value.__cause__, MalformedResponse)
+        assert len(calls) == FETCH_ATTEMPTS
+
 
 class TestDumpFormat:
     def test_round_trip(self, tmp_path):

@@ -190,6 +190,16 @@ class TestFetchTriples:
         with pytest.raises(MalformedResponse):
             client.fetch_triples("P6", limit=5)
 
+    @pytest.mark.parametrize("body", [
+        "null", "42", '"results"', '{"results": {"bindings": null}}'])
+    def test_json_that_is_not_a_results_object_is_malformed(self, body):
+        client = KnowledgeBaseClient(
+            kind="wikidata", endpoint="https://u.t",
+            transport=lambda u, p, h: TransportReply(200, body),
+            requests_per_second=10_000)
+        with pytest.raises(MalformedResponse):
+            client.fetch_triples("P6", limit=5)
+
 
 class TestWithRetries:
     @staticmethod

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factcache import ranking
 from factcache.cache import TieredFactStore, save_state, write_dump
 from factcache.ranking import (RankedEvidence, rank_triples, token_cosine,
                                tokenize)
@@ -132,6 +133,82 @@ def test_rank_triples_matches_brute_force(query, query2, candidates, k, order):
     assert len(again) == len(candidates)
     for t, score in again.triples:
         assert score == token_cosine(query2, t.render())
+
+
+def _brute_force(query, candidates, k):
+    return tuple(sorted(
+        ((t, token_cosine(query, t.render())) for t in candidates),
+        key=lambda ts: (-ts[1], ts[0].key))[:k])
+
+
+@st.composite
+def _one_subject(draw):
+    """A one-subject view whose subject words recur in its relation and
+    object labels, queries with and without those words, and a k up to
+    one past the size."""
+    subject_label = draw(_LABEL)
+    subject_tokens = set(tokenize(subject_label))
+    words = st.sampled_from(subject_label.split()) | _WORDS
+    label = st.lists(words, min_size=1, max_size=4).map(" ".join)
+    n = draw(st.integers(2, 12))
+    triples = [triple("s", f"r{i % 3}", f"o{i}", subject_label=subject_label,
+                      relation_label=draw(label), object_label=draw(label))
+               for i in range(n)]
+    others = _WORDS.filter(lambda w: not subject_tokens & set(tokenize(w)))
+    queries = []
+    for _ in range(2):
+        query = draw(st.lists(others, max_size=6))
+        if draw(st.booleans()):
+            query.insert(draw(st.integers(0, len(query))), subject_label)
+        queries.append(" ".join(query))
+    return TripleSet(triples), queries, draw(st.integers(1, n + 1))
+
+
+@given(case=_one_subject(), list_first=st.booleans(),
+       order=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_a_one_subject_view_matches_brute_force(case, list_first, order):
+    candidates, queries, k = case
+    shuffled = list(candidates)
+    order.shuffle(shuffled)
+    if list_first:  # vectors cached by the list path, then indexed
+        rank_triples(queries[0], shuffled, k)
+    for query in queries:
+        brute = _brute_force(query, candidates, k)
+        assert rank_triples(query, candidates, k).triples == brute
+        assert rank_triples(query, shuffled, k).triples == brute
+    assert candidates.rank_index is not None
+
+
+@pytest.mark.parametrize("subject, relation, obj", [
+    ("İstanbul", "capital of", "İzmir"),
+    ("\u212aelvin", "unit of", "\u212a"),
+    ("ΟΔΥΣΣΕΥΣ", "king of", "Ithaca ΟΔΥΣΣΕΥΣ"),
+    ("Paris,France", "capital of", "France,Paris"),
+    ("Route 128", "opened in", "1951 128"),
+])
+def test_a_cached_vector_is_the_vector_of_the_rendered_line(
+        subject, relation, obj):
+    alone = triple(subject, relation, obj)
+    pair = (triple(subject, relation, obj), triple(subject, "r", "x"))
+    rank_triples(QUERY, [alone])  # the list path
+    rank_triples(QUERY, TripleSet(pair))  # the index, which shares the subject
+    for t in (alone, *pair):
+        norm, *tokens = t.token_vector
+        counts = Counter(tokenize(t.render()))
+        assert Counter(tokens) == counts
+        assert norm == math.sqrt(sum(v * v for v in counts.values()))
+        # the subject's tokens lead, so an index can strip them
+        subject_tokens = tokenize(t.subject_label)
+        assert tokens[:len(subject_tokens)] == subject_tokens
+
+
+def test_the_relation_label_memo_is_bounded():
+    memo = ranking._relation_tokens
+    assert memo.cache_info().maxsize == ranking.RELATION_MEMO_SIZE == 4096
+    rank_triples(QUERY, [triple("s", f"r{i}", "o", relation_label=f"r {i}")
+                         for i in range(ranking.RELATION_MEMO_SIZE + 10)])
+    assert memo.cache_info().currsize == ranking.RELATION_MEMO_SIZE
 
 
 def test_a_set_is_indexed_once_and_counts_repeated_tokens():
