@@ -84,10 +84,10 @@ def load_entities(path: str) -> dict[str, EntityRef]:
 
 
 def _aliases(cfg: Config, store: TieredFactStore) -> AliasIndex:
-    index = AliasIndex.from_triples(store.fast_snapshot())
+    triples = list(store.fast_snapshot())
     if isinstance(store.slow, LocalDumpSource):
-        for t in store.slow.triples:  # already parsed, in dump-file order
-            index.add_triple(t)
+        triples += store.slow.triples  # already parsed, in dump-file order
+    index = AliasIndex.from_triples(triples)
     if cfg.entities_path:
         for ref in load_entities(cfg.entities_path).values():
             index.add_entity(ref)

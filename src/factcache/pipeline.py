@@ -40,28 +40,42 @@ class AliasMatch:
     entity_id: str
 
 
+def _alias_key(tokens: list[str]) -> str | tuple[str, ...]:
+    return tokens[0] if len(tokens) == 1 else tuple(tokens)
+
+
 class AliasIndex:
     """Surface-form dictionary: token n-grams mapped to entity ids.
 
     Matching is case-insensitive on word boundaries. When one surface names
     several entities, the first registration wins (register in a
     deterministic order).
+
+    A one-token surface is keyed by its bare token, a longer one by its
+    token tuple. `_lengths` maps a token to the lengths, longest first, of
+    the multi-token surfaces that start with it, so `matches` probes only
+    n-grams that some surface could fill.
     """
 
     def __init__(self):
-        self._by_tokens: dict[tuple[str, ...], str] = {}
-        self._max_tokens = 0
+        self._by_tokens: dict[str | tuple[str, ...], str] = {}
+        self._lengths: dict[str, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._by_tokens)
 
     def add(self, surface: str, entity_id: str) -> None:
-        tokens = tuple(tokenize(surface))
-        if not tokens:
-            return
-        self._by_tokens.setdefault(tokens, entity_id)
-        if len(tokens) > self._max_tokens:
-            self._max_tokens = len(tokens)
+        tokens = tokenize(surface)
+        if tokens:
+            self._register(_alias_key(tokens), entity_id)
+
+    def _register(self, key: str | tuple[str, ...], entity_id: str) -> None:
+        if key in self._by_tokens:
+            return  # first registration wins; its length is already known
+        self._by_tokens[key] = entity_id
+        if type(key) is tuple:
+            lengths = {*self._lengths.get(key[0], ()), len(key)}
+            self._lengths[key[0]] = tuple(sorted(lengths, reverse=True))
 
     def add_triple(self, t: FactTriple) -> None:
         """Register the subject label and any entity-object label."""
@@ -82,31 +96,41 @@ class AliasIndex:
 
     @classmethod
     def from_triples(cls, triples: Iterable[FactTriple]) -> "AliasIndex":
-        """Index subject and entity-object labels of a triple collection."""
-        index = cls()
+        """Index subject and entity-object labels as `add_triple` would row
+        by row, tokenizing each distinct label once."""
+        first: dict[str, str] = {}
         for t in triples:
-            index.add_triple(t)
+            first.setdefault(t.subject_label, t.subject)
+            if t.object_is_entity:
+                first.setdefault(t.object_label, t.obj)
+        index = cls()
+        for label, entity_id in first.items():
+            index.add(label, entity_id)
         return index
 
     def merge(self, other: "AliasIndex") -> None:
         """Fold another index in; existing registrations keep priority."""
-        for tokens, entity_id in other._by_tokens.items():
-            self._by_tokens.setdefault(tokens, entity_id)
-            self._max_tokens = max(self._max_tokens, len(tokens))
+        for key, entity_id in other._by_tokens.items():
+            self._register(key, entity_id)
 
     def lookup(self, surface: str) -> Optional[str]:
-        return self._by_tokens.get(tuple(tokenize(surface)))
+        return self._by_tokens.get(_alias_key(tokenize(surface)))
 
     def matches(self, text: str) -> list[AliasMatch]:
         tokens = tokenize(text)
+        end = len(tokens)
+        by_tokens, lengths = self._by_tokens, self._lengths
         found = []
-        for start in range(len(tokens)):
-            top = min(self._max_tokens, len(tokens) - start)
-            for length in range(top, 0, -1):
-                window = tuple(tokens[start:start + length])
-                entity_id = self._by_tokens.get(window)
-                if entity_id is not None:
-                    found.append(AliasMatch(start, length, entity_id))
+        for start, token in enumerate(tokens):
+            for length in lengths.get(token, ()):
+                if start + length <= end:
+                    entity_id = by_tokens.get(
+                        tuple(tokens[start:start + length]))
+                    if entity_id is not None:
+                        found.append(AliasMatch(start, length, entity_id))
+            entity_id = by_tokens.get(token)
+            if entity_id is not None:
+                found.append(AliasMatch(start, 1, entity_id))
         return found
 
 

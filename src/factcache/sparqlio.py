@@ -113,13 +113,22 @@ def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
 
 
 def parse_bindings(payload: dict) -> list[dict[str, Optional[str]]]:
-    """Flatten a results document into rows of variable -> plain value."""
-    vars_ = payload.get("head", {}).get("vars", [])
+    """Flatten a results document into rows of variable -> plain value;
+    MalformedResponse when its head, a binding row or a cell is misshapen."""
+    head = payload.get("head", {})
+    vars_ = head.get("vars", []) if isinstance(head, dict) else None
+    if not isinstance(vars_, list) or \
+            not all(isinstance(var, str) for var in vars_):
+        raise MalformedResponse("head.vars is not a list of names")
     rows = []
     for binding in payload["results"]["bindings"]:
+        if not isinstance(binding, dict):
+            raise MalformedResponse(f"row {binding!r} is not an object")
         row: dict[str, Optional[str]] = {}
         for var in vars_:
             cell = binding.get(var)
+            if cell is not None and not isinstance(cell, dict):
+                raise MalformedResponse(f"cell {var!r} is not an object")
             row[var] = cell.get("value") if cell else None
         rows.append(row)
     return rows

@@ -686,7 +686,13 @@ class TestRemoteSparqlSource:
         assert naps == [0.25]
 
     @pytest.mark.parametrize("body", [
-        "null", "42", '"results"', '{"results": {"bindings": null}}'])
+        "null", "42", '"results"', '{"results": {"bindings": null}}',
+        # wrong inner shapes: head, vars, a binding row, a cell
+        '{"head": 42, "results": {"bindings": []}}',
+        '{"head": {"vars": "ab"}, "results": {"bindings": [{}]}}',
+        '{"head": {"vars": [["x"]]}, "results": {"bindings": [{}]}}',
+        '{"head": {"vars": ["x"]}, "results": {"bindings": [42]}}',
+        '{"head": {"vars": ["x"]}, "results": {"bindings": [{"x": "x"}]}}'])
     def test_a_reply_that_is_not_a_results_object_is_retried(self, body):
         from factcache.cache import FETCH_ATTEMPTS
         from factcache.errors import MalformedResponse

@@ -191,7 +191,13 @@ class TestFetchTriples:
             client.fetch_triples("P6", limit=5)
 
     @pytest.mark.parametrize("body", [
-        "null", "42", '"results"', '{"results": {"bindings": null}}'])
+        "null", "42", '"results"', '{"results": {"bindings": null}}',
+        # wrong inner shapes: head, vars, a binding row, a cell
+        '{"head": 42, "results": {"bindings": []}}',
+        '{"head": {"vars": "ab"}, "results": {"bindings": [{}]}}',
+        '{"head": {"vars": [["x"]]}, "results": {"bindings": [{}]}}',
+        '{"head": {"vars": ["x"]}, "results": {"bindings": [42]}}',
+        '{"head": {"vars": ["x"]}, "results": {"bindings": [{"x": "x"}]}}'])
     def test_json_that_is_not_a_results_object_is_malformed(self, body):
         client = KnowledgeBaseClient(
             kind="wikidata", endpoint="https://u.t",

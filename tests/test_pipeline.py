@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factcache.cache import EditRequest, InMemorySlowSource, TieredFactStore
 from factcache.dataset import build_multihop
 from factcache.errors import HopFailed
 from factcache.models import MockTableModel
-from factcache.pipeline import (AliasIndex, ExtractorKind, MultihopMode,
-                                Pipeline, aliases_for_items,
+from factcache.pipeline import (AliasIndex, AliasMatch, ExtractorKind,
+                                MultihopMode, Pipeline, aliases_for_items,
                                 greedy_alias_matches, longest_alias_match)
-from factcache.ranking import rank_triples, token_cosine
+from factcache.ranking import rank_triples, token_cosine, tokenize
 from factcache.triples import EntityRef, Source, TaskKind, TripleSet
 from conftest import triple
 
@@ -75,6 +77,114 @@ class TestAliasIndex:
                       aliases=frozenset({"America", "US"}))])
         assert index.lookup("america") == "Q30"
         assert index.lookup("United States") == "Q30"
+
+
+class ReferenceAliasIndex:
+    """The dictionary written out plainly: token-tuple keys for every
+    surface, and `matches` probes every length up to the longest surface at
+    each start, longest first."""
+
+    def __init__(self):
+        self.by_tokens: dict[tuple[str, ...], str] = {}
+        self.max_tokens = 0
+
+    def __len__(self):
+        return len(self.by_tokens)
+
+    def add(self, surface, entity_id):
+        tokens = tuple(tokenize(surface))
+        if tokens:
+            self.by_tokens.setdefault(tokens, entity_id)
+            self.max_tokens = max(self.max_tokens, len(tokens))
+
+    def add_triple(self, t):
+        self.add(t.subject_label, t.subject)
+        if t.object_is_entity:
+            self.add(t.object_label, t.obj)
+
+    def merge(self, other):
+        for tokens, entity_id in other.by_tokens.items():
+            self.by_tokens.setdefault(tokens, entity_id)
+        self.max_tokens = max(self.max_tokens, other.max_tokens)
+
+    def lookup(self, surface):
+        return self.by_tokens.get(tuple(tokenize(surface)))
+
+    def matches(self, text):
+        tokens = tokenize(text)
+        found = []
+        for start in range(len(tokens)):
+            top = min(self.max_tokens, len(tokens) - start)
+            for length in range(top, 0, -1):
+                entity_id = self.by_tokens.get(
+                    tuple(tokens[start:start + length]))
+                if entity_id is not None:
+                    found.append(AliasMatch(start, length, entity_id))
+        return found
+
+
+# digits, punctuation, and a word that tokenizes to nothing or to two tokens
+ALIAS_WORDS = st.sampled_from(["new", "York", "new-york", "route", "128",
+                               "42nd", "st.", "U.S.", "a", "!", "Paris"])
+ALIAS_IDS = st.sampled_from(["Q1", "Q2", "Q3"])
+
+
+def alias_surfaces(min_words=1):
+    return st.lists(ALIAS_WORDS, min_size=min_words, max_size=4).map(" ".join)
+
+
+@st.composite
+def alias_rows(draw):
+    """(surface, id) rows with a surface shared by two ids and a multi-word
+    surface whose first word is also a one-word surface."""
+    rows = draw(st.lists(st.tuples(alias_surfaces(), ALIAS_IDS), max_size=8))
+    phrase = draw(alias_surfaces(min_words=2))
+    rows += [(phrase, draw(ALIAS_IDS)), (phrase.split()[0], draw(ALIAS_IDS))]
+    surface, _ = draw(st.sampled_from(rows))
+    rows.append((surface, "Q9"))  # no drawn id is Q9
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_alias_index_agrees_with_the_reference_model(data):
+    rows = data.draw(alias_rows())
+    triples = [triple(s_id, "r", o_id, subject_label=s, object_label=o,
+                      object_is_entity=entity)
+               for (s, s_id), (o, o_id), entity in data.draw(st.lists(
+                   st.tuples(st.sampled_from(rows), st.sampled_from(rows),
+                             st.booleans()), min_size=1, max_size=12))]
+    index = AliasIndex.from_triples(triples)
+    row_by_row, reference = AliasIndex(), ReferenceAliasIndex()
+    for t in triples:
+        row_by_row.add_triple(t)
+        reference.add_triple(t)
+
+    other_rows = data.draw(alias_rows())
+    if data.draw(st.booleans(), label="merge"):
+        other, other_reference = AliasIndex(), ReferenceAliasIndex()
+        for surface, entity_id in other_rows:
+            other.add(surface, entity_id)
+            other_reference.add(surface, entity_id)
+        for built in (index, row_by_row):
+            built.merge(other)
+        reference.merge(other_reference)
+
+    surfaces = [s for s, _ in rows + other_rows]
+    texts = data.draw(st.lists(
+        st.lists(st.one_of(ALIAS_WORDS, st.sampled_from(surfaces)),
+                 min_size=1, max_size=6).map(" ".join),
+        min_size=1, max_size=4))
+    for built in (index, row_by_row):
+        assert len(built) == len(reference)
+        for surface in surfaces:
+            assert built.lookup(surface) == reference.lookup(surface)
+        for text in texts:
+            assert built.matches(text) == reference.matches(text)
+            assert longest_alias_match(built, text) == \
+                longest_alias_match(reference, text)
+            assert greedy_alias_matches(built, text) == \
+                greedy_alias_matches(reference, text)
 
 
 class TestExtractEntity:
