@@ -16,6 +16,7 @@ import enum
 import json
 import logging
 import os
+import re
 import tempfile
 import threading
 import time
@@ -27,7 +28,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
-from .errors import SlowUnreachable
+from .errors import ParseError, SlowUnreachable
 from .sparqlio import (Transport, exec_sparql, parse_bindings, uri_tail,
                        with_retries)
 from .triples import FactTriple, Source, TripleSet
@@ -149,14 +150,14 @@ def read_dump(path: str | Path) -> tuple[Optional[datetime], list[FactTriple]]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if "snapshot_at" in record and "subject_id" not in record:
-                snapshot_at = parse_rfc3339(record["snapshot_at"])
-                continue
             try:
+                record = json.loads(line)
+                if "snapshot_at" in record and "subject_id" not in record:
+                    snapshot_at = parse_rfc3339(record["snapshot_at"])
+                    continue
                 triples.append(row_to_triple(record))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad dump row: {exc}") from exc
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: bad row {exc!r}", lineno) from exc
     return snapshot_at, triples
 
 
@@ -230,7 +231,7 @@ SELECT ?relation ?relationLabel ?object ?objectLabel WHERE {
   SERVICE wikibase:label { bd:serviceParam wikibase:language "en" . }
 }"""
 FETCH_ATTEMPTS = 3
-FETCH_BACKOFF_S = 0.25  # doubles per retry unless the server sends a hint
+_ENTITY_ID = re.compile(r"[A-Za-z0-9_]+")  # any other string names no item
 
 
 class RemoteSparqlSource:
@@ -255,6 +256,8 @@ class RemoteSparqlSource:
         self.snapshot_at = snapshot_at
 
     def fetch_subject(self, entity: str) -> list[FactTriple]:
+        if not _ENTITY_ID.fullmatch(entity):
+            return []  # and is never pasted into the query text
         query = SUBJECT_QUERY.replace("{subject}", entity)
 
         def attempt() -> list[FactTriple]:
@@ -262,8 +265,8 @@ class RemoteSparqlSource:
             return self._rows_to_triples(entity, parse_bindings(payload))
 
         try:
-            return with_retries(attempt, FETCH_ATTEMPTS, FETCH_BACKOFF_S,
-                                self.sleep, Exception)
+            return with_retries(attempt, FETCH_ATTEMPTS, self.sleep,
+                                Exception)
         except Exception as exc:
             raise SlowUnreachable(
                 f"slow source {self.endpoint} failed after "
@@ -302,6 +305,7 @@ class _Subject:
     complete: bool = True  # holds the slow source's facts, not only edits
     pinned: bool = False  # has an edit, so is never evicted
     view: Optional[TripleSet] = None  # served by hits until a write
+    edited_at: int = 0  # the store's edit count at the last edit
 
 
 class TieredFactStore:
@@ -326,12 +330,9 @@ class TieredFactStore:
     (apply_update / inject_manual) is pinned and never evicted, so edits
     alone may exceed capacity.
 
-    Structural access goes through one short-held lock; read-through fetches
-    run unlocked and insert idempotently, so two concurrent misses on the
-    same entity converge to a single stored copy (both fetches are counted).
-    Updates and sync additionally serialize against each other on a writer
-    mutex, which sync holds across its whole fetch-then-apply cycle so an
-    interleaved edit can never be clobbered by stale slow data.
+    Structural access goes through one short-held lock and slow fetches run
+    unlocked: concurrent misses on one entity converge to one stored copy
+    (both fetches count), and an edit waits on a sync for one subject at most.
     """
 
     def __init__(self, slow: Optional[SlowSource] = None,
@@ -349,8 +350,8 @@ class TieredFactStore:
         # the unpinned resident subjects, least recently used first
         self._lru: OrderedDict[str, _Subject] = OrderedDict()
         self._facts = 0
+        self._edits = 0
         self._lock = threading.RLock()
-        self._write_lock = threading.Lock()
 
     def __len__(self) -> int:
         return self._facts
@@ -398,7 +399,7 @@ class TieredFactStore:
         """Warm the fast table with read-only triples, taking each subject
         they name as complete; resident (subject, relation) keys are left
         untouched. Returns the number inserted."""
-        with self._write_lock, self._lock:
+        with self._lock:
             added = sum(self._absorb(subject, group) for subject, group
                         in groupby(triples, key=attrgetter("subject")))
             self._evict()
@@ -475,7 +476,7 @@ class TieredFactStore:
             source=source,
             fetched_at=edit.issued_at,
         )
-        with self._write_lock, self._lock:
+        with self._lock:
             outcome, _ = self._upsert(triple, edited=True)
             self._evict()
             return outcome
@@ -496,6 +497,9 @@ class TieredFactStore:
         elif edited and not record.pinned:
             record.pinned = True
             del self._lru[triple.subject]
+        if edited:  # stamped even when the object is unchanged
+            self._edits += 1
+            record.edited_at = self._edits
         existing = record.facts.get(triple.relation)
         if existing is not None and existing.obj == triple.obj:
             return UpdateOutcome.REPLACED, False
@@ -517,31 +521,29 @@ class TieredFactStore:
         Every subject synced is complete afterwards.
 
         Manual triples issued after the slow snapshot timestamp are
-        preserved. All subjects are fetched before anything is applied, so a
-        SlowUnreachable leaves the fast table untouched; the writer mutex is
-        held throughout, so no update can interleave with the cycle.
+        preserved. All subjects are fetched, unlocked, before any is applied,
+        so a SlowUnreachable leaves the fast table untouched. A subject
+        evicted or edited since the sync began is skipped: the edit wins.
         """
-        with self._write_lock:
+        with self._lock:
+            began = self._edits
+            subjects = sorted(self._subjects)
+        fetched = [(subject, self.slow.fetch_subject(subject))  # may raise
+                   for subject in subjects]
+        snapshot_at = getattr(self.slow, "snapshot_at", None)
+        changed = 0
+        for subject, triples in fetched:
             with self._lock:
-                subjects = sorted(self._subjects)
-            fetched = {subject: self.slow.fetch_subject(subject)  # may raise
-                       for subject in subjects}
-            changed = 0
-            with self._lock:
-                snapshot_at = getattr(self.slow, "snapshot_at", None)
-                for subject in subjects:
-                    record = self._subjects.get(subject)
-                    if record is None:
-                        continue  # evicted by a read-through during the fetch
-                    for t in fetched[subject]:
-                        if self._manual_wins(record.facts.get(t.relation),
+                record = self._subjects.get(subject)
+                if record is None or record.edited_at > began:
+                    continue
+                for t in triples:
+                    if not self._manual_wins(record.facts.get(t.relation),
                                              snapshot_at):
-                            continue
-                        _, did_change = self._upsert(t, edited=False)
-                        if did_change:
-                            changed += 1
-                    record.complete = True
-                self._evict()
+                        changed += self._upsert(t, edited=False)[1]
+                record.complete = True
+        with self._lock:
+            self._evict()
         return changed
 
     @staticmethod
@@ -639,20 +641,24 @@ def load_state(path: str | Path, slow: Optional[SlowSource] = None,
     eviction takes the first unpinned subjects by name."""
     store = TieredFactStore(slow=slow, capacity=capacity,
                             prefetch_depth=prefetch_depth)
-    state = json.loads(Path(path).read_text(encoding="utf-8"))
-    incomplete = set(state.get("incomplete", ()))
     records: dict[str, _Subject] = {}
-    for row in state.get("entries", []):
-        triple = row_to_triple(row)
-        record = records.setdefault(
-            triple.subject,
-            _Subject(complete=triple.subject not in incomplete))
-        record.facts[triple.relation] = triple
-        record.pinned |= bool(row.get("edited", False))
+    try:
+        state = json.loads(Path(path).read_text(encoding="utf-8"))
+        incomplete = set(state.get("incomplete", ()))
+        for row in state.get("entries", []):
+            triple = row_to_triple(row)
+            record = records.setdefault(
+                triple.subject,
+                _Subject(complete=triple.subject not in incomplete))
+            record.facts[triple.relation] = triple
+            record.pinned |= bool(row.get("edited", False))
+        stats = state.get("stats", {})
+        store.stats = CacheStats(**{k: stats.get(k, 0)
+                                    for k in CacheStats().snapshot()})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad state {exc!r}",
+                         getattr(exc, "lineno", None)) from exc
     for subject, record in records.items():
         store._admit(subject, record)
-    stats = state.get("stats", {})
-    store.stats = CacheStats(**{k: stats.get(k, 0)
-                                for k in CacheStats().snapshot()})
     store._evict()  # the file may hold more than this capacity
     return store

@@ -516,7 +516,7 @@ def load_benchmark(path: str | Path, strict: bool = True,
             try:
                 record = json.loads(line)
             except ValueError as exc:
-                error: ParseError | SchemaViolation = ParseError(str(exc), lineno)
+                error = ParseError(str(exc), lineno)
                 if strict:
                     raise error from exc
                 log.warning("skipping %s:%s: %s", path, lineno, error)

@@ -56,21 +56,18 @@ class BrokenChain(FactCacheError):
 
 
 class ParseError(FactCacheError):
-    """A benchmark line is not valid JSON."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class SchemaViolation(FactCacheError):
-    """A benchmark record violates the item schema."""
+    """An input file (benchmark, dump or state) is not valid JSON or lacks a
+    field it needs; `line` is the file line, where one exists."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class SchemaViolation(ParseError):
+    """A benchmark record parses but violates the item schema."""
 
 
 # --- pipeline / prompts ---

@@ -27,8 +27,8 @@ _PROPERTY_ID_RE = re.compile(r"^P\d+$")
 
 # Relations whose objects are opaque identifiers carry no usable knowledge;
 # airline designators are kept because they are real-world answerable facts.
-DEFAULT_BLOCK_TOKENS = frozenset({"id", "code", "identifier"})
-DEFAULT_ALLOW_TOKENS = frozenset({"iata", "icao"})
+BLOCK_TOKENS = frozenset({"id", "code", "identifier"})
+ALLOW_TOKENS = frozenset({"iata", "icao"})
 
 
 def _load_query(name: str) -> str:
@@ -145,11 +145,7 @@ class KnowledgeBaseClient:
         self.limiter.wait()
         return parse_bindings(exec_sparql(self.endpoint, query, self.transport))
 
-    def fetch_equivalent_properties(
-            self,
-            block_tokens: frozenset[str] = DEFAULT_BLOCK_TOKENS,
-            allow_tokens: frozenset[str] = DEFAULT_ALLOW_TOKENS,
-    ) -> list[EquivalentPropertyPair]:
+    def fetch_equivalent_properties(self) -> list[EquivalentPropertyPair]:
         """Properties shared by DBpedia and Wikidata, minus identifier-like
         relations (blocklist by label token, with an allowlist override)."""
         pairs = []
@@ -162,7 +158,7 @@ class KnowledgeBaseClient:
             wd_id = uri_tail(wd_uri)
             if not _PROPERTY_ID_RE.match(wd_id):
                 continue
-            if _identifier_like(label, block_tokens, allow_tokens):
+            if _identifier_like(label):
                 continue
             pairs.append(EquivalentPropertyPair(
                 dbpedia_property=dbp, wikidata_property=wd_id, label=label))
@@ -208,12 +204,11 @@ class KnowledgeBaseClient:
         return out
 
 
-def _identifier_like(label: str, block_tokens: frozenset[str],
-                     allow_tokens: frozenset[str]) -> bool:
+def _identifier_like(label: str) -> bool:
     tokens = {t for t in re.split(r"[^0-9A-Za-z]+", label.lower()) if t}
-    if tokens & allow_tokens:
+    if tokens & ALLOW_TOKENS:
         return False
-    return bool(tokens & block_tokens)
+    return bool(tokens & BLOCK_TOKENS)
 
 
 def filter_ambiguous(rows: list[RawTripleRow]) -> TripleSet:

@@ -152,7 +152,6 @@ class HttpCompletionModel:
     retry_budget: int = 0
     transport: PostTransport = field(default=requests_post_transport)
     sleep: Callable[[float], None] = field(default=time.sleep)
-    backoff_s: float = 0.25
 
     supports_distribution = False
 
@@ -168,8 +167,8 @@ class HttpCompletionModel:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         return with_retries(lambda: self._post_once(payload, headers),
-                            self.retry_budget + 1, self.backoff_s,
-                            self.sleep, ModelError)  # final error verbatim
+                            self.retry_budget + 1, self.sleep,
+                            ModelError)  # final error verbatim
 
     def _post_once(self, payload: dict, headers: Mapping[str, str]) -> str:
         try:

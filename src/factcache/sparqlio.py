@@ -19,6 +19,7 @@ RESULTS_JSON = "application/sparql-results+json"
 # A Retry-After hint longer than this is treated as no hint, so the caller's
 # backoff applies; time.sleep rejects a huge value with OverflowError.
 MAX_RETRY_AFTER_S = 3600.0
+RETRY_BACKOFF_S = 0.25  # the first wait between attempts; doubles per retry
 
 T = TypeVar("T")
 
@@ -75,18 +76,18 @@ def exec_sparql(endpoint: str, query: str,
     return payload
 
 
-def with_retries(call: Callable[[], T], attempts: int, backoff_s: float,
+def with_retries(call: Callable[[], T], attempts: int,
                  sleep: Callable[[float], None],
                  retry_on: type[Exception]) -> T:
     """Run `call` up to `attempts` times while it raises `retry_on`.
 
     Between attempts, sleep for the error's `retry_after` hint when it
     carries one (RateLimited does), else for a backoff that starts at
-    `backoff_s` and doubles each attempt. The last error propagates as is.
+    RETRY_BACKOFF_S and doubles each time. The last error propagates as is.
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
-    delay = backoff_s
+    delay = RETRY_BACKOFF_S
     for _ in range(attempts - 1):
         try:
             return call()

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from factcache.cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
                              TieredFactStore, UpdateOutcome, load_state,
-                             read_dump, save_state, write_dump)
-from factcache.errors import SlowUnreachable
+                             read_dump, save_state, triple_to_row,
+                             write_dump)
+from factcache.errors import ParseError, SlowUnreachable
 from factcache.triples import Source, TripleSet
 from conftest import SNAPSHOT, triple
 
@@ -268,6 +269,7 @@ def _store_scenarios(draw):
                   st.sampled_from(MODEL_RELATIONS), objects),
         st.tuples(st.just("bulk_load"),
                   st.sets(st.sampled_from(MODEL_SUBJECTS), max_size=2)),
+        st.tuples(st.just("sync")),
     ), max_size=30))
     return (slow_facts, draw(st.integers(1, 4)), draw(st.integers(0, 1)),
             ops)
@@ -277,12 +279,15 @@ def _store_scenarios(draw):
 @settings(max_examples=200, deadline=None)
 def test_store_matches_reference_model(scenario):
     """The store against the slow source's facts with the edits laid over
-    them: every read equals that view, and only edits outgrow capacity."""
+    them: every read equals that view, and only edits outgrow capacity. The
+    edits are synthetic, so a sync gives each one on a relation the slow
+    source holds way to the slow value; its subject stays pinned."""
     slow_facts, capacity, prefetch_depth, ops = scenario
     slow_rows = [triple(s, r, o) for (s, r), o in slow_facts.items()]
     store, _ = make_store(slow_rows, capacity=capacity,
                           prefetch_depth=prefetch_depth)
     edits: dict[tuple[str, str], str] = {}
+    pinned: set[str] = set()  # every subject ever edited
     retrieves = 0
 
     def view(subject):
@@ -298,12 +303,16 @@ def test_store_matches_reference_model(scenario):
             _, subject, relation, obj = op
             store.apply_update(EditRequest(subject, relation, obj))
             edits[(subject, relation)] = obj
+            pinned.add(subject)
+        elif op[0] == "sync":
+            store.sync()
+            edits = {key: o for key, o in edits.items()
+                     if key not in slow_facts}
         else:
             store.bulk_load([t for t in slow_rows if t.subject in op[1]])
         resident = store.fast_snapshot()
         assert all(t.key in view(t.subject) for t in resident)
         assert all(store.get(s, r).obj == o for (s, r), o in edits.items())
-        pinned = {s for s, _ in edits}
         assert len(resident) == len(store) <= capacity + sum(
             t.subject in pinned for t in resident)
         assert store.stats.hits + store.stats.misses == retrieves
@@ -357,6 +366,19 @@ class TestSync:
                                         issued_at=before_snapshot))
         assert store.sync() == 1
         assert store.get("US", "head_of_gov").obj == "Biden"
+
+    def test_a_subject_loaded_pinned_is_synced(self, tmp_path):
+        store, slow = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        store.apply_update(EditRequest("US", "spouse", "Jill"))  # pins US
+        save_state(store, tmp_path / "state.json")
+        slow.put(triple("US", "head_of_gov", "Harris",
+                        source=Source.WIKIDATA, fetched_at=SNAPSHOT))
+        loaded = load_state(tmp_path / "state.json", slow=slow,
+                            prefetch_depth=0)
+        assert loaded.sync() == 1
+        assert loaded.get("US", "head_of_gov").obj == "Harris"
+        assert loaded.get("US", "spouse").obj == "Jill"
 
     def test_unreachable_slow_applies_nothing(self):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)
@@ -546,37 +568,42 @@ class TestConcurrency:
         assert store.stats.misses == 2  # both fetches may be counted
         assert store.stats.slow_fetches == 2
 
-    def test_sync_and_apply_update_serialize(self):
-        # an edit issued while sync is mid-fetch must wait for the whole
-        # fetch-then-apply cycle and therefore survive it
-        barrier = threading.Barrier(2)
+    @pytest.mark.parametrize("edited, slow_now", [
+        ("Harris", "Biden"),  # the edit changes the object
+        ("Biden", "Harris"),  # it re-applies it; the slow source moved on
+    ], ids=["changing-edit", "reapplied-edit"])
+    def test_an_edit_during_a_sync_fetch_neither_waits_nor_is_lost(
+            self, edited, slow_now):
+        in_fetch, release = threading.Event(), threading.Event()
 
         class BlockingSource(InMemorySlowSource):
             def fetch_subject(self, entity):
-                barrier.wait(timeout=5)  # hold sync inside its fetch phase
+                in_fetch.set()
+                release.wait(timeout=5)  # hold sync inside its fetch
                 return super().fetch_subject(entity)
 
         slow = BlockingSource([US_BIDEN], snapshot_at=SNAPSHOT)
         store = TieredFactStore(slow=slow, prefetch_depth=0)
         store.bulk_load([US_BIDEN])
-
-        sync_thread = threading.Thread(target=store.sync)
+        slow.put(triple("US", "head_of_gov", slow_now,
+                        source=Source.WIKIDATA, fetched_at=SNAPSHOT))
+        synced = []
+        sync_thread = threading.Thread(
+            target=lambda: synced.append(store.sync()))
         sync_thread.start()
-        edit_done = threading.Event()
-
-        def editor():
-            store.apply_update(EditRequest("US", "head_of_gov", "Harris"))
-            edit_done.set()
-
-        edit_thread = threading.Thread(target=editor)
-        edit_thread.start()
-        assert not edit_done.wait(timeout=0.2)  # blocked behind sync
-        barrier.wait(timeout=5)  # release sync's fetch
-        sync_thread.join(timeout=5)
-        edit_thread.join(timeout=5)
-        assert edit_done.is_set()
-        # the edit ran strictly after sync, so it is the surviving value
-        assert store.get("US", "head_of_gov").obj == "Harris"
+        try:
+            assert in_fetch.wait(timeout=5)
+            edit_thread = threading.Thread(
+                target=store.apply_update,
+                args=(EditRequest("US", "head_of_gov", edited),))
+            edit_thread.start()
+            edit_thread.join(timeout=2)
+            assert not edit_thread.is_alive()  # done before the fetch ends
+        finally:
+            release.set()
+            sync_thread.join(timeout=5)
+        assert synced == [0]
+        assert store.get("US", "head_of_gov").obj == edited
 
     def test_concurrent_writers_serialize(self):
         store, _ = make_store()
@@ -705,6 +732,18 @@ class TestRemoteSparqlSource:
         assert len(calls) == FETCH_ATTEMPTS
 
 
+    @pytest.mark.parametrize("entity", [
+        "Q1 . } SELECT * WHERE { ?s ?p ?o", "Scale Town 1", "Q1\n"],
+        ids=["injection", "label", "trailing-newline"])
+    def test_an_entity_that_is_no_item_id_sends_no_query(self, entity):
+        naps = []
+        source, calls = self.make_source([(200, self.WIKIDATA_PAYLOAD)], naps)
+        assert source.fetch_subject(entity) == []
+        assert calls == []
+        assert len(source.fetch_subject("Q42")) == 2
+        assert len(calls) == 1 and "wd:Q42 " in calls[0]
+
+
 class TestDumpFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "dump.jsonl"
@@ -798,3 +837,32 @@ class TestDumpFormat:
         restored = load_state(state_path, slow=slow, prefetch_depth=0)
         assert restored.fast_snapshot() == TripleSet([US_BIDEN])
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    @pytest.mark.parametrize("row", [
+        "{broken", '{"subject_id": "US", "object_label": "x"}', "42",
+        json.dumps({**triple_to_row(US_BIDEN), "source": "bogus"})],
+        ids=["not-json", "no-relation", "not-an-object", "unknown-source"])
+    def test_a_bad_dump_row_is_a_parse_error_at_its_line(self, tmp_path, row):
+        path = tmp_path / "dump.jsonl"
+        write_dump(path, [US_BIDEN], snapshot_at=SNAPSHOT)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_dump(path)
+        assert exc.value.line == 3
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("text, line", [
+        ("not json", 1), ("{\n  \"entries\": [,]}", 2), ("[]", None),
+        ('{"entries": [{"subject_id": "US", "object_label": "x"}]}', None),
+        ('{"entries": [{"subject_id": "US", "relation_id": "r", '
+         '"object_label": "x", "source": "bogus"}]}', None)],
+        ids=["not-json", "bad-json-line-2", "not-an-object", "no-relation",
+             "unknown-source"])
+    def test_a_corrupt_state_file_is_a_parse_error(self, tmp_path, text,
+                                                   line):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_state(path)
+        assert exc.value.line == line
+        assert str(path) in str(exc.value)

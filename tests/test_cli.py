@@ -162,6 +162,35 @@ class TestCache:
         assert out.strip() == f"{dump_lines} triples"
 
 
+class TestCorruptInput:
+    QUESTION = "Who is the current head of government for Sioux Falls?"
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        '{"entries": [{"subject_id": "US", "object_label": "x"}]}'],
+        ids=["not-json", "entry-without-relation"])
+    def test_query_with_a_corrupt_state_file(self, workdir, capsys, text):
+        (workdir / "state.json").write_text(text)
+        code, out, err = run(capsys, "query", self.QUESTION)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "state.json" in err
+
+    @pytest.mark.parametrize("row", [
+        "{broken",
+        json.dumps({"subject_id": "US", "relation_id": "r",
+                    "object_label": "x", "source": "bogus"})],
+        ids=["not-json", "unknown-source"])
+    def test_cache_load_with_a_broken_dump_line(self, workdir, capsys, row):
+        dump = workdir / "broken.jsonl"
+        dump.write_text((workdir / "dump.jsonl").read_text() + row + "\n")
+        lines = len(dump.read_text().splitlines())
+        code, out, err = run(capsys, "cache", "load", str(dump))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line {lines}: ")
+        assert str(dump) in err
+        assert not Path("state.json").exists()
+
+
 class TestData:
     def test_validate_reference_pair(self, workdir, capsys):
         code, out, _ = run(capsys, "data", "validate", "--items",

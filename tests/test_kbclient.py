@@ -124,10 +124,7 @@ class TestEquivalentProperties:
         ("head of government", False),
     ])
     def test_identifier_blocklist_matches_tokens(self, label, expected):
-        from factcache.kbclient import (DEFAULT_ALLOW_TOKENS,
-                                        DEFAULT_BLOCK_TOKENS)
-        assert _identifier_like(label, DEFAULT_BLOCK_TOKENS,
-                                DEFAULT_ALLOW_TOKENS) is expected
+        assert _identifier_like(label) is expected
 
 
 class TestFetchTriples:
@@ -223,7 +220,7 @@ class TestWithRetries:
         call, calls = self.failing(errors)
         naps = []
         with pytest.raises(HttpError) as exc:
-            with_retries(call, 3, 0.25, naps.append, HttpError)
+            with_retries(call, 3, naps.append, HttpError)
         assert exc.value is errors[-1]
         assert naps == [0.25, 0.5]
 
@@ -233,14 +230,14 @@ class TestWithRetries:
              RateLimited("c", retry_after=-1.0), HttpError("d")])
         naps = []
         with pytest.raises(HttpError):
-            with_retries(call, 4, 0.25, naps.append, HttpError)
+            with_retries(call, 4, naps.append, HttpError)
         assert naps == [3.0, 0.5, 0.0]  # a negative hint waits not at all
 
     def test_other_errors_are_not_retried(self):
         call, calls = self.failing([MalformedResponse("bad")])
         naps = []
         with pytest.raises(MalformedResponse):
-            with_retries(call, 3, 0.25, naps.append, HttpError)
+            with_retries(call, 3, naps.append, HttpError)
         assert len(calls) == 1 and naps == []
 
 
