@@ -3,8 +3,8 @@
 The fast table is an indexed, mutable snapshot of whatever the slow source
 (an external KB dump or endpoint) has served, plus edits injected directly.
 Reads hit the fast table first; a subject not held in full is fetched from
-the slow source, stored whole under any edits to it, and optionally its
-neighbors are prefetched.
+the slow source, stored whole under any edits to it, and optionally the
+subjects its facts point at, one hop out, are prefetched.
 Updates replace the object under a (subject, relation) key, so repeated
 edits to the same fact converge to the last value written.
 """
@@ -23,6 +23,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -178,19 +179,34 @@ def write_dump(path: str | Path, triples: Iterable[FactTriple],
 class LocalDumpSource:
     """Slow tier backed by a triple dump file on disk.
 
-    `triples` keeps the parsed rows in file order, so callers that need the
-    whole dump (alias registration) reuse this parse.
+    The file is parsed once, on the first access to `fetch_subject`,
+    `triples` or `snapshot_at`, so a caller that never reads through never
+    parses it. `triples` keeps the parsed rows in file order, so callers
+    that need the whole dump (alias registration) reuse this parse.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.snapshot_at, self.triples = read_dump(self.path)
-        self._by_subject: dict[str, list[FactTriple]] = {}
-        for t in self.triples:
-            self._by_subject.setdefault(t.subject, []).append(t)
+
+    @cached_property
+    def _dump(self) -> tuple[Optional[datetime], list[FactTriple],
+                             dict[str, list[FactTriple]]]:
+        snapshot_at, triples = read_dump(self.path)
+        by_subject: dict[str, list[FactTriple]] = {}
+        for t in triples:
+            by_subject.setdefault(t.subject, []).append(t)
+        return snapshot_at, triples, by_subject
+
+    @property
+    def snapshot_at(self) -> Optional[datetime]:
+        return self._dump[0]
+
+    @property
+    def triples(self) -> list[FactTriple]:
+        return self._dump[1]
 
     def fetch_subject(self, entity: str) -> list[FactTriple]:
-        return list(self._by_subject.get(entity, ()))
+        return list(self._dump[2].get(entity, ()))
 
 
 class InMemorySlowSource:
@@ -328,7 +344,12 @@ class TieredFactStore:
     Capacity counts facts, as len() does. Past it, whole unpinned subjects
     are evicted, least recently used first. A subject with an edit
     (apply_update / inject_manual) is pinned and never evicted, so edits
-    alone may exceed capacity.
+    alone may exceed capacity, until a sync finds the slow source holding
+    every fact the subject has and releases it.
+
+    With prefetch_depth 1 (the default) a miss also prefetches the
+    subjects its facts name as entity objects, one hop out; 0 turns
+    prefetch off.
 
     Structural access goes through one short-held lock and slow fetches run
     unlocked: concurrent misses on one entity converge to one stored copy
@@ -340,8 +361,8 @@ class TieredFactStore:
                  prefetch_depth: int = 1):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be >= 1 when set")
-        if prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
+        if prefetch_depth not in (0, 1):
+            raise ValueError("prefetch_depth must be 0 or 1")
         self.slow = slow if slow is not None else InMemorySlowSource()
         self.capacity = capacity
         self.prefetch_depth = prefetch_depth
@@ -351,7 +372,7 @@ class TieredFactStore:
         self._lru: OrderedDict[str, _Subject] = OrderedDict()
         self._facts = 0
         self._edits = 0
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return self._facts
@@ -418,40 +439,27 @@ class TieredFactStore:
     # -- prefetch -------------------------------------------------------------
 
     def prefetch_neighbors(self, seeds: TripleSet) -> int:
-        """Fetch the subjects reachable from seed objects, up to
-        prefetch_depth hops, and insert them as complete subjects under any
-        edits. Subjects already held complete are skipped.
+        """Fetch the subjects that seed triples name as entity objects, one
+        hop out, in sorted order, and insert them as complete subjects under
+        any edits. Subjects already held complete are skipped.
 
         Returns the number of newly inserted triples. On SlowUnreachable the
         partial prefetch already inserted is kept and the error raised.
         """
         if self.prefetch_depth == 0:
             return 0
-        seen: set[str] = set()
-        level = list(seeds)
+        with self._lock:
+            held = self._subjects
+            targets = sorted({
+                t.obj for t in seeds if t.object_is_entity
+                and not (t.obj in held and held[t.obj].complete)})
         added = 0
-        for _ in range(self.prefetch_depth):
-            targets = []
-            for t in level:
-                if not t.object_is_entity or t.obj in seen:
-                    continue
-                seen.add(t.obj)
-                with self._lock:
-                    record = self._subjects.get(t.obj)
-                    if record is not None and record.complete:
-                        continue
-                targets.append(t.obj)
-            next_level: list[FactTriple] = []
-            for entity in sorted(targets):
-                fetched = self.slow.fetch_subject(entity)  # may raise
-                with self._lock:
-                    self.stats.prefetch_fetches += 1
-                    added += self._absorb(entity, fetched)
-                    self._evict()
-                next_level.extend(fetched)
-            if not next_level:
-                break
-            level = next_level
+        for entity in targets:
+            fetched = self.slow.fetch_subject(entity)  # may raise
+            with self._lock:
+                self.stats.prefetch_fetches += 1
+                added += self._absorb(entity, fetched)
+                self._evict()
         return added
 
     # -- writes ---------------------------------------------------------------
@@ -518,7 +526,9 @@ class TieredFactStore:
     def sync(self) -> int:
         """Re-fetch every fast-table subject from the slow source and apply
         update semantics per triple; returns replacements + insertions.
-        Every subject synced is complete afterwards.
+        Every subject synced is complete afterwards, and a pinned one whose
+        every fact now equals the source's is unpinned: the source has
+        absorbed its edits, so it may be evicted like any read-through.
 
         Manual triples issued after the slow snapshot timestamp are
         preserved. All subjects are fetched, unlocked, before any is applied,
@@ -530,7 +540,7 @@ class TieredFactStore:
             subjects = sorted(self._subjects)
         fetched = [(subject, self.slow.fetch_subject(subject))  # may raise
                    for subject in subjects]
-        snapshot_at = getattr(self.slow, "snapshot_at", None)
+        snapshot_at = self.slow.snapshot_at
         changed = 0
         for subject, triples in fetched:
             with self._lock:
@@ -542,6 +552,11 @@ class TieredFactStore:
                                              snapshot_at):
                         changed += self._upsert(t, edited=False)[1]
                 record.complete = True
+                objects = {t.relation: t.obj for t in triples}
+                if record.pinned and all(objects.get(r) == t.obj
+                                         for r, t in record.facts.items()):
+                    record.pinned = False  # the source holds every edit
+                    self._lru[subject] = record
         with self._lock:
             self._evict()
         return changed

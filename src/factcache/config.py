@@ -118,8 +118,8 @@ def _validate(cfg: Config, base: Path) -> None:
         raise ConfigError("http model needs an endpoint")
     if cfg.k < 1:
         raise ConfigError("pipeline.k must be >= 1")
-    if cfg.prefetch_depth < 0:
-        raise ConfigError("store.prefetch_depth must be >= 0")
+    if cfg.prefetch_depth not in (0, 1):
+        raise ConfigError("store.prefetch_depth must be 0 or 1")
     if cfg.capacity is not None and cfg.capacity < 1:
         raise ConfigError("store.capacity must be >= 1 when set")
     if cfg.extractor not in ("alias_dictionary", "model_prompted"):

@@ -64,21 +64,17 @@ class MockTableModel:
     The answer is the object of the first evidence triple whose relation
     tokens overlap the query; fact-check prompts instead yield True/False
     depending on whether that object appears in the proposition. With no
-    applicable evidence the fixed prior table answers (default when the
-    query is unknown). The emitted distribution puts mass 1 - epsilon on the
-    answer and spreads epsilon uniformly over the candidate set.
+    applicable evidence the fixed prior table answers (DEFAULT_ANSWER when
+    the query is unknown). The emitted distribution puts mass 1 - EPSILON on
+    the answer and spreads EPSILON uniformly over the candidate set.
     """
 
     supports_distribution = True
+    DEFAULT_ANSWER = "I don't know"
+    EPSILON = 0.01
 
-    def __init__(self, priors: Optional[Mapping[str, str]] = None,
-                 default_answer: str = "I don't know",
-                 epsilon: float = 0.01):
-        if not 0 <= epsilon < 1:
-            raise ValueError("epsilon must be in [0, 1)")
+    def __init__(self, priors: Optional[Mapping[str, str]] = None):
         self.priors = dict(priors or {})
-        self.default_answer = default_answer
-        self.epsilon = epsilon
 
     def generate(self, prompt: AssembledPrompt) -> ModelAnswer:
         start = time.perf_counter()
@@ -91,7 +87,7 @@ class MockTableModel:
             else:
                 answer = applicable.object_label
         else:
-            answer = self.priors.get(prompt.query, self.default_answer)
+            answer = self.priors.get(prompt.query, self.DEFAULT_ANSWER)
         distribution = self._distribution(prompt, answer)
         return ModelAnswer(text=answer, distribution=distribution,
                            latency=time.perf_counter() - start)
@@ -100,8 +96,8 @@ class MockTableModel:
         """Answer the last line of a raw prompt from the prior table."""
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
-            return self.default_answer
-        return self.priors.get(lines[-1], self.default_answer)
+            return self.DEFAULT_ANSWER
+        return self.priors.get(lines[-1], self.DEFAULT_ANSWER)
 
     def _applicable_triple(self, prompt: AssembledPrompt):
         query_tokens = set(tokenize(prompt.query)) - _STOPWORDS
@@ -113,13 +109,13 @@ class MockTableModel:
 
     def _distribution(self, prompt: AssembledPrompt,
                       answer: str) -> dict[str, float]:
-        candidates = {answer, self.default_answer}
+        candidates = {answer, self.DEFAULT_ANSWER}
         candidates.update(self.priors.values())
         candidates.update(t.object_label for t in prompt.evidence_triples)
         ordered = sorted(candidates)
-        share = self.epsilon / len(ordered)
+        share = self.EPSILON / len(ordered)
         dist = {c: share for c in ordered}
-        dist[answer] += 1.0 - self.epsilon
+        dist[answer] += 1.0 - self.EPSILON
         return dist
 
 

@@ -88,13 +88,6 @@ class AliasIndex:
             self.add(surface, entity.id)
 
     @classmethod
-    def from_entities(cls, entities: Iterable[EntityRef]) -> "AliasIndex":
-        index = cls()
-        for e in entities:
-            index.add_entity(e)
-        return index
-
-    @classmethod
     def from_triples(cls, triples: Iterable[FactTriple]) -> "AliasIndex":
         """Index subject and entity-object labels as `add_triple` would row
         by row, tokenizing each distinct label once."""
@@ -149,15 +142,6 @@ def aliases_for_items(items) -> AliasIndex:
     return index
 
 
-def longest_alias_match(index: AliasIndex, text: str) -> Optional[str]:
-    """Longest alias substring match; ties go to the leftmost occurrence."""
-    matches = index.matches(text)
-    if not matches:
-        return None
-    best = max(matches, key=lambda m: (m.length, -m.start))
-    return best.entity_id
-
-
 def greedy_alias_matches(index: AliasIndex, text: str) -> list[str]:
     """Non-overlapping matches, longest span first, then leftmost; returned
     in reading order with duplicates removed."""
@@ -209,31 +193,26 @@ class Pipeline:
 
     # -- extraction -----------------------------------------------------------
 
-    def extract_entity(self, text: str) -> Optional[str]:
-        """Primary entity id mentioned in `text`, or None when nothing
-        resolves.
+    def extract_entities(self, text: str) -> list[str]:
+        """Every entity mentioned, in reading order; retrieval unions them
+        all.
 
-        ALIAS_DICTIONARY takes the longest alias match (ties: leftmost);
-        MODEL_PROMPTED asks the model with the packaged few-shot prompt and
-        maps the returned surface through the alias index.
+        ALIAS_DICTIONARY takes the non-overlapping alias matches, longest
+        span first (ties: leftmost). MODEL_PROMPTED asks the model with the
+        packaged few-shot prompt and maps the returned surface through the
+        alias index, so it finds one entity at most; it rejects empty input.
         """
+        if self.extractor is ExtractorKind.ALIAS_DICTIONARY:
+            return greedy_alias_matches(self.aliases, text)
         if not text:
             raise ValueError("input must be non-empty")
-        if self.extractor is ExtractorKind.ALIAS_DICTIONARY:
-            return longest_alias_match(self.aliases, text)
         if not hasattr(self.model, "complete_text"):
             raise ValueError(
                 "model-prompted extraction needs a client with complete_text")
         surface = self.model.complete_text(
             build_extraction_prompt(text)).strip()
-        return self.aliases.lookup(surface)
-
-    def extract_entities(self, text: str) -> list[str]:
-        """Every entity mentioned, primary first; retrieval unions them all."""
-        if self.extractor is ExtractorKind.MODEL_PROMPTED:
-            entity = self.extract_entity(text)
-            return [entity] if entity is not None else []
-        return greedy_alias_matches(self.aliases, text)
+        entity = self.aliases.lookup(surface)
+        return [entity] if entity is not None else []
 
     # -- answering --------------------------------------------------------------
 

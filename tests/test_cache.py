@@ -12,7 +12,8 @@ from factcache.cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
                              TieredFactStore, UpdateOutcome, load_state,
                              read_dump, save_state, triple_to_row,
                              write_dump)
-from factcache.errors import ParseError, SlowUnreachable
+from factcache.config import load_config
+from factcache.errors import ConfigError, ParseError, SlowUnreachable
 from factcache.triples import Source, TripleSet
 from conftest import SNAPSHOT, triple
 
@@ -128,12 +129,19 @@ class TestPrefetch:
         assert store.prefetch_neighbors(TripleSet([length])) == 0
         assert slow.fetch_log == []
 
-    def test_depth_two_walks_two_hops(self):
-        jill_job = triple("Jill", "employer", "NOVA")
-        store, _ = make_store([US_BIDEN, BIDEN_JILL, jill_job],
-                              prefetch_depth=2)
-        store.retrieve("US")
-        assert store.get("Jill", "employer") is not None
+    @pytest.mark.parametrize("depth", [-1, 0, 1, 2])
+    def test_depth_is_zero_or_one(self, tmp_path, depth):
+        path = tmp_path / "factcache.json"
+        path.write_text(json.dumps({"store": {"prefetch_depth": depth}}))
+        if depth in (0, 1):
+            assert TieredFactStore(prefetch_depth=depth).prefetch_depth == \
+                depth
+            assert load_config(str(path)).prefetch_depth == depth
+        else:
+            with pytest.raises(ValueError, match="0 or 1"):
+                TieredFactStore(prefetch_depth=depth)
+            with pytest.raises(ConfigError, match="0 or 1"):
+                load_config(str(path))
 
     def test_partial_prefetch_kept_on_failure(self):
         class FlakySource(InMemorySlowSource):
@@ -281,13 +289,13 @@ def test_store_matches_reference_model(scenario):
     """The store against the slow source's facts with the edits laid over
     them: every read equals that view, and only edits outgrow capacity. The
     edits are synthetic, so a sync gives each one on a relation the slow
-    source holds way to the slow value; its subject stays pinned."""
+    source holds way to the slow value; a subject left with no other edit
+    is released and counts against capacity again."""
     slow_facts, capacity, prefetch_depth, ops = scenario
     slow_rows = [triple(s, r, o) for (s, r), o in slow_facts.items()]
     store, _ = make_store(slow_rows, capacity=capacity,
                           prefetch_depth=prefetch_depth)
     edits: dict[tuple[str, str], str] = {}
-    pinned: set[str] = set()  # every subject ever edited
     retrieves = 0
 
     def view(subject):
@@ -303,7 +311,6 @@ def test_store_matches_reference_model(scenario):
             _, subject, relation, obj = op
             store.apply_update(EditRequest(subject, relation, obj))
             edits[(subject, relation)] = obj
-            pinned.add(subject)
         elif op[0] == "sync":
             store.sync()
             edits = {key: o for key, o in edits.items()
@@ -313,8 +320,9 @@ def test_store_matches_reference_model(scenario):
         resident = store.fast_snapshot()
         assert all(t.key in view(t.subject) for t in resident)
         assert all(store.get(s, r).obj == o for (s, r), o in edits.items())
+        edited = {s for s, _ in edits}
         assert len(resident) == len(store) <= capacity + sum(
-            t.subject in pinned for t in resident)
+            t.subject in edited for t in resident)
         assert store.stats.hits + store.stats.misses == retrieves
         assert store.stats.misses == store.stats.slow_fetches
 
@@ -379,6 +387,43 @@ class TestSync:
         assert loaded.sync() == 1
         assert loaded.get("US", "head_of_gov").obj == "Harris"
         assert loaded.get("US", "spouse").obj == "Jill"
+
+    def test_edits_the_source_holds_are_released_to_capacity(self,
+                                                             tmp_path):
+        store, slow = make_store(capacity=100, prefetch_depth=0)
+        for i in range(1000):
+            store.apply_update(EditRequest(f"s{i}", "r", f"o{i}"))
+            slow.put(store.get(f"s{i}", "r"))
+        assert len(store) == 1000 and store.stats.evictions == 0
+        assert store.sync() == 0
+        assert len(store) <= store.capacity
+        assert store.stats.evictions == 900
+        save_state(store, tmp_path / "state.json")
+        state = json.loads((tmp_path / "state.json").read_text())
+        assert len(state["entries"]) == 100
+        assert not any(row["edited"] for row in state["entries"])
+
+    def test_a_newer_manual_edit_that_differs_stays_pinned(self, tmp_path):
+        store, _ = make_store([US_BIDEN], capacity=1, prefetch_depth=0)
+        store.retrieve("US")
+        store.inject_manual(EditRequest(
+            "US", "head_of_gov", "Harris",
+            issued_at=SNAPSHOT + timedelta(hours=2)))
+        store.sync()
+        assert store.get("US", "head_of_gov").obj == "Harris"
+        save_state(store, tmp_path / "state.json")
+        state = json.loads((tmp_path / "state.json").read_text())
+        assert [row["edited"] for row in state["entries"]] == [True]
+
+    def test_an_edit_on_a_relation_the_source_lacks_stays_pinned(
+            self, tmp_path):
+        store, _ = make_store([US_BIDEN], capacity=1, prefetch_depth=0)
+        store.apply_update(EditRequest("US", "spouse", "Jill"))
+        store.sync()
+        assert len(store) == 2  # US's facts, all pinned past capacity
+        save_state(store, tmp_path / "state.json")
+        state = json.loads((tmp_path / "state.json").read_text())
+        assert all(row["edited"] for row in state["entries"])
 
     def test_unreachable_slow_applies_nothing(self):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)

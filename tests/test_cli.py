@@ -42,6 +42,20 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def count_dump_parses(monkeypatch) -> list:
+    """Count read_dump calls, wherever the CLI makes them."""
+    calls = []
+    real = factcache.cache.read_dump
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+
+    for module in (factcache.cache, factcache.cli):
+        monkeypatch.setattr(module, "read_dump", counting)
+    return calls
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -88,18 +102,22 @@ class TestQuery:
 
     def test_one_query_parses_the_dump_once(self, workdir, capsys,
                                            monkeypatch):
-        calls = []
-        real = factcache.cache.read_dump
-
-        def counting(path):
-            calls.append(path)
-            return real(path)
-
-        for module in (factcache.cache, factcache.cli):
-            monkeypatch.setattr(module, "read_dump", counting)
+        calls = count_dump_parses(monkeypatch)
         code, out, _ = run(capsys, "query", self.QUESTION)
         assert code == 0 and out.strip() == "Paul Ten Haken"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, parses", [
+        (["edit", "US", "head_of_gov", "Biden"], 0),
+        (["cache", "stats"], 0),
+        (["cache", "load", "dump.jsonl"], 1),
+    ], ids=["edit", "cache-stats", "cache-load"])
+    def test_a_command_parses_the_dump_only_to_read_it(
+            self, workdir, capsys, monkeypatch, argv, parses):
+        calls = count_dump_parses(monkeypatch)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == parses
 
     def test_shared_label_resolves_to_the_first_dump_subject(
             self, workdir, capsys):

@@ -50,8 +50,9 @@ class TestMockModel:
         assert mock.generate(qa_prompt("Who leads America?")).text == "Obama"
 
     def test_unknown_query_gets_the_default(self):
-        mock = MockTableModel(default_answer="no idea")
-        assert mock.generate(qa_prompt("Anything?")).text == "no idea"
+        mock = MockTableModel()
+        assert mock.generate(qa_prompt("Anything?")).text == \
+            MockTableModel.DEFAULT_ANSWER == "I don't know"
 
     def test_irrelevant_evidence_falls_back_to_priors(self):
         mock = MockTableModel(priors={"What is the capital of France?":
@@ -76,7 +77,7 @@ class TestMockModel:
         assert MockTableModel().generate(prompt).text == "False"
 
     def test_distribution_mass_concentrates_on_the_answer(self):
-        mock = MockTableModel(priors={"q": "a"}, epsilon=0.01)
+        mock = MockTableModel(priors={"q": "a"})  # EPSILON is 0.01
         answer = mock.generate(qa_prompt("q"))
         dist = answer.distribution
         n = len(dist)

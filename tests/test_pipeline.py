@@ -10,7 +10,7 @@ from factcache.errors import HopFailed
 from factcache.models import MockTableModel
 from factcache.pipeline import (AliasIndex, AliasMatch, ExtractorKind,
                                 MultihopMode, Pipeline, aliases_for_items,
-                                greedy_alias_matches, longest_alias_match)
+                                greedy_alias_matches)
 from factcache.ranking import rank_triples, token_cosine, tokenize
 from factcache.triples import EntityRef, Source, TaskKind, TripleSet
 from conftest import triple
@@ -30,35 +30,40 @@ def alias_index():
 
 class TestAliasIndex:
     def test_longest_match_examples(self, alias_index):
-        assert longest_alias_match(
+        assert greedy_alias_matches(
             alias_index, "Who is the cast member of Casino Royale?") == \
-            "Q161678"
-        assert longest_alias_match(
+            ["Q161678"]
+        assert greedy_alias_matches(
             alias_index,
             "What is the inspiration behind the name of Seine-Maritime?") == \
-            "Q12675"
+            ["Q12675"]
 
     def test_empty_dictionary_finds_nothing(self):
-        assert longest_alias_match(AliasIndex(), "Anything at all?") is None
+        assert greedy_alias_matches(AliasIndex(), "Anything at all?") == []
 
     def test_longest_span_wins(self, alias_index):
-        # "Route 128 station" (3 tokens) beats "America" (1 token)
+        # "Route 128 station" (3 tokens) comes before "America" (1 token)
+        # and no one-token surface inside it fires
+        alias_index.add("Route", "Q1")
         text = "Is Route 128 station in America?"
-        assert longest_alias_match(alias_index, text) == "Q7371545"
+        assert greedy_alias_matches(alias_index, text) == ["Q7371545", "Q30"]
 
     def test_tie_goes_to_the_leftmost(self):
         index = AliasIndex()
         index.add("Paris", "Q90")
         index.add("Berlin", "Q64")
-        assert longest_alias_match(index, "Paris or Berlin?") == "Q90"
-        assert longest_alias_match(index, "Berlin or Paris?") == "Q64"
+        assert greedy_alias_matches(index, "Paris or Berlin?") == \
+            ["Q90", "Q64"]
+        assert greedy_alias_matches(index, "Berlin or Paris?") == \
+            ["Q64", "Q90"]
 
     def test_word_boundaries_respected(self, alias_index):
         # "US" must not fire inside other words
-        assert longest_alias_match(alias_index, "A virus mutation") is None
+        assert greedy_alias_matches(alias_index, "A virus mutation") == []
 
     def test_case_insensitive(self, alias_index):
-        assert longest_alias_match(alias_index, "who leads AMERICA?") == "Q30"
+        assert greedy_alias_matches(alias_index, "who leads AMERICA?") == \
+            ["Q30"]
 
     def test_greedy_matches_do_not_overlap(self, alias_index):
         ids = greedy_alias_matches(
@@ -72,9 +77,9 @@ class TestAliasIndex:
         assert index.lookup("Springfield") == "Q1"
 
     def test_from_entities_uses_all_surface_forms(self):
-        index = AliasIndex.from_entities([
-            EntityRef(id="Q30", label="United States",
-                      aliases=frozenset({"America", "US"}))])
+        index = AliasIndex()
+        index.add_entity(EntityRef(id="Q30", label="United States",
+                                   aliases=frozenset({"America", "US"})))
         assert index.lookup("america") == "Q30"
         assert index.lookup("United States") == "Q30"
 
@@ -181,23 +186,25 @@ def test_alias_index_agrees_with_the_reference_model(data):
             assert built.lookup(surface) == reference.lookup(surface)
         for text in texts:
             assert built.matches(text) == reference.matches(text)
-            assert longest_alias_match(built, text) == \
-                longest_alias_match(reference, text)
             assert greedy_alias_matches(built, text) == \
                 greedy_alias_matches(reference, text)
 
 
 class TestExtractEntity:
     def test_alias_dictionary_mode(self, us_pipeline):
-        assert us_pipeline.extract_entity(
-            "Who is the head of government in America?") == "America"
+        assert us_pipeline.extract_entities(
+            "Who is the head of government in America?") == ["America"]
 
     def test_not_found_returns_none(self, us_pipeline):
-        assert us_pipeline.extract_entity("No entities here at all") is None
+        assert us_pipeline.extract_entities("No entities here at all") == []
 
-    def test_rejects_empty_input(self, us_pipeline):
+    def test_rejects_empty_input(self, us_pipeline, us_store):
+        pipeline = Pipeline(store=us_store, aliases=AliasIndex(),
+                            model=MockTableModel(),
+                            extractor=ExtractorKind.MODEL_PROMPTED)
         with pytest.raises(ValueError):
-            us_pipeline.extract_entity("")
+            pipeline.extract_entities("")
+        assert us_pipeline.extract_entities("") == []  # alias mode: no match
 
     def test_model_prompted_mode_maps_surface_through_aliases(self, us_store):
         aliases = AliasIndex()
@@ -206,14 +213,14 @@ class TestExtractEntity:
             "Who is the cast member of Casino Royale?": "Casino Royale"})
         pipeline = Pipeline(store=us_store, aliases=aliases, model=model,
                             extractor=ExtractorKind.MODEL_PROMPTED)
-        assert pipeline.extract_entity(
-            "Who is the cast member of Casino Royale?") == "Q161678"
+        assert pipeline.extract_entities(
+            "Who is the cast member of Casino Royale?") == ["Q161678"]
 
     def test_model_prompted_unresolvable_surface_is_none(self, us_store):
         model = MockTableModel(priors={"q?": "Unknown Entity"})
         pipeline = Pipeline(store=us_store, aliases=AliasIndex(), model=model,
                             extractor=ExtractorKind.MODEL_PROMPTED)
-        assert pipeline.extract_entity("q?") is None
+        assert pipeline.extract_entities("q?") == []
 
 
 class TestAnswer:

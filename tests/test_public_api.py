@@ -36,6 +36,8 @@ PATCHED = [
     ("factcache.cache", "TieredFactStore.prefetch_neighbors"),
     ("factcache.models", "MockTableModel.generate"),
     ("factcache.cache", "LocalDumpSource.fetch_subject"),
+    ("factcache.cache", "InMemorySlowSource.fetch_subject"),
+    ("factcache.cache", "RemoteSparqlSource.fetch_subject"),
     ("factcache.cache", "read_dump"),
     ("factcache.cli", "read_dump"),
     ("factcache.cache", "load_state"),
