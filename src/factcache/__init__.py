@@ -25,8 +25,8 @@ from .pipeline import (AliasIndex, ExtractorKind, MultihopMode, Pipeline,
                        aliases_for_items)
 from .prompts import AssembledPrompt, assemble_prompt, task_instruction
 from .ranking import RankedEvidence, rank_triples
-from .scope import (EquivalenceOracle, ScopeClass, SimpleOracle, classify_scope,
-                    compute_ex, frontier, join)
+from .scope import (ScopeClass, SimpleOracle, classify_scope, compute_ex,
+                    frontier, join)
 from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
                       TripleSet)
 
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AliasIndex", "AssembledPrompt", "BenchmarkItem", "CacheStats",
-    "EditRequest", "EntityRef", "EquivalenceOracle", "EquivalentPropertyPair",
+    "EditRequest", "EntityRef", "EquivalentPropertyPair",
     "EvalReport", "ExtractorKind", "FactCacheError", "FactTriple",
     "HttpCompletionModel", "InMemorySlowSource", "KnowledgeBaseClient",
     "LocalDumpSource", "MockTableModel", "ModelAnswer", "MultiHopItem",

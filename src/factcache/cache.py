@@ -255,21 +255,19 @@ class RemoteSparqlSource:
 
     Retries transient failures with exponential backoff (3 attempts starting
     at 250 ms, or the server's Retry-After hint) before raising
-    SlowUnreachable; public endpoints rate-limit.
-    """
+    SlowUnreachable; public endpoints rate-limit. The query is Wikidata's,
+    so rows are WIKIDATA triples; a live endpoint has no snapshot time."""
+
+    snapshot_at: Optional[datetime] = None
 
     def __init__(self, endpoint: str,
-                 source: Source = Source.WIKIDATA,
                  transport: Optional[Transport] = None,
-                 sleep: Callable[[float], None] = time.sleep,
-                 snapshot_at: Optional[datetime] = None):
+                 sleep: Callable[[float], None] = time.sleep):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
         self.endpoint = endpoint
-        self.source = source
         self.transport = transport
         self.sleep = sleep
-        self.snapshot_at = snapshot_at
 
     def fetch_subject(self, entity: str) -> list[FactTriple]:
         if not _ENTITY_ID.fullmatch(entity):
@@ -305,7 +303,7 @@ class RemoteSparqlSource:
                 relation_label=row.get("relationLabel") or "",
                 object_label=row.get("objectLabel") or "",
                 object_is_entity=is_entity,
-                source=self.source,
+                source=Source.WIKIDATA,
                 fetched_at=fetched_at,
             ))
         return triples
@@ -319,7 +317,9 @@ class _Subject:
 
     facts: dict[str, FactTriple] = field(default_factory=dict)  # by relation
     complete: bool = True  # holds the slow source's facts, not only edits
-    pinned: bool = False  # has an edit, so is never evicted
+    # the relations holding an edit; while any does, the subject is pinned
+    # (never evicted). An unedited record shares the empty default.
+    edited: frozenset[str] = frozenset()
     view: Optional[TripleSet] = None  # served by hits until a write
     edited_at: int = 0  # the store's edit count at the last edit
 
@@ -342,10 +342,11 @@ class TieredFactStore:
     is sorted and indexed once per write, not once per read.
 
     Capacity counts facts, as len() does. Past it, whole unpinned subjects
-    are evicted, least recently used first. A subject with an edit
-    (apply_update / inject_manual) is pinned and never evicted, so edits
-    alone may exceed capacity, until a sync finds the slow source holding
-    every fact the subject has and releases it.
+    are evicted, least recently used first. Each edit (apply_update /
+    inject_manual) marks its fact, and a subject with a marked fact is
+    pinned and never evicted, so edits alone may exceed capacity. A sync
+    clears the mark of each fact the slow source now holds and releases a
+    subject left with none.
 
     With prefetch_depth 1 (the default) a miss also prefetches the
     subjects its facts name as entity objects, one hop out; 0 turns
@@ -430,7 +431,7 @@ class TieredFactStore:
         record = self._subjects.get(entity)
         if record is None or not record.complete:
             return None
-        if not record.pinned:
+        if not record.edited:
             self._lru.move_to_end(entity)
         if record.view is None:
             record.view = TripleSet(record.facts.values())
@@ -500,12 +501,11 @@ class TieredFactStore:
         record = self._subjects.get(triple.subject)
         if record is None:
             # only edits reach a subject that is not resident
-            record = self._admit(triple.subject,
-                                 _Subject(complete=False, pinned=True))
-        elif edited and not record.pinned:
-            record.pinned = True
-            del self._lru[triple.subject]
-        if edited:  # stamped even when the object is unchanged
+            record = self._admit(triple.subject, _Subject(complete=False))
+        if edited:  # marked and stamped even when the object is unchanged
+            if not record.edited:
+                del self._lru[triple.subject]
+            record.edited |= {triple.relation}
             self._edits += 1
             record.edited_at = self._edits
         existing = record.facts.get(triple.relation)
@@ -525,10 +525,11 @@ class TieredFactStore:
 
     def sync(self) -> int:
         """Re-fetch every fast-table subject from the slow source and apply
-        update semantics per triple; returns replacements + insertions.
-        Every subject synced is complete afterwards, and a pinned one whose
-        every fact now equals the source's is unpinned: the source has
-        absorbed its edits, so it may be evicted like any read-through.
+        update semantics per triple, then drop each fact the source no
+        longer returns that holds no edit; returns replacements + insertions
+        + drops. Every subject synced is complete afterwards. An edit whose
+        fact now equals the source's is absorbed: its mark is cleared, and a
+        subject left with none is released to eviction like any read-through.
 
         Manual triples issued after the slow snapshot timestamp are
         preserved. All subjects are fetched, unlocked, before any is applied,
@@ -553,10 +554,21 @@ class TieredFactStore:
                         changed += self._upsert(t, edited=False)[1]
                 record.complete = True
                 objects = {t.relation: t.obj for t in triples}
-                if record.pinned and all(objects.get(r) == t.obj
-                                         for r, t in record.facts.items()):
-                    record.pinned = False  # the source holds every edit
-                    self._lru[subject] = record
+                gone = [r for r in record.facts
+                        if r not in objects and r not in record.edited]
+                for relation in gone:
+                    del record.facts[relation]
+                    record.view = None
+                self._facts -= len(gone)
+                changed += len(gone)
+                if record.edited:
+                    record.edited = frozenset(
+                        r for r in record.edited
+                        if objects.get(r) != record.facts[r].obj)
+                    if not record.edited:  # the source holds every edit
+                        self._lru[subject] = record
+                if not record.facts:  # absence is not cached
+                    del self._subjects[subject], self._lru[subject]
         with self._lock:
             self._evict()
         return changed
@@ -577,7 +589,7 @@ class TieredFactStore:
 
     def _admit(self, subject: str, record: _Subject) -> _Subject:
         self._subjects[subject] = record
-        if not record.pinned:
+        if not record.edited:
             self._lru[subject] = record
         self._facts += len(record.facts)
         return record
@@ -626,7 +638,8 @@ def save_state(store: TieredFactStore, path: str | Path) -> None:
     replaced atomically: a failed write leaves the previous state intact."""
     with store._lock:
         entries = [
-            {**triple_to_row(t), "version": t.version, "edited": record.pinned}
+            {**triple_to_row(t), "version": t.version,
+             "edited": t.relation in record.edited}
             for _, record in sorted(store._subjects.items())
             for _, t in sorted(record.facts.items())
         ]
@@ -648,9 +661,11 @@ def save_state(store: TieredFactStore, path: str | Path) -> None:
 def load_state(path: str | Path, slow: Optional[SlowSource] = None,
                capacity: Optional[int] = None,
                prefetch_depth: int = 1) -> TieredFactStore:
-    """Rebuild a store written by save_state. An edited row pins its
-    subject; a subject listed as incomplete reads through on its next
-    retrieve, and a file without that list loads every subject complete.
+    """Rebuild a store written by save_state. An edited row marks its fact
+    and pins its subject; older files, which flag every row of a pinned
+    subject, load with each of its facts marked until a sync. A subject
+    listed as incomplete reads through on its next retrieve, and a file
+    without that list loads every subject complete.
     Unpinned subjects past `capacity` are evicted, as after any write.
     The file keeps no recency, so subjects load in name order and that
     eviction takes the first unpinned subjects by name."""
@@ -666,7 +681,8 @@ def load_state(path: str | Path, slow: Optional[SlowSource] = None,
                 triple.subject,
                 _Subject(complete=triple.subject not in incomplete))
             record.facts[triple.relation] = triple
-            record.pinned |= bool(row.get("edited", False))
+            if row.get("edited", False):
+                record.edited |= {triple.relation}
         stats = state.get("stats", {})
         store.stats = CacheStats(**{k: stats.get(k, 0)
                                     for k in CacheStats().snapshot()})

@@ -83,6 +83,10 @@ def load_entities(path: str) -> dict[str, EntityRef]:
     return entities
 
 
+def _entities(cfg: Config) -> Optional[dict[str, EntityRef]]:
+    return load_entities(cfg.entities_path) if cfg.entities_path else None
+
+
 def _aliases(cfg: Config, store: TieredFactStore) -> AliasIndex:
     triples = list(store.fast_snapshot())
     if isinstance(store.slow, LocalDumpSource):
@@ -143,6 +147,9 @@ def cmd_query(cfg: Config, args) -> int:
         _err(f"cache: {trace.cache_hits} hit(s), {trace.cache_misses} miss(es)")
         for triple, score in trace.evidence.triples:
             _err(f"evidence: {triple.render()} score={score:.4f}")
+        _err("latency: " + " ".join(f"{stage}={seconds * 1e6:.0f}us"
+                                    for stage, seconds
+                                    in trace.latencies.items()))
         _err("prompt:")
         _err(trace.prompt.render())
     return 0
@@ -217,8 +224,7 @@ def cmd_data_fetch(cfg: Config, args) -> int:
 def cmd_data_build(cfg: Config, args, seed: int) -> int:
     _, triples = read_dump(args.triples)
     templates = load_relation_templates(cfg.templates_path or None)
-    entities = (load_entities(cfg.entities_path)
-                if cfg.entities_path else None)
+    entities = _entities(cfg)
     if args.multihop:
         items: list = build_multihop_benchmark(triples, templates, args.hops,
                                                entities)
@@ -252,7 +258,7 @@ def cmd_eval(cfg: Config, args, seed: int) -> int:
         if not path:
             _err(f"eval {args.suite} requires --items or a configured path")
             return 2
-        items = load_benchmark(path)
+        items = load_benchmark(path, entities=_entities(cfg))
         pipeline.aliases.merge(aliases_for_items(items))
 
     if args.suite == "main":

@@ -549,7 +549,6 @@ def load_relation_templates(path: Optional[str | Path] = None
         ref = RelationRef(
             id=row["id"],
             label=row["label"],
-            description=row.get("description", ""),
             task_templates={
                 TaskKind.QA: tuple(row["qa"]),
                 TaskKind.COMPLETION: tuple(row["completion"]),

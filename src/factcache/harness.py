@@ -230,7 +230,6 @@ def run_transition_scenario(items: Iterable[BenchmarkItem],
 
 @dataclass
 class ScalePoint:
-    size: int
     em: float
     median_lookup_s: float
     median_answer_s: float
@@ -284,7 +283,6 @@ def run_scale_scenario(pipeline: Pipeline,
             lookup_times.append(time.perf_counter() - t0)
 
         results[size] = ScalePoint(
-            size=size,
             em=em_score(pairs),
             median_lookup_s=statistics.median(lookup_times),
             median_answer_s=statistics.median(answer_times),

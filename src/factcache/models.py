@@ -29,11 +29,10 @@ _STOPWORDS = frozenset(
 
 @dataclass(frozen=True)
 class ModelAnswer:
-    """Generated text, an optional answer distribution, and the call latency."""
+    """Generated text and an optional answer distribution."""
 
     text: str
     distribution: Optional[Mapping[str, float]] = None
-    latency: float = 0.0
 
     def __post_init__(self):
         if self.distribution is not None:
@@ -47,8 +46,6 @@ class ModelAnswer:
 
 
 class ModelClient(Protocol):
-    supports_distribution: bool
-
     def generate(self, prompt: AssembledPrompt) -> ModelAnswer:
         ...
 
@@ -69,7 +66,6 @@ class MockTableModel:
     the answer and spreads EPSILON uniformly over the candidate set.
     """
 
-    supports_distribution = True
     DEFAULT_ANSWER = "I don't know"
     EPSILON = 0.01
 
@@ -77,7 +73,6 @@ class MockTableModel:
         self.priors = dict(priors or {})
 
     def generate(self, prompt: AssembledPrompt) -> ModelAnswer:
-        start = time.perf_counter()
         applicable = self._applicable_triple(prompt)
         if applicable is not None:
             if prompt.task_instruction == task_instruction(TaskKind.FACT_CHECK):
@@ -88,9 +83,8 @@ class MockTableModel:
                 answer = applicable.object_label
         else:
             answer = self.priors.get(prompt.query, self.DEFAULT_ANSWER)
-        distribution = self._distribution(prompt, answer)
-        return ModelAnswer(text=answer, distribution=distribution,
-                           latency=time.perf_counter() - start)
+        return ModelAnswer(text=answer,
+                           distribution=self._distribution(prompt, answer))
 
     def complete_text(self, text: str) -> str:
         """Answer the last line of a raw prompt from the prior table."""
@@ -149,13 +143,8 @@ class HttpCompletionModel:
     transport: PostTransport = field(default=requests_post_transport)
     sleep: Callable[[float], None] = field(default=time.sleep)
 
-    supports_distribution = False
-
     def generate(self, prompt: AssembledPrompt) -> ModelAnswer:
-        start = time.perf_counter()
-        text = self.complete_text(prompt.render())
-        return ModelAnswer(text=text, distribution=None,
-                           latency=time.perf_counter() - start)
+        return ModelAnswer(text=self.complete_text(prompt.render()))
 
     def complete_text(self, text: str) -> str:
         payload = {"prompt": text, "max_tokens": self.max_tokens}

@@ -4,14 +4,14 @@ classification into in-scope / extended / outside.
 The extended scope of an edit is everything derivable from it by chaining
 triples whose subject matches a prior object. Chaining matches ids exactly;
 equivalence (aliases, paraphrases) only enters at hop zero and when mapping
-probes onto triples, through a pluggable oracle.
+probes onto triples, through the oracle's equivalence tables.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Protocol
+from typing import Mapping
 
 from .errors import UnresolvableProbe
 from .triples import FactTriple, TripleSet
@@ -21,25 +21,6 @@ class ScopeClass(enum.Enum):
     IN_SCOPE = "in_scope"
     EXTENDED = "extended"
     OUTSIDE = "outside"
-
-
-class EquivalenceOracle(Protocol):
-    """Deterministic equivalence-set assignment for ids, queries, and answers.
-
-    Must be reflexive: every element belongs to its own set.
-    """
-
-    def entity_class(self, entity: str) -> str:
-        """Equivalence-set id for an entity id or literal object."""
-        ...
-
-    def relation_class(self, relation: str) -> str:
-        """Equivalence-set id for a relation id."""
-        ...
-
-    def probe_triple(self, query: str, answer: str) -> Optional[tuple[str, str, str]]:
-        """Underlying (subject, relation, object) for a probe, or None."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -65,15 +46,13 @@ class SimpleOracle:
     def relation_class(self, relation: str) -> str:
         return self.relation_sets.get(relation, relation)
 
-    def resolve_answer(self, answer: str) -> str:
-        return self.answer_map.get(answer, answer)
-
     def probe_triple(self, query: str, answer: str):
+        """Underlying (subject, relation, object) for a probe, or None."""
         pair = self.query_map.get(query)
         if pair is None:
             return None
         subject, relation = pair
-        return (subject, relation, self.resolve_answer(answer))
+        return (subject, relation, self.answer_map.get(answer, answer))
 
 
 IDENTITY_ORACLE = SimpleOracle()
@@ -86,7 +65,7 @@ def join(a: TripleSet, b: TripleSet) -> TripleSet:
     return TripleSet(t for t in b if t.subject in objects)
 
 
-def _triple_class(t: FactTriple, oracle: EquivalenceOracle) -> tuple[str, str, str]:
+def _triple_class(t: FactTriple, oracle: SimpleOracle) -> tuple[str, str, str]:
     return (
         oracle.entity_class(t.subject),
         oracle.relation_class(t.relation),
@@ -98,7 +77,7 @@ def frontier(
     tr: FactTriple,
     graph: TripleSet,
     i: int,
-    oracle: EquivalenceOracle = IDENTITY_ORACLE,
+    oracle: SimpleOracle = IDENTITY_ORACLE,
 ) -> TripleSet:
     """Hop-`i` frontier of `tr` in `graph`.
 
@@ -121,7 +100,7 @@ def compute_ex(
     tr: FactTriple,
     graph: TripleSet,
     max_hops: int = 5,
-    oracle: EquivalenceOracle = IDENTITY_ORACLE,
+    oracle: SimpleOracle = IDENTITY_ORACLE,
 ) -> TripleSet:
     """Union of frontiers 0..max_hops: the extended scope of `tr`, truncated
     at `max_hops` so cyclic graphs terminate."""
@@ -142,7 +121,7 @@ def classify_scope(
     probe_query: str,
     probe_answer: str,
     graph: TripleSet,
-    oracle: EquivalenceOracle,
+    oracle: SimpleOracle,
     max_hops: int = 5,
 ) -> ScopeClass:
     """Classify a (query, answer) probe against an edit.

@@ -89,7 +89,6 @@ class RelationRef:
 
     id: str
     label: str = ""
-    description: str = ""
     task_templates: Mapping[TaskKind, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):

@@ -327,6 +327,94 @@ def test_store_matches_reference_model(scenario):
         assert store.stats.misses == store.stats.slow_fetches
 
 
+SYNC_KEYS = st.tuples(st.sampled_from(MODEL_SUBJECTS),
+                      st.sampled_from(MODEL_RELATIONS))
+SYNC_OBJECTS = st.sampled_from(["x", "y", "z"])
+
+
+@st.composite
+def _sync_scenarios(draw):
+    source = draw(st.dictionaries(SYNC_KEYS, SYNC_OBJECTS, max_size=8))
+    # an edit's age is None for a synthetic edit, else the hours between
+    # the source's snapshot and a manual edit's issue time
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("read"), st.sampled_from(MODEL_SUBJECTS)),
+        st.tuples(st.just("edit"), SYNC_KEYS, SYNC_OBJECTS,
+                  st.sampled_from([None, -1, 1])),
+    ), max_size=20))
+    # a source change puts an object, or removes the fact when it is None
+    changes = draw(st.lists(st.tuples(SYNC_KEYS, st.none() | SYNC_OBJECTS),
+                            max_size=6))
+    return source, ops, changes
+
+
+@given(_sync_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_sync_lays_the_surviving_edits_over_a_changed_source(scenario):
+    """After the source changes, a sync leaves each resident subject with
+    the source's facts and the surviving edits laid over them. An edit
+    survives if the source lacks its relation, or if its fact is a manual
+    edit newer than the snapshot that still differs from the source's. A
+    subject is outside the LRU exactly when it keeps such an edit."""
+    source, ops, changes = scenario
+    store, slow = make_store(
+        [triple(s, r, o, source=Source.WIKIDATA, fetched_at=SNAPSHOT)
+         for (s, r), o in source.items()], prefetch_depth=0)
+    resident: dict[str, dict[str, str]] = {}
+    edited: set[tuple[str, str]] = set()
+    newer_manual: dict[tuple[str, str], bool] = {}
+    for op in ops:
+        if op[0] == "read":
+            subject = op[1]
+            fetched = {r: o for (s, r), o in source.items() if s == subject}
+            if subject in resident or fetched:  # absence is not cached
+                facts = resident.setdefault(subject, {})
+                for relation, obj in fetched.items():
+                    facts.setdefault(relation, obj)  # each edit wins
+            store.retrieve(subject)
+            continue
+        _, (subject, relation), obj, age = op
+        facts = resident.setdefault(subject, {})
+        if facts.get(relation) != obj:  # a re-applied object keeps its source
+            facts[relation] = obj
+            newer_manual[(subject, relation)] = age == 1
+        edited.add((subject, relation))
+        if age is None:
+            store.apply_update(EditRequest(subject, relation, obj))
+        else:
+            store.inject_manual(EditRequest(
+                subject, relation, obj,
+                issued_at=SNAPSHOT + timedelta(hours=age)))
+    now = dict(source)
+    for (subject, relation), obj in changes:
+        if obj is None:
+            slow.remove(subject, relation)
+            now.pop((subject, relation), None)
+        else:
+            slow.put(triple(subject, relation, obj, source=Source.WIKIDATA,
+                            fetched_at=SNAPSHOT))
+            now[(subject, relation)] = obj
+
+    store.sync()
+
+    expected, released = {}, set()
+    for subject, facts in resident.items():
+        held = {r: o for (s, r), o in now.items() if s == subject}
+        kept = {r for r in facts if (subject, r) in edited and (
+            r not in held or newer_manual.get((subject, r), False)
+            and facts[r] != held[r])}
+        view = {**held, **{r: facts[r] for r in kept}}
+        if view:  # a subject left with no fact is dropped
+            expected[subject] = view
+            if not kept:
+                released.add(subject)
+    snapshot = store.fast_snapshot()
+    assert {s: {t.relation: t.obj for t in snapshot if t.subject == s}
+            for s in snapshot.subjects} == expected
+    assert len(store) == sum(map(len, expected.values()))
+    assert set(store._lru) == released  # with no capacity, none is evicted
+
+
 class TestSync:
     def test_unchanged_slow_is_a_fixed_point(self):
         store, _ = make_store([US_BIDEN], prefetch_depth=0)
@@ -420,10 +508,59 @@ class TestSync:
         store, _ = make_store([US_BIDEN], capacity=1, prefetch_depth=0)
         store.apply_update(EditRequest("US", "spouse", "Jill"))
         store.sync()
-        assert len(store) == 2  # US's facts, all pinned past capacity
+        assert len(store) == 2  # US's facts, pinned past capacity
         save_state(store, tmp_path / "state.json")
         state = json.loads((tmp_path / "state.json").read_text())
-        assert all(row["edited"] for row in state["entries"])
+        assert {row["relation_id"]: row["edited"]
+                for row in state["entries"]} == {"head_of_gov": False,
+                                                 "spouse": True}
+
+    def test_a_fact_the_source_dropped_is_dropped_and_releases(
+            self, tmp_path):
+        capital = triple("US", "capital", "DC", source=Source.WIKIDATA,
+                         fetched_at=SNAPSHOT)
+        store, slow = make_store([US_BIDEN, capital], prefetch_depth=0)
+        store.retrieve("US")
+        store.apply_update(EditRequest("US", "head_of_gov", "Harris"))
+        slow.put(triple("US", "head_of_gov", "Harris",
+                        source=Source.WIKIDATA, fetched_at=SNAPSHOT))
+        slow.remove("US", "capital")
+        assert store.sync() == 1  # the drop
+        assert store.retrieve("US") == TripleSet(
+            [triple("US", "head_of_gov", "Harris")])
+        assert len(store) == 1
+        save_state(store, tmp_path / "state.json")
+        state = json.loads((tmp_path / "state.json").read_text())
+        assert [row["edited"] for row in state["entries"]] == [False]
+
+    def test_a_subject_the_source_dropped_is_dropped(self):
+        store, slow = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        slow.remove("US", "head_of_gov")
+        assert store.sync() == 1
+        assert len(store) == 0 and store.fast_snapshot() == TripleSet()
+        assert store.retrieve("US") == TripleSet()
+        assert store.stats.misses == 2
+
+    def test_a_state_file_that_flags_every_row_of_a_pinned_subject(
+            self, tmp_path):
+        store, slow = make_store([US_BIDEN], capacity=1, prefetch_depth=0)
+        store.retrieve("US")
+        store.apply_update(EditRequest("US", "spouse", "Jill"))
+        save_state(store, tmp_path / "state.json")
+        state = json.loads((tmp_path / "state.json").read_text())
+        for row in state["entries"]:
+            row["edited"] = True  # as files written before per-fact marks
+        (tmp_path / "state.json").write_text(json.dumps(state))
+        loaded = load_state(tmp_path / "state.json", slow=slow, capacity=1,
+                            prefetch_depth=0)
+        assert loaded.sync() == 0
+        assert len(loaded) == 2
+        save_state(loaded, tmp_path / "state.json")
+        state = json.loads((tmp_path / "state.json").read_text())
+        assert {row["relation_id"]: row["edited"]
+                for row in state["entries"]} == {"head_of_gov": False,
+                                                 "spouse": True}
 
     def test_unreachable_slow_applies_nothing(self):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,15 @@ class TestQuery:
         assert "1 hit(s), 0 miss(es)" in err
         assert "(Sioux Falls, head of government, Paul Ten Haken)" in err
         assert "Q: Who is the current head of government for Sioux Falls?" in err
+
+    def test_trace_prints_the_five_stage_latencies(self, workdir, capsys):
+        code, out, err = run(capsys, "query", self.QUESTION, "--trace")
+        assert code == 0 and out.strip() == "Paul Ten Haken"
+        [line] = [l for l in err.splitlines() if l.startswith("latency: ")]
+        stages = dict(field.split("=") for field in line.split()[1:])
+        assert list(stages) == ["extract", "retrieve", "rank", "assemble",
+                                "generate"]
+        assert all(re.fullmatch(r"\d+us", us) for us in stages.values())
 
     def test_one_query_parses_the_dump_once(self, workdir, capsys,
                                            monkeypatch):
@@ -304,6 +314,29 @@ class TestEval:
         points = json.loads(out)
         assert points["1"]["em"] == 100.0
         assert points["10"]["em"] == 100.0
+
+    def test_rq2_reads_the_dialogue_with_the_configured_entities(
+            self, workdir, capsys, monkeypatch):
+        sample = Path(__file__).parent.parent / "sample_data"
+        for name in ("dump.jsonl", "entities.json"):
+            (workdir / name).write_bytes((sample / name).read_bytes())
+        config = json.loads((workdir / "factcache.json").read_text())
+        config["data"] = {"entities_path": "entities.json"}
+        (workdir / "factcache.json").write_text(json.dumps(config))
+        run(capsys, "data", "build", "--triples", "dump.jsonl",
+            "--out", "chains.jsonl", "--multihop")
+        evaluated = []
+        scenario = factcache.cli.run_multihop_scenario
+
+        def spy(chains, pipeline):
+            evaluated.extend(chains)
+            return scenario(chains, pipeline)
+
+        monkeypatch.setattr(factcache.cli, "run_multihop_scenario", spy)
+        code, _, _ = run(capsys, "eval", "rq2", "--items", "chains.jsonl")
+        assert code == 0
+        turns = [turn for chain in evaluated for turn in chain.dialogue_turns]
+        assert "Who is his spouse?" in turns  # Joe Biden is a male person
 
     def test_bad_suite_name_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:

@@ -92,12 +92,9 @@ class TestMainEval:
 
     def test_nkl_unavailable_without_distributions(self, templates):
         class NoDistributionMock(MockTableModel):
-            supports_distribution = False
-
             def generate(self, prompt):
                 answer = super().generate(prompt)
-                return type(answer)(text=answer.text, distribution=None,
-                                    latency=answer.latency)
+                return type(answer)(text=answer.text, distribution=None)
 
         items, pipeline = desk_set(templates, n=3)
         pipeline.model = NoDistributionMock()
