@@ -471,8 +471,10 @@ class TieredFactStore:
         and pin the subject. An edit to a subject that is not resident is
         laid over the slow source's facts on its next retrieve.
 
-        Re-applying the current object is a no-op reported as REPLACED with
-        no version bump. The (subject, relation) key stays unique.
+        Re-applying the current object is reported as REPLACED with no
+        version bump; it still marks the fact, and a manual edit also takes
+        over the fact's provenance unless a manual edit issued later holds
+        it. The (subject, relation) key stays unique.
         """
         triple = FactTriple(
             subject=edit.subject,
@@ -510,6 +512,12 @@ class TieredFactStore:
             record.edited_at = self._edits
         existing = record.facts.get(triple.relation)
         if existing is not None and existing.obj == triple.obj:
+            if (edited and triple.source is Source.MANUAL
+                    and not self._manual_wins(existing, triple.fetched_at)):
+                # a manual edit takes over the provenance of what it confirms
+                record.facts[triple.relation] = dataclasses.replace(
+                    triple, version=existing.version)
+                record.view = None
             return UpdateOutcome.REPLACED, False
         record.view = None
         if existing is None:

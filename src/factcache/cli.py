@@ -87,21 +87,17 @@ def _entities(cfg: Config) -> Optional[dict[str, EntityRef]]:
     return load_entities(cfg.entities_path) if cfg.entities_path else None
 
 
-def _aliases(cfg: Config, store: TieredFactStore) -> AliasIndex:
+def _pipeline(cfg: Config, store: TieredFactStore,
+              entities: Optional[dict[str, EntityRef]]) -> Pipeline:
     triples = list(store.fast_snapshot())
     if isinstance(store.slow, LocalDumpSource):
         triples += store.slow.triples  # already parsed, in dump-file order
-    index = AliasIndex.from_triples(triples)
-    if cfg.entities_path:
-        for ref in load_entities(cfg.entities_path).values():
-            index.add_entity(ref)
-    return index
-
-
-def _pipeline(cfg: Config, store: TieredFactStore) -> Pipeline:
+    aliases = AliasIndex.from_triples(triples)
+    for ref in (entities or {}).values():
+        aliases.add_entity(ref)
     return Pipeline(
         store=store,
-        aliases=_aliases(cfg, store),
+        aliases=aliases,
         model=_model(cfg),
         k=cfg.k,
         extractor=ExtractorKind(cfg.extractor),
@@ -137,7 +133,7 @@ def cmd_edit(cfg: Config, args) -> int:
 
 def cmd_query(cfg: Config, args) -> int:
     store = _store(cfg)
-    pipeline = _pipeline(cfg, store)
+    pipeline = _pipeline(cfg, store, _entities(cfg))
     task = TaskKind(args.task)
     answer, trace = pipeline.answer_traced(args.question, task)
     _save(cfg, store)  # persist before printing; output pipes may close early
@@ -247,9 +243,10 @@ def cmd_data_validate(cfg: Config, args) -> int:
     return 0
 
 
-def cmd_eval(cfg: Config, args, seed: int) -> int:
+def cmd_eval(cfg: Config, args) -> int:
     store = _store(cfg, fresh=True)  # evaluation never touches saved state
-    pipeline = _pipeline(cfg, store)
+    entities = _entities(cfg)
+    pipeline = _pipeline(cfg, store, entities)
     fmt = args.format
 
     if args.suite in ("main", "rq1", "rq2"):
@@ -258,7 +255,7 @@ def cmd_eval(cfg: Config, args, seed: int) -> int:
         if not path:
             _err(f"eval {args.suite} requires --items or a configured path")
             return 2
-        items = load_benchmark(path, entities=_entities(cfg))
+        items = load_benchmark(path, entities=entities)
         pipeline.aliases.merge(aliases_for_items(items))
 
     if args.suite == "main":
@@ -386,7 +383,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.data_command == "build":
                 return cmd_data_build(cfg, args, seed)
             return cmd_data_validate(cfg, args)
-        return cmd_eval(cfg, args, seed)
+        return cmd_eval(cfg, args)
     except FactCacheError as exc:
         _err(f"error: {exc}")
         return 1

@@ -1,9 +1,10 @@
 """Configuration loading for the command-line tool.
 
 One JSON document configures the slow source, the model client, pipeline
-knobs, evaluation parameters, and data paths. Anything omitted falls back
-to a sensible default and unknown keys are ignored; referenced input paths
-must resolve at load time.
+knobs, evaluation parameters, and data paths. Anything omitted or null
+falls back to a sensible default and unknown keys are ignored; a section
+that is not an object, or a count that is not an integer, is an error, and
+referenced input paths must resolve at load time.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ def load_config(path: Optional[str] = None) -> Config:
     except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    store = raw.get("store", {})
-    slow = raw.get("slow_source", {})
-    model = raw.get("model", {})
-    pipe = raw.get("pipeline", {})
-    eval_cfg = raw.get("eval", {})
-    data = raw.get("data", {})
+    raw = _object(raw, "config")
+    store = _object(raw.get("store"), "store")
+    slow = _object(raw.get("slow_source"), "slow_source")
+    model = _object(raw.get("model"), "model")
+    pipe = _object(raw.get("pipeline"), "pipeline")
+    eval_cfg = _object(raw.get("eval"), "eval")
+    data = _object(raw.get("data"), "data")
 
     try:
         cfg = Config(
@@ -80,27 +82,43 @@ def load_config(path: Optional[str] = None) -> Config:
             slow_kind=slow.get("kind", "memory"),
             slow_locator=slow.get("locator", ""),
             model_kind=model.get("kind", "mock"),
-            model_endpoint=model.get("endpoint", "") or "",
-            api_key_env=model.get("api_key_env", "") or "",
+            model_endpoint=model.get("endpoint", ""),
+            api_key_env=model.get("api_key_env", ""),
             model_max_tokens=model.get("max_tokens", 64),
             model_priors=dict(model.get("priors", {})),
             k=pipe.get("k", 1),
             extractor=pipe.get("extractor", "alias_dictionary"),
-            sure_params=SUREParams(**eval_cfg.get("sure", {})),
+            sure_params=SUREParams(**_object(eval_cfg.get("sure"),
+                                             "eval.sure")),
             seed=eval_cfg.get("seed", 7),
-            templates_path=data.get("templates_path", "") or "",
-            entities_path=data.get("entities_path", "") or "",
-            benchmark_path=data.get("benchmark_path", "") or "",
-            multihop_path=data.get("multihop_path", "") or "",
+            templates_path=data.get("templates_path", ""),
+            entities_path=data.get("entities_path", ""),
+            benchmark_path=data.get("benchmark_path", ""),
+            multihop_path=data.get("multihop_path", ""),
         )
+        _validate(cfg, config_path.parent)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-
-    _validate(cfg, config_path.parent)
     return cfg
 
 
+def _object(value, name: str) -> dict:
+    """A config object without its nulls, so that each falls back to its
+    default; a missing or null object is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+    return {key: item for key, item in value.items() if item is not None}
+
+
 def _validate(cfg: Config, base: Path) -> None:
+    for key, value in (("store.capacity", cfg.capacity),
+                       ("store.prefetch_depth", cfg.prefetch_depth),
+                       ("model.max_tokens", cfg.model_max_tokens),
+                       ("pipeline.k", cfg.k), ("eval.seed", cfg.seed)):
+        if value is not None and type(value) is not int:  # a bool is not
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     if cfg.slow_kind not in ("memory", "local_dump", "remote_sparql"):
         raise ConfigError(f"unknown slow source kind: {cfg.slow_kind!r}")
     if cfg.slow_kind == "local_dump":

@@ -27,11 +27,19 @@ log = logging.getLogger(__name__)
 
 CHOICE_LETTERS = ("A", "B", "C")
 
+# each single-hop task's record key, in record order
+QUERY_KEYS = {
+    TaskKind.QA: "qa_query",
+    TaskKind.CLOZE: "fill_query",
+    TaskKind.COMPLETION: "completion_query",
+    TaskKind.CHOICE: "choose_query",
+    TaskKind.FACT_CHECK: "FC_query",
+}
+
 SINGLE_HOP_KEYS = (
     "subject_label", "relation_label", "object_label",
     "localitysubjectLabel", "localityobjectLabel",
-    "qa_query", "fill_query", "completion_query", "choose_query",
-    "FC_query", "locality_query",
+    *QUERY_KEYS.values(), "locality_query",
 )
 
 FC_INSTRUCTION_PREFIX = "Determine whether the proposition is true.\nProposition:"
@@ -100,28 +108,42 @@ class BenchmarkItem:
 
     queries maps each edit-facing task kind to the final query string; the
     CHOICE and FACT_CHECK entries embed their options / proposition, and the
-    parsed forms are kept alongside for scoring.
+    parsed options are kept alongside for scoring. The gold answer is the
+    object label, and the fact-check truth is read off the proposition.
     """
 
     triple: FactTriple
     queries: Mapping[TaskKind, str]
-    gold: str
     choice_options: tuple[tuple[str, str], ...]  # (letter, option text)
-    fc_truth: bool
     locality_subject: str
     locality_object: str
     locality_query: str
 
     def __post_init__(self):
         object.__setattr__(self, "queries", dict(self.queries))
-        if self.gold != self.triple.object_label:
-            raise SchemaViolation("gold answer must equal the object label")
         matches = sum(1 for _, text in self.choice_options if text == self.gold)
         if matches != 1:
             raise SchemaViolation(
                 f"choice options must contain the gold exactly once, got {matches}")
         if self.locality_subject == self.triple.subject_label:
             raise SchemaViolation("locality probe must not share the subject")
+
+    @property
+    def gold(self) -> str:
+        return self.triple.object_label
+
+    @property
+    def fc_truth(self) -> bool:
+        """Whether the proposition states the gold answer. Generated
+        propositions have the fixed shape instruction + completion query +
+        stated option + period, so the stated option is recovered exactly;
+        foreign shapes fall back to token-bounded containment."""
+        fc = self.queries[TaskKind.FACT_CHECK]
+        prefix = (f"{FC_INSTRUCTION_PREFIX}"
+                  f"{self.queries[TaskKind.COMPLETION]} ")
+        if fc.startswith(prefix) and fc.endswith("."):
+            return fc[len(prefix):-1] == self.gold
+        return contains_phrase(fc, self.gold)
 
     def gold_for(self, task: TaskKind) -> str:
         if task is TaskKind.FACT_CHECK:
@@ -140,11 +162,7 @@ class BenchmarkItem:
             "object_label": self.triple.object_label,
             "localitysubjectLabel": self.locality_subject,
             "localityobjectLabel": self.locality_object,
-            "qa_query": self.queries[TaskKind.QA],
-            "fill_query": self.queries[TaskKind.CLOZE],
-            "completion_query": self.queries[TaskKind.COMPLETION],
-            "choose_query": self.queries[TaskKind.CHOICE],
-            "FC_query": self.queries[TaskKind.FACT_CHECK],
+            **{key: self.queries[task] for task, key in QUERY_KEYS.items()},
             "locality_query": self.locality_query,
         }
 
@@ -168,36 +186,14 @@ class BenchmarkItem:
         try:
             return cls(
                 triple=triple,
-                queries={
-                    TaskKind.QA: record["qa_query"],
-                    TaskKind.CLOZE: record["fill_query"],
-                    TaskKind.COMPLETION: record["completion_query"],
-                    TaskKind.CHOICE: record["choose_query"],
-                    TaskKind.FACT_CHECK: record["FC_query"],
-                },
-                gold=record["object_label"],
+                queries={task: record[key] for task, key in QUERY_KEYS.items()},
                 choice_options=options,
-                fc_truth=_infer_fc_truth(record),
                 locality_subject=record["localitysubjectLabel"],
                 locality_object=record["localityobjectLabel"],
                 locality_query=record["locality_query"],
             )
         except SchemaViolation as exc:
             raise SchemaViolation(str(exc), line) from exc
-
-
-def _infer_fc_truth(record: Mapping) -> bool:
-    """Truth is not serialized; a true proposition states the gold object.
-
-    Generated propositions have the fixed shape instruction + completion
-    query + stated option + period, so the stated option is recovered
-    exactly; foreign shapes fall back to token-bounded containment.
-    """
-    fc = record["FC_query"]
-    prefix = f"{FC_INSTRUCTION_PREFIX}{record['completion_query']} "
-    if fc.startswith(prefix) and fc.endswith("."):
-        return fc[len(prefix):-1] == record["object_label"]
-    return contains_phrase(fc, record["object_label"])
 
 
 def _parse_choice_options(choose_query: str, line: Optional[int] = None
@@ -234,8 +230,6 @@ def build_item(triple: FactTriple, relation: RelationRef,
             f"distractors must be distinct from the gold answer: {distractors}")
     if locality.relation != triple.relation:
         raise SchemaViolation("locality probe must share the relation")
-    if locality.subject == triple.subject:
-        raise SchemaViolation("locality probe must not share the subject")
 
     subject = triple.subject_label
     qa = fill_template(relation.template(TaskKind.QA), subject)
@@ -265,9 +259,7 @@ def build_item(triple: FactTriple, relation: RelationRef,
             TaskKind.CHOICE: choose,
             TaskKind.FACT_CHECK: fc,
         },
-        gold=gold,
         choice_options=tuple(zip(CHOICE_LETTERS, options)),
-        fc_truth=truth,
         locality_subject=locality.subject_label,
         locality_object=locality.object_label,
         locality_query=locality_query,
@@ -281,19 +273,18 @@ class MultiHopItem:
     """An ordered chain of triples with per-hop questions, one nested
     question template, and derived dialogue turns.
 
-    The chain satisfies object(i) == subject(i+1); the answer to the whole
-    item is the final object label.
+    The chain has 2..5 links and satisfies object(i) == subject(i+1); the
+    answer to the whole item is the final object label.
     """
 
     chain: tuple[FactTriple, ...]
     hop_queries: tuple[str, ...]
     multihop_query: str
     dialogue_turns: tuple[str, ...]
-    final_gold: str
 
     def __post_init__(self):
         if not 2 <= len(self.chain) <= 5:
-            raise SchemaViolation(
+            raise BrokenChain(
                 f"chain length must be 2..5, got {len(self.chain)}")
         for left, right in zip(self.chain, self.chain[1:]):
             if left.obj != right.subject:
@@ -305,15 +296,14 @@ class MultiHopItem:
         if self.multihop_query.count("{}") != 1:
             raise SchemaViolation(
                 "multihop query must keep exactly one {} placeholder")
-        if self.final_gold != self.chain[-1].object_label:
-            raise SchemaViolation("final gold must equal the last object label")
 
     @property
     def hops(self) -> int:
         return len(self.chain)
 
-    def filled_multihop_query(self) -> str:
-        return fill_template(self.multihop_query, self.chain[0].subject_label)
+    @property
+    def final_gold(self) -> str:
+        return self.chain[-1].object_label
 
     def to_record(self) -> dict:
         record: dict = {"s1_label": self.chain[0].subject_label}
@@ -329,13 +319,9 @@ class MultiHopItem:
     def from_record(cls, record: Mapping, line: Optional[int] = None,
                     entities: Optional[Mapping[str, EntityRef]] = None
                     ) -> "MultiHopItem":
-        if "s1_label" not in record:
-            raise SchemaViolation("missing key: s1_label", line)
         hops = 0
         while f"relation_label_{hops + 1}" in record:
             hops += 1
-        if not 2 <= hops <= 5:
-            raise SchemaViolation(f"chain length must be 2..5, got {hops}", line)
         required = ["s1_label", "MultihopQA_query"]
         for i in range(1, hops + 1):
             required += [f"relation_label_{i}", f"o{i}_label", f"qa_query_{i}"]
@@ -362,7 +348,6 @@ class MultiHopItem:
                 hop_queries=hop_queries,
                 multihop_query=record["MultihopQA_query"],
                 dialogue_turns=turns,
-                final_gold=chain[-1].object_label,
             )
         except (SchemaViolation, BrokenChain) as exc:
             raise SchemaViolation(str(exc), line) from exc
@@ -371,7 +356,7 @@ class MultiHopItem:
 def _derive_dialogue_turns(
         chain: Sequence[FactTriple], hop_queries: Sequence[str],
         entities: Optional[Mapping[str, EntityRef]]) -> tuple[str, ...]:
-    turns = [hop_queries[0]]
+    turns = list(hop_queries[:1])
     for t, query in zip(chain[1:], hop_queries[1:]):
         entity = entities.get(t.subject) if entities else None
         turns.append(dialogue_turn(query, t.subject_label, entity))
@@ -386,14 +371,8 @@ def build_multihop(chain: Sequence[FactTriple],
 
     `relations` maps relation ids to their templates; every relation but the
     last needs a nesting phrase (MULTI_HOP_QA template), the last needs QA.
+    MultiHopItem checks the chain.
     """
-    if not 2 <= len(chain) <= 5:
-        raise BrokenChain(f"chain length must be 2..5, got {len(chain)}")
-    for left, right in zip(chain, chain[1:]):
-        if left.obj != right.subject:
-            raise BrokenChain(
-                f"object {left.obj!r} does not match next subject "
-                f"{right.subject!r}")
     refs = []
     for t in chain:
         ref = relations.get(t.relation)
@@ -405,19 +384,18 @@ def build_multihop(chain: Sequence[FactTriple],
         fill_template(ref.template(TaskKind.QA), t.subject_label)
         for ref, t in zip(refs, chain))
 
-    phrase = "{}"
-    for ref in refs[:-1]:
-        if TaskKind.MULTI_HOP_QA not in ref.task_templates:
+    multihop_query = "{}"
+    for i, ref in enumerate(refs, start=1):
+        kind = TaskKind.QA if i == len(refs) else TaskKind.MULTI_HOP_QA
+        if kind not in ref.task_templates:
             raise BadTemplate(f"relation {ref.id!r} has no nesting phrase")
-        phrase = ref.template(TaskKind.MULTI_HOP_QA).replace("{}", phrase)
-    multihop_query = refs[-1].template(TaskKind.QA).replace("{}", phrase)
+        multihop_query = ref.template(kind).replace("{}", multihop_query)
 
     return MultiHopItem(
         chain=tuple(chain),
         hop_queries=hop_queries,
         multihop_query=multihop_query,
         dialogue_turns=_derive_dialogue_turns(chain, hop_queries, entities),
-        final_gold=chain[-1].object_label,
     )
 
 
@@ -444,7 +422,8 @@ def build_benchmark(triples: Iterable[FactTriple],
     """Single-hop items for relations with three or more facts, in relation
     id order. Each fact needs two distractors from the relation's other
     object labels and, as its locality probe, the relation's next fact
-    (wrapping around) about another subject; without them it is skipped."""
+    (wrapping around) whose subject label differs, since a record holds
+    labels only; without them it is skipped."""
     items = []
     for _, group in sorted(_by_relation(triples, templates).items()):
         if len(group) < 3:
@@ -456,7 +435,7 @@ def build_benchmark(triples: Iterable[FactTriple],
                 continue
             distractors = rng.sample(candidates, 2)
             locality = next((lt for _, lt in group[i + 1:] + group[:i]
-                             if lt.subject != t.subject), None)
+                             if lt.subject_label != t.subject_label), None)
             if locality is None:
                 continue
             items.append(build_item(t, ref, distractors, locality, rng))
@@ -527,7 +506,7 @@ def load_benchmark(path: str | Path, strict: bool = True,
                         record, lineno, entities))
                 else:
                     items.append(BenchmarkItem.from_record(record, lineno))
-            except (SchemaViolation, BrokenChain) as exc:
+            except SchemaViolation as exc:  # from_record raises no other
                 if strict:
                     raise
                 log.warning("skipping %s:%s: %s", path, lineno, exc)

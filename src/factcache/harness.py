@@ -135,10 +135,8 @@ def run_main_eval(items: Iterable[BenchmarkItem], pipeline: Pipeline,
     choice_maps: list[dict[str, str]] = []
     for item in single_hop:
         for task in SINGLE_HOP_TASKS:
-            query = item.queries.get(task)
-            if query is None:
-                continue
-            answer = pipeline.answer(query, task, use_evidence=use_evidence)
+            answer = pipeline.answer(item.queries[task], task,
+                                     use_evidence=use_evidence)
             per_task_pairs.setdefault(task, []).append(
                 (answer.text, item.gold_for(task)))
             if task is TaskKind.CHOICE:
@@ -332,10 +330,8 @@ def run_multihop_scenario(items: Iterable[MultiHopItem], pipeline: Pipeline,
         by_hops.setdefault(item.hops, []).append(item)
 
     em: dict[str, dict[int, float]] = {}
-    reference: dict[str, dict[int, float]] = {}
     for mode in (MultihopMode.DECOMPOSE, MultihopMode.DIALOGUE):
         em[mode.value] = {}
-        reference[mode.value] = {}
         for hops, group in sorted(by_hops.items()):
             correct = 0
             for item in group:
@@ -347,11 +343,10 @@ def run_multihop_scenario(items: Iterable[MultiHopItem], pipeline: Pipeline,
                         item.final_gold):
                     correct += 1
             em[mode.value][hops] = 100.0 * correct / len(group)
-            ref = REFERENCE_MULTIHOP_EM.get((mode.value, hops))
-            if ref is not None:
-                reference[mode.value][hops] = ref
     return MultihopReport(
         em=em,
         counts={hops: len(group) for hops, group in sorted(by_hops.items())},
-        reference_em=reference,
+        reference_em={mode: {hops: REFERENCE_MULTIHOP_EM[(mode, hops)]
+                             for hops in by_hops_em}
+                      for mode, by_hops_em in em.items()},
     )

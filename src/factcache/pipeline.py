@@ -307,9 +307,7 @@ class Pipeline:
                                                   item.hop_queries)):
             # intermediate objects may have been edited since the item was
             # built; retarget the stored sub-question at the current entity
-            query = hop_query
-            if link.subject_label != current:
-                query = hop_query.replace(link.subject_label, current)
+            query = hop_query.replace(link.subject_label, current)
             answer, trace = self.answer_traced(query, TaskKind.MULTI_HOP_QA)
             if not trace.evidence:
                 raise HopFailed(i + 1)

@@ -108,8 +108,8 @@ class RelationRef:
                         "exactly one {} placeholder"
                     )
 
-    def template(self, kind: TaskKind, variant: int = 0) -> str:
-        return self.task_templates[kind][variant]
+    def template(self, kind: TaskKind) -> str:
+        return self.task_templates[kind][0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -362,7 +362,8 @@ def test_sync_lays_the_surviving_edits_over_a_changed_source(scenario):
          for (s, r), o in source.items()], prefetch_depth=0)
     resident: dict[str, dict[str, str]] = {}
     edited: set[tuple[str, str]] = set()
-    newer_manual: dict[tuple[str, str], bool] = {}
+    # the age of each edited fact's manual edit, None for a synthetic one
+    manual_age: dict[tuple[str, str], int | None] = {}
     for op in ops:
         if op[0] == "read":
             subject = op[1]
@@ -373,12 +374,16 @@ def test_sync_lays_the_surviving_edits_over_a_changed_source(scenario):
                     facts.setdefault(relation, obj)  # each edit wins
             store.retrieve(subject)
             continue
-        _, (subject, relation), obj, age = op
+        _, key, obj, age = op
+        subject, relation = key
         facts = resident.setdefault(subject, {})
-        if facts.get(relation) != obj:  # a re-applied object keeps its source
+        if facts.get(relation) != obj:
             facts[relation] = obj
-            newer_manual[(subject, relation)] = age == 1
-        edited.add((subject, relation))
+            manual_age[key] = age
+        elif age is not None and (manual_age.get(key) is None
+                                  or manual_age[key] < age):
+            manual_age[key] = age  # a manual edit takes over a kept object
+        edited.add(key)
         if age is None:
             store.apply_update(EditRequest(subject, relation, obj))
         else:
@@ -401,7 +406,7 @@ def test_sync_lays_the_surviving_edits_over_a_changed_source(scenario):
     for subject, facts in resident.items():
         held = {r: o for (s, r), o in now.items() if s == subject}
         kept = {r for r in facts if (subject, r) in edited and (
-            r not in held or newer_manual.get((subject, r), False)
+            r not in held or manual_age.get((subject, r)) == 1
             and facts[r] != held[r])}
         view = {**held, **{r: facts[r] for r in kept}}
         if view:  # a subject left with no fact is dropped
@@ -453,6 +458,30 @@ class TestSync:
                                         issued_at=after_snapshot))
         assert store.sync() == 0
         assert store.get("US", "head_of_gov").obj == "Harris"
+
+    def test_a_newer_manual_edit_that_confirms_the_value_survives(self):
+        store, slow = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        after_snapshot = SNAPSHOT + timedelta(hours=2)
+        assert store.inject_manual(EditRequest(
+            "US", "head_of_gov", "Biden", issued_at=after_snapshot)) \
+            is UpdateOutcome.REPLACED
+        (served,) = store.retrieve("US")
+        assert (served.source, served.fetched_at, served.version) == (
+            Source.MANUAL, after_snapshot, 1)
+        slow.put(triple("US", "head_of_gov", "Harris",
+                        source=Source.WIKIDATA, fetched_at=SNAPSHOT))
+        assert store.sync() == 0
+        assert store.get("US", "head_of_gov").obj == "Biden"
+
+    def test_an_older_manual_edit_keeps_the_newer_ones_provenance(self):
+        store, _ = make_store([US_BIDEN], prefetch_depth=0)
+        newer, older = (SNAPSHOT + timedelta(hours=h) for h in (2, 1))
+        store.inject_manual(EditRequest("US", "head_of_gov", "Harris",
+                                        issued_at=newer))
+        store.inject_manual(EditRequest("US", "head_of_gov", "Harris",
+                                        issued_at=older))
+        assert store.get("US", "head_of_gov").fetched_at == newer
 
     def test_manual_edit_older_than_snapshot_loses(self):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)

@@ -315,8 +315,9 @@ class TestEval:
         assert points["1"]["em"] == 100.0
         assert points["10"]["em"] == 100.0
 
-    def test_rq2_reads_the_dialogue_with_the_configured_entities(
-            self, workdir, capsys, monkeypatch):
+    @staticmethod
+    def build_sample_chains(workdir, capsys):
+        """Chains from the sample dump, with its entities configured."""
         sample = Path(__file__).parent.parent / "sample_data"
         for name in ("dump.jsonl", "entities.json"):
             (workdir / name).write_bytes((sample / name).read_bytes())
@@ -325,6 +326,10 @@ class TestEval:
         (workdir / "factcache.json").write_text(json.dumps(config))
         run(capsys, "data", "build", "--triples", "dump.jsonl",
             "--out", "chains.jsonl", "--multihop")
+
+    def test_rq2_reads_the_dialogue_with_the_configured_entities(
+            self, workdir, capsys, monkeypatch):
+        self.build_sample_chains(workdir, capsys)
         evaluated = []
         scenario = factcache.cli.run_multihop_scenario
 
@@ -337,6 +342,21 @@ class TestEval:
         assert code == 0
         turns = [turn for chain in evaluated for turn in chain.dialogue_turns]
         assert "Who is his spouse?" in turns  # Joe Biden is a male person
+
+    def test_an_eval_parses_the_entities_file_once(
+            self, workdir, capsys, monkeypatch):
+        self.build_sample_chains(workdir, capsys)
+        calls = []
+        load = factcache.cli.load_entities
+
+        def counting(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(factcache.cli, "load_entities", counting)
+        code, _, _ = run(capsys, "eval", "rq2", "--items", "chains.jsonl")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_bad_suite_name_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:

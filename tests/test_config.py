@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 
-from factcache.config import load_config
+import pytest
+
+from factcache.cli import main
+from factcache.config import Config, load_config
 
 
 def test_removed_pipeline_keys_are_ignored(tmp_path):
@@ -15,3 +18,41 @@ def test_removed_pipeline_keys_are_ignored(tmp_path):
     cfg = load_config(str(path))
     assert (cfg.k, cfg.extractor) == (2, "model_prompted")
     assert not hasattr(cfg, "max_hops") and not hasattr(cfg, "scorer")
+
+
+def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
+    path = tmp_path / "factcache.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["--config", str(path), "cache", "stats"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, key", [
+    ([], "config"),
+    ({"store": []}, "store"),
+    ({"eval": {"sure": 1}}, "eval.sure"),
+    ({"store": {"capacity": "10"}}, "store.capacity"),
+    ({"store": {"capacity": True}}, "store.capacity"),
+    ({"store": {"prefetch_depth": True}}, "store.prefetch_depth"),
+    ({"model": {"max_tokens": "64"}}, "model.max_tokens"),
+    ({"pipeline": {"k": "2"}}, "pipeline.k"),
+    ({"eval": {"seed": 1.5}}, "eval.seed"),
+])
+def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
+                                                       config, key):
+    code, err = run_cache_stats(tmp_path, capsys, config)
+    assert code == 1
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("config", [
+    {"store": None},
+    {"store": {"state_path": None, "capacity": None}},
+    {"pipeline": {"k": None}},
+    {"eval": {"sure": None, "seed": None}},
+])
+def test_a_null_section_or_key_means_its_default(tmp_path, capsys, config):
+    code, err = run_cache_stats(tmp_path, capsys, config)
+    assert (code, err) == (0, "")
+    assert load_config(str(tmp_path / "factcache.json")) == Config(
+        state_path=str(tmp_path / "factcache_state.json"))

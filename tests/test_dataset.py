@@ -118,7 +118,7 @@ class TestBuildMultihop:
         assert item.multihop_query == (
             "In which administrative territorial entity is the entities {} "
             "owns located?")
-        assert item.filled_multihop_query() == (
+        assert fill_template(item.multihop_query, "Amtrak") == (
             "In which administrative territorial entity is the entities "
             "Amtrak owns located?")
         assert item.hop_queries[0] == "What entities does Amtrak owns?"
@@ -196,6 +196,15 @@ class TestBuildFromDump:
         # the probe is the relation's next fact, wrapping around
         assert [i.locality_subject for i in forward] == \
             ["Naples", "Paris", "Kyoto"]
+
+    def test_a_probe_never_shares_the_subject_label(self, templates):
+        # two places named Springfield: neither probes the other
+        facts = [triple("Q1", "P6", "Ann", subject_label="Springfield"),
+                 triple("Q2", "P6", "Bob", subject_label="Springfield"),
+                 triple("Q3", "P6", "Cy", subject_label="Shelbyville")]
+        items = build_benchmark(facts, templates, random.Random(1))
+        assert [(i.triple.subject, i.locality_subject) for i in items] == [
+            ("Q1", "Shelbyville"), ("Q2", "Shelbyville"), ("Q3", "Springfield")]
 
     def test_chains_follow_objects_and_drop_dead_ends(self, templates):
         facts = [_fact("Westwood", "P17", "United States"),
