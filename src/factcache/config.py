@@ -2,9 +2,10 @@
 
 One JSON document configures the slow source, the model client, pipeline
 knobs, evaluation parameters, and data paths. Anything omitted or null
-falls back to a sensible default and unknown keys are ignored; a section
-that is not an object, or a count that is not an integer, is an error, and
-referenced input paths must resolve at load time.
+falls back to a sensible default and unknown keys are ignored; a value of
+the wrong type (a section or `model.priors` that is not an object, a count
+that is not an integer, a name or path that is not a string) is an error
+naming its key, and referenced input paths must resolve at load time.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def load_config(path: Optional[str] = None) -> Config:
             model_endpoint=model.get("endpoint", ""),
             api_key_env=model.get("api_key_env", ""),
             model_max_tokens=model.get("max_tokens", 64),
-            model_priors=dict(model.get("priors", {})),
+            model_priors=model.get("priors", {}),
             k=pipe.get("k", 1),
             extractor=pipe.get("extractor", "alias_dictionary"),
             sure_params=SUREParams(**_object(eval_cfg.get("sure"),
@@ -119,6 +120,24 @@ def _validate(cfg: Config, base: Path) -> None:
                        ("pipeline.k", cfg.k), ("eval.seed", cfg.seed)):
         if value is not None and type(value) is not int:  # a bool is not
             raise ConfigError(f"{key} must be an integer, got {value!r}")
+    for key, value in (("store.state_path", cfg.state_path),
+                       ("slow_source.kind", cfg.slow_kind),
+                       ("slow_source.locator", cfg.slow_locator),
+                       ("model.kind", cfg.model_kind),
+                       ("model.endpoint", cfg.model_endpoint),
+                       ("model.api_key_env", cfg.api_key_env),
+                       ("pipeline.extractor", cfg.extractor),
+                       ("data.templates_path", cfg.templates_path),
+                       ("data.entities_path", cfg.entities_path),
+                       ("data.benchmark_path", cfg.benchmark_path),
+                       ("data.multihop_path", cfg.multihop_path)):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+    priors = cfg.model_priors
+    if not (isinstance(priors, dict)
+            and all(isinstance(v, str) for v in priors.values())):
+        raise ConfigError(
+            f"model.priors must be an object of strings, got {priors!r}")
     if cfg.slow_kind not in ("memory", "local_dump", "remote_sparql"):
         raise ConfigError(f"unknown slow source kind: {cfg.slow_kind!r}")
     if cfg.slow_kind == "local_dump":

@@ -453,11 +453,14 @@ def build_multihop_benchmark(triples: Iterable[FactTriple],
              for p in group]
     pool = TripleSet(t for _, t in pairs)
     relation_map = {t.relation: ref for ref, t in pairs}
+    first_about: dict[str, FactTriple] = {}
+    for t in pool:  # key order, so the first fact about each subject stays
+        first_about.setdefault(t.subject, t)
     items = []
     for first in pool:
         chain = [first]
-        while len(chain) < hops and pool.by_subject(chain[-1].obj):
-            chain.append(pool.by_subject(chain[-1].obj)[0])
+        while len(chain) < hops and chain[-1].obj in first_about:
+            chain.append(first_about[chain[-1].obj])
         if len(chain) == hops:
             items.append(build_multihop(chain, relation_map, entities))
     return items

@@ -87,12 +87,8 @@ class HopFailed(FactCacheError):
 # --- model clients ---
 
 class ModelError(FactCacheError):
-    """Generation failed (network, auth, or malformed completion payload);
-    a 429 reply carries the server's retry-after hint, if any."""
-
-    def __init__(self, message: str, retry_after: float | None = None):
-        super().__init__(message)
-        self.retry_after = retry_after
+    """Generation failed (network, auth, an error reply, or a malformed
+    completion payload)."""
 
 
 class EmptyCompletion(ModelError):

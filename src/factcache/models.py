@@ -10,14 +10,13 @@ playing the role of a stale model.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Protocol
 
 from .errors import EmptyCompletion, ModelError
-from .prompts import AssembledPrompt, task_instruction
-from .ranking import contains_phrase, tokenize
-from .sparqlio import TransportReply, parse_retry_after, with_retries
+from .prompts import AssembledPrompt
+from .ranking import tokenize
+from .sparqlio import TransportReply
 from .triples import TaskKind
 
 DISTRIBUTION_TOLERANCE = 1e-9
@@ -60,7 +59,8 @@ class MockTableModel:
 
     The answer is the object of the first evidence triple whose relation
     tokens overlap the query; fact-check prompts instead yield True/False
-    depending on whether that object appears in the proposition. With no
+    depending on whether the proposition ends with that object, since a
+    proposition states its option last ("... is Paris."). With no
     applicable evidence the fixed prior table answers (DEFAULT_ANSWER when
     the query is unknown). The emitted distribution puts mass 1 - EPSILON on
     the answer and spreads EPSILON uniformly over the candidate set.
@@ -74,15 +74,14 @@ class MockTableModel:
 
     def generate(self, prompt: AssembledPrompt) -> ModelAnswer:
         applicable = self._applicable_triple(prompt)
-        if applicable is not None:
-            if prompt.task_instruction == task_instruction(TaskKind.FACT_CHECK):
-                stated = contains_phrase(prompt.query,
-                                         applicable.object_label)
-                answer = "True" if stated else "False"
-            else:
-                answer = applicable.object_label
-        else:
+        if applicable is None:
             answer = self.priors.get(prompt.query, self.DEFAULT_ANSWER)
+        elif prompt.task is TaskKind.FACT_CHECK:
+            said = tokenize(applicable.object_label)
+            stated = said and tokenize(prompt.query)[-len(said):] == said
+            answer = "True" if stated else "False"
+        else:
+            answer = applicable.object_label
         return ModelAnswer(text=answer,
                            distribution=self._distribution(prompt, answer))
 
@@ -95,7 +94,7 @@ class MockTableModel:
 
     def _applicable_triple(self, prompt: AssembledPrompt):
         query_tokens = set(tokenize(prompt.query)) - _STOPWORDS
-        for triple in prompt.evidence_triples:
+        for triple in prompt.evidence:
             relation_tokens = set(tokenize(triple.relation_label)) - _STOPWORDS
             if relation_tokens & query_tokens:
                 return triple
@@ -105,7 +104,7 @@ class MockTableModel:
                       answer: str) -> dict[str, float]:
         candidates = {answer, self.DEFAULT_ANSWER}
         candidates.update(self.priors.values())
-        candidates.update(t.object_label for t in prompt.evidence_triples)
+        candidates.update(t.object_label for t in prompt.evidence)
         ordered = sorted(candidates)
         share = self.EPSILON / len(ordered)
         dist = {c: share for c in ordered}
@@ -131,17 +130,14 @@ class HttpCompletionModel:
 
     Request: {"prompt": str, "max_tokens": int}; response: {"text": str}.
     The answer is the trimmed first line of the completion. Generation is
-    not idempotent, so the request is retried at most `retry_budget` extra
-    times and the final error is surfaced verbatim. A 429 reply's
-    Retry-After hint replaces the doubling backoff.
+    not idempotent, so each call sends one request and never retries it;
+    any failure raises ModelError.
     """
 
     endpoint: str
     api_key: Optional[str] = None
     max_tokens: int = 64
-    retry_budget: int = 0
     transport: PostTransport = field(default=requests_post_transport)
-    sleep: Callable[[float], None] = field(default=time.sleep)
 
     def generate(self, prompt: AssembledPrompt) -> ModelAnswer:
         return ModelAnswer(text=self.complete_text(prompt.render()))
@@ -151,21 +147,13 @@ class HttpCompletionModel:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        return with_retries(lambda: self._post_once(payload, headers),
-                            self.retry_budget + 1, self.sleep,
-                            ModelError)  # final error verbatim
-
-    def _post_once(self, payload: dict, headers: Mapping[str, str]) -> str:
         try:
             reply = self.transport(self.endpoint, payload, headers)
         except Exception as exc:
             raise ModelError(f"completion request failed: {exc}") from exc
         if not 200 <= reply.status < 300:
-            raise ModelError(
-                f"completion endpoint returned HTTP {reply.status}: "
-                f"{reply.text[:200]}",
-                retry_after=(parse_retry_after(reply.headers)
-                             if reply.status == 429 else None))
+            raise ModelError(f"completion endpoint returned HTTP "
+                             f"{reply.status}: {reply.text[:200]}")
         try:
             body = json.loads(reply.text)
             completion = body["text"]

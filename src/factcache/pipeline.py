@@ -19,7 +19,7 @@ from .dataset import MultiHopItem, substitute_pronoun
 from .errors import HopFailed
 from .models import ModelAnswer, ModelClient
 from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
-from .ranking import RankedEvidence, rank_triples, tokenize
+from .ranking import EMPTY_EVIDENCE, RankedEvidence, rank_triples, tokenize
 from .triples import EntityRef, FactTriple, TaskKind
 
 
@@ -176,9 +176,6 @@ class AnswerTrace:
     evidence: RankedEvidence
     prompt: AssembledPrompt
     latencies: dict[str, float] = field(default_factory=dict)
-
-
-EMPTY_EVIDENCE = RankedEvidence(triples=(), k=1)
 
 
 @dataclass

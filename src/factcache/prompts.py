@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence, Union
 
 from .errors import UnknownTask
 from .ranking import RankedEvidence
@@ -92,42 +91,25 @@ def build_extraction_prompt(text: str) -> str:
 
 @dataclass(frozen=True)
 class AssembledPrompt:
-    """A fully composed in-context prompt.
+    """A composed in-context prompt: the task, the query and the selected
+    evidence triples. `render` lays them out as the text a model reads."""
 
-    `evidence` holds the serialized ``(s, r, o)`` lines; the structured
-    triples ride along for programmatic consumers (e.g. the mock model).
-    """
-
-    task_instruction: str
-    exemplars: tuple[str, ...]
-    evidence: tuple[str, ...]
+    task: TaskKind
     query: str
-    evidence_triples: tuple[FactTriple, ...] = ()
+    evidence: tuple[FactTriple, ...]
 
     def render(self) -> str:
-        parts = [self.task_instruction, ""]
-        for block in self.exemplars:
+        parts = [task_instruction(self.task), ""]
+        for block in utilization_exemplars():
             parts += [block, ""]
-        parts.extend(self.evidence)
+        parts.extend(t.render() for t in self.evidence)
         parts.append(f"Q: {self.query}")
         parts.append("A: ")
         return "\n".join(parts)
 
 
-def assemble_prompt(task: TaskKind,
-                    evidence: Union[RankedEvidence, Sequence[FactTriple]],
+def assemble_prompt(task: TaskKind, evidence: RankedEvidence,
                     query: str) -> AssembledPrompt:
-    """Compose instruction, exemplars, evidence lines, and the query.
-
-    Empty evidence yields a prompt with no triple lines, so the model
-    answers unaided.
-    """
-    triples = (evidence.selected if isinstance(evidence, RankedEvidence)
-               else tuple(evidence))
-    return AssembledPrompt(
-        task_instruction=task_instruction(task),
-        exemplars=utilization_exemplars(),
-        evidence=tuple(t.render() for t in triples),
-        query=query,
-        evidence_triples=triples,
-    )
+    """The prompt for `query` over the selected evidence. Empty evidence
+    yields a prompt with no triple lines, so the model answers unaided."""
+    return AssembledPrompt(task, query, evidence.selected)

@@ -115,6 +115,9 @@ class RankedEvidence:
         return tuple(t for t, _ in self.triples)
 
 
+EMPTY_EVIDENCE = RankedEvidence(triples=(), k=1)
+
+
 def _cache_index(candidates: TripleSet) -> tuple:
     """Store `(norms, postings, shared, by_norm)` on the set and return it.
     `norms` follows the set's key order. If all facts have one subject

@@ -1,4 +1,4 @@
-"""Core fact-triple types: entities, relations, triples, and indexed triple sets.
+"""Core fact-triple types: entities, relations, triples, and triple sets.
 
 A triple's identity is its (subject, relation, object) key. Provenance fields
 (source, fetched_at, version) and display labels never affect set membership:
@@ -10,8 +10,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import groupby
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 TripleKey = tuple[str, str, str]
@@ -163,21 +161,20 @@ class FactTriple:
 
 
 class TripleSet:
-    """An immutable set of fact triples indexed by subject.
+    """An immutable set of fact triples.
 
     Membership and equality are keyed on (subject, relation, object) only;
     when duplicates are supplied the first occurrence wins. Iteration order
     is sorted by key, so downstream output is deterministic.
 
-    The set stores one key-sorted tuple, `triples`. The key and subject
-    indexes are built the first time membership, equality, `keys()`,
-    `by_subject()` or `subjects` needs them, so a set that is only iterated
-    and ranked never holds them. `rank_index` is a cache that ranking fills
-    the first time it ranks a set of two or more facts; the set is
-    immutable, so the index never goes stale.
+    The set stores one key-sorted tuple, `triples`. The key index is built
+    the first time membership, equality or `keys()` needs it, so a set that
+    is only iterated and ranked never holds it. `rank_index` is a cache that
+    ranking fills the first time it ranks a set of two or more facts; the
+    set is immutable, so the index never goes stale.
     """
 
-    __slots__ = ("triples", "_by_key", "_by_subject", "rank_index")
+    __slots__ = ("triples", "_by_key", "rank_index")
 
     def __init__(self, triples: Iterable[FactTriple] = ()):
         by_key: dict[TripleKey, FactTriple] = {}
@@ -185,20 +182,12 @@ class TripleSet:
             by_key.setdefault(t.key, t)
         self.triples = tuple(map(by_key.__getitem__, sorted(by_key)))
         self._by_key: dict[TripleKey, FactTriple] | None = None
-        self._by_subject: dict[str, tuple[FactTriple, ...]] | None = None
         self.rank_index: tuple | None = None
 
     def _keyed(self) -> dict[TripleKey, FactTriple]:
         if self._by_key is None:
             self._by_key = {t.key: t for t in self.triples}
         return self._by_key
-
-    def _grouped(self) -> dict[str, tuple[FactTriple, ...]]:
-        if self._by_subject is None:
-            self._by_subject = {
-                subject: tuple(group) for subject, group
-                in groupby(self.triples, key=attrgetter("subject"))}
-        return self._by_subject
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -228,13 +217,6 @@ class TripleSet:
 
     def keys(self) -> frozenset[TripleKey]:
         return frozenset(self._keyed())
-
-    def by_subject(self, subject: str) -> tuple[FactTriple, ...]:
-        return self._grouped().get(subject, ())
-
-    @property
-    def subjects(self) -> frozenset[str]:
-        return frozenset(self._grouped())
 
     @property
     def objects(self) -> frozenset[str]:

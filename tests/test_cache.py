@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
+import time
 from datetime import timedelta
 
 import pytest
@@ -14,6 +16,8 @@ from factcache.cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
                              write_dump)
 from factcache.config import load_config
 from factcache.errors import ConfigError, ParseError, SlowUnreachable
+from factcache.models import MockTableModel
+from factcache.pipeline import AliasIndex, Pipeline
 from factcache.triples import Source, TripleSet
 from conftest import SNAPSHOT, triple
 
@@ -415,7 +419,7 @@ def test_sync_lays_the_surviving_edits_over_a_changed_source(scenario):
                 released.add(subject)
     snapshot = store.fast_snapshot()
     assert {s: {t.relation: t.obj for t in snapshot if t.subject == s}
-            for s in snapshot.subjects} == expected
+            for s in {t.subject for t in snapshot}} == expected
     assert len(store) == sum(map(len, expected.values()))
     assert set(store._lru) == released  # with no capacity, none is evicted
 
@@ -671,7 +675,7 @@ def served_fresh(store, subject):
     and labels too) against a set built now from the facts the store
     holds."""
     view = store.retrieve(subject)
-    fresh = TripleSet(store.fast_snapshot().by_subject(subject))
+    fresh = TripleSet(t for t in store.fast_snapshot() if t.subject == subject)
     assert view.triples == fresh.triples
     return view
 
@@ -827,6 +831,119 @@ class TestConcurrency:
             t.join(timeout=5)
         assert len(store) == 16
         assert store.stats.updates_applied == 16
+
+
+def random_world(rng):
+    """Sixteen subjects of one to three facts; each r0 names a subject."""
+    subjects = [f"s{i}" for i in range(16)]
+    facts = []
+    for subject in subjects:
+        for j in range(rng.randint(1, 3)):
+            entity = j == 0
+            obj = rng.choice(subjects) if entity else f"{subject}-v{j}"
+            facts.append(triple(subject, f"r{j}", obj, object_is_entity=entity,
+                                source=Source.WIKIDATA, fetched_at=SNAPSHOT))
+    return subjects, facts
+
+
+class NappingSource(InMemorySlowSource):
+    """A slow source with a round trip: each fetch sleeps 50 us, which lets
+    the other threads run while a read-through is out."""
+
+    def fetch_subject(self, entity):
+        time.sleep(5e-5)
+        return super().fetch_subject(entity)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_three_threads_mixing_reads_and_edits(seed):
+    subjects, facts = random_world(random.Random(seed))
+    store = TieredFactStore(slow=NappingSource(facts, snapshot_at=SNAPSHOT),
+                            capacity=6)
+    source = {(t.subject, t.relation): t.obj for t in facts}
+    start = threading.Barrier(3)
+    retrieves = [0, 0, 0]
+    finished = []
+    writes: list[list[tuple[tuple[str, str], str]]] = [[], [], []]
+
+    def worker(tid):
+        ops = random.Random(seed * 10 + tid)
+        start.wait(timeout=5)
+        for n in range(400):
+            subject = ops.choice(subjects)
+            relation = f"r{ops.randrange(4)}"  # r3 is never in the source
+            roll = ops.random()
+            if roll < 0.6:
+                store.retrieve(subject)
+                retrieves[tid] += 1
+            elif roll < 0.65:
+                value = f"t{tid}-{n}"
+                store.apply_update(EditRequest(subject, relation, value,
+                                               object_is_entity=False))
+                writes[tid].append(((subject, relation), value))
+            else:
+                store.get(subject, relation)
+        finished.append(tid)  # not reached if a call raised
+
+    threads = [threading.Thread(target=worker, args=(tid,))
+               for tid in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert sorted(finished) == [0, 1, 2]
+
+    assert store.stats.hits + store.stats.misses == sum(retrieves)
+    last_writes: dict[tuple[str, str], set[str]] = {}
+    for thread_writes in writes:
+        last = dict(thread_writes)  # each thread's last value per key
+        for key, value in last.items():
+            last_writes.setdefault(key, set()).add(value)
+    for (subject, relation), values in last_writes.items():
+        assert store.get(subject, relation).obj in values
+    snapshot = store.fast_snapshot()
+    for t in snapshot:
+        if (t.subject, t.relation) not in last_writes:
+            assert t.obj == source[t.subject, t.relation]
+    edited = {subject for subject, _ in last_writes}
+    pinned = sum(1 for t in snapshot if t.subject in edited)
+    assert len(store) == len(snapshot) <= 6 + pinned
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_threads_answering_one_cold_question_select_alike(seed):
+    subjects, facts = random_world(random.Random(seed))
+    question = "What is the r1 of s0?"
+
+    def pipeline(slow):
+        aliases = AliasIndex()
+        for subject in subjects:
+            aliases.add(subject, subject)
+        return Pipeline(store=TieredFactStore(slow=slow, capacity=6),
+                        aliases=aliases, model=MockTableModel(), k=2)
+
+    _, alone = pipeline(InMemorySlowSource(facts)).answer_traced(question)
+    both_in_fetch = threading.Barrier(2)
+
+    class BlockingSource(InMemorySlowSource):
+        def fetch_subject(self, entity):
+            if entity == "s0":  # both threads miss before either absorbs
+                both_in_fetch.wait(timeout=5)
+            return super().fetch_subject(entity)
+
+    shared = pipeline(BlockingSource(facts))
+    traces = []
+    threads = [threading.Thread(
+        target=lambda: traces.append(shared.answer_traced(question)[1]))
+        for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert shared.store.stats.misses == 2  # one read-through each
+    assert alone.evidence
+    assert [trace.evidence.selected for trace in traces] == \
+        [alone.evidence.selected] * 2
 
 
 class TestRemoteSparqlSource:
@@ -1029,7 +1146,8 @@ class TestDumpFormat:
         assert restored.get("p", "r").obj == "v"
         # the file keeps no recency: subjects load, and so are evicted,
         # in name order
-        assert restored.fast_snapshot().subjects == {"p", "s8", "s9"}
+        assert {t.subject for t in restored.fast_snapshot()} == \
+            {"p", "s8", "s9"}
         restored.retrieve("s8")
         assert len(restored) == 3
         assert restored.stats.hits == 1

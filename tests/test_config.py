@@ -37,6 +37,14 @@ def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
     ({"model": {"max_tokens": "64"}}, "model.max_tokens"),
     ({"pipeline": {"k": "2"}}, "pipeline.k"),
     ({"eval": {"seed": 1.5}}, "eval.seed"),
+    ({"store": {"state_path": 5}}, "store.state_path"),
+    ({"slow_source": {"kind": ["memory"]}}, "slow_source.kind"),
+    ({"model": {"kind": "http", "endpoint": 5}}, "model.endpoint"),
+    ({"model": {"api_key_env": True}}, "model.api_key_env"),
+    ({"model": {"priors": ["x"]}}, "model.priors"),
+    ({"model": {"priors": {"q": 5}}}, "model.priors"),
+    ({"pipeline": {"extractor": {}}}, "pipeline.extractor"),
+    ({"data": {"entities_path": 1}}, "data.entities_path"),
 ])
 def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
                                                        config, key):

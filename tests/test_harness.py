@@ -60,6 +60,21 @@ class TestMainEval:
         assert report.items == len(items)
         assert report.wall_time_s > 0
 
+    def test_a_distractor_that_contains_the_gold_is_judged_false(
+            self, templates):
+        paris = triple("France", "capital", "Paris", source=Source.SYNTHETIC)
+        item = build_item(paris, templates["capital"],
+                          ["Paris Saint-Germain", "Lyon"],
+                          triple("Italy", "capital", "Rome"),
+                          random.Random(0), fc_truth=False)
+        assert item.queries[TaskKind.FACT_CHECK].endswith(
+            "Paris Saint-Germain.")
+        store = TieredFactStore(slow=InMemorySlowSource(), prefetch_depth=0)
+        pipeline = Pipeline(store=store, aliases=aliases_for_items([item]),
+                            model=MockTableModel())
+        report = run_main_eval([item], pipeline)
+        assert report.per_task_em["fact_check"] == 100.0
+
     def test_base_em_equals_the_prior_hit_rate(self, templates):
         items, pipeline = desk_set(templates)
         # priors answer exactly 2 of 6 QA queries

@@ -76,6 +76,16 @@ class TestMockModel:
             "head of government for Sioux Falls is Lothar von Trotha.")
         assert MockTableModel().generate(prompt).text == "False"
 
+    def test_fact_check_false_when_the_distractor_contains_the_object(self):
+        # the stated option is the proposition's last phrase
+        prompt = assemble_prompt(
+            TaskKind.FACT_CHECK,
+            RankedEvidence(triples=((triple("France", "capital", "Paris"),
+                                     1.0),), k=1),
+            "Determine whether the proposition is true.\nProposition:The "
+            "capital of France is Paris Saint-Germain.")
+        assert MockTableModel().generate(prompt).text == "False"
+
     def test_distribution_mass_concentrates_on_the_answer(self):
         mock = MockTableModel(priors={"q": "a"})  # EPSILON is 0.01
         answer = mock.generate(qa_prompt("q"))
@@ -147,74 +157,20 @@ class TestHttpCompletionModel:
         with pytest.raises(ModelError):
             model.generate(qa_prompt("q"))
 
-    def test_retry_budget_is_respected_and_final_error_verbatim(self):
-        calls = []
-
-        def failing_transport(url, payload, headers):
-            calls.append(1)
-            return TransportReply(status=503, text=f"failure {len(calls)}")
-
-        model = HttpCompletionModel(endpoint="https://unit.test",
-                                    retry_budget=2,
-                                    transport=failing_transport,
-                                    sleep=lambda s: None)
-        with pytest.raises(ModelError) as exc:
-            model.generate(qa_prompt("q"))
-        assert len(calls) == 3  # 1 attempt + 2 retries, never more
-        assert "failure 3" in str(exc.value)  # the final error, verbatim
-
     def test_zero_budget_never_retries(self):
-        calls = []
+        for status in (503, 429):  # a rate limit is not waited out either
+            calls = []
 
-        def failing_transport(url, payload, headers):
-            calls.append(1)
-            return TransportReply(status=503, text="nope")
+            def failing_transport(url, payload, headers):
+                calls.append(1)
+                return TransportReply(status=status, text="nope",
+                                      headers={"Retry-After": "3"})
 
-        model = HttpCompletionModel(endpoint="https://unit.test",
-                                    transport=failing_transport)
-        with pytest.raises(ModelError):
-            model.generate(qa_prompt("q"))
-        assert len(calls) == 1
-
-    def test_rate_limit_waits_for_the_retry_after_hint(self):
-        replies = [TransportReply(status=429, text="slow down",
-                                  headers={"Retry-After": "3"}),
-                   TransportReply(status=200,
-                                  text=json.dumps({"text": "Paul Ten Haken"}))]
-        naps = []
-        model = HttpCompletionModel(endpoint="https://unit.test",
-                                    retry_budget=1,
-                                    transport=lambda *_: replies.pop(0),
-                                    sleep=naps.append)
-        assert model.generate(qa_prompt("q")).text == "Paul Ten Haken"
-        assert naps == [3.0]
-
-    def test_an_infinite_retry_after_hint_falls_back_to_the_backoff(self):
-        replies = [TransportReply(status=429, text="slow down",
-                                  headers={"Retry-After": "inf"}),
-                   TransportReply(status=200,
-                                  text=json.dumps({"text": "Paul Ten Haken"}))]
-        naps = []
-        model = HttpCompletionModel(endpoint="https://unit.test",
-                                    retry_budget=1,
-                                    transport=lambda *_: replies.pop(0),
-                                    sleep=naps.append)
-        assert model.generate(qa_prompt("q")).text == "Paul Ten Haken"
-        assert naps == [0.25]
-
-    def test_a_huge_retry_after_hint_falls_back_to_the_backoff(self):
-        # time.sleep(1e300) raises OverflowError, which is no ModelError
-        replies = [TransportReply(status=429, text="slow down",
-                                  headers={"Retry-After": "1e300"}),
-                   TransportReply(status=200,
-                                  text=json.dumps({"text": "Paul Ten Haken"}))]
-        naps = []
-        model = HttpCompletionModel(endpoint="https://unit.test",
-                                    retry_budget=1,
-                                    transport=lambda *_: replies.pop(0),
-                                    sleep=naps.append)
-        assert model.generate(qa_prompt("q")).text == "Paul Ten Haken"
-        assert naps == [0.25]
+            model = HttpCompletionModel(endpoint="https://unit.test",
+                                        transport=failing_transport)
+            with pytest.raises(ModelError, match=f"HTTP {status}"):
+                model.generate(qa_prompt("q"))
+            assert len(calls) == 1
 
     def test_against_a_live_local_endpoint(self):
         class Handler(BaseHTTPRequestHandler):

@@ -6,10 +6,11 @@ from importlib import resources
 import pytest
 
 from factcache.errors import UnknownTask
-from factcache.prompts import (assemble_prompt, build_extraction_prompt,
+from factcache.prompts import (AssembledPrompt, assemble_prompt,
+                               build_extraction_prompt,
                                extraction_exemplars, task_instruction,
                                utilization_exemplars)
-from factcache.ranking import RankedEvidence
+from factcache.ranking import EMPTY_EVIDENCE, RankedEvidence
 from factcache.triples import TaskKind
 from conftest import triple
 
@@ -87,9 +88,10 @@ class TestExemplars:
 class TestAssemblePrompt:
     def test_layout_and_exemplar_block(self):
         evidence = RankedEvidence(triples=((HIROSHIMA, 1.0),), k=1)
-        prompt = assemble_prompt(TaskKind.QA, evidence,
-                                 "Who is the leader of the government in "
-                                 "Hiroshima Prefecture?")
+        query = ("Who is the leader of the government in "
+                 "Hiroshima Prefecture?")
+        prompt = assemble_prompt(TaskKind.QA, evidence, query)
+        assert prompt == AssembledPrompt(TaskKind.QA, query, (HIROSHIMA,))
         rendered = prompt.render()
         assert rendered.startswith("Answer the question with one phrase.\n")
         assert ("(Hiroshima Prefecture, head of government, Hidehiko Yuzaki)"
@@ -101,7 +103,8 @@ class TestAssemblePrompt:
         assert rendered.index(HIROSHIMA.render()) < rendered.index("Q: Who")
 
     def test_empty_evidence_has_no_triple_lines(self):
-        prompt = assemble_prompt(TaskKind.QA, (), "Who leads Naples?")
+        prompt = assemble_prompt(TaskKind.QA, EMPTY_EVIDENCE,
+                                 "Who leads Naples?")
         rendered = prompt.render()
         last_exemplar_line = "A: Stockholm."
         exemplar_end = rendered.rindex(last_exemplar_line)
@@ -110,12 +113,9 @@ class TestAssemblePrompt:
         assert prompt.evidence == ()
 
     def test_choice_instruction(self):
-        prompt = assemble_prompt(TaskKind.CHOICE, (), "Pick one")
-        assert prompt.task_instruction == "Choose the best answer."
-
-    def test_accepts_plain_triple_sequences(self):
-        prompt = assemble_prompt(TaskKind.QA, [HIROSHIMA], "q")
-        assert prompt.evidence_triples == (HIROSHIMA,)
+        prompt = assemble_prompt(TaskKind.CHOICE, EMPTY_EVIDENCE, "Pick one")
+        assert prompt.task is TaskKind.CHOICE
+        assert prompt.render().startswith("Choose the best answer.\n")
 
     def test_render_is_deterministic(self):
         evidence = RankedEvidence(triples=((HIROSHIMA, 0.7),), k=1)
@@ -124,6 +124,6 @@ class TestAssemblePrompt:
         assert a == b
 
     def test_prompt_is_immutable_value(self):
-        prompt = assemble_prompt(TaskKind.QA, (), "q")
+        prompt = assemble_prompt(TaskKind.QA, EMPTY_EVIDENCE, "q")
         with pytest.raises(AttributeError):
             prompt.query = "other"

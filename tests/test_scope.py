@@ -153,9 +153,9 @@ class TestComputeEx:
             if entity in visited:
                 continue
             visited.add(entity)
-            for t in graph.by_subject(entity):
-                reached.add(t.key)
-                frontier_entities.add(t.obj)
+            edges = [t for t in graph if t.subject == entity]
+            reached |= {t.key for t in edges}
+            frontier_entities |= {t.obj for t in edges}
         assert result.keys() == reached | {cycle[0].key}
 
     def test_isolated_triple_is_hop_zero_only(self):

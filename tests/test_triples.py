@@ -101,9 +101,9 @@ class TestTripleSet:
 
     def test_subject_index(self):
         a, b = triple("s", "r1", "x"), triple("s", "r2", "y")
-        ts = TripleSet([a, b, triple("t", "r1", "z")])
-        assert set(t.key for t in ts.by_subject("s")) == {a.key, b.key}
-        assert ts.by_subject("missing") == ()
+        ts = TripleSet([triple("t", "r1", "z"), b, a])
+        assert [t for t in ts if t.subject == "s"] == [a, b]
+        assert [t for t in ts if t.subject == "missing"] == []
 
 
 _ids = st.text(alphabet="abcdef", min_size=1, max_size=3)
@@ -113,10 +113,8 @@ _triples = st.builds(lambda s, r, o: triple(s, r, o), _ids, _ids, _ids)
 @given(st.lists(_triples, max_size=30))
 def test_subject_index_consistent_with_contents(ts_list):
     ts = TripleSet(ts_list)
-    # every triple is findable under its subject, and the index holds
-    # nothing that is not in the set
-    for t in ts:
-        assert t.key in {u.key for u in ts.by_subject(t.subject)}
-    indexed = [t for s in ts.subjects for t in ts.by_subject(s)]
-    assert sorted(t.key for t in indexed) == sorted(t.key for t in ts)
-    assert len(indexed) == len(ts)
+    # grouped by subject, the set holds each given key once, in key order
+    subjects = {t.subject for t in ts}
+    grouped = [t for s in sorted(subjects) for t in ts if t.subject == s]
+    assert [t.key for t in grouped] == sorted({t.key for t in ts_list})
+    assert all(t in ts for t in ts_list)
