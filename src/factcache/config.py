@@ -4,14 +4,16 @@ One JSON document configures the slow source, the model client, pipeline
 knobs, evaluation parameters, and data paths. Anything omitted or null
 falls back to a sensible default and unknown keys are ignored; a value of
 the wrong type (a section or `model.priors` that is not an object, a count
-that is not an integer, a name or path that is not a string) is an error
-naming its key, and referenced input paths must resolve at load time.
+that is not an integer, an `eval.sure` weight that is not a finite
+number, a name or path that is not a string) is an error naming its key,
+and referenced input paths must resolve at load time.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -74,6 +76,14 @@ def load_config(path: Optional[str] = None) -> Config:
     pipe = _object(raw.get("pipeline"), "pipeline")
     eval_cfg = _object(raw.get("eval"), "eval")
     data = _object(raw.get("data"), "data")
+    sure = _object(eval_cfg.get("sure"), "eval.sure")
+    sure = {key: sure[key] for key in ("a", "b", "alpha", "beta")
+            if key in sure}
+    for key, value in sure.items():
+        # a bool is not a number here, nor is an int past the float range
+        if type(value) not in (int, float) or abs(value) > sys.float_info.max:
+            raise ConfigError(
+                f"eval.sure.{key} must be a finite number, got {value!r}")
 
     try:
         cfg = Config(
@@ -89,8 +99,7 @@ def load_config(path: Optional[str] = None) -> Config:
             model_priors=model.get("priors", {}),
             k=pipe.get("k", 1),
             extractor=pipe.get("extractor", "alias_dictionary"),
-            sure_params=SUREParams(**_object(eval_cfg.get("sure"),
-                                             "eval.sure")),
+            sure_params=SUREParams(**sure),
             seed=eval_cfg.get("seed", 7),
             templates_path=data.get("templates_path", ""),
             entities_path=data.get("entities_path", ""),

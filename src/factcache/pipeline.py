@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional
 
@@ -21,6 +22,9 @@ from .models import ModelAnswer, ModelClient
 from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
 from .ranking import EMPTY_EVIDENCE, RankedEvidence, rank_triples, tokenize
 from .triples import EntityRef, FactTriple, TaskKind
+
+# texts whose entities an AliasIndex keeps; the oldest is dropped first
+ALIAS_MEMO_SIZE = 1 << 14
 
 
 class ExtractorKind(enum.Enum):
@@ -60,6 +64,7 @@ class AliasIndex:
     def __init__(self):
         self._by_tokens: dict[str | tuple[str, ...], str] = {}
         self._lengths: dict[str, tuple[int, ...]] = {}
+        self._memo: OrderedDict[str, tuple[str, ...]] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._by_tokens)
@@ -73,6 +78,7 @@ class AliasIndex:
         if key in self._by_tokens:
             return  # first registration wins; its length is already known
         self._by_tokens[key] = entity_id
+        self._memo.clear()
         if type(key) is tuple:
             lengths = {*self._lengths.get(key[0], ()), len(key)}
             self._lengths[key[0]] = tuple(sorted(lengths, reverse=True))
@@ -125,6 +131,16 @@ class AliasIndex:
             if entity_id is not None:
                 found.append(AliasMatch(start, 1, entity_id))
         return found
+
+    def entities(self, text: str) -> list[str]:
+        """`greedy_alias_matches(self, text)`, kept for recent texts until
+        a registration adds a surface, which can change any text's."""
+        found = self._memo.get(text)
+        if found is None:
+            found = self._memo[text] = tuple(greedy_alias_matches(self, text))
+            if len(self._memo) > ALIAS_MEMO_SIZE:
+                self._memo.popitem(last=False)
+        return list(found)
 
 
 def aliases_for_items(items) -> AliasIndex:
@@ -200,7 +216,7 @@ class Pipeline:
         alias index, so it finds one entity at most; it rejects empty input.
         """
         if self.extractor is ExtractorKind.ALIAS_DICTIONARY:
-            return greedy_alias_matches(self.aliases, text)
+            return self.aliases.entities(text)
         if not text:
             raise ValueError("input must be non-empty")
         if not hasattr(self.model, "complete_text"):

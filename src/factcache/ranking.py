@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import filterfalse, islice, repeat
@@ -30,6 +31,8 @@ from .triples import FactTriple, TripleSet
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 # distinct relation labels whose tokens are kept for reuse
 RELATION_MEMO_SIZE = 4096
+# queries whose evidence a TripleSet keeps; the oldest is dropped first
+RANK_MEMO_SIZE = 64
 
 
 def tokenize(text: str) -> list[str]:
@@ -90,7 +93,7 @@ def contains_phrase(text: str, phrase: str) -> bool:
                for i in range(len(text_tokens) - n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedEvidence:
     """Top-k candidates with their scores, best first."""
 
@@ -158,8 +161,24 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
     keys the selection does not depend on the order of the candidates.
     A TripleSet of two or more facts is scored through the index cached
     on it; anything else is scored candidate by candidate, with the same
-    results.
+    results. A TripleSet keeps the evidence of its last RANK_MEMO_SIZE
+    queries, and it is immutable, so a repeated query and k reuse it.
     """
+    if not isinstance(candidates, TripleSet):
+        return _rank(query, candidates, k)
+    memo = candidates.rank_memo
+    if memo is None:
+        memo = candidates.rank_memo = OrderedDict()
+    evidence = memo.get(query)
+    if evidence is None or evidence.k != k:
+        memo[query] = evidence = _rank(query, candidates, k)
+        if len(memo) > RANK_MEMO_SIZE:
+            memo.popitem(last=False)
+    return evidence
+
+
+def _rank(query: str, candidates: Iterable[FactTriple], k: int
+          ) -> RankedEvidence:
     if k < 1:
         raise ValueError("k must be >= 1")
     q, qnorm = _vector(tokenize(query))

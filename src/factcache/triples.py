@@ -169,12 +169,12 @@ class TripleSet:
 
     The set stores one key-sorted tuple, `triples`. The key index is built
     the first time membership, equality or `keys()` needs it, so a set that
-    is only iterated and ranked never holds it. `rank_index` is a cache that
-    ranking fills the first time it ranks a set of two or more facts; the
-    set is immutable, so the index never goes stale.
+    is only iterated and ranked never holds it. `rank_index` and `rank_memo`
+    are caches that `rank_triples` fills; the set is immutable, so they
+    never go stale.
     """
 
-    __slots__ = ("triples", "_by_key", "rank_index")
+    __slots__ = ("triples", "_by_key", "rank_index", "rank_memo")
 
     def __init__(self, triples: Iterable[FactTriple] = ()):
         by_key: dict[TripleKey, FactTriple] = {}
@@ -183,6 +183,7 @@ class TripleSet:
         self.triples = tuple(map(by_key.__getitem__, sorted(by_key)))
         self._by_key: dict[TripleKey, FactTriple] | None = None
         self.rank_index: tuple | None = None
+        self.rank_memo: dict | None = None
 
     def _keyed(self) -> dict[TripleKey, FactTriple]:
         if self._by_key is None:

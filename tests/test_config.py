@@ -6,6 +6,7 @@ import pytest
 
 from factcache.cli import main
 from factcache.config import Config, load_config
+from factcache.metrics import SUREParams
 
 
 def test_removed_pipeline_keys_are_ignored(tmp_path):
@@ -45,12 +46,24 @@ def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
     ({"model": {"priors": {"q": 5}}}, "model.priors"),
     ({"pipeline": {"extractor": {}}}, "pipeline.extractor"),
     ({"data": {"entities_path": 1}}, "data.entities_path"),
+    ({"eval": {"sure": {"a": "x"}}}, "eval.sure.a"),
+    ({"eval": {"sure": {"beta": [1]}}}, "eval.sure.beta"),
+    ({"eval": {"sure": {"alpha": True}}}, "eval.sure.alpha"),
+    ({"eval": {"sure": {"b": 10 ** 400}}}, "eval.sure.b"),
+    ({"eval": {"sure": {"a": float("inf")}}}, "eval.sure.a"),
 ])
 def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
                                                        config, key):
     code, err = run_cache_stats(tmp_path, capsys, config)
     assert code == 1
     assert err.startswith("error: ") and key in err
+
+
+def test_unknown_sure_keys_are_ignored(tmp_path):
+    path = tmp_path / "factcache.json"
+    path.write_text(json.dumps({"eval": {"sure": {"zz": 1, "b": 2}}}),
+                    encoding="utf-8")
+    assert load_config(str(path)).sure_params == SUREParams(b=2)
 
 
 @pytest.mark.parametrize("config", [

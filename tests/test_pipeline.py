@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factcache import pipeline as pipeline_module
 from factcache.cache import EditRequest, InMemorySlowSource, TieredFactStore
 from factcache.dataset import build_multihop
 from factcache.errors import HopFailed
@@ -75,6 +76,29 @@ class TestAliasIndex:
         index.add("Springfield", "Q1")
         index.add("Springfield", "Q2")
         assert index.lookup("Springfield") == "Q1"
+
+    def test_a_surface_added_after_an_extraction_is_found(self, alias_index):
+        # the memo of a text's entities must not outlive a registration
+        text = "Who is the mayor of Gotham City?"
+        first = alias_index.entities(text)
+        assert first == []
+        first.append("not kept")  # each caller gets its own list
+        assert alias_index.entities(text) == []
+        alias_index.add("Gotham City", "Q1")
+        assert alias_index.entities(text) == ["Q1"]
+        other = AliasIndex()
+        other.add("mayor", "Q2")
+        alias_index.merge(other)
+        assert alias_index.entities(text) == ["Q2", "Q1"]
+
+    def test_the_entities_memo_is_bounded(self, alias_index, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "ALIAS_MEMO_SIZE", 8)
+        texts = [f"Is America {i}?" for i in range(20)]
+        for text in texts + texts:
+            assert alias_index.entities(text) == \
+                greedy_alias_matches(alias_index, text)
+        assert len(alias_index._memo) == 8
+        assert list(alias_index._memo) == texts[-8:]  # the oldest went first
 
     def test_from_entities_uses_all_surface_forms(self):
         index = AliasIndex()
@@ -245,6 +269,17 @@ class TestAnswer:
         answer = us_pipeline.answer(
             "Who is the head of government in America?")
         assert answer.text == "Biden"
+
+    def test_an_edit_after_a_repeated_question_is_answered(self,
+                                                           us_pipeline):
+        # the second answer comes from the memos; the edit makes a new view
+        query = "Who is the head of government in America?"
+        assert [us_pipeline.answer(query).text for _ in range(2)] == \
+            ["Joe Biden", "Joe Biden"]
+        us_pipeline.store.apply_update(EditRequest(
+            "America", "head of government", "Kamala Harris",
+            relation_label="head of government"))
+        assert us_pipeline.answer(query).text == "Kamala Harris"
 
     def test_evidence_suppression_gives_the_base_answer(self, us_pipeline):
         us_pipeline.model.priors[

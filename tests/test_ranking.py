@@ -211,6 +211,53 @@ def test_the_relation_label_memo_is_bounded():
     assert memo.cache_info().currsize == ranking.RELATION_MEMO_SIZE
 
 
+@st.composite
+def _memo_case(draw):
+    """A set of 1-40 facts, one subject label for all of them or not, and
+    more distinct queries than a set keeps evidence for."""
+    one_subject = draw(st.booleans())
+    subject_label = draw(_LABEL)
+    triples = [triple(f"s{i % 3}", f"r{i % 4}", f"o{i}",
+                      subject_label=(subject_label if one_subject
+                                     else draw(_LABEL)),
+                      relation_label=draw(_LABEL), object_label=draw(_LABEL))
+               for i in range(draw(st.integers(1, 40)))]
+    texts = draw(st.lists(_TEXT, min_size=1, max_size=8))
+    # a numbered suffix keeps the queries distinct; "1" and "10" are also
+    # label words, so it can change the scores
+    queries = [f"{texts[i % len(texts)]} {i}"
+               for i in range(ranking.RANK_MEMO_SIZE + 8)]
+    return TripleSet(triples), queries
+
+
+@given(case=_memo_case(), ks=st.lists(st.integers(1, 3), min_size=1),
+       order=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_the_rank_memo_matches_a_fresh_ranking(case, ks, order):
+    candidates, queries = case
+    asked = queries * 2  # each query twice, interleaved with the others
+    order.shuffle(asked)
+    for i, query in enumerate(asked):
+        k = ks[i % len(ks)]
+        memoized = rank_triples(query, candidates, k)
+        fresh = rank_triples(query, list(candidates), k)  # never memoized
+        assert (memoized.triples, memoized.k) == (fresh.triples, fresh.k)
+    assert len(candidates.rank_memo) == ranking.RANK_MEMO_SIZE
+
+
+def test_a_repeated_query_is_served_from_the_set():
+    ts = TripleSet([HOG, CAPITAL])
+    evidence = rank_triples(QUERY, ts)
+    assert rank_triples(QUERY, ts) is evidence
+    assert rank_triples(QUERY, ts, k=2) is not evidence  # another k
+    assert rank_triples(QUERY, [HOG, CAPITAL]) is not evidence  # a list
+    assert list(ts.rank_memo) == [QUERY]
+    for i in range(ranking.RANK_MEMO_SIZE):
+        rank_triples(f"{QUERY} {i}", ts)
+    assert QUERY not in ts.rank_memo  # the oldest went first
+    assert len(ts.rank_memo) == ranking.RANK_MEMO_SIZE
+
+
 def test_a_set_is_indexed_once_and_counts_repeated_tokens():
     paris = triple("Paris", "capital of", "Paris")  # "paris" twice
     ts = TripleSet([paris, CAPITAL, HOG])
