@@ -8,6 +8,8 @@ evaluation harness scores edited behavior (EM, DD, NKL, and the composite
 score) over single-hop and multi-hop benchmark items.
 """
 
+__version__ = "0.1.0"  # set first: sparqlio names it in its User-Agent
+
 from .cache import (CacheStats, EditRequest, InMemorySlowSource,
                     LocalDumpSource, RemoteSparqlSource, TieredFactStore,
                     UpdateOutcome, read_dump, write_dump)
@@ -30,7 +32,6 @@ from .scope import (ScopeClass, SimpleOracle, classify_scope, compute_ex,
 from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
                       TripleSet)
 
-__version__ = "0.1.0"
 
 __all__ = [
     "AliasIndex", "AssembledPrompt", "BenchmarkItem", "CacheStats",

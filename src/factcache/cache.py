@@ -29,9 +29,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
-from .errors import ParseError, SlowUnreachable
-from .sparqlio import (Transport, exec_sparql, parse_bindings, uri_tail,
-                       with_retries)
+from .errors import HttpError, MalformedResponse, ParseError, SlowUnreachable
+from .sparqlio import RequestPolicy, Transport, load_query, uri_tail
 from .triples import FactTriple, Source, TripleSet
 
 log = logging.getLogger(__name__)
@@ -238,25 +237,17 @@ class InMemorySlowSource:
         return list(self._by_subject.get(entity, {}).values())
 
 
-# By-subject query for Wikidata-style endpoints; {subject} is the only
-# placeholder.
-SUBJECT_QUERY = """\
-SELECT ?relation ?relationLabel ?object ?objectLabel WHERE {
-  wd:{subject} ?p ?object .
-  ?relation wikibase:directClaim ?p .
-  SERVICE wikibase:label { bd:serviceParam wikibase:language "en" . }
-}"""
-FETCH_ATTEMPTS = 3
 _ENTITY_ID = re.compile(r"[A-Za-z0-9_]+")  # any other string names no item
 
 
 class RemoteSparqlSource:
-    """Slow tier backed by a public SPARQL endpoint.
-
-    Retries transient failures with exponential backoff (3 attempts starting
-    at 250 ms, or the server's Retry-After hint) before raising
-    SlowUnreachable; public endpoints rate-limit. The query is Wikidata's,
-    so rows are WIKIDATA triples; a live endpoint has no snapshot time."""
+    """Slow tier backed by a public SPARQL endpoint, asked by subject with
+    the packaged subject_facts.rq through a sparqlio.RequestPolicy, which
+    retries transient failures and caps the network transport. A failure
+    left after it, a malformed reply and any other 4xx are SlowUnreachable;
+    any other exception (a transport's TypeError) propagates as itself.
+    The query is Wikidata's, so rows are WIKIDATA triples; a live endpoint
+    has no snapshot time."""
 
     snapshot_at: Optional[datetime] = None
 
@@ -265,26 +256,18 @@ class RemoteSparqlSource:
                  sleep: Callable[[float], None] = time.sleep):
         if not endpoint:
             raise ValueError("endpoint must be non-empty")
-        self.endpoint = endpoint
-        self.transport = transport
-        self.sleep = sleep
+        self.policy = RequestPolicy(endpoint, transport, sleep)
+        self.query = load_query("subject_facts.rq")  # {subject} is its slot
 
     def fetch_subject(self, entity: str) -> list[FactTriple]:
         if not _ENTITY_ID.fullmatch(entity):
             return []  # and is never pasted into the query text
-        query = SUBJECT_QUERY.replace("{subject}", entity)
-
-        def attempt() -> list[FactTriple]:
-            payload = exec_sparql(self.endpoint, query, self.transport)
-            return self._rows_to_triples(entity, parse_bindings(payload))
-
         try:
-            return with_retries(attempt, FETCH_ATTEMPTS, self.sleep,
-                                Exception)
-        except Exception as exc:
+            rows = self.policy.select(self.query.replace("{subject}", entity))
+        except (HttpError, MalformedResponse) as exc:
             raise SlowUnreachable(
-                f"slow source {self.endpoint} failed after "
-                f"{FETCH_ATTEMPTS} attempts: {exc}") from exc
+                f"slow source {self.policy.endpoint} failed: {exc}") from exc
+        return self._rows_to_triples(entity, rows)
 
     def _rows_to_triples(self, entity: str,
                          rows: list[dict]) -> list[FactTriple]:

@@ -84,6 +84,11 @@ def load_config(path: Optional[str] = None) -> Config:
         if type(value) not in (int, float) or abs(value) > sys.float_info.max:
             raise ConfigError(
                 f"eval.sure.{key} must be a finite number, got {value!r}")
+        try:
+            SUREParams(**{key: value})  # the range check of this weight
+        except ValueError as exc:
+            raise ConfigError(
+                f"eval.sure.{key}: {exc}, got {value!r}") from exc
 
     try:
         cfg = Config(
@@ -177,7 +182,7 @@ def _validate(cfg: Config, base: Path) -> None:
         if value:
             resolved = _resolve(base, value)
             if not resolved.exists():
-                raise ConfigError(f"{attr} does not exist: {resolved}")
+                raise ConfigError(f"data.{attr} does not exist: {resolved}")
             setattr(cfg, attr, str(resolved))
 
 

@@ -2,22 +2,21 @@
 paginated triple collection, and ambiguity filtering.
 
 Query texts are loaded from text assets and substituted verbatim; the same
-inputs always produce byte-identical query strings. Live endpoints are
-rate-capped; tests run against recorded fixture responses via an injected
-transport.
+inputs always produce byte-identical query strings. Each client asks its
+endpoint through one sparqlio.RequestPolicy, which caps live endpoints and
+retries transient failures; tests run against recorded fixture responses
+via an injected transport.
 """
 
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass, field
-from importlib import resources
-from typing import Callable, Optional
+from typing import Optional
 
 from .cache import utcnow
 from .errors import MalformedResponse
-from .sparqlio import Transport, exec_sparql, parse_bindings, uri_tail
+from .sparqlio import RequestPolicy, Transport, load_query, uri_tail
 from .triples import FactTriple, Source, TripleSet
 
 WIKIDATA_ENDPOINT = "https://query.wikidata.org/sparql"
@@ -31,13 +30,8 @@ BLOCK_TOKENS = frozenset({"id", "code", "identifier"})
 ALLOW_TOKENS = frozenset({"iata", "icao"})
 
 
-def _load_query(name: str) -> str:
-    return (resources.files("factcache.assets.sparql") / name).read_text(
-        encoding="utf-8")
-
-
 def equivalent_properties_query() -> str:
-    return _load_query("equivalent_properties.rq")
+    return load_query("equivalent_properties.rq")
 
 
 def wikidata_triples_query(property_id: str, limit: int, offset: int,
@@ -46,7 +40,7 @@ def wikidata_triples_query(property_id: str, limit: int, offset: int,
 
     person_only uncomments the template's instance-of-human restriction.
     """
-    query = (_load_query("wikidata_triples.rq")
+    query = (load_query("wikidata_triples.rq")
              .replace("{item}", property_id)
              .replace("{limit}", str(limit))
              .replace("{offset}", str(offset)))
@@ -59,8 +53,8 @@ def wikidata_triples_query(property_id: str, limit: int, offset: int,
 def dbpedia_triples_query(property_url: str) -> str:
     """Fill the DBpedia collection template; it carries no pagination
     placeholders, so limit/offset are applied client-side."""
-    return _load_query("dbpedia_triples.rq").replace("{property_url}",
-                                                     property_url)
+    return load_query("dbpedia_triples.rq").replace("{property_url}",
+                                                    property_url)
 
 
 @dataclass(frozen=True)
@@ -97,30 +91,9 @@ class RawTripleRow:
     origin: Source = Source.WIKIDATA
 
 
-class RateLimiter:
-    """Simple requests-per-second cap shared by one client."""
-
-    def __init__(self, per_second: float,
-                 clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep):
-        if per_second <= 0:
-            raise ValueError("per_second must be positive")
-        self.interval = 1.0 / per_second
-        self.clock = clock
-        self.sleep = sleep
-        self._next_allowed = 0.0
-
-    def wait(self) -> None:
-        now = self.clock()
-        if now < self._next_allowed:
-            self.sleep(self._next_allowed - now)
-            now = self._next_allowed
-        self._next_allowed = now + self.interval
-
-
 @dataclass
 class KnowledgeBaseClient:
-    """Stateless SPARQL request issuer for one endpoint.
+    """SPARQL request issuer for one endpoint, through one request policy.
 
     kind selects the query dialect: "wikidata" endpoints use the paginated
     collection query, "dbpedia" endpoints page client-side.
@@ -129,36 +102,29 @@ class KnowledgeBaseClient:
     kind: str
     endpoint: str
     transport: Optional[Transport] = None
-    requests_per_second: float = 5.0
-    limiter: RateLimiter = field(init=False)
+    policy: RequestPolicy = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("wikidata", "dbpedia"):
             raise ValueError(f"unknown endpoint kind: {self.kind!r}")
-        self.limiter = RateLimiter(self.requests_per_second)
+        self.policy = RequestPolicy(self.endpoint, self.transport)
 
     @property
     def source(self) -> Source:
         return Source.WIKIDATA if self.kind == "wikidata" else Source.DBPEDIA
 
-    def _run(self, query: str) -> list[dict]:
-        self.limiter.wait()
-        return parse_bindings(exec_sparql(self.endpoint, query, self.transport))
-
     def fetch_equivalent_properties(self) -> list[EquivalentPropertyPair]:
         """Properties shared by DBpedia and Wikidata, minus identifier-like
         relations (blocklist by label token, with an allowlist override)."""
         pairs = []
-        for row in self._run(equivalent_properties_query()):
+        for row in self.policy.select(equivalent_properties_query()):
             dbp = row.get("DBpediaProp")
             label = row.get("itemLabel")
             wd_uri = row.get("WikidataProp")
             if not dbp or not label or not wd_uri:
                 raise MalformedResponse(f"incomplete property row: {row}")
             wd_id = uri_tail(wd_uri)
-            if not _PROPERTY_ID_RE.match(wd_id):
-                continue
-            if _identifier_like(label):
+            if not _PROPERTY_ID_RE.match(wd_id) or _identifier_like(label):
                 continue
             pairs.append(EquivalentPropertyPair(
                 dbpedia_property=dbp, wikidata_property=wd_id, label=label))
@@ -177,12 +143,11 @@ class KnowledgeBaseClient:
         if limit == 0:
             return []
         if self.kind == "wikidata":
-            query = wikidata_triples_query(relation, limit, offset,
-                                           person_only=person_only)
-            rows = self._run(query)
+            rows = self.policy.select(wikidata_triples_query(
+                relation, limit, offset, person_only=person_only))
         else:
-            query = dbpedia_triples_query(relation)
-            rows = self._run(query)[offset:offset + limit]
+            rows = self.policy.select(
+                dbpedia_triples_query(relation))[offset:offset + limit]
         out = []
         for row in rows:
             subject_uri = row.get("subject")

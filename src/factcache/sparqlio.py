@@ -1,27 +1,31 @@
-"""Low-level SPARQL-over-HTTP plumbing shared by the KB clients and the
-remote slow source: request execution, retries, results-JSON parsing, URI
-helpers.
-
-The transport is injectable so every test can run against recorded
-responses; the default transport issues a real GET via requests.
-"""
+"""SPARQL over HTTP, shared by the KB clients and the remote slow source:
+one request policy (rate cap and retries), request execution and
+results-JSON parsing, query assets, URI helpers. The transport is
+injectable so every test can run against recorded responses; the default
+transport issues a real GET via requests."""
 
 from __future__ import annotations
 
 import json
 import math
+import threading
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, TypeVar
+from importlib import resources
+from typing import Callable, Mapping, Optional
 
+from . import __version__
 from .errors import HttpError, MalformedResponse, RateLimited
 
-RESULTS_JSON = "application/sparql-results+json"
-# A Retry-After hint longer than this is treated as no hint, so the caller's
+# Wikimedia asks every client of its endpoints to name itself:
+# https://meta.wikimedia.org/wiki/User-Agent_policy
+HEADERS = {"Accept": "application/sparql-results+json",
+           "User-Agent": f"factcache/{__version__}"}
+# A Retry-After hint longer than this is treated as no hint, so the
 # backoff applies; time.sleep rejects a huge value with OverflowError.
 MAX_RETRY_AFTER_S = 3600.0
 RETRY_BACKOFF_S = 0.25  # the first wait between attempts; doubles per retry
-
-T = TypeVar("T")
+REQUESTS_PER_S = 5.0  # the cap on the network transport
 
 
 @dataclass
@@ -46,22 +50,25 @@ def requests_transport(url: str, params: Mapping[str, str],
 
 
 def exec_sparql(endpoint: str, query: str,
-                transport: Optional[Transport] = None) -> dict:
-    """Run one SPARQL query and return the parsed results-JSON document.
+                transport: Optional[Transport] = None) -> list[dict]:
+    """Run one SPARQL query and return its rows, each a dict of variable
+    to plain value, None where unbound.
 
     Raises RateLimited on 429 (carrying any Retry-After hint), HttpError on
-    other non-2xx statuses or transport failures, MalformedResponse when the
-    body is not a SPARQL results document.
+    other non-2xx statuses or a connection error (an OSError, which every
+    requests exception is), MalformedResponse when the body is not a SPARQL
+    results document or its head, a row or a cell is misshapen. Any other
+    exception from the transport propagates.
     """
     transport = transport or requests_transport
     try:
         reply = transport(endpoint, {"query": query, "format": "json"},
-                          {"Accept": RESULTS_JSON})
-    except Exception as exc:  # connection errors from the real transport
+                          HEADERS)
+    except OSError as exc:
         raise HttpError(f"request to {endpoint} failed: {exc}") from exc
     if reply.status == 429:
-        retry_after = parse_retry_after(reply.headers)
-        raise RateLimited(f"{endpoint} rate-limited", retry_after=retry_after)
+        raise RateLimited(f"{endpoint} rate-limited",
+                          retry_after=parse_retry_after(reply.headers))
     if not 200 <= reply.status < 300:
         raise HttpError(f"{endpoint} returned HTTP {reply.status}",
                         status=reply.status)
@@ -70,59 +77,16 @@ def exec_sparql(endpoint: str, query: str,
     except ValueError as exc:
         raise MalformedResponse(f"not JSON: {exc}") from exc
     results = payload.get("results") if isinstance(payload, dict) else None
-    if not isinstance(results, dict) or \
-            not isinstance(results.get("bindings"), list):
+    bindings = results.get("bindings") if isinstance(results, dict) else None
+    if not isinstance(bindings, list):
         raise MalformedResponse("missing results.bindings")
-    return payload
-
-
-def with_retries(call: Callable[[], T], attempts: int,
-                 sleep: Callable[[float], None],
-                 retry_on: type[Exception]) -> T:
-    """Run `call` up to `attempts` times while it raises `retry_on`.
-
-    Between attempts, sleep for the error's `retry_after` hint when it
-    carries one (RateLimited does), else for a backoff that starts at
-    RETRY_BACKOFF_S and doubles each time. The last error propagates as is.
-    """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    delay = RETRY_BACKOFF_S
-    for _ in range(attempts - 1):
-        try:
-            return call()
-        except retry_on as exc:
-            hint = getattr(exc, "retry_after", None)
-            sleep(max(0.0, hint) if hint is not None else delay)
-            delay *= 2
-    return call()
-
-
-def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
-    """Seconds in a Retry-After header; None if absent, not a finite
-    number, or above MAX_RETRY_AFTER_S."""
-    for name, value in headers.items():
-        if name.lower() == "retry-after":
-            try:
-                seconds = float(value)
-            except ValueError:
-                return None
-            if not math.isfinite(seconds) or seconds > MAX_RETRY_AFTER_S:
-                return None
-            return seconds
-    return None
-
-
-def parse_bindings(payload: dict) -> list[dict[str, Optional[str]]]:
-    """Flatten a results document into rows of variable -> plain value;
-    MalformedResponse when its head, a binding row or a cell is misshapen."""
     head = payload.get("head", {})
     vars_ = head.get("vars", []) if isinstance(head, dict) else None
     if not isinstance(vars_, list) or \
             not all(isinstance(var, str) for var in vars_):
         raise MalformedResponse("head.vars is not a list of names")
     rows = []
-    for binding in payload["results"]["bindings"]:
+    for binding in bindings:
         if not isinstance(binding, dict):
             raise MalformedResponse(f"row {binding!r} is not an object")
         row: dict[str, Optional[str]] = {}
@@ -133,6 +97,88 @@ def parse_bindings(payload: dict) -> list[dict[str, Optional[str]]]:
             row[var] = cell.get("value") if cell else None
         rows.append(row)
     return rows
+
+
+class RateLimiter:
+    """A requests-per-second cap that threads may share: each wait takes
+    the next free slot under a lock and sleeps until it, outside the lock."""
+
+    def __init__(self, per_second: float,
+                 clock: Callable[[], float] = time.monotonic,
+                 sleep: Callable[[float], None] = time.sleep):
+        if per_second <= 0:
+            raise ValueError("per_second must be positive")
+        self.interval = 1.0 / per_second
+        self.clock = clock
+        self.sleep = sleep
+        self._next_allowed = 0.0
+        self._lock = threading.Lock()
+
+    def wait(self) -> None:
+        with self._lock:
+            now = self.clock()
+            slot = max(now, self._next_allowed)
+            self._next_allowed = slot + self.interval
+        if slot > now:
+            self.sleep(slot - now)
+
+
+class RequestPolicy:
+    """How a client asks one SPARQL endpoint.
+
+    `select` waits on the rate cap, runs the query and returns its rows,
+    making up to `attempts` requests. It retries only a transient failure
+    (a connection error, a 5xx or a 429), after the 429's Retry-After hint
+    or else a backoff from RETRY_BACKOFF_S that doubles; the last error
+    propagates. A MalformedResponse, another 4xx or any other exception
+    propagates at once. Only the network transport (`transport` None) is
+    capped, at REQUESTS_PER_S; an injected transport never waits.
+    """
+
+    attempts = 3
+
+    def __init__(self, endpoint: str, transport: Optional[Transport] = None,
+                 sleep: Callable[[float], None] = time.sleep):
+        self.endpoint = endpoint
+        self.transport = transport
+        self.sleep = sleep
+        self.limiter = (RateLimiter(REQUESTS_PER_S, sleep=sleep)
+                        if transport is None else None)
+
+    def select(self, query: str) -> list[dict[str, Optional[str]]]:
+        delay = RETRY_BACKOFF_S
+        for attempt in range(1, self.attempts + 1):
+            if self.limiter is not None:
+                self.limiter.wait()
+            try:
+                return exec_sparql(self.endpoint, query, self.transport)
+            except HttpError as exc:
+                transient = exc.status in (None, 429) or exc.status >= 500
+                if not transient or attempt == self.attempts:
+                    raise
+                hint = getattr(exc, "retry_after", None)
+                self.sleep(max(0.0, hint) if hint is not None else delay)
+                delay *= 2
+        raise ValueError("attempts must be >= 1")
+
+
+def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
+    """Seconds in a Retry-After header; None if absent, not a finite
+    number, or above MAX_RETRY_AFTER_S."""
+    value = next((value for name, value in headers.items()
+                  if name.lower() == "retry-after"), None)
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):  # absent, or not a number
+        return None
+    return seconds if math.isfinite(seconds) and \
+        seconds <= MAX_RETRY_AFTER_S else None
+
+
+def load_query(name: str) -> str:
+    """The text of a packaged query under assets/sparql/."""
+    return (resources.files("factcache.assets.sparql") / name).read_text(
+        encoding="utf-8")
 
 
 def uri_tail(uri: str) -> str:

@@ -857,12 +857,16 @@ class NappingSource(InMemorySlowSource):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_three_threads_mixing_reads_and_edits(seed):
+    """Reads (each miss prefetching one hop), edits and syncs race. A sync
+    gives a synthetic edit way to the source's fact where the source holds
+    its relation; every other edit survives as some thread's last write."""
     subjects, facts = random_world(random.Random(seed))
     store = TieredFactStore(slow=NappingSource(facts, snapshot_at=SNAPSHOT),
                             capacity=6)
     source = {(t.subject, t.relation): t.obj for t in facts}
     start = threading.Barrier(3)
     retrieves = [0, 0, 0]
+    syncs = [0, 0, 0]
     finished = []
     writes: list[list[tuple[tuple[str, str], str]]] = [[], [], []]
 
@@ -881,6 +885,9 @@ def test_three_threads_mixing_reads_and_edits(seed):
                 store.apply_update(EditRequest(subject, relation, value,
                                                object_is_entity=False))
                 writes[tid].append(((subject, relation), value))
+            elif roll < 0.67:
+                store.sync()
+                syncs[tid] += 1
             else:
                 store.get(subject, relation)
         finished.append(tid)  # not reached if a call raised
@@ -892,6 +899,7 @@ def test_three_threads_mixing_reads_and_edits(seed):
     for t in threads:
         t.join(timeout=30)
     assert sorted(finished) == [0, 1, 2]
+    assert sum(syncs) > 0
 
     assert store.stats.hits + store.stats.misses == sum(retrieves)
     last_writes: dict[tuple[str, str], set[str]] = {}
@@ -899,8 +907,11 @@ def test_three_threads_mixing_reads_and_edits(seed):
         last = dict(thread_writes)  # each thread's last value per key
         for key, value in last.items():
             last_writes.setdefault(key, set()).add(value)
-    for (subject, relation), values in last_writes.items():
-        assert store.get(subject, relation).obj in values
+    for key, values in last_writes.items():
+        held = store.get(*key)
+        if key in source and (held is None or held.obj == source[key]):
+            continue  # a sync gave the edit way; its subject may be evicted
+        assert held.obj in values
     snapshot = store.fast_snapshot()
     for t in snapshot:
         if (t.subject, t.relation) not in last_writes:
@@ -1047,9 +1058,9 @@ class TestRemoteSparqlSource:
         '{"head": {"vars": "ab"}, "results": {"bindings": [{}]}}',
         '{"head": {"vars": [["x"]]}, "results": {"bindings": [{}]}}',
         '{"head": {"vars": ["x"]}, "results": {"bindings": [42]}}',
-        '{"head": {"vars": ["x"]}, "results": {"bindings": [{"x": "x"}]}}'])
+        '{"head": {"vars": ["x"]}, "results": {"bindings": [{"x": "x"}]}}',
+        '{"results": 5}'])
     def test_a_reply_that_is_not_a_results_object_is_retried(self, body):
-        from factcache.cache import FETCH_ATTEMPTS
         from factcache.errors import MalformedResponse
 
         naps = []
@@ -1057,7 +1068,58 @@ class TestRemoteSparqlSource:
         with pytest.raises(SlowUnreachable) as exc:
             source.fetch_subject("Q30")
         assert isinstance(exc.value.__cause__, MalformedResponse)
-        assert len(calls) == FETCH_ATTEMPTS
+        assert len(calls) == 1 and naps == []  # the same reply would return
+
+    def test_a_rejected_query_is_not_retried(self):
+        naps = []
+        source, calls = self.make_source([(400, "bad query")], naps)
+        with pytest.raises(SlowUnreachable):
+            source.fetch_subject("Q30")
+        assert len(calls) == 1 and naps == []
+
+    def test_a_programming_error_in_the_transport_is_raised_as_itself(self):
+        from factcache.cache import RemoteSparqlSource
+
+        calls, naps = [], []
+
+        def transport(url, params, headers):
+            calls.append(url)
+            raise TypeError("a programming error")
+
+        source = RemoteSparqlSource("https://unit.test/sparql",
+                                    transport=transport, sleep=naps.append)
+        with pytest.raises(TypeError):
+            source.fetch_subject("Q30")
+        assert len(calls) == 1 and naps == []
+
+    def test_only_the_network_transport_waits_on_the_rate_cap(
+            self, monkeypatch):
+        from factcache import sparqlio
+        from factcache.cache import RemoteSparqlSource
+
+        now = [0.0]
+        sent_at = []
+
+        def sleep(seconds):
+            now[0] += seconds
+
+        def network(url, params, headers):
+            sent_at.append(now[0])
+            return sparqlio.TransportReply(200, self.WIKIDATA_PAYLOAD)
+
+        monkeypatch.setattr(sparqlio, "requests_transport", network)
+        source = RemoteSparqlSource("https://unit.test/sparql", sleep=sleep)
+        source.policy.limiter.clock = lambda: now[0]
+        for _ in range(3):
+            assert len(source.fetch_subject("Q30")) == 2
+        assert sent_at == [0.0, pytest.approx(0.2), pytest.approx(0.4)]
+
+        naps = []
+        source, calls = self.make_source([(200, self.WIKIDATA_PAYLOAD)], naps)
+        for _ in range(3):
+            assert len(source.fetch_subject("Q30")) == 2
+        assert source.policy.limiter is None
+        assert len(calls) == 3 and naps == []
 
 
     @pytest.mark.parametrize("entity", [

@@ -51,6 +51,8 @@ def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
     ({"eval": {"sure": {"alpha": True}}}, "eval.sure.alpha"),
     ({"eval": {"sure": {"b": 10 ** 400}}}, "eval.sure.b"),
     ({"eval": {"sure": {"a": float("inf")}}}, "eval.sure.a"),
+    ({"eval": {"sure": {"a": -1}}}, "eval.sure.a"),
+    ({"data": {"templates_path": "nope.json"}}, "data.templates_path"),
 ])
 def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
                                                        config, key):

@@ -2,17 +2,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import threading
 from importlib import resources
 
 import pytest
 
+import factcache
+from factcache.cache import RemoteSparqlSource
 from factcache.errors import HttpError, MalformedResponse, RateLimited
 from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
-                                KnowledgeBaseClient, RateLimiter, RawTripleRow,
+                                KnowledgeBaseClient, RawTripleRow,
                                 _identifier_like, dbpedia_triples_query,
                                 equivalent_properties_query, filter_ambiguous,
                                 wikidata_triples_query)
-from factcache.sparqlio import TransportReply, with_retries
+from factcache.sparqlio import RateLimiter, RequestPolicy, TransportReply
 from factcache.triples import Source
 from conftest import FIXTURES
 
@@ -25,6 +29,8 @@ ASSET_DIGESTS = {
         "76cf3fa228b60c6a1e51628443251a4932100589e7c139b411feaab9a28bc45d",
     "sparql/dbpedia_triples.rq":
         "94f5477cef0711069631a935bc05675816610f2cab38a9968976741aacbbb8ef",
+    "sparql/subject_facts.rq":
+        "039358b032a0520f060d0c4ee7121a822b8bd3362e4abd6c1c6bb544530f41c6",
 }
 
 
@@ -41,14 +47,12 @@ def fixture_transport(name: str):
 
 def wikidata_client(fixture: str = "wikidata_triples_response.json"):
     return KnowledgeBaseClient(kind="wikidata", endpoint="https://unit.test/sparql",
-                               transport=fixture_transport(fixture),
-                               requests_per_second=10_000)
+                               transport=fixture_transport(fixture))
 
 
 def dbpedia_client(fixture: str = "dbpedia_triples_response.json"):
     return KnowledgeBaseClient(kind="dbpedia", endpoint=DBPEDIA_ENDPOINT,
-                               transport=fixture_transport(fixture),
-                               requests_per_second=10_000)
+                               transport=fixture_transport(fixture))
 
 
 class TestQueryGeneration:
@@ -106,8 +110,7 @@ class TestEquivalentProperties:
                             "results": {"bindings": []}})
         client = KnowledgeBaseClient(
             kind="dbpedia", endpoint="https://unit.test",
-            transport=lambda u, p, h: TransportReply(200, empty),
-            requests_per_second=10_000)
+            transport=lambda u, p, h: TransportReply(200, empty))
         assert client.fetch_equivalent_properties() == []
 
     def test_property_id_shape_enforced(self):
@@ -145,8 +148,7 @@ class TestFetchTriples:
             return TransportReply(200, "{}")
 
         client = KnowledgeBaseClient(kind="wikidata", endpoint="https://u.t",
-                                     transport=transport,
-                                     requests_per_second=10_000)
+                                     transport=transport)
         assert client.fetch_triples("P6", limit=0) == []
         assert calls == []
 
@@ -164,26 +166,42 @@ class TestFetchTriples:
     def test_http_error_propagates(self):
         client = KnowledgeBaseClient(
             kind="wikidata", endpoint="https://u.t",
-            transport=lambda u, p, h: TransportReply(500, "boom"),
-            requests_per_second=10_000)
+            transport=lambda u, p, h: TransportReply(500, "boom"))
+        naps = []
+        client.policy.sleep = naps.append
         with pytest.raises(HttpError):
             client.fetch_triples("P6", limit=5)
+        assert naps == [0.25, 0.5]  # a 5xx is retried, then propagates
+
+    def test_one_unavailable_reply_is_retried(self):
+        replies = [TransportReply(503, "unavailable"),
+                   TransportReply(200, (FIXTURES / "wikidata_triples_response"
+                                        ".json").read_text(encoding="utf-8"))]
+        client = KnowledgeBaseClient(
+            kind="wikidata", endpoint="https://u.t",
+            transport=lambda u, p, h: replies.pop(0))
+        naps = []
+        client.policy.sleep = naps.append
+        rows = client.fetch_triples("P6", limit=10)
+        assert rows[0].subject_label == "Sioux Falls"
+        assert (replies, naps) == ([], [0.25])
 
     def test_rate_limited_carries_retry_after(self):
         client = KnowledgeBaseClient(
             kind="wikidata", endpoint="https://u.t",
             transport=lambda u, p, h: TransportReply(
-                429, "slow down", headers={"Retry-After": "17"}),
-            requests_per_second=10_000)
+                429, "slow down", headers={"Retry-After": "17"}))
+        naps = []
+        client.policy.sleep = naps.append
         with pytest.raises(RateLimited) as exc:
             client.fetch_triples("P6", limit=5)
         assert exc.value.retry_after == 17.0
+        assert naps == [17.0, 17.0]  # each retry waits for the hint
 
     def test_malformed_response(self):
         client = KnowledgeBaseClient(
             kind="wikidata", endpoint="https://u.t",
-            transport=lambda u, p, h: TransportReply(200, "not json"),
-            requests_per_second=10_000)
+            transport=lambda u, p, h: TransportReply(200, "not json"))
         with pytest.raises(MalformedResponse):
             client.fetch_triples("P6", limit=5)
 
@@ -198,47 +216,59 @@ class TestFetchTriples:
     def test_json_that_is_not_a_results_object_is_malformed(self, body):
         client = KnowledgeBaseClient(
             kind="wikidata", endpoint="https://u.t",
-            transport=lambda u, p, h: TransportReply(200, body),
-            requests_per_second=10_000)
+            transport=lambda u, p, h: TransportReply(200, body))
         with pytest.raises(MalformedResponse):
             client.fetch_triples("P6", limit=5)
 
 
 class TestWithRetries:
+    """The request policy's retries, over a transport that replays one
+    reply, or raises one exception, per request."""
+
     @staticmethod
-    def failing(errors):
+    def policy(replies, naps):
         calls = []
 
-        def call():
-            calls.append(1)
-            raise errors[len(calls) - 1]
+        def transport(url, params, headers):
+            calls.append(params["query"])
+            reply = replies[len(calls) - 1]
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
 
-        return call, calls
+        return RequestPolicy("https://u.t", transport, naps.append), calls
 
     def test_backoff_doubles_and_the_last_error_propagates(self):
-        errors = [HttpError("a"), HttpError("b"), HttpError("c")]
-        call, calls = self.failing(errors)
+        errors = [OSError("a"), TransportReply(503, "b"), OSError("c")]
         naps = []
+        policy, calls = self.policy(errors, naps)
         with pytest.raises(HttpError) as exc:
-            with_retries(call, 3, naps.append, HttpError)
-        assert exc.value is errors[-1]
-        assert naps == [0.25, 0.5]
+            policy.select("q")
+        assert exc.value.__cause__ is errors[-1]  # a connection error
+        assert len(calls) == 3 and naps == [0.25, 0.5]
 
     def test_retry_after_hint_replaces_the_backoff_for_that_wait(self):
-        call, calls = self.failing(
-            [RateLimited("a", retry_after=3.0), HttpError("b"),
-             RateLimited("c", retry_after=-1.0), HttpError("d")])
         naps = []
+        policy, calls = self.policy(
+            [TransportReply(429, "a", {"Retry-After": "3"}),
+             TransportReply(503, "b"),
+             TransportReply(429, "c", {"Retry-After": "-1"}),
+             TransportReply(502, "d")], naps)
+        policy.attempts = 4
         with pytest.raises(HttpError):
-            with_retries(call, 4, naps.append, HttpError)
+            policy.select("q")
         assert naps == [3.0, 0.5, 0.0]  # a negative hint waits not at all
 
     def test_other_errors_are_not_retried(self):
-        call, calls = self.failing([MalformedResponse("bad")])
-        naps = []
-        with pytest.raises(MalformedResponse):
-            with_retries(call, 3, naps.append, HttpError)
-        assert len(calls) == 1 and naps == []
+        for reply, error in [(TransportReply(200, "not json"),
+                              MalformedResponse),
+                             (TransportReply(400, "bad query"), HttpError),
+                             (TypeError("a programming error"), TypeError)]:
+            naps = []
+            policy, calls = self.policy([reply], naps)
+            with pytest.raises(error):
+                policy.select("q")
+            assert len(calls) == 1 and naps == []
 
 
 class TestRateLimiter:
@@ -265,6 +295,49 @@ class TestRateLimiter:
         now[0] = 10.0
         limiter.wait()
         assert naps == []
+
+    def test_threads_sharing_it_each_take_a_slot_of_their_own(self):
+        # one clock reading for all: every wait must sleep to a distinct
+        # slot, and two threads that read the same free slot would share it
+        naps = []
+        limiter = RateLimiter(5.0, clock=lambda: 0.0, sleep=naps.append)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [limiter.wait() for _ in range(200)])
+                for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        expected, slot = [], 0.0
+        for _ in range(799):
+            slot += 0.2
+            expected.append(slot)
+        assert sorted(naps) == expected
+
+
+@pytest.mark.parametrize("fetch", [
+    lambda transport: KnowledgeBaseClient(
+        kind="wikidata", endpoint="https://u.t",
+        transport=transport).fetch_triples("P6", limit=5),
+    lambda transport: RemoteSparqlSource(
+        "https://u.t", transport=transport).fetch_subject("Q30"),
+], ids=["data-fetch", "slow-tier"])
+def test_every_request_names_factcache_and_its_version(fetch):
+    agents = []
+
+    def transport(url, params, headers):
+        agents.append(headers["User-Agent"])
+        return TransportReply(200, '{"head": {"vars": []}, '
+                                   '"results": {"bindings": []}}')
+
+    fetch(transport)
+    assert agents == [f"factcache/{factcache.__version__}"]
 
 
 def row(subject_uri, subject_label, object_uri, object_label,
