@@ -245,7 +245,8 @@ class RemoteSparqlSource:
     the packaged subject_facts.rq through a sparqlio.RequestPolicy, which
     retries transient failures and caps the network transport. A failure
     left after it, a malformed reply and any other 4xx are SlowUnreachable;
-    any other exception (a transport's TypeError) propagates as itself.
+    any other exception propagates as itself: a transport's TypeError, or
+    the ConfigError of an endpoint the network transport cannot send to.
     The query is Wikidata's, so rows are WIKIDATA triples; a live endpoint
     has no snapshot time."""
 

@@ -124,7 +124,9 @@ class KnowledgeBaseClient:
             if not dbp or not label or not wd_uri:
                 raise MalformedResponse(f"incomplete property row: {row}")
             wd_id = uri_tail(wd_uri)
-            if not _PROPERTY_ID_RE.match(wd_id) or _identifier_like(label):
+            if not _PROPERTY_ID_RE.match(wd_id):
+                continue
+            if _identifier_like(label):
                 continue
             pairs.append(EquivalentPropertyPair(
                 dbpedia_property=dbp, wikidata_property=wd_id, label=label))
@@ -143,11 +145,12 @@ class KnowledgeBaseClient:
         if limit == 0:
             return []
         if self.kind == "wikidata":
-            rows = self.policy.select(wikidata_triples_query(
-                relation, limit, offset, person_only=person_only))
+            query = wikidata_triples_query(relation, limit, offset,
+                                           person_only=person_only)
+            rows = self.policy.select(query)
         else:
-            rows = self.policy.select(
-                dbpedia_triples_query(relation))[offset:offset + limit]
+            query = dbpedia_triples_query(relation)
+            rows = self.policy.select(query)[offset:offset + limit]
         out = []
         for row in rows:
             subject_uri = row.get("subject")

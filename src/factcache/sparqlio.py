@@ -1,8 +1,10 @@
-"""SPARQL over HTTP, shared by the KB clients and the remote slow source:
-one request policy (rate cap and retries), request execution and
-results-JSON parsing, query assets, URI helpers. The transport is
-injectable so every test can run against recorded responses; the default
-transport issues a real GET via requests."""
+"""Low-level SPARQL-over-HTTP plumbing shared by the KB clients and the
+remote slow source: the request policy (rate cap and retries), request
+execution, results-JSON parsing, query assets, URI helpers.
+
+The transport is injectable so every test can run against recorded
+responses; the default transport issues a real GET via requests.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from importlib import resources
 from typing import Callable, Mapping, Optional
 
 from . import __version__
-from .errors import HttpError, MalformedResponse, RateLimited
+from .errors import ConfigError, HttpError, MalformedResponse, RateLimited
 
 # Wikimedia asks every client of its endpoints to name itself:
 # https://meta.wikimedia.org/wiki/User-Agent_policy
@@ -44,7 +46,12 @@ def requests_transport(url: str, params: Mapping[str, str],
                        headers: Mapping[str, str]) -> TransportReply:
     import requests
 
-    resp = requests.get(url, params=params, headers=headers, timeout=60)
+    try:
+        resp = requests.get(url, params=params, headers=headers, timeout=60)
+    except ValueError as exc:
+        # InvalidURL, MissingSchema, InvalidSchema, InvalidHeader: requests
+        # cannot send this request, so sending it again fails alike
+        raise ConfigError(f"cannot send a request to {url}: {exc}") from exc
     return TransportReply(status=resp.status_code, text=resp.text,
                           headers=dict(resp.headers))
 
@@ -55,10 +62,10 @@ def exec_sparql(endpoint: str, query: str,
     to plain value, None where unbound.
 
     Raises RateLimited on 429 (carrying any Retry-After hint), HttpError on
-    other non-2xx statuses or a connection error (an OSError, which every
-    requests exception is), MalformedResponse when the body is not a SPARQL
-    results document or its head, a row or a cell is misshapen. Any other
-    exception from the transport propagates.
+    other non-2xx statuses or a connection error (an OSError, as requests'
+    are), MalformedResponse when the body is not a SPARQL results document
+    or its head, a row or a cell is misshapen. Any other exception from the
+    transport propagates.
     """
     transport = transport or requests_transport
     try:
@@ -67,8 +74,8 @@ def exec_sparql(endpoint: str, query: str,
     except OSError as exc:
         raise HttpError(f"request to {endpoint} failed: {exc}") from exc
     if reply.status == 429:
-        raise RateLimited(f"{endpoint} rate-limited",
-                          retry_after=parse_retry_after(reply.headers))
+        retry_after = parse_retry_after(reply.headers)
+        raise RateLimited(f"{endpoint} rate-limited", retry_after=retry_after)
     if not 200 <= reply.status < 300:
         raise HttpError(f"{endpoint} returned HTTP {reply.status}",
                         status=reply.status)
@@ -165,14 +172,16 @@ class RequestPolicy:
 def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
     """Seconds in a Retry-After header; None if absent, not a finite
     number, or above MAX_RETRY_AFTER_S."""
-    value = next((value for name, value in headers.items()
-                  if name.lower() == "retry-after"), None)
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):  # absent, or not a number
-        return None
-    return seconds if math.isfinite(seconds) and \
-        seconds <= MAX_RETRY_AFTER_S else None
+    for name, value in headers.items():
+        if name.lower() == "retry-after":
+            try:
+                seconds = float(value)
+            except ValueError:
+                return None
+            if not math.isfinite(seconds) or seconds > MAX_RETRY_AFTER_S:
+                return None
+            return seconds
+    return None
 
 
 def load_query(name: str) -> str:

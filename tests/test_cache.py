@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import threading
@@ -857,18 +858,19 @@ class NappingSource(InMemorySlowSource):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_three_threads_mixing_reads_and_edits(seed):
-    """Reads (each miss prefetching one hop), edits and syncs race. A sync
-    gives a synthetic edit way to the source's fact where the source holds
-    its relation; every other edit survives as some thread's last write."""
+    """Reads (each miss prefetching one hop), edits and syncs race. Each
+    edit survives as some thread's last write, unless a sync that ended
+    after that write began gave it way to the source's fact."""
     subjects, facts = random_world(random.Random(seed))
     store = TieredFactStore(slow=NappingSource(facts, snapshot_at=SNAPSHOT),
                             capacity=6)
     source = {(t.subject, t.relation): t.obj for t in facts}
     start = threading.Barrier(3)
     retrieves = [0, 0, 0]
-    syncs = [0, 0, 0]
+    clock = itertools.count()  # orders write starts and sync ends
+    sync_ends: list[int] = []
     finished = []
-    writes: list[list[tuple[tuple[str, str], str]]] = [[], [], []]
+    writes: list[list[tuple[tuple[str, str], str, int]]] = [[], [], []]
 
     def worker(tid):
         ops = random.Random(seed * 10 + tid)
@@ -882,12 +884,12 @@ def test_three_threads_mixing_reads_and_edits(seed):
                 retrieves[tid] += 1
             elif roll < 0.65:
                 value = f"t{tid}-{n}"
+                writes[tid].append(((subject, relation), value, next(clock)))
                 store.apply_update(EditRequest(subject, relation, value,
                                                object_is_entity=False))
-                writes[tid].append(((subject, relation), value))
-            elif roll < 0.67:
+            elif roll < 0.67 and n < 200:  # the last 200 edits race no sync
                 store.sync()
-                syncs[tid] += 1
+                sync_ends.append(next(clock))
             else:
                 store.get(subject, relation)
         finished.append(tid)  # not reached if a call raised
@@ -899,19 +901,21 @@ def test_three_threads_mixing_reads_and_edits(seed):
     for t in threads:
         t.join(timeout=30)
     assert sorted(finished) == [0, 1, 2]
-    assert sum(syncs) > 0
+    assert sync_ends
 
     assert store.stats.hits + store.stats.misses == sum(retrieves)
-    last_writes: dict[tuple[str, str], set[str]] = {}
+    # each thread's last value per key, with the clock when its write began
+    last_writes: dict[tuple[str, str], dict[str, int]] = {}
     for thread_writes in writes:
-        last = dict(thread_writes)  # each thread's last value per key
-        for key, value in last.items():
-            last_writes.setdefault(key, set()).add(value)
+        last = {key: (value, began) for key, value, began in thread_writes}
+        for key, (value, began) in last.items():
+            last_writes.setdefault(key, {})[value] = began
     for key, values in last_writes.items():
         held = store.get(*key)
-        if key in source and (held is None or held.obj == source[key]):
-            continue  # a sync gave the edit way; its subject may be evicted
-        assert held.obj in values
+        if key in source and (held is None or held.obj == source[key]) \
+                and max(sync_ends) > min(values.values()):
+            continue  # a later sync gave the edit way; it may be evicted
+        assert held is not None and held.obj in values
     snapshot = store.fast_snapshot()
     for t in snapshot:
         if (t.subject, t.relation) not in last_writes:
@@ -1121,6 +1125,25 @@ class TestRemoteSparqlSource:
         assert source.policy.limiter is None
         assert len(calls) == 3 and naps == []
 
+    def test_an_endpoint_the_network_cannot_reach_is_not_retried(
+            self, monkeypatch):
+        from factcache import sparqlio
+        from factcache.cache import RemoteSparqlSource
+
+        calls, naps = [], []
+        network = sparqlio.requests_transport
+
+        def counted(url, params, headers):
+            calls.append(url)
+            return network(url, params, headers)
+
+        monkeypatch.setattr(sparqlio, "requests_transport", counted)
+        # requests refuses both before it opens a connection
+        for endpoint in ("unit.test/sparql", "http://"):  # no scheme, no host
+            source = RemoteSparqlSource(endpoint, sleep=naps.append)
+            with pytest.raises(ConfigError, match="cannot send a request"):
+                source.fetch_subject("Q30")
+        assert len(calls) == 2 and naps == []
 
     @pytest.mark.parametrize("entity", [
         "Q1 . } SELECT * WHERE { ?s ?p ?o", "Scale Town 1", "Q1\n"],

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 import threading
 from importlib import resources
 
@@ -297,28 +296,34 @@ class TestRateLimiter:
         assert naps == []
 
     def test_threads_sharing_it_each_take_a_slot_of_their_own(self):
-        # one clock reading for all: every wait must sleep to a distinct
-        # slot, and two threads that read the same free slot would share it
+        # `wait` reads `interval` after it reads the next free slot and
+        # before it takes it; here that read waits (0.2 s at most) for a
+        # second thread to get as far. Unlocked, both would then take slot
+        # 0 and neither sleep; locked, the second reads the slot only once
+        # the first has taken it, and sleeps to the next.
+        both_in = threading.Barrier(2)
+
+        class Stalling(RateLimiter):
+            @property
+            def interval(self):
+                try:
+                    both_in.wait(timeout=0.2)
+                except threading.BrokenBarrierError:
+                    pass
+                return 0.2
+
+            @interval.setter
+            def interval(self, value):
+                pass
+
         naps = []
-        limiter = RateLimiter(5.0, clock=lambda: 0.0, sleep=naps.append)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(
-                target=lambda: [limiter.wait() for _ in range(200)])
-                for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        expected, slot = [], 0.0
-        for _ in range(799):
-            slot += 0.2
-            expected.append(slot)
-        assert sorted(naps) == expected
+        limiter = Stalling(5.0, clock=lambda: 0.0, sleep=naps.append)
+        threads = [threading.Thread(target=limiter.wait) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+        assert naps == [pytest.approx(0.2)]
 
 
 @pytest.mark.parametrize("fetch", [
