@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -52,7 +53,7 @@ def _model(cfg: Config):
     if cfg.model_kind == "http":
         return HttpCompletionModel(
             endpoint=cfg.model_endpoint,
-            api_key=cfg.api_key(),
+            api_key=os.environ.get(cfg.api_key_env),  # "" names no variable
             max_tokens=cfg.model_max_tokens,
         )
     return MockTableModel(priors=cfg.model_priors)
@@ -203,7 +204,9 @@ def cmd_data_fetch(cfg: Config, args) -> int:
                                 relation_label=args.relation_label or "",
                                 person_only=args.person_only)
     if args.filter_ambiguous:
-        for t in filter_ambiguous(rows):
+        # a replayed fixture has no fetch time; a live fetch has one
+        fetched_at = None if args.fixture else cachemod.utcnow()
+        for t in filter_ambiguous(rows, fetched_at):
             print(json.dumps(cachemod.triple_to_row(t), ensure_ascii=False))
     else:
         for row in rows:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from datetime import datetime
 from typing import Optional
 
-from .cache import utcnow
 from .errors import MalformedResponse
 from .sparqlio import RequestPolicy, Transport, load_query, uri_tail
 from .triples import FactTriple, Source, TripleSet
@@ -179,8 +179,10 @@ def _identifier_like(label: str) -> bool:
     return bool(tokens & BLOCK_TOKENS)
 
 
-def filter_ambiguous(rows: list[RawTripleRow]) -> TripleSet:
-    """Drop rows that would make a question ambiguous, then build triples.
+def filter_ambiguous(rows: list[RawTripleRow],
+                     fetched_at: Optional[datetime] = None) -> TripleSet:
+    """Drop rows that would make a question ambiguous, then build triples
+    stamped `fetched_at` (None when the fetch time is unknown).
 
     Within the batch (which must cover a single relation per grouping):
     (a) a subject label naming more than one subject URI is dropped entirely,
@@ -202,7 +204,6 @@ def filter_ambiguous(rows: list[RawTripleRow]) -> TripleSet:
             (row.relation_id, row.subject_uri), set()).add(
             (row.object_uri, row.object_label))
 
-    fetched_at = utcnow()
     kept = []
     for row in deduped:
         if len(uris_per_label[(row.relation_id, row.subject_label)]) > 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import string
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -114,14 +115,19 @@ class SUREParams:
     beta: float = 1.0
 
     def __post_init__(self):
+        # each message starts with the weight's name, which a config error
+        # prefixes with its section
         for name in ("a", "b", "alpha", "beta"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("a and b must be non-negative")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+            # a bool is not a number here, nor is an int past the float range
+            if type(value) not in (int, float) or \
+                    not abs(value) <= sys.float_info.max:
+                raise ValueError(
+                    f"{name} must be a finite number, got {value!r}")
+            if name in ("a", "b") and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+            if name in ("alpha", "beta") and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 DEFAULT_SURE = SUREParams()

@@ -280,6 +280,17 @@ class TestData:
         assert rows[0]["subject_label"] == "Sioux Falls"
         assert rows[0]["object_label"] == "Paul Ten Haken"
 
+    def test_fetch_filtered_fixture_repeats_byte_for_byte(self, workdir,
+                                                          capsys):
+        argv = ("data", "fetch", "--relation", "P6", "--filter-ambiguous",
+                "--fixture", str(FIXTURES / "wikidata_triples_response.json"))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        # a replay has no fetch time to stamp
+        assert all(json.loads(line)["fetched_at"] is None
+                   for line in out.splitlines())
+        assert run(capsys, *argv) == (code, out, "")
+
     def test_fetch_properties_fixture_mode(self, workdir, capsys):
         code, out, _ = run(
             capsys, "data", "fetch", "--kb", "dbpedia", "--properties",

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from factcache.cli import main
-from factcache.config import Config, load_config
+from factcache.config import ATTRS, SURE_WEIGHTS, Config, load_config
 from factcache.metrics import SUREParams
 
 
@@ -53,6 +55,18 @@ def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
     ({"eval": {"sure": {"a": float("inf")}}}, "eval.sure.a"),
     ({"eval": {"sure": {"a": -1}}}, "eval.sure.a"),
     ({"data": {"templates_path": "nope.json"}}, "data.templates_path"),
+    ({"slow_source": {"kind": "sqlite"}}, "slow_source.kind"),
+    ({"model": {"kind": "openai"}}, "model.kind"),
+    ({"pipeline": {"extractor": "regex"}}, "pipeline.extractor"),
+    ({"pipeline": {"k": 0}}, "pipeline.k"),
+    ({"store": {"capacity": 0}}, "store.capacity"),
+    ({"store": {"prefetch_depth": 2}}, "store.prefetch_depth"),
+    ({"slow_source": {"kind": "local_dump"}}, "slow_source.locator"),
+    ({"slow_source": {"kind": "local_dump", "locator": "nope.jsonl"}},
+     "slow_source.locator"),
+    ({"slow_source": {"kind": "remote_sparql"}}, "slow_source.locator"),
+    ({"model": {"kind": "http"}}, "model.endpoint"),
+    ({"data": {"benchmark_path": "nope.jsonl"}}, "data.benchmark_path"),
 ])
 def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
                                                        config, key):
@@ -79,3 +93,32 @@ def test_a_null_section_or_key_means_its_default(tmp_path, capsys, config):
     assert (code, err) == (0, "")
     assert load_config(str(tmp_path / "factcache.json")) == Config(
         state_path=str(tmp_path / "factcache_state.json"))
+
+
+def readme_config() -> dict:
+    readme = Path(__file__).parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S)[1])
+
+
+def key_paths(doc: dict, prefix: str = ""):
+    """The dotted paths of a config's leaves; a keyed object is a leaf."""
+    for name, value in doc.items():
+        path = prefix + name
+        if isinstance(value, dict) and path not in ATTRS:
+            yield from key_paths(value, path + ".")
+        else:
+            yield path
+
+
+def test_the_readme_example_names_every_key_and_loads(tmp_path):
+    doc = readme_config()
+    assert set(key_paths(doc)) == set(ATTRS) | {
+        f"eval.sure.{name}" for name in SURE_WEIGHTS}
+    (tmp_path / "dump.jsonl").write_text("", encoding="utf-8")
+    path = tmp_path / "factcache.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = load_config(str(path))
+    assert cfg.slow_locator == str(tmp_path / "dump.jsonl")
+    assert cfg.state_path == str(tmp_path / "factcache_state.json")

@@ -17,7 +17,7 @@ from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
                                 wikidata_triples_query)
 from factcache.sparqlio import RateLimiter, RequestPolicy, TransportReply
 from factcache.triples import Source
-from conftest import FIXTURES
+from conftest import FIXTURES, SNAPSHOT
 
 # Pinned digests of the packaged query/prompt assets; any edit to the files
 # (including whitespace) fails here.
@@ -381,6 +381,13 @@ class TestFilterAmbiguous:
         assert t.obj == "Q63538209"
         assert t.object_label == "Paul Ten Haken"
         assert t.relation == "P6"
+
+    def test_every_kept_triple_carries_the_given_stamp(self):
+        rows = [row("http://wd/Q1", "Town", "http://wd/Q2", "Mayor"),
+                row("http://wd/Q3", "City", "http://wd/Q4", "Chief")]
+        assert {t.fetched_at for t in filter_ambiguous(rows)} == {None}
+        stamped = filter_ambiguous(rows, fetched_at=SNAPSHOT)
+        assert [t.fetched_at for t in stamped] == [SNAPSHOT, SNAPSHOT]
 
     def test_exact_duplicates_do_not_fake_a_conflict(self):
         duplicated = row("http://wd/Q1", "Town", "http://wd/Q2", "Mayor")
