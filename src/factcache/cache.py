@@ -243,12 +243,11 @@ _ENTITY_ID = re.compile(r"[A-Za-z0-9_]+")  # any other string names no item
 class RemoteSparqlSource:
     """Slow tier backed by a public SPARQL endpoint, asked by subject with
     the packaged subject_facts.rq through a sparqlio.RequestPolicy, which
-    retries transient failures and caps the network transport. A failure
-    left after it, a malformed reply and any other 4xx are SlowUnreachable;
-    any other exception propagates as itself: a transport's TypeError, or
-    the ConfigError of an endpoint the network transport cannot send to.
-    The query is Wikidata's, so rows are WIKIDATA triples; a live endpoint
-    has no snapshot time."""
+    retries transient failures. A failure left after it, a malformed reply
+    and any other 4xx are SlowUnreachable; any other exception propagates
+    as itself: a transport's TypeError, or the ConfigError of an endpoint
+    the network transport cannot send to. The query is Wikidata's, so rows
+    are WIKIDATA triples; a live endpoint has no snapshot time."""
 
     snapshot_at: Optional[datetime] = None
 

@@ -43,7 +43,8 @@ class Config:
 
 # key path, Config attribute, type, check: the allowed values, the least
 # int, or INPUT or OUTPUT for a path resolved against the config's directory
-INPUT, OUTPUT = "input", "output"  # an input must exist
+# (an input must exist when set; an output must be set and be no directory)
+INPUT, OUTPUT = "input", "output"
 KEYS = (
     ("store.state_path", "state_path", str, OUTPUT),
     ("store.capacity", "capacity", int, 1),
@@ -54,7 +55,7 @@ KEYS = (
     ("model.kind", "model_kind", str, ("mock", "http")),
     ("model.endpoint", "model_endpoint", str, None),
     ("model.api_key_env", "api_key_env", str, None),
-    ("model.max_tokens", "model_max_tokens", int, None),
+    ("model.max_tokens", "model_max_tokens", int, 1),
     ("model.priors", "model_priors", dict, None),
     ("pipeline.k", "k", int, 1),
     ("pipeline.extractor", "extractor", str,
@@ -133,6 +134,8 @@ def _checked(key: str, value, kind: type, check, base: Path):
         raise ConfigError(f"{key} must be {allowed}, got {value!r}")
     if type(check) is int and value < check:
         raise ConfigError(f"{key} must be >= {check}, got {value!r}")
+    if check == OUTPUT and (not value or (base / value).is_dir()):
+        raise ConfigError(f"{key} must name a file, got {value!r}")
     if check in (INPUT, OUTPUT) and value:
         value = str(base / value)  # an absolute value stays as it is
         if check == INPUT and not Path(value).exists():

@@ -3,9 +3,9 @@ paginated triple collection, and ambiguity filtering.
 
 Query texts are loaded from text assets and substituted verbatim; the same
 inputs always produce byte-identical query strings. Each client asks its
-endpoint through one sparqlio.RequestPolicy, which caps live endpoints and
-retries transient failures; tests run against recorded fixture responses
-via an injected transport.
+endpoint through one sparqlio.RequestPolicy, which retries transient
+failures; tests run against recorded fixture responses via an injected
+transport.
 """
 
 from __future__ import annotations

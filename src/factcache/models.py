@@ -59,11 +59,13 @@ class MockTableModel:
 
     The answer is the object of the first evidence triple whose relation
     tokens overlap the query; fact-check prompts instead yield True/False
-    depending on whether the proposition ends with that object, since a
-    proposition states its option last ("... is Paris."). With no
-    applicable evidence the fixed prior table answers (DEFAULT_ANSWER when
-    the query is unknown). The emitted distribution puts mass 1 - EPSILON on
-    the answer and spreads EPSILON uniformly over the candidate set.
+    depending on whether the proposition ends with that object right after
+    a function word, since a proposition states its option last, after the
+    template's "is" ("... is Paris."): "... is New York." does not state
+    York. With no applicable evidence the fixed prior table answers
+    (DEFAULT_ANSWER when the query is unknown). The emitted distribution
+    puts mass 1 - EPSILON on the answer and spreads EPSILON uniformly over
+    the candidate set.
     """
 
     DEFAULT_ANSWER = "I don't know"
@@ -78,7 +80,10 @@ class MockTableModel:
             answer = self.priors.get(prompt.query, self.DEFAULT_ANSWER)
         elif prompt.task is TaskKind.FACT_CHECK:
             said = tokenize(applicable.object_label)
-            stated = said and tokenize(prompt.query)[-len(said):] == said
+            words = tokenize(prompt.query)
+            cut = len(words) - len(said)
+            stated = (bool(said) and cut > 0 and words[cut:] == said
+                      and words[cut - 1] in _STOPWORDS)
             answer = "True" if stated else "False"
         else:
             answer = applicable.object_label

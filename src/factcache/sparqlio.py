@@ -1,6 +1,6 @@
 """Low-level SPARQL-over-HTTP plumbing shared by the KB clients and the
-remote slow source: the request policy (rate cap and retries), request
-execution, results-JSON parsing, query assets, URI helpers.
+remote slow source: the request policy (retries), request execution,
+results-JSON parsing, query assets, URI helpers.
 
 The transport is injectable so every test can run against recorded
 responses; the default transport issues a real GET via requests.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -27,7 +26,6 @@ HEADERS = {"Accept": "application/sparql-results+json",
 # backoff applies; time.sleep rejects a huge value with OverflowError.
 MAX_RETRY_AFTER_S = 3600.0
 RETRY_BACKOFF_S = 0.25  # the first wait between attempts; doubles per retry
-REQUESTS_PER_S = 5.0  # the cap on the network transport
 
 
 @dataclass
@@ -106,40 +104,16 @@ def exec_sparql(endpoint: str, query: str,
     return rows
 
 
-class RateLimiter:
-    """A requests-per-second cap that threads may share: each wait takes
-    the next free slot under a lock and sleeps until it, outside the lock."""
-
-    def __init__(self, per_second: float,
-                 clock: Callable[[], float] = time.monotonic,
-                 sleep: Callable[[float], None] = time.sleep):
-        if per_second <= 0:
-            raise ValueError("per_second must be positive")
-        self.interval = 1.0 / per_second
-        self.clock = clock
-        self.sleep = sleep
-        self._next_allowed = 0.0
-        self._lock = threading.Lock()
-
-    def wait(self) -> None:
-        with self._lock:
-            now = self.clock()
-            slot = max(now, self._next_allowed)
-            self._next_allowed = slot + self.interval
-        if slot > now:
-            self.sleep(slot - now)
-
-
 class RequestPolicy:
     """How a client asks one SPARQL endpoint.
 
-    `select` waits on the rate cap, runs the query and returns its rows,
-    making up to `attempts` requests. It retries only a transient failure
-    (a connection error, a 5xx or a 429), after the 429's Retry-After hint
-    or else a backoff from RETRY_BACKOFF_S that doubles; the last error
-    propagates. A MalformedResponse, another 4xx or any other exception
-    propagates at once. Only the network transport (`transport` None) is
-    capped, at REQUESTS_PER_S; an injected transport never waits.
+    `select` runs the query and returns its rows, making up to `attempts`
+    requests. A request goes out as soon as the last one is answered: the
+    endpoint paces its clients, with a 429 and a Retry-After hint. `select`
+    retries only a transient failure (a connection error, a 5xx or a 429),
+    after the 429's Retry-After hint or else a backoff from RETRY_BACKOFF_S
+    that doubles; the last error propagates. A MalformedResponse, another
+    4xx or any other exception propagates at once.
     """
 
     attempts = 3
@@ -149,14 +123,10 @@ class RequestPolicy:
         self.endpoint = endpoint
         self.transport = transport
         self.sleep = sleep
-        self.limiter = (RateLimiter(REQUESTS_PER_S, sleep=sleep)
-                        if transport is None else None)
 
     def select(self, query: str) -> list[dict[str, Optional[str]]]:
         delay = RETRY_BACKOFF_S
         for attempt in range(1, self.attempts + 1):
-            if self.limiter is not None:
-                self.limiter.wait()
             try:
                 return exec_sparql(self.endpoint, query, self.transport)
             except HttpError as exc:

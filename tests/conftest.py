@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import re
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from factcache.cache import InMemorySlowSource, TieredFactStore
 from factcache.dataset import load_relation_templates
 from factcache.models import MockTableModel
 from factcache.pipeline import AliasIndex, Pipeline
+from factcache.sparqlio import TransportReply
 from factcache.triples import FactTriple, Source, TripleSet
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,6 +40,36 @@ SNAPSHOT = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
 def triple(subject, relation, obj, **kwargs):
     return FactTriple(subject=subject, relation=relation, obj=obj, **kwargs)
+
+
+def subject_facts_endpoint(facts, sent_at):
+    """A transport standing in for Wikidata's SPARQL endpoint: it answers
+    subject_facts.rq from `facts`, item id -> [(property id, property
+    label, object, object label)], sending an object that is an item id
+    as its entity URI, and appends each request's time.monotonic() to
+    `sent_at`."""
+    entity = "http://www.wikidata.org/entity/"
+
+    def cell(value, uri=False):
+        return {"type": "uri" if uri else "literal", "value": value}
+
+    def transport(url, params, headers):
+        sent_at.append(time.monotonic())
+        subject = re.search(r"wd:(\w+) ", params["query"]).group(1)
+        bindings = []
+        for prop, prop_label, obj, obj_label in facts.get(subject, ()):
+            item = re.fullmatch(r"Q\d+", obj) is not None
+            bindings.append({
+                "relation": cell(entity + prop, uri=True),
+                "relationLabel": cell(prop_label),
+                "object": cell(entity + obj if item else obj, uri=item),
+                "objectLabel": cell(obj_label)})
+        return TransportReply(200, json.dumps({
+            "head": {"vars": ["relation", "relationLabel", "object",
+                              "objectLabel"]},
+            "results": {"bindings": bindings}}))
+
+    return transport
 
 
 @pytest.fixture

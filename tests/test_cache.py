@@ -20,7 +20,7 @@ from factcache.errors import ConfigError, ParseError, SlowUnreachable
 from factcache.models import MockTableModel
 from factcache.pipeline import AliasIndex, Pipeline
 from factcache.triples import Source, TripleSet
-from conftest import SNAPSHOT, triple
+from conftest import SNAPSHOT, subject_facts_endpoint, triple
 
 
 def make_store(triples=(), snapshot_at=SNAPSHOT, **kwargs):
@@ -1096,15 +1096,16 @@ class TestRemoteSparqlSource:
             source.fetch_subject("Q30")
         assert len(calls) == 1 and naps == []
 
-    def test_only_the_network_transport_waits_on_the_rate_cap(
-            self, monkeypatch):
+    def test_the_network_transport_sends_without_waiting(self, monkeypatch):
+        # the endpoint paces its clients with 429 and Retry-After
         from factcache import sparqlio
         from factcache.cache import RemoteSparqlSource
 
         now = [0.0]
-        sent_at = []
+        sent_at, naps = [], []
 
         def sleep(seconds):
+            naps.append(seconds)
             now[0] += seconds
 
         def network(url, params, headers):
@@ -1113,17 +1114,34 @@ class TestRemoteSparqlSource:
 
         monkeypatch.setattr(sparqlio, "requests_transport", network)
         source = RemoteSparqlSource("https://unit.test/sparql", sleep=sleep)
-        source.policy.limiter.clock = lambda: now[0]
         for _ in range(3):
             assert len(source.fetch_subject("Q30")) == 2
-        assert sent_at == [0.0, pytest.approx(0.2), pytest.approx(0.4)]
+        assert naps == [] and sent_at == [0.0, 0.0, 0.0]
 
-        naps = []
         source, calls = self.make_source([(200, self.WIKIDATA_PAYLOAD)], naps)
         for _ in range(3):
             assert len(source.fetch_subject("Q30")) == 2
-        assert source.policy.limiter is None
         assert len(calls) == 3 and naps == []
+
+    def test_a_cold_retrieve_and_a_sync_send_without_waiting(
+            self, monkeypatch):
+        from factcache import sparqlio
+        from factcache.cache import RemoteSparqlSource
+
+        neighbours = [f"Q{n}" for n in range(2, 6)]
+        facts = {"Q1": [(f"P{n}", "part", item, item)
+                        for n, item in enumerate(neighbours)]}
+        facts.update({item: [("P2043", "length", "1 km", "1 km")]
+                      for item in neighbours})
+        sent_at, naps = [], []
+        monkeypatch.setattr(sparqlio, "requests_transport",
+                            subject_facts_endpoint(facts, sent_at))
+        store = TieredFactStore(slow=RemoteSparqlSource(
+            "https://unit.test/sparql", sleep=naps.append))
+        assert len(store.retrieve("Q1")) == 4
+        assert len(sent_at) == 5 and len(store) == 8  # the four prefetched
+        assert store.sync() == 0
+        assert len(sent_at) == 10 and naps == []
 
     def test_an_endpoint_the_network_cannot_reach_is_not_retried(
             self, monkeypatch):

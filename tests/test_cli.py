@@ -8,10 +8,11 @@ import pytest
 
 import factcache.cache
 import factcache.cli
+from factcache import sparqlio
 from factcache.cache import write_dump
 from factcache.cli import main
 from factcache.triples import Source
-from conftest import FIXTURES, SNAPSHOT, triple
+from conftest import FIXTURES, SNAPSHOT, subject_facts_endpoint, triple
 
 
 @pytest.fixture
@@ -146,6 +147,29 @@ class TestQuery:
             assert code == 0
             assert "entities: Q2" in err
             assert out.strip() == "116250"
+
+    def test_a_remote_sparql_slow_source_answers_from_the_endpoint(
+            self, workdir, capsys, monkeypatch):
+        # with no dump, only the entities file lets "America" be extracted
+        (workdir / "factcache.json").write_text(json.dumps({
+            "store": {"state_path": "state.json"},
+            "slow_source": {"kind": "remote_sparql",
+                            "locator": "https://unit.test/sparql"},
+            "data": {"entities_path": "entities.json"}}))
+        (workdir / "entities.json").write_text(json.dumps(
+            [{"id": "Q30", "label": "America"}]))
+        sent_at = []
+        monkeypatch.setattr(sparqlio, "requests_transport",
+                            subject_facts_endpoint({"Q30": [
+                                ("P6", "head of government", "Q6279",
+                                 "Joe Biden"),
+                                ("P36", "capital", "Q61", "Washington")]},
+                                sent_at))
+        code, out, _ = run(capsys, "query", "Who is the current head of "
+                           "government for America?")
+        assert code == 0 and out.strip() == "Joe Biden"
+        assert len(sent_at) == 3  # the miss and its two neighbours
+        assert sent_at[-1] - sent_at[0] < 0.1
 
     def test_unknown_task_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:

@@ -67,6 +67,10 @@ def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
     ({"slow_source": {"kind": "remote_sparql"}}, "slow_source.locator"),
     ({"model": {"kind": "http"}}, "model.endpoint"),
     ({"data": {"benchmark_path": "nope.jsonl"}}, "data.benchmark_path"),
+    ({"store": {"state_path": ""}}, "store.state_path"),
+    ({"store": {"state_path": "."}}, "store.state_path"),
+    ({"model": {"max_tokens": 0}}, "model.max_tokens"),
+    ({"model": {"max_tokens": -3}}, "model.max_tokens"),
 ])
 def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
                                                        config, key):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from importlib import resources
 
 import pytest
@@ -15,7 +14,7 @@ from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
                                 _identifier_like, dbpedia_triples_query,
                                 equivalent_properties_query, filter_ambiguous,
                                 wikidata_triples_query)
-from factcache.sparqlio import RateLimiter, RequestPolicy, TransportReply
+from factcache.sparqlio import RequestPolicy, TransportReply
 from factcache.triples import Source
 from conftest import FIXTURES, SNAPSHOT
 
@@ -268,62 +267,6 @@ class TestWithRetries:
             with pytest.raises(error):
                 policy.select("q")
             assert len(calls) == 1 and naps == []
-
-
-class TestRateLimiter:
-    def test_spaces_requests_at_the_configured_rate(self):
-        now = [0.0]
-        naps = []
-
-        def fake_sleep(seconds):
-            naps.append(seconds)
-            now[0] += seconds
-
-        limiter = RateLimiter(5.0, clock=lambda: now[0], sleep=fake_sleep)
-        limiter.wait()
-        limiter.wait()
-        limiter.wait()
-        assert naps == [pytest.approx(0.2), pytest.approx(0.2)]
-
-    def test_no_wait_when_idle(self):
-        now = [0.0]
-        naps = []
-        limiter = RateLimiter(5.0, clock=lambda: now[0],
-                              sleep=lambda s: naps.append(s))
-        limiter.wait()
-        now[0] = 10.0
-        limiter.wait()
-        assert naps == []
-
-    def test_threads_sharing_it_each_take_a_slot_of_their_own(self):
-        # `wait` reads `interval` after it reads the next free slot and
-        # before it takes it; here that read waits (0.2 s at most) for a
-        # second thread to get as far. Unlocked, both would then take slot
-        # 0 and neither sleep; locked, the second reads the slot only once
-        # the first has taken it, and sleeps to the next.
-        both_in = threading.Barrier(2)
-
-        class Stalling(RateLimiter):
-            @property
-            def interval(self):
-                try:
-                    both_in.wait(timeout=0.2)
-                except threading.BrokenBarrierError:
-                    pass
-                return 0.2
-
-            @interval.setter
-            def interval(self, value):
-                pass
-
-        naps = []
-        limiter = Stalling(5.0, clock=lambda: 0.0, sleep=naps.append)
-        threads = [threading.Thread(target=limiter.wait) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert naps == [pytest.approx(0.2)]
 
 
 @pytest.mark.parametrize("fetch", [

@@ -86,6 +86,20 @@ class TestMockModel:
             "capital of France is Paris Saint-Germain.")
         assert MockTableModel().generate(prompt).text == "False"
 
+    @pytest.mark.parametrize("gold, stated, verdict", [
+        ("York", "York", "True"), ("York", "New York", "False"),
+        ("New York", "New York", "True"), ("New York", "York", "False")])
+    def test_fact_check_false_when_the_object_ends_the_distractor(
+            self, gold, stated, verdict):
+        # "New York" ends with York's tokens, but after no function word
+        prompt = assemble_prompt(
+            TaskKind.FACT_CHECK,
+            RankedEvidence(triples=((triple("Ruritania", "capital", gold),
+                                     1.0),), k=1),
+            "Determine whether the proposition is true.\nProposition:The "
+            f"capital of Ruritania is {stated}.")
+        assert MockTableModel().generate(prompt).text == verdict
+
     def test_distribution_mass_concentrates_on_the_answer(self):
         mock = MockTableModel(priors={"q": "a"})  # EPSILON is 0.01
         answer = mock.generate(qa_prompt("q"))
