@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional
 
@@ -64,7 +63,7 @@ class AliasIndex:
     def __init__(self):
         self._by_tokens: dict[str | tuple[str, ...], str] = {}
         self._lengths: dict[str, tuple[int, ...]] = {}
-        self._memo: OrderedDict[str, tuple[str, ...]] = OrderedDict()
+        self._memo: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._by_tokens)
@@ -133,13 +132,14 @@ class AliasIndex:
         return found
 
     def entities(self, text: str) -> list[str]:
-        """`greedy_alias_matches(self, text)`, kept for recent texts until
-        a registration adds a surface, which can change any text's."""
+        """`greedy_alias_matches(self, text)`, kept in a FIFO dict for
+        recent texts until a registration adds a surface, which can change
+        any text's."""
         found = self._memo.get(text)
         if found is None:
             found = self._memo[text] = tuple(greedy_alias_matches(self, text))
             if len(self._memo) > ALIAS_MEMO_SIZE:
-                self._memo.popitem(last=False)
+                del self._memo[next(iter(self._memo))]
         return list(found)
 
 
@@ -203,6 +203,10 @@ class Pipeline:
     model: Optional[ModelClient] = None
     k: int = 1
     extractor: ExtractorKind = ExtractorKind.ALIAS_DICTIONARY
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, not {self.k}")
 
     # -- extraction -----------------------------------------------------------
 

@@ -1,25 +1,25 @@
 """Evidence ranking: score candidate triples against a query, keep top-k.
 
 The score is a deterministic lexical one: cosine over lowercase token-count
-vectors of the serialized triple vs. the query. A triple's vector is
-computed once, the first time it is ranked, and kept on the triple; later
-queries tokenize only themselves. The vector is built from the tokens of
+vectors of the serialized triple vs. the query, built from the tokens of
 the triple's labels, which are the tokens of its rendered line: the
 brackets and commas that join them are not token characters.
 
 A TripleSet of two or more facts is ranked through an index kept on the
-set (see `_cache_index`). When all its facts share one subject label, the
-label's tokens add the same count to every fact's dot product, so a query
-scores only the facts its other tokens touch, plus the k best of the rest,
-which the index keeps in norm order. Any other candidates are scored one
-by one. Both give the same scores and the same selection.
+set (see `_cache_index`), which writes no vector on its facts. When all
+its facts share one subject label, the label's tokens add the same count
+to every fact's dot product, so a query scores only the facts its other
+tokens touch, plus the k best of the rest, which the index keeps in norm
+order. Any other candidates are scored one by one, each from a vector
+cached on the triple the first time it is ranked. Both give the same
+scores and the same selection. A set keeps recent evidence in a FIFO dict.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import OrderedDict
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import filterfalse, islice, repeat
@@ -63,20 +63,19 @@ def _relation_tokens(label: str) -> tuple[str, ...]:
     return tuple(tokenize(label))
 
 
-def _cache_vector(t: FactTriple, subject_tokens: Iterable[str] | None = None
-                  ) -> tuple:
+def _norm(tokens: tuple[str, ...]) -> float:
+    # the same integer sum of squares, and so the same norm, as _vector
+    return (math.sqrt(len(tokens)) if len(set(tokens)) == len(tokens)
+            else _vector(tokens)[1])
+
+
+def _cache_vector(t: FactTriple) -> tuple:
     """Store `(norm, *tokens)` on the triple and return it: the tokens of
     its subject, relation and object labels, in that order and each as
-    often as it occurs. A caller that has the subject label's tokens
-    passes them in."""
-    if subject_tokens is None:
-        subject_tokens = tokenize(t.subject_label)
-    tokens = (*subject_tokens, *_relation_tokens(t.relation_label),
+    often as it occurs."""
+    tokens = (*tokenize(t.subject_label), *_relation_tokens(t.relation_label),
               *tokenize(t.object_label))
-    # the same integer sum of squares, and so the same norm, as _vector
-    norm = (math.sqrt(len(tokens)) if len(set(tokens)) == len(tokens)
-            else _vector(tokens)[1])
-    vector = (norm, *tokens)
+    vector = (_norm(tokens), *tokens)
     object.__setattr__(t, "token_vector", vector)
     return vector
 
@@ -122,23 +121,26 @@ EMPTY_EVIDENCE = RankedEvidence(triples=(), k=1)
 
 
 def _cache_index(candidates: TripleSet) -> tuple:
-    """Store `(norms, postings, shared, by_norm)` on the set and return it.
-    `norms` follows the set's key order. If all facts have one subject
-    label, `shared` holds its tokens, which lead every vector, and
-    `by_norm` the positions by ascending norm, then key; else both are
-    empty. `postings` maps each token past `shared` to the position of the
-    one fact that holds it once, or else to a position per occurrence."""
+    """Store `(norms, postings, shared, by_norm)` on the set and return it,
+    writing no vector on any fact. `norms` follows the set's key order. If
+    all facts have one subject label, `shared` holds its tokens, which
+    every fact has, and `by_norm` the positions by ascending norm, then
+    key; else both are empty. `postings` maps each token past `shared` to
+    the position of the one fact that holds it once, or else to a position
+    per occurrence."""
     triples = candidates.triples
     label = triples[0].subject_label
     shared = (tuple(tokenize(label))
               if all(t.subject_label == label for t in triples) else None)
-    skip = 1 + len(shared or ())
+    lead = shared or ()
     norms = []
     postings: dict[str, int | list[int]] = {}
     for position, t in enumerate(triples):
-        vector = t.token_vector or _cache_vector(t, shared)
-        norms.append(vector[0])
-        for token in vector[skip:]:
+        own = (*_relation_tokens(t.relation_label), *tokenize(t.object_label))
+        if shared is None:
+            own = (*tokenize(t.subject_label), *own)
+        norms.append(_norm((*lead, *own)))
+        for token in own:
             hit = postings.get(token)
             if hit is None:
                 postings[token] = position
@@ -146,9 +148,9 @@ def _cache_index(candidates: TripleSet) -> tuple:
                 postings[token] = [hit, position]
             else:
                 hit.append(position)
-    by_norm = (tuple(sorted(range(len(norms)), key=norms.__getitem__))
-               if shared else ())
-    index = (tuple(norms), postings, shared or (), by_norm)
+    by_norm = array("q", sorted(range(len(norms)), key=norms.__getitem__)
+                    if lead else ())
+    index = (array("d", norms), postings, lead, by_norm)
     candidates.rank_index = index
     return index
 
@@ -168,12 +170,12 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
         return _rank(query, candidates, k)
     memo = candidates.rank_memo
     if memo is None:
-        memo = candidates.rank_memo = OrderedDict()
+        memo = candidates.rank_memo = {}
     evidence = memo.get(query)
     if evidence is None or evidence.k != k:
         memo[query] = evidence = _rank(query, candidates, k)
         if len(memo) > RANK_MEMO_SIZE:
-            memo.popitem(last=False)
+            del memo[next(iter(memo))]
     return evidence
 
 

@@ -119,11 +119,12 @@ class FactTriple:
     ids so desk-scale data can use labels directly as identifiers.
 
     `token_vector` is a cache that ranking fills the first time it scores the
-    triple: its norm, then the tokens of its subject, relation and object
-    labels in that order, so a ranking index can drop a shared subject's
-    leading tokens. It is not a constructor argument and takes no part in
-    equality, hashing or repr. A triple is frozen and an edit makes a new
-    one, which starts empty, so a cached vector is never stale.
+    triple one by one, as in a plain list: its norm, then the tokens of its
+    subject, relation and object labels in that order. A TripleSet's rank
+    index keeps norms and postings of its own and writes no vector here.
+    It is not a constructor argument and takes no part in equality,
+    hashing or repr. A triple is frozen and an edit makes a new one, which
+    starts empty, so a cached vector is never stale.
     """
 
     subject: str
@@ -169,9 +170,10 @@ class TripleSet:
 
     The set stores one key-sorted tuple, `triples`. The key index is built
     the first time membership, equality or `keys()` needs it, so a set that
-    is only iterated and ranked never holds it. `rank_index` and `rank_memo`
-    are caches that `rank_triples` fills; the set is immutable, so they
-    never go stale.
+    is only iterated and ranked never holds it. `rank_index` (norms and
+    postings) and `rank_memo` (a FIFO dict of recent evidence) are caches
+    that `rank_triples` fills; the set is immutable, so they never go
+    stale.
     """
 
     __slots__ = ("triples", "_by_key", "rank_index", "rank_memo")

@@ -316,9 +316,8 @@ class TestAnswer:
 
     def test_an_edit_is_ranked_from_its_own_vector(self, us_pipeline):
         query = "Who is the head of government in America?"
-        us_pipeline.answer(query)  # ranks, and so vectorizes, every fact
-        old = us_pipeline.store.get("America", "capital")
-        assert old.token_vector is not None
+        us_pipeline.answer(query)  # ranks, and so indexes, the America view
+        assert us_pipeline.store.retrieve("America").rank_index is not None
         us_pipeline.store.apply_update(EditRequest(
             "America", "capital", "Q1",
             object_label="who is the head of government in America"))
@@ -332,6 +331,13 @@ class TestAnswer:
         with pytest.raises(TypeError):
             us_pipeline.answer("Who is the head of government in America?",
                                TaskKind.QA, MockTableModel())
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_a_selection_count_below_one_is_refused(self, us_pipeline, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            Pipeline(store=us_pipeline.store, aliases=us_pipeline.aliases,
+                     model=MockTableModel(), k=k)
+        assert us_pipeline.store.slow.fetch_log == []  # nothing was read
 
     def test_format_invariance_across_phrasings(self, us_pipeline, templates):
         hog = templates["head of government"]

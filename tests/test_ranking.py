@@ -190,17 +190,54 @@ def test_a_one_subject_view_matches_brute_force(case, list_first, order):
 def test_a_cached_vector_is_the_vector_of_the_rendered_line(
         subject, relation, obj):
     alone = triple(subject, relation, obj)
-    pair = (triple(subject, relation, obj), triple(subject, "r", "x"))
-    rank_triples(QUERY, [alone])  # the list path
-    rank_triples(QUERY, TripleSet(pair))  # the index, which shares the subject
-    for t in (alone, *pair):
-        norm, *tokens = t.token_vector
+    rank_triples(QUERY, [alone])  # the list path caches a vector
+    norm, *tokens = alone.token_vector
+    counts = Counter(tokenize(alone.render()))
+    assert Counter(tokens) == counts
+    assert norm == math.sqrt(sum(v * v for v in counts.values()))
+    subject_tokens = tokenize(alone.subject_label)
+    assert tokens[:len(subject_tokens)] == subject_tokens
+    # the index, which shares the subject, keeps each fact's norm and
+    # postings instead
+    pair = TripleSet([triple(subject, relation, obj),
+                      triple(subject, "r", "x")])
+    rank_triples(QUERY, pair)
+    norms, postings, shared, _ = pair.rank_index
+    for position, t in enumerate(pair):
         counts = Counter(tokenize(t.render()))
-        assert Counter(tokens) == counts
-        assert norm == math.sqrt(sum(v * v for v in counts.values()))
-        # the subject's tokens lead, so an index can strip them
-        subject_tokens = tokenize(t.subject_label)
-        assert tokens[:len(subject_tokens)] == subject_tokens
+        assert norms[position] == \
+            math.sqrt(sum(v * v for v in counts.values()))
+        own = Counter()
+        for token, hit in postings.items():
+            own[token] = ([hit] if type(hit) is int else hit).count(position)
+        assert Counter(shared) + own == counts
+
+
+def test_an_indexed_view_writes_no_vector_on_its_facts():
+    def fresh():  # facts no other test has ranked
+        return [triple("America", "head of government", "Biden"),
+                triple("America", "capital", "Washington")]
+    for view in (TripleSet(fresh()),  # one subject
+                 TripleSet([*fresh(), triple("Paris", "r", "x")])):
+        rank_triples(QUERY, view, k=2)
+        assert view.rank_index is not None
+        assert all(t.token_vector is None for t in view)
+
+
+def test_positions_past_two_to_the_sixteenth_are_ranked():
+    # key order is position order; every fact's object label has three
+    # tokens but the one at `short`, which has one and so the least norm
+    n, short, rare = 70_000, 69_000, 66_000
+    facts = [triple("s", "r", f"o{i:05d}", subject_label="Big Town",
+                    object_label=f"w{i}" if i == short else f"w{i} x y")
+             for i in range(n)]
+    candidates = TripleSet(facts)
+    # the first touches no fact past the subject's tokens, so the least
+    # norm wins from norm order; the second also touches `rare`, which wins
+    for query, best in (("big town", short), (f"big town w{rare}", rare)):
+        evidence = rank_triples(query, candidates, k=3)
+        assert evidence.selected[0] is facts[best]
+        assert evidence.triples == _brute_force(query, candidates, 3)
 
 
 def test_the_relation_label_memo_is_bounded():
