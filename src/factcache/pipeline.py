@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Collection, Iterable, Optional
 
 from .cache import TieredFactStore
@@ -22,7 +23,7 @@ from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
 from .ranking import EMPTY_EVIDENCE, RankedEvidence, rank_triples, tokenize
 from .triples import EntityRef, FactTriple, TaskKind
 
-# texts whose entities an AliasIndex keeps; the oldest is dropped first
+# texts whose entities an AliasIndex keeps; when full, the newest half stays
 ALIAS_MEMO_SIZE = 1 << 14
 
 
@@ -132,14 +133,17 @@ class AliasIndex:
         return found
 
     def entities(self, text: str) -> list[str]:
-        """`greedy_alias_matches(self, text)`, kept in a FIFO dict for
-        recent texts until a registration adds a surface, which can change
-        any text's."""
-        found = self._memo.get(text)
+        """`greedy_alias_matches(self, text)`, kept in a dict for recent
+        texts until a registration adds a surface, which can change any
+        text's. A full memo is rebuilt from its newest half: deleting the
+        oldest entry per new text would scan a dict's dead front slots."""
+        memo = self._memo
+        found = memo.get(text)
         if found is None:
-            found = self._memo[text] = tuple(greedy_alias_matches(self, text))
-            if len(self._memo) > ALIAS_MEMO_SIZE:
-                del self._memo[next(iter(self._memo))]
+            found = memo[text] = tuple(greedy_alias_matches(self, text))
+            if len(memo) > ALIAS_MEMO_SIZE:
+                self._memo = dict(islice(memo.items(), ALIAS_MEMO_SIZE // 2,
+                                         None))
         return list(found)
 
 
@@ -248,6 +252,7 @@ class Pipeline:
         which is the unedited-model baseline. A failed extraction degrades
         to an empty-evidence prompt.
         """
+        self.__post_init__()  # k may have been set since construction
         if self.model is None:
             raise ValueError("no model client configured")
         latencies: dict[str, float] = {}

@@ -5,14 +5,14 @@ vectors of the serialized triple vs. the query, built from the tokens of
 the triple's labels, which are the tokens of its rendered line: the
 brackets and commas that join them are not token characters.
 
-A TripleSet of two or more facts is ranked through an index kept on the
-set (see `_cache_index`), which writes no vector on its facts. When all
-its facts share one subject label, the label's tokens add the same count
-to every fact's dot product, so a query scores only the facts its other
-tokens touch, plus the k best of the rest, which the index keeps in norm
-order. Any other candidates are scored one by one, each from a vector
-cached on the triple the first time it is ranked. Both give the same
-scores and the same selection. A set keeps recent evidence in a FIFO dict.
+Ranking caches only on a TripleSet, which is immutable, so nothing goes
+stale. A set of two or more facts is ranked through an index kept on it
+(see `_cache_index`). When all its facts share one subject label, the
+label's tokens add the same count to every fact's dot product, so a query
+scores only the facts its other tokens touch, plus the k best of the rest,
+which the index keeps in norm order. A one-fact set and any other
+candidates are scored fact by fact from their labels' tokens. Both give
+the same scores and selection. A set keeps recent evidence in a FIFO dict.
 """
 
 from __future__ import annotations
@@ -69,17 +69,6 @@ def _norm(tokens: tuple[str, ...]) -> float:
             else _vector(tokens)[1])
 
 
-def _cache_vector(t: FactTriple) -> tuple:
-    """Store `(norm, *tokens)` on the triple and return it: the tokens of
-    its subject, relation and object labels, in that order and each as
-    often as it occurs."""
-    tokens = (*tokenize(t.subject_label), *_relation_tokens(t.relation_label),
-              *tokenize(t.object_label))
-    vector = (_norm(tokens), *tokens)
-    object.__setattr__(t, "token_vector", vector)
-    return vector
-
-
 def contains_phrase(text: str, phrase: str) -> bool:
     """Token-bounded containment; 'Mayor 1' must not match inside
     'Mayor 10'."""
@@ -121,13 +110,12 @@ EMPTY_EVIDENCE = RankedEvidence(triples=(), k=1)
 
 
 def _cache_index(candidates: TripleSet) -> tuple:
-    """Store `(norms, postings, shared, by_norm)` on the set and return it,
-    writing no vector on any fact. `norms` follows the set's key order. If
-    all facts have one subject label, `shared` holds its tokens, which
-    every fact has, and `by_norm` the positions by ascending norm, then
-    key; else both are empty. `postings` maps each token past `shared` to
-    the position of the one fact that holds it once, or else to a position
-    per occurrence."""
+    """Store `(norms, postings, shared, by_norm)` on the set and return
+    it. `norms` follows the set's key order. If all facts have one subject
+    label, `shared` holds its tokens, which every fact has, and `by_norm`
+    the positions by ascending norm, then key; else both are empty.
+    `postings` maps each token past `shared` to the position of the one
+    fact that holds it once, or else to a position per occurrence."""
     triples = candidates.triples
     label = triples[0].subject_label
     shared = (tuple(tokenize(label))
@@ -162,9 +150,10 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
     Ties break on the (subject, relation, object) key, so with distinct
     keys the selection does not depend on the order of the candidates.
     A TripleSet of two or more facts is scored through the index cached
-    on it; anything else is scored candidate by candidate, with the same
-    results. A TripleSet keeps the evidence of its last RANK_MEMO_SIZE
-    queries, and it is immutable, so a repeated query and k reuse it.
+    on it; anything else is scored candidate by candidate from its labels'
+    tokens, with the same results. A TripleSet keeps the evidence of its
+    last RANK_MEMO_SIZE queries, and it is immutable, so a repeated query
+    and k reuse it.
     """
     if not isinstance(candidates, TripleSet):
         return _rank(query, candidates, k)
@@ -190,10 +179,12 @@ def _rank(query: str, candidates: Iterable[FactTriple], k: int
     get = q.get
     scored = []
     for t in candidates:
-        vector = t.token_vector or _cache_vector(t)
-        norm = vector[0]
+        tokens = (*tokenize(t.subject_label),
+                  *_relation_tokens(t.relation_label),
+                  *tokenize(t.object_label))
+        norm = _norm(tokens)
         # the same integer dot product and division as token_cosine
-        dot = sum(map(get, vector[1:], repeat(0)))
+        dot = sum(map(get, tokens, repeat(0)))
         scored.append((t, dot / (qnorm * norm) if q and norm else 0.0))
     scored.sort(key=lambda ts: (-ts[1], ts[0].key))
     return RankedEvidence(triples=tuple(scored[:k]), k=k)

@@ -118,13 +118,8 @@ class FactTriple:
     literal string (literals have no outgoing edges). Labels default to the
     ids so desk-scale data can use labels directly as identifiers.
 
-    `token_vector` is a cache that ranking fills the first time it scores the
-    triple one by one, as in a plain list: its norm, then the tokens of its
-    subject, relation and object labels in that order. A TripleSet's rank
-    index keeps norms and postings of its own and writes no vector here.
-    It is not a constructor argument and takes no part in equality,
-    hashing or repr. A triple is frozen and an edit makes a new one, which
-    starts empty, so a cached vector is never stale.
+    A triple is plain data: its slots are its ten fields and nothing
+    caches on it. Ranking keeps its caches on the TripleSet that holds it.
     """
 
     subject: str
@@ -137,8 +132,6 @@ class FactTriple:
     source: Source = Source.MANUAL
     fetched_at: datetime | None = None
     version: int = 1
-    token_vector: tuple | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     def __post_init__(self):
         if not self.subject or not self.relation:

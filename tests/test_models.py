@@ -211,3 +211,6 @@ class TestHttpCompletionModel:
             assert model.generate(qa_prompt("q")).text == "echo: 32"
         finally:
             server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()

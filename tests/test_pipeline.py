@@ -93,12 +93,19 @@ class TestAliasIndex:
 
     def test_the_entities_memo_is_bounded(self, alias_index, monkeypatch):
         monkeypatch.setattr(pipeline_module, "ALIAS_MEMO_SIZE", 8)
-        texts = [f"Is America {i}?" for i in range(20)]
-        for text in texts + texts:
+        texts = [f"Is America {i}?" for i in range(21)]
+        for i, text in enumerate(texts[:20]):
             assert alias_index.entities(text) == \
                 greedy_alias_matches(alias_index, text)
-        assert len(alias_index._memo) == 8
-        assert list(alias_index._memo) == texts[-8:]  # the oldest went first
+            assert len(alias_index._memo) <= 8
+            if i == 8:  # past the bound, the newest half stays
+                assert list(alias_index._memo) == texts[4:9]
+        assert list(alias_index._memo) == texts[12:20]
+        for text in texts[12:20]:  # hits, which move nothing
+            assert alias_index.entities(text) == \
+                greedy_alias_matches(alias_index, text)
+        alias_index.entities(texts[20])
+        assert list(alias_index._memo) == texts[16:21]
 
     def test_from_entities_uses_all_surface_forms(self):
         index = AliasIndex()
@@ -337,6 +344,15 @@ class TestAnswer:
         with pytest.raises(ValueError, match="k must be >= 1"):
             Pipeline(store=us_pipeline.store, aliases=us_pipeline.aliases,
                      model=MockTableModel(), k=k)
+        assert us_pipeline.store.slow.fetch_log == []  # nothing was read
+
+    @pytest.mark.parametrize("query", [
+        "hello there", "Who is the head of government of America?"])
+    def test_a_selection_count_set_below_one_is_refused(self, us_pipeline,
+                                                        query):
+        us_pipeline.k = 0  # after construction
+        with pytest.raises(ValueError, match="k must be >= 1, not 0"):
+            us_pipeline.answer(query)
         assert us_pipeline.store.slow.fetch_log == []  # nothing was read
 
     def test_format_invariance_across_phrasings(self, us_pipeline, templates):

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -126,9 +126,8 @@ def test_rank_triples_matches_brute_force(query, query2, candidates, k, order):
     brute = sorted(((t, token_cosine(query, t.render())) for t in candidates),
                    key=lambda ts: (-ts[1], ts[0].key))[:k]
     assert evidence.triples == tuple(brute)
-    # the same, now warm, triples against another query: a cached vector
-    # must hold nothing of the query that first ranked it
-    assert all(t.token_vector is not None for t in candidates)
+    # the same, now warm, set against another query: its index must hold
+    # nothing of the query that first ranked it
     again = rank_triples(query2, candidates, max(1, len(candidates)))
     assert len(again) == len(candidates)
     for t, score in again.triples:
@@ -171,7 +170,7 @@ def test_a_one_subject_view_matches_brute_force(case, list_first, order):
     candidates, queries, k = case
     shuffled = list(candidates)
     order.shuffle(shuffled)
-    if list_first:  # vectors cached by the list path, then indexed
+    if list_first:  # the list path first, then the index
         rank_triples(queries[0], shuffled, k)
     for query in queries:
         brute = _brute_force(query, candidates, k)
@@ -187,18 +186,10 @@ def test_a_one_subject_view_matches_brute_force(case, list_first, order):
     ("Paris,France", "capital of", "France,Paris"),
     ("Route 128", "opened in", "1951 128"),
 ])
-def test_a_cached_vector_is_the_vector_of_the_rendered_line(
+def test_the_index_holds_the_vector_of_each_rendered_line(
         subject, relation, obj):
-    alone = triple(subject, relation, obj)
-    rank_triples(QUERY, [alone])  # the list path caches a vector
-    norm, *tokens = alone.token_vector
-    counts = Counter(tokenize(alone.render()))
-    assert Counter(tokens) == counts
-    assert norm == math.sqrt(sum(v * v for v in counts.values()))
-    subject_tokens = tokenize(alone.subject_label)
-    assert tokens[:len(subject_tokens)] == subject_tokens
     # the index, which shares the subject, keeps each fact's norm and
-    # postings instead
+    # postings
     pair = TripleSet([triple(subject, relation, obj),
                       triple(subject, "r", "x")])
     rank_triples(QUERY, pair)
@@ -213,15 +204,20 @@ def test_a_cached_vector_is_the_vector_of_the_rendered_line(
         assert Counter(shared) + own == counts
 
 
-def test_an_indexed_view_writes_no_vector_on_its_facts():
-    def fresh():  # facts no other test has ranked
-        return [triple("America", "head of government", "Biden"),
-                triple("America", "capital", "Washington")]
-    for view in (TripleSet(fresh()),  # one subject
-                 TripleSet([*fresh(), triple("Paris", "r", "x")])):
-        rank_triples(QUERY, view, k=2)
-        assert view.rank_index is not None
-        assert all(t.token_vector is None for t in view)
+def test_a_fact_is_plain_data_that_ranking_leaves_unchanged():
+    fields = tuple(inspect.signature(FactTriple).parameters)
+    assert FactTriple.__slots__ == fields
+
+    def state(facts):
+        return [(tuple(getattr(t, name) for name in fields), sys.getsizeof(t))
+                for t in facts]
+    facts = [triple("America", "head of government", "Biden"),
+             triple("America", "capital", "Washington"),
+             triple("Paris", "r", "x")]
+    before = state(facts)
+    for candidates in (list(facts), TripleSet(facts[:1]), TripleSet(facts)):
+        rank_triples(QUERY, candidates, k=2)
+        assert state(facts) == before
 
 
 def test_positions_past_two_to_the_sixteenth_are_ranked():
@@ -319,9 +315,9 @@ class TestRankedEvidence:
             RankedEvidence(triples=((HOG, 0.9), (CAPITAL, 0.1)), k=1)
 
 
-class TestCachedVector:
-    """The vector cached on a ranked triple is invisible to its identity,
-    its copies and its serialized forms."""
+class TestRankedTriple:
+    """Ranking a triple leaves its identity, its copies and its serialized
+    forms as those of a triple never ranked."""
 
     @staticmethod
     def ranked_and_fresh():
@@ -330,11 +326,9 @@ class TestCachedVector:
                           source=Source.WIKIDATA, fetched_at=SNAPSHOT)
         ranked, fresh = make(), make()
         rank_triples(QUERY, [ranked])
-        assert ranked.token_vector is not None
-        assert fresh.token_vector is None
         return ranked, fresh
 
-    def test_identity_ignores_the_cache(self):
+    def test_identity_ignores_ranking(self):
         ranked, fresh = self.ranked_and_fresh()
         assert ranked == fresh
         assert hash(ranked) == hash(fresh)
@@ -345,12 +339,6 @@ class TestCachedVector:
             "subject", "relation", "obj", "subject_label", "relation_label",
             "object_label", "object_is_entity", "source", "fetched_at",
             "version"]
-
-    def test_a_replaced_triple_starts_without_a_vector(self):
-        ranked, _ = self.ranked_and_fresh()
-        edited = dataclasses.replace(ranked, version=2)
-        assert edited.version == 2
-        assert edited.token_vector is None
 
     def test_files_do_not_depend_on_ranking(self, tmp_path):
         ranked, fresh = self.ranked_and_fresh()
