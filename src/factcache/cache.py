@@ -125,39 +125,105 @@ def triple_to_row(t: FactTriple) -> dict:
     }
 
 
+def _is_time(value) -> bool:
+    try:
+        parse_rfc3339(value)
+    except (AttributeError, ValueError):
+        return False
+    return True
+
+
+_OPTIONAL_TEXT = (str, type(None))
+_SOURCES = tuple(source.value for source in Source)
+# what each key of a row must hold; only a row that row_to_triple refused
+# is checked key by key
+_ROW_RULES = {
+    "subject_id": ("a non-empty string", lambda v: type(v) is str and v),
+    "relation_id": ("a non-empty string", lambda v: type(v) is str and v),
+    "object_label": ("a string", lambda v: type(v) is str),
+    "object_id": ("a string or null", lambda v: type(v) in _OPTIONAL_TEXT),
+    "subject_label": ("a string", lambda v: type(v) is str),
+    "relation_label": ("a string", lambda v: type(v) is str),
+    "source": ("one of " + ", ".join(_SOURCES), lambda v: v in _SOURCES),
+    "fetched_at": ("an RFC 3339 time or null",
+                   lambda v: v in (None, "") or _is_time(v)),
+    "version": ("an integer of at least 1",
+                lambda v: type(v) is int and v >= 1),
+}
+
+
+def _row_fault(row) -> str:
+    if type(row) is not dict:
+        return f"a row must be a JSON object, not {row!r}"
+    for key, (expected, ok) in _ROW_RULES.items():
+        if key not in row:
+            if key in ("subject_id", "relation_id", "object_label"):
+                return f"{key} is missing"
+        elif not ok(row[key]):
+            return f"{key} must be {expected}, not {row[key]!r}"
+    return f"unreadable row {row!r}"
+
+
 def row_to_triple(row: dict) -> FactTriple:
-    object_id = row.get("object_id")
-    fetched = row.get("fetched_at")
-    return FactTriple(
-        subject=row["subject_id"],
-        relation=row["relation_id"],
-        obj=object_id if object_id is not None else row["object_label"],
-        subject_label=row.get("subject_label", ""),
-        relation_label=row.get("relation_label", ""),
-        object_label=row["object_label"],
-        object_is_entity=object_id is not None,
-        source=Source(row.get("source", "manual")),
-        fetched_at=parse_rfc3339(fetched) if fetched else None,
-        version=row.get("version", 1),
-    )
+    """The fact a dump or state row holds. A row that lacks a key the fact
+    needs, or holds a value of the wrong type, raises ParseError naming
+    the key."""
+    try:
+        subject, relation = row["subject_id"], row["relation_id"]
+        object_label, object_id = row["object_label"], row.get("object_id")
+        subject_label = row.get("subject_label", "")
+        relation_label = row.get("relation_label", "")
+        fetched, version = row.get("fetched_at"), row.get("version", 1)
+        # one test of every type; _row_fault finds the key that failed it
+        if not (type(subject) is type(relation) is type(object_label)
+                is type(subject_label) is type(relation_label) is str
+                and type(object_id) in _OPTIONAL_TEXT
+                and type(fetched) in _OPTIONAL_TEXT and type(version) is int):
+            raise TypeError
+        return FactTriple(
+            subject=subject,
+            relation=relation,
+            obj=object_id if object_id is not None else object_label,
+            subject_label=subject_label,
+            relation_label=relation_label,
+            object_label=object_label,
+            object_is_entity=object_id is not None,
+            source=Source(row.get("source", "manual")),
+            fetched_at=parse_rfc3339(fetched) if fetched else None,
+            version=version,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ParseError(_row_fault(row)) from None
 
 
 def read_dump(path: str | Path) -> tuple[Optional[datetime], list[FactTriple]]:
+    """The snapshot time and the facts of a dump file. A line that is not
+    JSON, or a row that row_to_triple refuses, raises ParseError naming the
+    file and the line; a file that is not UTF-8, naming the file."""
     snapshot_at = None
     triples = []
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if "snapshot_at" in record and "subject_id" not in record:
-                    snapshot_at = parse_rfc3339(record["snapshot_at"])
+        try:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
                     continue
-                triples.append(row_to_triple(record))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: bad row {exc!r}", lineno) from exc
+                try:
+                    record = json.loads(line)
+                    if (type(record) is dict and "snapshot_at" in record
+                            and "subject_id" not in record):
+                        value = record["snapshot_at"]
+                        if not _is_time(value):
+                            raise ParseError("snapshot_at must be an RFC "
+                                             f"3339 time, not {value!r}")
+                        snapshot_at = parse_rfc3339(value)
+                        continue
+                    triples.append(row_to_triple(record))
+                except (ParseError, ValueError) as exc:
+                    raise ParseError(f"{path}: bad row: {exc}",
+                                     lineno) from exc
+        except UnicodeDecodeError as exc:  # the file is read ahead of lines
+            raise ParseError(f"{path}: not UTF-8: {exc}") from exc
     return snapshot_at, triples
 
 
@@ -247,7 +313,8 @@ class RemoteSparqlSource:
     and any other 4xx are SlowUnreachable; any other exception propagates
     as itself: a transport's TypeError, or the ConfigError of an endpoint
     the network transport cannot send to. The query is Wikidata's, so rows
-    are WIKIDATA triples; a live endpoint has no snapshot time."""
+    are WIKIDATA triples; a live endpoint has no snapshot time. Each fact
+    takes the subject's English label from the reply, or else its id."""
 
     snapshot_at: Optional[datetime] = None
 
@@ -283,6 +350,7 @@ class RemoteSparqlSource:
                 subject=entity,
                 relation=uri_tail(relation_uri),
                 obj=uri_tail(obj) if is_entity else obj,
+                subject_label=row.get("subjectLabel") or "",
                 relation_label=row.get("relationLabel") or "",
                 object_label=row.get("objectLabel") or "",
                 object_is_entity=is_entity,
@@ -293,6 +361,23 @@ class RemoteSparqlSource:
 
 
 # --- the store --------------------------------------------------------------
+
+def _by_subject(triples: Iterable[FactTriple]
+                ) -> dict[str, dict[str, FactTriple]]:
+    """Facts by subject, then by relation. A (subject, relation) that
+    repeats keeps the fact with the least object id, so the order of the
+    triples does not matter."""
+    subjects: dict[str, dict[str, FactTriple]] = {}
+    for subject, run in groupby(triples, key=attrgetter("subject")):
+        facts = subjects.get(subject)
+        if facts is None:
+            subjects[subject] = facts = {}
+        for t in run:
+            kept = facts.setdefault(t.relation, t)
+            if kept is not t and t.obj < kept.obj:
+                facts[t.relation] = t
+    return subjects
+
 
 @dataclass(slots=True)
 class _Subject:
@@ -313,9 +398,11 @@ class TieredFactStore:
     The subject is the unit of residency. A resident subject maps each of
     its relations to exactly one triple and is either complete (the slow
     source's facts with edits laid over them) or incomplete (edits made
-    before the subject was ever read). Retrieving an incomplete subject
-    reads it through once, as a miss; the fetched facts go in under the
-    edits, so every edit wins. Absence is not cached.
+    before the subject was ever read). Of the facts a source gives for one
+    relation, the store keeps the one with the least object id.
+    Retrieving an incomplete subject reads it through once, as a miss; the
+    fetched facts go in under the edits, so every edit wins. Absence is not
+    cached.
 
     A hit serves the subject's view: one immutable TripleSet, built on the
     first hit and returned by every later hit until a write changes the
@@ -374,7 +461,7 @@ class TieredFactStore:
             if hit is not None:
                 self.stats.hits += 1
                 return hit
-        fetched = self.slow.fetch_subject(entity)  # may raise SlowUnreachable
+        fetched = self._fetch(entity)  # may raise SlowUnreachable
         with self._lock:
             self.stats.misses += 1
             self.stats.slow_fetches += 1
@@ -403,10 +490,13 @@ class TieredFactStore:
     def bulk_load(self, triples: Iterable[FactTriple]) -> int:
         """Warm the fast table with read-only triples, taking each subject
         they name as complete; resident (subject, relation) keys are left
-        untouched. Returns the number inserted."""
+        untouched. A subject's triples are taken together wherever they
+        stand, so their order does not matter. Returns the number
+        inserted."""
+        grouped = _by_subject(triples)
         with self._lock:
-            added = sum(self._absorb(subject, group) for subject, group
-                        in groupby(triples, key=attrgetter("subject")))
+            added = sum(self._absorb(subject, facts)
+                        for subject, facts in grouped.items())
             self._evict()
         return added
 
@@ -439,7 +529,7 @@ class TieredFactStore:
                 and not (t.obj in held and held[t.obj].complete)})
         added = 0
         for entity in targets:
-            fetched = self.slow.fetch_subject(entity)  # may raise
+            fetched = self._fetch(entity)  # may raise
             with self._lock:
                 self.stats.prefetch_fetches += 1
                 added += self._absorb(entity, fetched)
@@ -530,21 +620,21 @@ class TieredFactStore:
         with self._lock:
             began = self._edits
             subjects = sorted(self._subjects)
-        fetched = [(subject, self.slow.fetch_subject(subject))  # may raise
+        fetched = [(subject, self._fetch(subject))  # may raise
                    for subject in subjects]
         snapshot_at = self.slow.snapshot_at
         changed = 0
-        for subject, triples in fetched:
+        for subject, facts in fetched:
             with self._lock:
                 record = self._subjects.get(subject)
                 if record is None or record.edited_at > began:
                     continue
-                for t in triples:
+                for t in facts.values():
                     if not self._manual_wins(record.facts.get(t.relation),
                                              snapshot_at):
                         changed += self._upsert(t, edited=False)[1]
                 record.complete = True
-                objects = {t.relation: t.obj for t in triples}
+                objects = {r: t.obj for r, t in facts.items()}
                 gone = [r for r in record.facts
                         if r not in objects and r not in record.edited]
                 for relation in gone:
@@ -585,24 +675,28 @@ class TieredFactStore:
         self._facts += len(record.facts)
         return record
 
-    def _absorb(self, subject: str, fetched: Iterable[FactTriple]) -> int:
-        """Lay the slow source's facts about `subject` under what is
-        resident, so each resident fact wins, and mark the subject complete.
-        Returns the number of facts added."""
+    def _fetch(self, subject: str) -> dict[str, FactTriple]:
+        """The slow source's facts about `subject`, by relation."""
+        return _by_subject(self.slow.fetch_subject(subject)).get(subject, {})
+
+    def _absorb(self, subject: str, facts: dict[str, FactTriple]) -> int:
+        """Lay the slow source's facts about `subject`, by relation, under
+        what is resident, so each resident fact wins, and mark the subject
+        complete. Returns the number of facts added."""
         record = self._subjects.get(subject)
-        facts = record.facts if record is not None else {}
-        before = len(facts)
-        for t in fetched:
-            facts.setdefault(t.relation, t)
         if record is None:
             if facts:  # absence is not cached
                 self._admit(subject, _Subject(facts))
             return len(facts)
+        resident = record.facts
+        before = len(resident)
+        for relation, t in facts.items():
+            resident.setdefault(relation, t)
         record.complete = True
-        if len(facts) > before:
+        if len(resident) > before:
             record.view = None
-        self._facts += len(facts) - before
-        return len(facts) - before
+        self._facts += len(resident) - before
+        return len(resident) - before
 
     def _evict(self) -> None:
         if self.capacity is None:
@@ -665,20 +759,43 @@ def load_state(path: str | Path, slow: Optional[SlowSource] = None,
     records: dict[str, _Subject] = {}
     try:
         state = json.loads(Path(path).read_text(encoding="utf-8"))
-        incomplete = set(state.get("incomplete", ()))
-        for row in state.get("entries", []):
-            triple = row_to_triple(row)
+        if type(state) is not dict:
+            raise ParseError(f"the state must be a JSON object, not {state!r}")
+        entries = state.get("entries", [])
+        incomplete = state.get("incomplete", [])
+        stats = state.get("stats", {})
+        if type(entries) is not list:
+            raise ParseError(f"entries must be a list, not {entries!r}")
+        if type(incomplete) is not list or \
+                not all(type(subject) is str for subject in incomplete):
+            raise ParseError(
+                f"incomplete must be a list of strings, not {incomplete!r}")
+        if type(stats) is not dict:
+            raise ParseError(f"stats must be a JSON object, not {stats!r}")
+        for key, count in stats.items():
+            if type(count) is not int:
+                raise ParseError(
+                    f"stats.{key} must be an integer, not {count!r}")
+        incomplete = set(incomplete)
+        for index, row in enumerate(entries):
+            try:
+                triple = row_to_triple(row)
+            except ParseError as exc:
+                raise ParseError(f"entries[{index}]: {exc}") from None
+            edited = row.get("edited", False)
+            if type(edited) is not bool:
+                raise ParseError(f"entries[{index}]: edited must be true or "
+                                 f"false, not {edited!r}")
             record = records.setdefault(
                 triple.subject,
                 _Subject(complete=triple.subject not in incomplete))
             record.facts[triple.relation] = triple
-            if row.get("edited", False):
+            if edited:
                 record.edited |= {triple.relation}
-        stats = state.get("stats", {})
         store.stats = CacheStats(**{k: stats.get(k, 0)
                                     for k in CacheStats().snapshot()})
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad state {exc!r}",
+    except (ParseError, ValueError) as exc:  # ValueError: not JSON
+        raise ParseError(f"{path}: bad state: {exc}",
                          getattr(exc, "lineno", None)) from exc
     for subject, record in records.items():
         store._admit(subject, record)

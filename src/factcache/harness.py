@@ -188,15 +188,10 @@ def run_main_eval(items: Iterable[BenchmarkItem], pipeline: Pipeline,
 
 def run_transition_scenario(items: Iterable[BenchmarkItem],
                             pipeline: Pipeline,
-                            edit_counts: Sequence[int] = (1, 2, 5, 10),
-                            withhold_updates: bool = False
+                            edit_counts: Sequence[int] = (1, 2, 5, 10)
                             ) -> dict[int, float]:
     """Apply n successive distinct updates per fact and score QA EM against
-    the final value, for each n.
-
-    withhold_updates is the stale-cache control: only the first revision is
-    written, so every fact that should have changed scores zero.
-    """
+    the final value, for each n."""
     single_hop = [i for i in items if isinstance(i, BenchmarkItem)]
     if not single_hop:
         raise EmptySet("no items for the transition scenario")
@@ -209,8 +204,7 @@ def run_transition_scenario(items: Iterable[BenchmarkItem],
             t = item.triple
             sequence = [f"{t.object_label} (revision {j})"
                         for j in range(1, n)] + [t.obj]
-            writes = sequence[:1] if withhold_updates else sequence
-            for obj in writes:
+            for obj in sequence:
                 pipeline.store.apply_update(EditRequest(
                     subject=t.subject, relation=t.relation, new_object=obj,
                     subject_label=t.subject_label,
@@ -314,16 +308,16 @@ class MultihopReport:
         return "\n".join(lines)
 
 
-def run_multihop_scenario(items: Iterable[MultiHopItem], pipeline: Pipeline,
-                          apply_edits: bool = True) -> MultihopReport:
-    """EM per hop count in each traversal mode; a failed hop scores as wrong."""
+def run_multihop_scenario(items: Iterable[MultiHopItem], pipeline: Pipeline
+                          ) -> MultihopReport:
+    """Edit every chain's links, then score EM per hop count in each
+    traversal mode; a failed hop scores as wrong."""
     chains = [i for i in items if isinstance(i, MultiHopItem)]
     if not chains:
         raise EmptySet("no multi-hop items to evaluate")
-    if apply_edits:
-        for item in chains:
-            for link in item.chain:
-                pipeline.store.apply_update(_edit_for(link))
+    for item in chains:
+        for link in item.chain:
+            pipeline.store.apply_update(_edit_for(link))
 
     by_hops: dict[int, list[MultiHopItem]] = {}
     for item in chains:

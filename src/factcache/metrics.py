@@ -67,19 +67,18 @@ def drawdown(base_locality_em: float, edited_locality_em: float) -> float:
     return max(0.0, base_locality_em - edited_locality_em)
 
 
-def kl_divergence(p: Mapping[str, float], q: Mapping[str, float],
-                  epsilon: float = NKL_EPSILON) -> float:
-    """KL(p || q) over a shared candidate set, with q smoothed by epsilon
-    and renormalized."""
+def kl_divergence(p: Mapping[str, float], q: Mapping[str, float]) -> float:
+    """KL(p || q) over a shared candidate set, with q smoothed by
+    NKL_EPSILON and renormalized."""
     if p.keys() != q.keys():
         raise SupportMismatch(
             f"distributions differ in support: {sorted(p.keys() ^ q.keys())}")
-    total = sum(q.values()) + epsilon * len(q)
+    total = sum(q.values()) + NKL_EPSILON * len(q)
     divergence = 0.0
     for key, p_val in p.items():
         if p_val <= 0.0:
             continue
-        q_val = (q[key] + epsilon) / total
+        q_val = (q[key] + NKL_EPSILON) / total
         divergence += p_val * math.log(p_val / q_val)
     return divergence
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Collection, Iterable, Optional
 
 from .cache import TieredFactStore
@@ -23,7 +22,7 @@ from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
 from .ranking import EMPTY_EVIDENCE, RankedEvidence, rank_triples, tokenize
 from .triples import EntityRef, FactTriple, TaskKind
 
-# texts whose entities an AliasIndex keeps; when full, the newest half stays
+# texts whose entities an AliasIndex keeps; a full memo is cleared
 ALIAS_MEMO_SIZE = 1 << 14
 
 
@@ -133,17 +132,17 @@ class AliasIndex:
         return found
 
     def entities(self, text: str) -> list[str]:
-        """`greedy_alias_matches(self, text)`, kept in a dict for recent
-        texts until a registration adds a surface, which can change any
-        text's. A full memo is rebuilt from its newest half: deleting the
-        oldest entry per new text would scan a dict's dead front slots."""
+        """`greedy_alias_matches(self, text)`, kept in a dict for up to
+        ALIAS_MEMO_SIZE texts until a registration adds a surface, which can
+        change any text's. A full memo is cleared, never iterated: answering
+        threads share it."""
         memo = self._memo
         found = memo.get(text)
         if found is None:
-            found = memo[text] = tuple(greedy_alias_matches(self, text))
-            if len(memo) > ALIAS_MEMO_SIZE:
-                self._memo = dict(islice(memo.items(), ALIAS_MEMO_SIZE // 2,
-                                         None))
+            found = tuple(greedy_alias_matches(self, text))
+            if len(memo) >= ALIAS_MEMO_SIZE:
+                memo.clear()
+            memo[text] = found
         return list(found)
 
 

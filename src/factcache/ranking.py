@@ -12,7 +12,7 @@ label's tokens add the same count to every fact's dot product, so a query
 scores only the facts its other tokens touch, plus the k best of the rest,
 which the index keeps in norm order. A one-fact set and any other
 candidates are scored fact by fact from their labels' tokens. Both give
-the same scores and selection. A set keeps recent evidence in a FIFO dict.
+the same scores and selection. A set's evidence memo is cleared when full.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .triples import FactTriple, TripleSet
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 # distinct relation labels whose tokens are kept for reuse
 RELATION_MEMO_SIZE = 4096
-# queries whose evidence a TripleSet keeps; the oldest is dropped first
+# queries whose evidence a TripleSet keeps; a full memo is cleared
 RANK_MEMO_SIZE = 64
 
 
@@ -151,9 +151,10 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
     keys the selection does not depend on the order of the candidates.
     A TripleSet of two or more facts is scored through the index cached
     on it; anything else is scored candidate by candidate from its labels'
-    tokens, with the same results. A TripleSet keeps the evidence of its
-    last RANK_MEMO_SIZE queries, and it is immutable, so a repeated query
-    and k reuse it.
+    tokens, with the same results. A TripleSet keeps the evidence of up to
+    RANK_MEMO_SIZE queries and is immutable, so a repeated query and k
+    reuse it. A full memo is cleared, never iterated: answering threads
+    share it.
     """
     if not isinstance(candidates, TripleSet):
         return _rank(query, candidates, k)
@@ -162,9 +163,10 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
         memo = candidates.rank_memo = {}
     evidence = memo.get(query)
     if evidence is None or evidence.k != k:
-        memo[query] = evidence = _rank(query, candidates, k)
-        if len(memo) > RANK_MEMO_SIZE:
-            del memo[next(iter(memo))]
+        evidence = _rank(query, candidates, k)
+        if len(memo) >= RANK_MEMO_SIZE:
+            memo.clear()
+        memo[query] = evidence
     return evidence
 
 

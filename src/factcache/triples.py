@@ -164,9 +164,9 @@ class TripleSet:
     The set stores one key-sorted tuple, `triples`. The key index is built
     the first time membership, equality or `keys()` needs it, so a set that
     is only iterated and ranked never holds it. `rank_index` (norms and
-    postings) and `rank_memo` (a FIFO dict of recent evidence) are caches
-    that `rank_triples` fills; the set is immutable, so they never go
-    stale.
+    postings) and `rank_memo` (a dict of recent evidence, cleared when
+    full) are caches that `rank_triples` fills; the set is immutable, so
+    they never go stale.
     """
 
     __slots__ = ("triples", "_by_key", "rank_index", "rank_memo")

@@ -42,12 +42,13 @@ def triple(subject, relation, obj, **kwargs):
     return FactTriple(subject=subject, relation=relation, obj=obj, **kwargs)
 
 
-def subject_facts_endpoint(facts, sent_at):
+def subject_facts_endpoint(facts, sent_at, labels=None):
     """A transport standing in for Wikidata's SPARQL endpoint: it answers
     subject_facts.rq from `facts`, item id -> [(property id, property
     label, object, object label)], sending an object that is an item id
     as its entity URI, and appends each request's time.monotonic() to
-    `sent_at`."""
+    `sent_at`. With `labels`, item id -> label, replies also carry the
+    subject's label column."""
     entity = "http://www.wikidata.org/entity/"
 
     def cell(value, uri=False):
@@ -57,6 +58,7 @@ def subject_facts_endpoint(facts, sent_at):
         sent_at.append(time.monotonic())
         subject = re.search(r"wd:(\w+) ", params["query"]).group(1)
         bindings = []
+        names = ["relation", "relationLabel", "object", "objectLabel"]
         for prop, prop_label, obj, obj_label in facts.get(subject, ()):
             item = re.fullmatch(r"Q\d+", obj) is not None
             bindings.append({
@@ -64,10 +66,12 @@ def subject_facts_endpoint(facts, sent_at):
                 "relationLabel": cell(prop_label),
                 "object": cell(entity + obj if item else obj, uri=item),
                 "objectLabel": cell(obj_label)})
+        if labels is not None:
+            names.append("subjectLabel")
+            for row in bindings:
+                row["subjectLabel"] = cell(labels.get(subject, subject))
         return TransportReply(200, json.dumps({
-            "head": {"vars": ["relation", "relationLabel", "object",
-                              "objectLabel"]},
-            "results": {"bindings": bindings}}))
+            "head": {"vars": names}, "results": {"bindings": bindings}}))
 
     return transport
 

@@ -5,18 +5,20 @@ import json
 import random
 import threading
 import time
-from datetime import timedelta
+from datetime import datetime, timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factcache.cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
-                             TieredFactStore, UpdateOutcome, load_state,
-                             read_dump, save_state, triple_to_row,
+from factcache.cache import (CacheStats, EditRequest, InMemorySlowSource,
+                             LocalDumpSource, TieredFactStore, UpdateOutcome,
+                             load_state, read_dump, save_state, triple_to_row,
                              write_dump)
+from factcache.cli import load_entities
 from factcache.config import load_config
-from factcache.errors import ConfigError, ParseError, SlowUnreachable
+from factcache.errors import (ConfigError, FactCacheError, ParseError,
+                              SlowUnreachable)
 from factcache.models import MockTableModel
 from factcache.pipeline import AliasIndex, Pipeline
 from factcache.triples import Source, TripleSet
@@ -606,6 +608,85 @@ class TestSync:
         assert store.get("US", "head_of_gov").obj == "Biden"
 
 
+# one relation with three objects, listed greatest first
+CHILDREN = [triple("A", "child", child, source=Source.WIKIDATA,
+                   fetched_at=SNAPSHOT) for child in "DCB"]
+
+
+def dump_source(directory, rows):
+    path = directory / "dump.jsonl"
+    write_dump(path, rows, snapshot_at=SNAPSHOT)
+    return LocalDumpSource(path)
+
+
+def store_state(store):
+    """What a store holds, fact by fact, with each fact's version."""
+    return sorted((t.key, t.version) for t in store.fast_snapshot())
+
+
+class TestOneObjectPerRelation:
+    """A source may give one relation several objects (a hand-made dump, a
+    multi-valued Wikidata property); the store keeps the least object id."""
+
+    def test_a_second_sync_over_an_unchanged_source_changes_nothing(
+            self, tmp_path):
+        store = TieredFactStore(slow=dump_source(tmp_path, CHILDREN),
+                                prefetch_depth=0)
+        store.retrieve("A")
+        assert [store.sync(), store.sync()] == [0, 0]
+        assert store.get("A", "child").version == 1
+        assert store.stats.replacements == 0
+
+    def test_retrieve_and_sync_serve_the_same_object(self, tmp_path):
+        slow = dump_source(tmp_path, CHILDREN)
+        store = TieredFactStore(slow=slow, prefetch_depth=0)
+        assert store.retrieve("A").objects == {"B"}
+        # a subject made resident by an edit is filled in by the sync
+        synced = TieredFactStore(slow=slow, prefetch_depth=0)
+        synced.apply_update(EditRequest("A", "spouse", "E"))
+        synced.sync()
+        assert synced.get("A", "child").obj == "B"
+
+    def test_a_resident_edit_still_wins_on_read_through(self, tmp_path):
+        store = TieredFactStore(slow=dump_source(tmp_path, CHILDREN),
+                                prefetch_depth=0)
+        store.apply_update(EditRequest("A", "child", "Z"))
+        assert store.retrieve("A").objects == {"Z"}
+
+    def test_bulk_load_takes_a_subject_from_wherever_it_stands(self):
+        store, _ = make_store(prefetch_depth=0)
+        other = triple("X", "child", "Y")
+        assert store.bulk_load([CHILDREN[0], other, *CHILDREN[1:]]) == 2
+        assert store.get("A", "child").obj == "B"
+
+
+@given(rows=st.lists(st.tuples(st.sampled_from("AB"),
+                               st.sampled_from(["child", "spouse"]),
+                               st.sampled_from("CDEF")),
+                     min_size=1, max_size=12),
+       order=st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_shuffled_dump_rows_give_the_same_store(tmp_path_factory, rows,
+                                                order):
+    facts = [triple(s, r, o, source=Source.WIKIDATA, fetched_at=SNAPSHOT)
+             for s, r, o in rows]
+    shuffled = facts[:]
+    order.shuffle(shuffled)
+    expected = sorted(
+        ((s, r, min(o for s2, r2, o in rows if (s2, r2) == (s, r))), 1)
+        for s, r in {(s, r) for s, r, _ in rows})
+    for rows_in_order in (facts, shuffled):
+        directory = tmp_path_factory.mktemp("dump")
+        read = TieredFactStore(slow=dump_source(directory, rows_in_order),
+                               prefetch_depth=0)
+        for subject in "AB":
+            read.retrieve(subject)
+        assert read.sync() == 0
+        loaded, _ = make_store(prefetch_depth=0)
+        loaded.bulk_load(read_dump(directory / "dump.jsonl")[1])
+        assert store_state(read) == store_state(loaded) == expected
+
+
 class TestCapacity:
     def test_capacity_is_enforced_for_readonly_triples(self):
         store, _ = make_store(capacity=2, prefetch_depth=0)
@@ -961,6 +1042,88 @@ def test_two_threads_answering_one_cold_question_select_alike(seed):
         [alone.evidence.selected] * 2
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["", "US", "2024-01-01"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _near_rows(draw):
+    """A state row with some keys dropped or set to any JSON value."""
+    row = {**triple_to_row(US_BIDEN), "version": 1, "edited": False}
+    for key in draw(st.sets(st.sampled_from(sorted(row)), max_size=3)):
+        if draw(st.booleans()):
+            del row[key]
+        else:
+            row[key] = draw(_JSON)
+    return row
+
+
+_STATES = _JSON | st.fixed_dictionaries({}, optional={
+    "stats": _JSON | st.dictionaries(
+        st.sampled_from(sorted(CacheStats().snapshot())), _JSON),
+    "entries": _JSON | st.lists(_near_rows(), max_size=3),
+    "incomplete": _JSON | st.lists(st.sampled_from(["US", "x"]))})
+_ENTITIES = _JSON | st.lists(_JSON | st.fixed_dictionaries(
+    {"id": _JSON | st.just("Q1")},
+    optional={key: _JSON for key in ("label", "aliases", "kind", "gender")}),
+    max_size=3)
+
+
+def _typed(t):
+    return (all(type(v) is str for v in (
+                t.subject, t.relation, t.obj, t.subject_label,
+                t.relation_label, t.object_label))
+            and type(t.object_is_entity) is bool and type(t.version) is int
+            and isinstance(t.source, Source)
+            and (t.fetched_at is None or isinstance(t.fetched_at, datetime)))
+
+
+def _loads_typed_or_refuses(load, text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("input") / "file.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        return load(path)
+    except FactCacheError:
+        return None
+
+
+@given(row=_JSON | _near_rows())
+@settings(max_examples=150, deadline=None)
+def test_any_json_dump_row_loads_typed_or_is_refused(tmp_path_factory, row):
+    loaded = _loads_typed_or_refuses(read_dump, json.dumps(row),
+                                     tmp_path_factory)
+    assert loaded is None or all(map(_typed, loaded[1]))
+
+
+@given(state=_STATES)
+@settings(max_examples=150, deadline=None)
+def test_any_json_state_file_loads_typed_or_is_refused(tmp_path_factory,
+                                                       state):
+    store = _loads_typed_or_refuses(load_state, json.dumps(state),
+                                    tmp_path_factory)
+    if store is not None:
+        assert all(type(n) is int for n in store.stats.snapshot().values())
+        assert all(map(_typed, store.fast_snapshot()))
+        assert all(type(r) is str for record in store._subjects.values()
+                   for r in record.edited)
+
+
+@given(entities=_ENTITIES)
+@settings(max_examples=150, deadline=None)
+def test_any_json_entities_file_loads_typed_or_is_refused(tmp_path_factory,
+                                                          entities):
+    loaded = _loads_typed_or_refuses(load_entities, json.dumps(entities),
+                                     tmp_path_factory)
+    for ref in (loaded or {}).values():
+        assert type(ref.id) is str and ref.id
+        assert all(type(v) is str for v in (ref.label, ref.kind, ref.gender))
+        assert all(type(alias) is str and alias for alias in ref.aliases)
+
+
 class TestRemoteSparqlSource:
     WIKIDATA_PAYLOAD = """\
 {"head": {"vars": ["relation", "relationLabel", "object", "objectLabel"]},
@@ -1007,6 +1170,23 @@ class TestRemoteSparqlSource:
         assert literal.obj == "352 km"
         assert "wd:Q30" in calls[0]
         assert naps == []
+
+    @pytest.mark.parametrize("label, rendered", [
+        ("United States", "(United States, head of government, Joe Biden)"),
+        (None, "(Q30, head of government, Joe Biden)")],
+        ids=["label-column", "no-label-column"])
+    def test_a_fact_takes_the_subject_label_from_the_reply(self, label,
+                                                           rendered):
+        payload = json.loads(self.WIKIDATA_PAYLOAD)
+        if label is not None:
+            payload["head"]["vars"].append("subjectLabel")
+            for row in payload["results"]["bindings"]:
+                row["subjectLabel"] = {"type": "literal", "value": label}
+        source, _ = self.make_source([(200, json.dumps(payload))], [])
+        store = TieredFactStore(slow=source, prefetch_depth=0)
+        facts = store.retrieve("Q30")
+        assert {t.subject_label for t in facts} == {label or "Q30"}
+        assert store.get("Q30", "P6").render() == rendered
 
     def test_three_attempts_with_exponential_backoff(self):
         naps = []
@@ -1270,31 +1450,66 @@ class TestDumpFormat:
         assert restored.fast_snapshot() == TripleSet([US_BIDEN])
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
-    @pytest.mark.parametrize("row", [
-        "{broken", '{"subject_id": "US", "object_label": "x"}', "42",
-        json.dumps({**triple_to_row(US_BIDEN), "source": "bogus"})],
-        ids=["not-json", "no-relation", "not-an-object", "unknown-source"])
-    def test_a_bad_dump_row_is_a_parse_error_at_its_line(self, tmp_path, row):
+    @pytest.mark.parametrize("row, key", [
+        ("{broken", "Expecting"),
+        ('{"subject_id": "US", "object_label": "x"}', "relation_id"),
+        ("42", "JSON object"),
+        (json.dumps({**triple_to_row(US_BIDEN), "source": "bogus"}),
+         "source"),
+        (json.dumps({**triple_to_row(US_BIDEN), "object_label": 5}),
+         "object_label"),
+        (json.dumps({**triple_to_row(US_BIDEN), "subject_id": 5}),
+         "subject_id"),
+        (json.dumps({**triple_to_row(US_BIDEN), "object_id": 3}),
+         "object_id"),
+        (json.dumps({**triple_to_row(US_BIDEN), "fetched_at": "noon"}),
+         "fetched_at"),
+        (json.dumps({**triple_to_row(US_BIDEN), "version": True}),
+         "version"),
+        ('{"snapshot_at": 5}', "snapshot_at")],
+        ids=["not-json", "no-relation", "not-an-object", "unknown-source",
+             "int-object-label", "int-subject-id", "int-object-id",
+             "bad-time", "bool-version", "int-snapshot"])
+    def test_a_bad_dump_row_is_a_parse_error_at_its_line(self, tmp_path, row,
+                                                         key):
         path = tmp_path / "dump.jsonl"
         write_dump(path, [US_BIDEN], snapshot_at=SNAPSHOT)
         path.write_text(path.read_text() + row + "\n")
         with pytest.raises(ParseError) as exc:
             read_dump(path)
         assert exc.value.line == 3
-        assert str(path) in str(exc.value)
+        assert str(path) in str(exc.value) and key in str(exc.value)
 
-    @pytest.mark.parametrize("text, line", [
-        ("not json", 1), ("{\n  \"entries\": [,]}", 2), ("[]", None),
-        ('{"entries": [{"subject_id": "US", "object_label": "x"}]}', None),
+    def test_a_dump_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        write_dump(path, [US_BIDEN], snapshot_at=SNAPSHOT)
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_dump(path)
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("not json", 1, "Expecting"),
+        ("{\n  \"entries\": [,]}", 2, "Expecting"),
+        ("[]", None, "JSON object"),
+        ('{"entries": [{"subject_id": "US", "object_label": "x"}]}', None,
+         "entries[0]: relation_id"),
         ('{"entries": [{"subject_id": "US", "relation_id": "r", '
-         '"object_label": "x", "source": "bogus"}]}', None)],
+         '"object_label": "x", "source": "bogus"}]}', None, "source"),
+        ('{"stats": {"hits": "x"}}', None, "stats.hits"),
+        ('{"stats": {"hits": true}}', None, "stats.hits"),
+        ('{"entries": [{"subject_id": "US", "relation_id": "r", '
+         '"object_label": "x", "edited": "no"}]}', None, "entries[0]: edited"),
+        ('{"incomplete": "US"}', None, "incomplete"),
+        ('{"incomplete": [1]}', None, "incomplete"),
+        ('{"entries": {}}', None, "entries")],
         ids=["not-json", "bad-json-line-2", "not-an-object", "no-relation",
-             "unknown-source"])
+             "unknown-source", "text-count", "bool-count", "text-edited",
+             "text-incomplete", "int-incomplete", "object-entries"])
     def test_a_corrupt_state_file_is_a_parse_error(self, tmp_path, text,
-                                                   line):
+                                                   line, key):
         path = tmp_path / "state.json"
         path.write_text(text)
         with pytest.raises(ParseError) as exc:
             load_state(path)
         assert exc.value.line == line
-        assert str(path) in str(exc.value)
+        assert str(path) in str(exc.value) and key in str(exc.value)

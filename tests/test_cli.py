@@ -171,6 +171,29 @@ class TestQuery:
         assert len(sent_at) == 3  # the miss and its two neighbours
         assert sent_at[-1] - sent_at[0] < 0.1
 
+    def test_the_alias_index_learns_a_subject_name_read_through(
+            self, workdir, capsys, monkeypatch):
+        (workdir / "factcache.json").write_text(json.dumps({
+            "store": {"state_path": "state.json", "prefetch_depth": 0},
+            "slow_source": {"kind": "remote_sparql",
+                            "locator": "https://unit.test/sparql"},
+            "data": {"entities_path": "entities.json"}}))
+        (workdir / "entities.json").write_text(json.dumps(
+            [{"id": "Q30", "label": "America"}]))
+        monkeypatch.setattr(sparqlio, "requests_transport",
+                            subject_facts_endpoint(
+                                {"Q30": [("P6", "head of government",
+                                          "Q6279", "Joe Biden")]},
+                                [], labels={"Q30": "United States"}))
+        code, _, err = run(capsys, "query", "--trace", "Who is the current "
+                           "head of government for America?")
+        assert code == 0
+        assert "evidence: (United States, head of government, Joe Biden)" \
+            in err
+        code, out, _ = run(capsys, "query", "Who is the current head of "
+                           "government for the United States?")
+        assert code == 0 and out.strip() == "Joe Biden"
+
     def test_unknown_task_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:
             main(["query", "q", "--task", "nonsense"])
@@ -219,13 +242,43 @@ class TestCorruptInput:
 
     @pytest.mark.parametrize("text", [
         "not json",
-        '{"entries": [{"subject_id": "US", "object_label": "x"}]}'],
-        ids=["not-json", "entry-without-relation"])
+        '{"entries": [{"subject_id": "US", "object_label": "x"}]}',
+        '{"stats": {"hits": "x"}}'],
+        ids=["not-json", "entry-without-relation", "text-count"])
     def test_query_with_a_corrupt_state_file(self, workdir, capsys, text):
         (workdir / "state.json").write_text(text)
         code, out, err = run(capsys, "query", self.QUESTION)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "state.json" in err
+
+    def test_query_over_a_dump_row_of_the_wrong_type(self, workdir, capsys):
+        dump = workdir / "dump.jsonl"
+        lines = dump.read_text().splitlines()
+        row = json.loads(lines[1])
+        dump.write_text("\n".join(
+            [lines[0], json.dumps({**row, "object_label": 5}), *lines[2:]]))
+        code, out, err = run(capsys, "query", self.QUESTION)
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2: ") and "object_label" in err
+
+    @pytest.mark.parametrize("text, key", [
+        ("not json", "Expecting"), ('{"a": 1}', "JSON list"),
+        ('[{"label": "x"}]', "id"), ('[{"id": ""}]', "id"),
+        ('[{"id": "Q1", "aliases": "abc"}]', "aliases"),
+        ('[{"id": "Q1", "aliases": [""]}]', "aliases"),
+        ('[{"id": "Q1", "label": 5}]', "label")],
+        ids=["not-json", "not-a-list", "no-id", "empty-id", "text-aliases",
+             "empty-alias", "int-label"])
+    def test_query_with_a_corrupt_entities_file(self, workdir, capsys, text,
+                                                key):
+        config = json.loads((workdir / "factcache.json").read_text())
+        config["data"] = {"entities_path": "entities.json"}
+        (workdir / "factcache.json").write_text(json.dumps(config))
+        (workdir / "entities.json").write_text(text)
+        code, out, err = run(capsys, "query", self.QUESTION)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "entities.json" in err
+        assert key in err
 
     @pytest.mark.parametrize("row", [
         "{broken",

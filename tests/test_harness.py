@@ -7,12 +7,13 @@ import pytest
 
 from factcache.cache import InMemorySlowSource, TieredFactStore
 from factcache.dataset import build_item, build_multihop
-from factcache.errors import EmptySet
+from factcache.errors import EmptySet, HopFailed
 from factcache.harness import (REFERENCE_MULTIHOP_EM, run_main_eval,
                                run_multihop_scenario, run_scale_scenario,
                                run_transition_scenario)
 from factcache.models import MockTableModel
-from factcache.pipeline import MultihopMode, Pipeline, aliases_for_items
+from factcache.pipeline import (AliasIndex, MultihopMode, Pipeline,
+                                aliases_for_items)
 from factcache.triples import Source, TaskKind
 from conftest import triple
 
@@ -133,19 +134,6 @@ class TestTransitionScenario:
         report = run_main_eval(items, pipeline)
         assert curve[1] == report.per_task_em["qa"]
 
-    def test_stale_cache_control_scores_zero_on_changed_facts(self, templates):
-        items, pipeline = desk_set(templates)
-        curve = run_transition_scenario(items, pipeline, edit_counts=(2, 5),
-                                        withhold_updates=True)
-        assert set(curve.values()) == {0.0}
-
-    def test_withheld_single_edit_is_still_correct(self, templates):
-        # with one edit the first revision IS the final value
-        items, pipeline = desk_set(templates)
-        curve = run_transition_scenario(items, pipeline, edit_counts=(1,),
-                                        withhold_updates=True)
-        assert curve[1] == 100.0
-
 
 class TestScaleScenario:
     def test_em_flat_and_latency_recorded(self, templates):
@@ -199,23 +187,22 @@ class TestMultihopScenario:
 
     def test_broken_chain_scores_zero(self, templates):
         items = spouse_chain_items(templates, hop_counts=(3,))
+        middle = items[0].chain[1].subject_label
+        # hop 2 asks about the middle entity, which no surface names
+        aliases = AliasIndex()
+        for link in items[0].chain:
+            for label, entity in ((link.subject_label, link.subject),
+                                  (link.object_label, link.obj)):
+                if label != middle:
+                    aliases.add(label, entity)
         store = TieredFactStore(slow=InMemorySlowSource(), prefetch_depth=0)
-        pipeline = Pipeline(store=store, aliases=aliases_for_items(items),
+        pipeline = Pipeline(store=store, aliases=aliases,
                             model=MockTableModel())
         report = run_multihop_scenario(items, pipeline)
-        assert report.em["decompose"][3] == 100.0
-        # drop the middle hop from both tiers and rescore
-        pipeline.store.reset()
-        for item in items:
-            for i, link in enumerate(item.chain):
-                if i != 1:
-                    from factcache.cache import EditRequest
-                    pipeline.store.apply_update(EditRequest(
-                        subject=link.subject, relation=link.relation,
-                        new_object=link.obj,
-                        relation_label=link.relation_label))
-        report = run_multihop_scenario(items, pipeline, apply_edits=False)
-        assert report.em["decompose"][3] == 0.0
+        assert report.em == {"decompose": {3: 0.0}, "dialogue": {3: 0.0}}
+        with pytest.raises(HopFailed) as failed:
+            pipeline.answer_multihop(items[0])
+        assert failed.value.hop == 2
 
     def test_empty_items_rejected(self, templates):
         _, pipeline = desk_set(templates)

@@ -28,7 +28,7 @@ ASSET_DIGESTS = {
     "sparql/dbpedia_triples.rq":
         "94f5477cef0711069631a935bc05675816610f2cab38a9968976741aacbbb8ef",
     "sparql/subject_facts.rq":
-        "039358b032a0520f060d0c4ee7121a822b8bd3362e4abd6c1c6bb544530f41c6",
+        "13b84399b8d64596d5e00a0ce69b862accb3ce3c9b1605bf3ba2fd04e050d27d",
 }
 
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factcache import pipeline as pipeline_module
+from factcache import ranking as ranking_module
 from factcache.cache import EditRequest, InMemorySlowSource, TieredFactStore
 from factcache.dataset import build_multihop
 from factcache.errors import HopFailed
@@ -91,21 +95,19 @@ class TestAliasIndex:
         alias_index.merge(other)
         assert alias_index.entities(text) == ["Q2", "Q1"]
 
-    def test_the_entities_memo_is_bounded(self, alias_index, monkeypatch):
+    def test_the_entities_memo_is_cleared_when_full(self, alias_index,
+                                                    monkeypatch):
         monkeypatch.setattr(pipeline_module, "ALIAS_MEMO_SIZE", 8)
-        texts = [f"Is America {i}?" for i in range(21)]
-        for i, text in enumerate(texts[:20]):
+        texts = [f"Is America {i}?" for i in range(9)]
+        for text in texts[:8]:
             assert alias_index.entities(text) == \
                 greedy_alias_matches(alias_index, text)
-            assert len(alias_index._memo) <= 8
-            if i == 8:  # past the bound, the newest half stays
-                assert list(alias_index._memo) == texts[4:9]
-        assert list(alias_index._memo) == texts[12:20]
-        for text in texts[12:20]:  # hits, which move nothing
-            assert alias_index.entities(text) == \
-                greedy_alias_matches(alias_index, text)
-        alias_index.entities(texts[20])
-        assert list(alias_index._memo) == texts[16:21]
+        assert list(alias_index._memo) == texts[:8]
+        for text in texts[:8]:  # hits, which change nothing
+            assert alias_index.entities(text) == ["Q30"]
+        assert list(alias_index._memo) == texts[:8]
+        assert alias_index.entities(texts[8]) == ["Q30"]
+        assert list(alias_index._memo) == texts[8:]
 
     def test_from_entities_uses_all_surface_forms(self):
         index = AliasIndex()
@@ -446,8 +448,6 @@ class TestMultihop:
 
 
 def test_concurrent_answers_interleave_with_writers(us_pipeline):
-    import threading
-
     query = "Who is the head of government in America?"
     objects = [f"Leader {i}" for i in range(20)]
     answers: list[str] = []
@@ -477,6 +477,58 @@ def test_concurrent_answers_interleave_with_writers(us_pipeline):
     allowed = {"Joe Biden", *objects}
     assert set(answers) <= allowed
     assert us_pipeline.answer(query).text == "Leader 19"  # last writer wins
+
+
+def test_threads_answering_distinct_questions_share_the_memos(monkeypatch):
+    # memos small enough that every thread keeps filling both of them
+    monkeypatch.setattr(pipeline_module, "ALIAS_MEMO_SIZE", 4)
+    monkeypatch.setattr(ranking_module, "RANK_MEMO_SIZE", 4)
+    facts = [triple("Q30", f"P{i}", f"Q{100 + i}",
+                    subject_label="United States",
+                    relation_label=f"relation {chr(97 + i)}",
+                    object_label=f"Person {chr(97 + i)}")
+             for i in range(26)]
+
+    def fresh_pipeline():
+        aliases = AliasIndex()
+        aliases.add("United States", "Q30")
+        store = TieredFactStore(slow=InMemorySlowSource(facts),
+                                prefetch_depth=0)
+        return Pipeline(store=store, aliases=aliases, model=MockTableModel())
+
+    # 16,000 distinct questions: memos that iterated their dict to evict
+    # failed 9 of 10 runs of this test (2 CPUs, CPython 3.11)
+    questions = [[f"What is relation {chr(97 + (reader + n) % 26)} of the "
+                  f"United States, question {n} of reader {reader}?"
+                  for n in range(4000)]
+                 for reader in range(4)]
+    single = fresh_pipeline()
+    expected = [[single.answer(q).text for q in qs] for qs in questions]
+    shared = fresh_pipeline()
+    shared.store.retrieve("Q30")  # every thread then ranks this one view
+    answers: dict[int, list[str]] = {}
+    errors: list[Exception] = []
+
+    def reader(index):
+        try:
+            answers[index] = [shared.answer(q).text
+                              for q in questions[index]]
+        except Exception as exc:  # noqa: BLE001 - the assertion is "none"
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [answers[i] for i in range(4)] == expected
 
 
 def test_aliases_for_items_covers_locality_probes(templates):
