@@ -29,7 +29,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
-from .errors import HttpError, MalformedResponse, ParseError, SlowUnreachable
+from .errors import (NAME, TEXT, HttpError, MalformedResponse, ParseError,
+                     SlowUnreachable, fault, read_json, read_json_lines)
 from .sparqlio import RequestPolicy, Transport, load_query, uri_tail
 from .triples import FactTriple, Source, TripleSet
 
@@ -135,33 +136,34 @@ def _is_time(value) -> bool:
 
 _OPTIONAL_TEXT = (str, type(None))
 _SOURCES = tuple(source.value for source in Source)
-# what each key of a row must hold; only a row that row_to_triple refused
-# is checked key by key
+# key: required, what it must hold, its test; only a row that
+# row_to_triple refused is checked key by key
 _ROW_RULES = {
-    "subject_id": ("a non-empty string", lambda v: type(v) is str and v),
-    "relation_id": ("a non-empty string", lambda v: type(v) is str and v),
-    "object_label": ("a string", lambda v: type(v) is str),
-    "object_id": ("a string or null", lambda v: type(v) in _OPTIONAL_TEXT),
-    "subject_label": ("a string", lambda v: type(v) is str),
-    "relation_label": ("a string", lambda v: type(v) is str),
-    "source": ("one of " + ", ".join(_SOURCES), lambda v: v in _SOURCES),
-    "fetched_at": ("an RFC 3339 time or null",
+    "subject_id": (True, *NAME),
+    "relation_id": (True, *NAME),
+    "object_label": (True, *TEXT),
+    "object_id": (False, "a string or null",
+                  lambda v: type(v) in _OPTIONAL_TEXT),
+    "subject_label": (False, *TEXT),
+    "relation_label": (False, *TEXT),
+    "source": (False, "one of " + ", ".join(_SOURCES),
+               lambda v: v in _SOURCES),
+    "fetched_at": (False, "an RFC 3339 time or null",
                    lambda v: v in (None, "") or _is_time(v)),
-    "version": ("an integer of at least 1",
+    "version": (False, "an integer of at least 1",
                 lambda v: type(v) is int and v >= 1),
 }
-
-
-def _row_fault(row) -> str:
-    if type(row) is not dict:
-        return f"a row must be a JSON object, not {row!r}"
-    for key, (expected, ok) in _ROW_RULES.items():
-        if key not in row:
-            if key in ("subject_id", "relation_id", "object_label"):
-                return f"{key} is missing"
-        elif not ok(row[key]):
-            return f"{key} must be {expected}, not {row[key]!r}"
-    return f"unreadable row {row!r}"
+# a state file's entries, and the file itself
+_ENTRY_RULES = {**_ROW_RULES,
+                "edited": (False, "true or false", lambda v: type(v) is bool)}
+_STATE_RULES = {
+    "entries": (False, "a list", lambda v: type(v) is list),
+    "incomplete": (False, "a list of strings", lambda v: type(v) is list
+                   and all(type(subject) is str for subject in v)),
+    "stats": (False, "a JSON object", lambda v: type(v) is dict),
+}
+_COUNT = (False, "an integer", lambda v: type(v) is int)  # every stats key
+_SNAPSHOT_RULES = {"snapshot_at": (True, "an RFC 3339 time", _is_time)}
 
 
 def row_to_triple(row: dict) -> FactTriple:
@@ -174,7 +176,7 @@ def row_to_triple(row: dict) -> FactTriple:
         subject_label = row.get("subject_label", "")
         relation_label = row.get("relation_label", "")
         fetched, version = row.get("fetched_at"), row.get("version", 1)
-        # one test of every type; _row_fault finds the key that failed it
+        # one test of every type; the rules name the key that failed it
         if not (type(subject) is type(relation) is type(object_label)
                 is type(subject_label) is type(relation_label) is str
                 and type(object_id) in _OPTIONAL_TEXT
@@ -193,38 +195,27 @@ def row_to_triple(row: dict) -> FactTriple:
             version=version,
         )
     except (AttributeError, KeyError, TypeError, ValueError):
-        raise ParseError(_row_fault(row)) from None
+        raise ParseError(fault(row, _ROW_RULES)) from None
 
 
 def read_dump(path: str | Path) -> tuple[Optional[datetime], list[FactTriple]]:
-    """The snapshot time and the facts of a dump file. A line that is not
-    JSON, or a row that row_to_triple refuses, raises ParseError naming the
-    file and the line; a file that is not UTF-8, naming the file."""
+    """The snapshot time and the facts of a dump file. A file that cannot
+    be read, a line that is not UTF-8 JSON, or a row that row_to_triple
+    refuses raises ParseError naming the file and the line."""
     snapshot_at = None
-    triples = []
-    with open(path, encoding="utf-8") as f:
-        try:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    if (type(record) is dict and "snapshot_at" in record
-                            and "subject_id" not in record):
-                        value = record["snapshot_at"]
-                        if not _is_time(value):
-                            raise ParseError("snapshot_at must be an RFC "
-                                             f"3339 time, not {value!r}")
-                        snapshot_at = parse_rfc3339(value)
-                        continue
-                    triples.append(row_to_triple(record))
-                except (ParseError, ValueError) as exc:
-                    raise ParseError(f"{path}: bad row: {exc}",
-                                     lineno) from exc
-        except UnicodeDecodeError as exc:  # the file is read ahead of lines
-            raise ParseError(f"{path}: not UTF-8: {exc}") from exc
-    return snapshot_at, triples
+
+    def parse(record) -> Optional[FactTriple]:
+        nonlocal snapshot_at
+        if (type(record) is dict and "snapshot_at" in record
+                and "subject_id" not in record):
+            if reason := fault(record, _SNAPSHOT_RULES):
+                raise ParseError(reason)
+            snapshot_at = parse_rfc3339(record["snapshot_at"])
+            return None
+        return row_to_triple(record)
+
+    triples = read_json_lines(path, parse)
+    return snapshot_at, [t for t in triples if t is not None]
 
 
 def write_dump(path: str | Path, triples: Iterable[FactTriple],
@@ -757,46 +748,26 @@ def load_state(path: str | Path, slow: Optional[SlowSource] = None,
     store = TieredFactStore(slow=slow, capacity=capacity,
                             prefetch_depth=prefetch_depth)
     records: dict[str, _Subject] = {}
-    try:
-        state = json.loads(Path(path).read_text(encoding="utf-8"))
-        if type(state) is not dict:
-            raise ParseError(f"the state must be a JSON object, not {state!r}")
-        entries = state.get("entries", [])
-        incomplete = state.get("incomplete", [])
-        stats = state.get("stats", {})
-        if type(entries) is not list:
-            raise ParseError(f"entries must be a list, not {entries!r}")
-        if type(incomplete) is not list or \
-                not all(type(subject) is str for subject in incomplete):
-            raise ParseError(
-                f"incomplete must be a list of strings, not {incomplete!r}")
-        if type(stats) is not dict:
-            raise ParseError(f"stats must be a JSON object, not {stats!r}")
-        for key, count in stats.items():
-            if type(count) is not int:
-                raise ParseError(
-                    f"stats.{key} must be an integer, not {count!r}")
-        incomplete = set(incomplete)
-        for index, row in enumerate(entries):
-            try:
-                triple = row_to_triple(row)
-            except ParseError as exc:
-                raise ParseError(f"entries[{index}]: {exc}") from None
-            edited = row.get("edited", False)
-            if type(edited) is not bool:
-                raise ParseError(f"entries[{index}]: edited must be true or "
-                                 f"false, not {edited!r}")
-            record = records.setdefault(
-                triple.subject,
-                _Subject(complete=triple.subject not in incomplete))
-            record.facts[triple.relation] = triple
-            if edited:
-                record.edited |= {triple.relation}
-        store.stats = CacheStats(**{k: stats.get(k, 0)
-                                    for k in CacheStats().snapshot()})
-    except (ParseError, ValueError) as exc:  # ValueError: not JSON
-        raise ParseError(f"{path}: bad state: {exc}",
-                         getattr(exc, "lineno", None)) from exc
+    state = read_json(path)
+    stats = state.get("stats", {}) if type(state) is dict else {}
+    if reason := (fault(state, _STATE_RULES)
+                  or fault(stats, dict.fromkeys(stats, _COUNT), "stats.")):
+        raise ParseError(f"{path}: {reason}")
+    incomplete = set(state.get("incomplete", ()))
+    for index, row in enumerate(state.get("entries", ())):
+        try:
+            triple = row_to_triple(row)
+            if type(edited := row.get("edited", False)) is not bool:
+                raise ParseError(fault(row, _ENTRY_RULES))
+        except ParseError as exc:
+            raise ParseError(f"{path}: entries[{index}]: {exc}") from None
+        record = records.setdefault(
+            triple.subject, _Subject(complete=triple.subject not in incomplete))
+        record.facts[triple.relation] = triple
+        if edited:
+            record.edited |= {triple.relation}
+    store.stats = CacheStats(**{k: stats.get(k, 0)
+                                for k in CacheStats().snapshot()})
     for subject, record in records.items():
         store._admit(subject, record)
     store._evict()  # the file may hold more than this capacity

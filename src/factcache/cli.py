@@ -24,7 +24,7 @@ from .config import Config, DEFAULT_CONFIG_PATH, load_config
 from .dataset import (BenchmarkItem, MultiHopItem, build_benchmark,
                       build_multihop_benchmark, emit_benchmark, load_benchmark,
                       load_relation_templates)
-from .errors import FactCacheError, ParseError
+from .errors import NAME, TEXT, FactCacheError, read_json_rows
 from .harness import (run_main_eval, run_multihop_scenario,
                       run_scale_scenario, run_transition_scenario)
 from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
@@ -69,19 +69,13 @@ def _store(cfg: Config, fresh: bool = False) -> TieredFactStore:
                            prefetch_depth=cfg.prefetch_depth)
 
 
-def _entity_fault(row) -> Optional[str]:
-    if type(row) is not dict:
-        return f"must be a JSON object, not {row!r}"
-    if type(row.get("id")) is not str or not row["id"]:
-        return f"id must be a non-empty string, not {row.get('id')!r}"
-    for key in ("label", "kind", "gender"):
-        if type(row.get(key, "")) is not str:
-            return f"{key} must be a string, not {row[key]!r}"
-    aliases = row.get("aliases", [])
-    if type(aliases) is not list or \
-            not all(type(alias) is str and alias for alias in aliases):
-        return f"aliases must be a list of non-empty strings, not {aliases!r}"
-    return None
+_ENTITY_RULES = {
+    "id": (True, *NAME),
+    **{key: (False, *TEXT) for key in ("label", "kind", "gender")},
+    "aliases": (False, "a list of non-empty strings",
+                lambda v: type(v) is list and all(type(a) is str and a
+                                                  for a in v)),
+}
 
 
 def load_entities(path: str) -> dict[str, EntityRef]:
@@ -89,19 +83,8 @@ def load_entities(path: str) -> dict[str, EntityRef]:
     string `id`, optional `label`, `kind` and `gender` strings, and
     optional `aliases`, a list of non-empty strings. A file that breaks
     this raises ParseError naming the file, the entry and the key."""
-    try:
-        rows = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not JSON
-        raise ParseError(f"{path}: bad entities: {exc}",
-                         getattr(exc, "lineno", None)) from exc
-    if type(rows) is not list:
-        raise ParseError(f"{path}: bad entities: must be a JSON list, "
-                         f"not {rows!r}")
     entities: dict[str, EntityRef] = {}
-    for index, row in enumerate(rows):
-        fault = _entity_fault(row)
-        if fault is not None:
-            raise ParseError(f"{path}: entity {index}: {fault}")
+    for row in read_json_rows(path, _ENTITY_RULES, "entity"):
         ref = EntityRef(
             id=row["id"],
             label=row.get("label", ""),

@@ -8,12 +8,11 @@ and every error names its dotted key.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError, read_json
 from .metrics import SUREParams
 
 DEFAULT_CONFIG_PATH = "./factcache.json"
@@ -43,7 +42,7 @@ class Config:
 
 # key path, Config attribute, type, check: the allowed values, the least
 # int, or INPUT or OUTPUT for a path resolved against the config's directory
-# (an input must exist when set; an output must be set and be no directory)
+# (an input must be a file when set; an output must be set and no directory)
 INPUT, OUTPUT = "input", "output"
 KEYS = (
     ("store.state_path", "state_path", str, OUTPUT),
@@ -86,9 +85,9 @@ def load_config(path: Optional[str] = None) -> Config:
             raise ConfigError(f"config file not found: {path}")
         return Config()
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = read_json(config_path)
+    except ParseError as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(str(exc)) from exc
     raw = _object(raw, "config")
     base = config_path.parent
     cfg = Config()
@@ -138,6 +137,6 @@ def _checked(key: str, value, kind: type, check, base: Path):
         raise ConfigError(f"{key} must name a file, got {value!r}")
     if check in (INPUT, OUTPUT) and value:
         value = str(base / value)  # an absolute value stays as it is
-        if check == INPUT and not Path(value).exists():
-            raise ConfigError(f"{key} does not exist: {value}")
+        if check == INPUT and not Path(value).is_file():
+            raise ConfigError(f"{key} is not a file: {value}")
     return value

@@ -10,20 +10,18 @@ the chain's first subject.
 from __future__ import annotations
 
 import json
-import logging
 import random
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import (BadTemplate, BrokenChain, DistractorCollision, ParseError,
-                     SchemaViolation)
+from .errors import (NAME, BadTemplate, BrokenChain, DistractorCollision,
+                     SchemaViolation, fault, read_json_lines, read_json_rows)
 from .ranking import contains_phrase
 from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
                       TripleSet)
-
-log = logging.getLogger(__name__)
 
 CHOICE_LETTERS = ("A", "B", "C")
 
@@ -41,6 +39,11 @@ SINGLE_HOP_KEYS = (
     "localitysubjectLabel", "localityobjectLabel",
     *QUERY_KEYS.values(), "locality_query",
 )
+# a choose_query is the question, then a last line of the three options
+_CHOICE_LINE = re.compile(r".*\nA:([^\n]*?) B:([^\n]*?) C:([^\n]*)", re.S)
+SINGLE_HOP_RULES = {key: (True, *NAME) for key in SINGLE_HOP_KEYS} | {
+    "choose_query": (True, "a question, then an 'A:.. B:.. C:..' line",
+                     lambda v: type(v) is str and _CHOICE_LINE.fullmatch(v))}
 
 FC_INSTRUCTION_PREFIX = "Determine whether the proposition is true.\nProposition:"
 
@@ -167,50 +170,23 @@ class BenchmarkItem:
         }
 
     @classmethod
-    def from_record(cls, record: Mapping, line: Optional[int] = None
-                    ) -> "BenchmarkItem":
-        missing = [k for k in SINGLE_HOP_KEYS if k not in record]
-        if missing:
-            raise SchemaViolation(f"missing keys: {', '.join(missing)}", line)
-        empty = [k for k in SINGLE_HOP_KEYS if not isinstance(record[k], str)
-                 or not record[k]]
-        if empty:
-            raise SchemaViolation(f"empty values: {', '.join(empty)}", line)
-        options = _parse_choice_options(record["choose_query"], line)
-        triple = FactTriple(
-            subject=record["subject_label"],
-            relation=record["relation_label"],
-            obj=record["object_label"],
-            source=Source.SYNTHETIC,
+    def from_record(cls, record) -> "BenchmarkItem":
+        if reason := fault(record, SINGLE_HOP_RULES):
+            raise SchemaViolation(reason)
+        return cls(
+            triple=FactTriple(
+                subject=record["subject_label"],
+                relation=record["relation_label"],
+                obj=record["object_label"],
+                source=Source.SYNTHETIC,
+            ),
+            queries={task: record[key] for task, key in QUERY_KEYS.items()},
+            choice_options=tuple(zip(CHOICE_LETTERS, _CHOICE_LINE.fullmatch(
+                record["choose_query"]).groups())),
+            locality_subject=record["localitysubjectLabel"],
+            locality_object=record["localityobjectLabel"],
+            locality_query=record["locality_query"],
         )
-        try:
-            return cls(
-                triple=triple,
-                queries={task: record[key] for task, key in QUERY_KEYS.items()},
-                choice_options=options,
-                locality_subject=record["localitysubjectLabel"],
-                locality_object=record["localityobjectLabel"],
-                locality_query=record["locality_query"],
-            )
-        except SchemaViolation as exc:
-            raise SchemaViolation(str(exc), line) from exc
-
-
-def _parse_choice_options(choose_query: str, line: Optional[int] = None
-                          ) -> tuple[tuple[str, str], ...]:
-    head, sep, options_line = choose_query.rpartition("\n")
-    if not sep or not options_line.startswith("A:"):
-        raise SchemaViolation(
-            f"choose_query has no options line: {choose_query!r}", line)
-    try:
-        a_rest = options_line[len("A:"):]
-        a, b_rest = a_rest.split(" B:", 1)
-        b, c = b_rest.split(" C:", 1)
-    except ValueError as exc:
-        raise SchemaViolation(
-            f"options line not in 'A:.. B:.. C:..' form: {options_line!r}",
-            line) from exc
-    return (("A", a), ("B", b), ("C", c))
 
 
 def build_item(triple: FactTriple, relation: RelationRef,
@@ -316,41 +292,33 @@ class MultiHopItem:
         return record
 
     @classmethod
-    def from_record(cls, record: Mapping, line: Optional[int] = None,
+    def from_record(cls, record: dict,
                     entities: Optional[Mapping[str, EntityRef]] = None
                     ) -> "MultiHopItem":
         hops = 0
         while f"relation_label_{hops + 1}" in record:
             hops += 1
-        required = ["s1_label", "MultihopQA_query"]
-        for i in range(1, hops + 1):
-            required += [f"relation_label_{i}", f"o{i}_label", f"qa_query_{i}"]
-        missing = [k for k in required if not record.get(k)]
-        if missing:
-            raise SchemaViolation(f"missing keys: {', '.join(missing)}", line)
-
-        subject = record["s1_label"]
-        chain = []
-        for i in range(1, hops + 1):
-            obj = record[f"o{i}_label"]
-            chain.append(FactTriple(
-                subject=subject,
-                relation=record[f"relation_label_{i}"],
-                obj=obj,
-                source=Source.SYNTHETIC,
-            ))
-            subject = obj
-        hop_queries = tuple(record[f"qa_query_{i}"] for i in range(1, hops + 1))
+        links = [(f"relation_label_{i}", f"o{i}_label", f"qa_query_{i}")
+                 for i in range(1, hops + 1)]
+        required = ["s1_label", *(key for link in links for key in link),
+                    "MultihopQA_query"]
+        if reason := fault(record, {key: (True, *NAME) for key in required}):
+            raise SchemaViolation(reason)
+        subjects = [record["s1_label"], *(record[obj] for _, obj, _ in links)]
+        chain = tuple(FactTriple(subject=subject, relation=record[relation],
+                                 obj=record[obj], source=Source.SYNTHETIC)
+                      for subject, (relation, obj, _) in zip(subjects, links))
+        hop_queries = tuple(record[query] for _, _, query in links)
         turns = _derive_dialogue_turns(chain, hop_queries, entities)
         try:
             return cls(
-                chain=tuple(chain),
+                chain=chain,
                 hop_queries=hop_queries,
                 multihop_query=record["MultihopQA_query"],
                 dialogue_turns=turns,
             )
-        except (SchemaViolation, BrokenChain) as exc:
-            raise SchemaViolation(str(exc), line) from exc
+        except BrokenChain as exc:
+            raise SchemaViolation(str(exc)) from exc
 
 
 def _derive_dialogue_turns(
@@ -486,59 +454,43 @@ def load_benchmark(path: str | Path, strict: bool = True,
                    ) -> list[AnyItem]:
     """Parse and validate a benchmark file.
 
-    Invalid records raise (strict) or are reported with their line number
-    and skipped (lenient). Multi-hop records are recognized by `s1_label`.
+    An unreadable file or a line that is not UTF-8 JSON is a ParseError, a
+    record that breaks the item schema a SchemaViolation, each naming the
+    file and the line; a bad line raises (strict) or is logged and skipped
+    (lenient). Multi-hop records are recognized by `s1_label`.
     """
-    items: list[AnyItem] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                error = ParseError(str(exc), lineno)
-                if strict:
-                    raise error from exc
-                log.warning("skipping %s:%s: %s", path, lineno, error)
-                continue
-            try:
-                if "s1_label" in record:
-                    items.append(MultiHopItem.from_record(
-                        record, lineno, entities))
-                else:
-                    items.append(BenchmarkItem.from_record(record, lineno))
-            except SchemaViolation as exc:  # from_record raises no other
-                if strict:
-                    raise
-                log.warning("skipping %s:%s: %s", path, lineno, exc)
-    return items
+    def parse(record) -> AnyItem:
+        if type(record) is dict and "s1_label" in record:
+            return MultiHopItem.from_record(record, entities)
+        return BenchmarkItem.from_record(record)
+
+    return read_json_lines(path, parse, strict)
 
 
 # --- packaged relation templates ----------------------------------------------
 
+# each task's key in a templates file row
+TEMPLATE_KEYS = {TaskKind.QA: "qa", TaskKind.COMPLETION: "completion",
+                 TaskKind.CLOZE: "cloze", TaskKind.CHOICE: "choice",
+                 TaskKind.MULTI_HOP_QA: "nest"}
+TEMPLATE_RULES = {"id": (True, *NAME), "label": (True, *NAME), **{
+    key: (True, "a non-empty list of strings with one {} each",
+          lambda v: type(v) is list and v != []
+          and all(type(x) is str and x.count("{}") == 1 for x in v))
+    for key in TEMPLATE_KEYS.values()}}
+
+
 def load_relation_templates(path: Optional[str | Path] = None
                             ) -> dict[str, RelationRef]:
-    """Curated per-relation templates, keyed by both relation id and label."""
+    """Curated per-relation templates, keyed by both relation id and label.
+    A row that breaks TEMPLATE_RULES raises ParseError naming the file, the
+    entry and the key."""
     if path is None:
-        text = (resources.files("factcache.assets")
-                / "relation_templates.json").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+        path = resources.files("factcache.assets") / "relation_templates.json"
     out: dict[str, RelationRef] = {}
-    for row in json.loads(text):
-        ref = RelationRef(
-            id=row["id"],
-            label=row["label"],
-            task_templates={
-                TaskKind.QA: tuple(row["qa"]),
-                TaskKind.COMPLETION: tuple(row["completion"]),
-                TaskKind.CLOZE: tuple(row["cloze"]),
-                TaskKind.CHOICE: tuple(row["choice"]),
-                TaskKind.MULTI_HOP_QA: tuple(row["nest"]),
-            },
-        )
+    for row in read_json_rows(path, TEMPLATE_RULES, "relation"):
+        ref = RelationRef(id=row["id"], label=row["label"], task_templates={
+            task: tuple(row[key]) for task, key in TEMPLATE_KEYS.items()})
         out[ref.id] = ref
         out[ref.label] = ref
     return out

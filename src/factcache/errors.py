@@ -1,6 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one place that reads
+a JSON input file: a file that cannot be read, decoded or parsed, or whose
+values break a rule table, is a ParseError naming the path, the line where
+one exists, and the key."""
 
 from __future__ import annotations
+
+import json
+import logging
+import reprlib
+from pathlib import Path
+from typing import Callable, Optional
+
+log = logging.getLogger(__name__)
 
 
 class FactCacheError(Exception):
@@ -56,8 +67,9 @@ class BrokenChain(FactCacheError):
 
 
 class ParseError(FactCacheError):
-    """An input file (benchmark, dump or state) is not valid JSON or lacks a
-    field it needs; `line` is the file line, where one exists."""
+    """An input file (dump, state, entities, benchmark or templates) cannot
+    be read, is not UTF-8 JSON, or holds a value its rule table refuses;
+    `line` is the file line, where one exists."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -68,6 +80,88 @@ class ParseError(FactCacheError):
 
 class SchemaViolation(ParseError):
     """A benchmark record parses but violates the item schema."""
+
+
+# --- reading input files ---
+
+def _located(path, exc: Exception, line: Optional[int] = None
+             ) -> ParseError:
+    """The ParseError naming `path`, and `line` where given, for a file
+    that cannot be read, decoded or parsed, or a value a parse refused."""
+    if isinstance(exc, ParseError):
+        return type(exc)(f"{path}: {exc}", line)
+    if isinstance(exc, OSError):
+        return ParseError(f"{path}: cannot be read: {exc.strerror or exc}")
+    reason = "not UTF-8" if isinstance(exc, UnicodeDecodeError) else "not JSON"
+    # a JSONDecodeError knows its line in a document; a line holds one value
+    return ParseError(f"{path}: {reason}: {exc}",
+                      line or getattr(exc, "lineno", None))
+
+
+def read_json(path) -> object:
+    """The JSON document in `path`, a path or a packaged resource."""
+    try:
+        raw = (Path(path) if isinstance(path, str) else path).read_bytes()
+        return json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise _located(path, exc) from exc
+
+
+def read_json_lines(path, parse: Callable[[object], object],
+                    strict: bool = True) -> list:
+    """parse(value) for the JSON value on each non-blank line of `path`, in
+    order. A line that is not UTF-8 JSON, or that `parse` refuses with a
+    ParseError, raises that error naming the path and the line; unless
+    `strict`, it is logged and skipped instead."""
+    items = []
+    try:
+        with open(path, "rb") as f:
+            for lineno, line in enumerate(f, start=1):
+                try:
+                    if line := line.decode("utf-8").strip():
+                        items.append(parse(json.loads(line)))
+                except (ParseError, ValueError, RecursionError) as exc:
+                    error = _located(path, exc, lineno)
+                    if strict:
+                        raise error from exc
+                    log.warning("skipping %s", error)
+    except OSError as exc:
+        raise _located(path, exc) from exc
+    return items
+
+
+# common rule-table rows: what a value must be, and its test
+TEXT = ("a string", lambda v: type(v) is str)
+NAME = ("a non-empty string", lambda v: type(v) is str and v != "")
+
+
+def fault(value, rules: dict, prefix: str = "") -> Optional[str]:
+    """The first way the JSON object `value` breaks `rules`, a table of
+    key -> (required, expected, test), each key named after `prefix`; or
+    None when it keeps them."""
+    if type(value) is not dict:
+        return f"must be a JSON object, not {reprlib.repr(value)}"
+    for key, (required, expected, ok) in rules.items():
+        if key not in value:
+            if required:
+                return f"{prefix}{key} is missing"
+        elif not ok(value[key]):
+            return (f"{prefix}{key} must be {expected}, "
+                    f"not {reprlib.repr(value[key])}")
+    return None
+
+
+def read_json_rows(path, rules: dict, what: str) -> list[dict]:
+    """The JSON list of objects in `path`, each checked against `rules`; a
+    fault names the path, the `what` and its index, and the key."""
+    rows = read_json(path)
+    if type(rows) is not list:
+        raise ParseError(f"{path}: must be a JSON list, "
+                         f"not {reprlib.repr(rows)}")
+    for index, row in enumerate(rows):
+        if reason := fault(row, rules):
+            raise ParseError(f"{path}: {what} {index}: {reason}")
+    return rows
 
 
 # --- pipeline / prompts ---

@@ -17,12 +17,14 @@ from factcache.cache import (CacheStats, EditRequest, InMemorySlowSource,
                              write_dump)
 from factcache.cli import load_entities
 from factcache.config import load_config
+from factcache.dataset import (BenchmarkItem, load_benchmark,
+                               load_relation_templates)
 from factcache.errors import (ConfigError, FactCacheError, ParseError,
                               SlowUnreachable)
 from factcache.models import MockTableModel
 from factcache.pipeline import AliasIndex, Pipeline
 from factcache.triples import Source, TripleSet
-from conftest import SNAPSHOT, subject_facts_endpoint, triple
+from conftest import FIXTURES, SNAPSHOT, subject_facts_endpoint, triple
 
 
 def make_store(triples=(), snapshot_at=SNAPSHOT, **kwargs):
@@ -1051,9 +1053,9 @@ _JSON = st.recursive(
 
 
 @st.composite
-def _near_rows(draw):
-    """A state row with some keys dropped or set to any JSON value."""
-    row = {**triple_to_row(US_BIDEN), "version": 1, "edited": False}
+def _near(draw, row):
+    """`row` with some keys dropped or set to any JSON value."""
+    row = dict(row)
     for key in draw(st.sets(st.sampled_from(sorted(row)), max_size=3)):
         if draw(st.booleans()):
             del row[key]
@@ -1062,15 +1064,24 @@ def _near_rows(draw):
     return row
 
 
+_STATE_ROW = {**triple_to_row(US_BIDEN), "version": 1, "edited": False}
 _STATES = _JSON | st.fixed_dictionaries({}, optional={
     "stats": _JSON | st.dictionaries(
         st.sampled_from(sorted(CacheStats().snapshot())), _JSON),
-    "entries": _JSON | st.lists(_near_rows(), max_size=3),
+    "entries": _JSON | st.lists(_near(_STATE_ROW), max_size=3),
     "incomplete": _JSON | st.lists(st.sampled_from(["US", "x"]))})
 _ENTITIES = _JSON | st.lists(_JSON | st.fixed_dictionaries(
     {"id": _JSON | st.just("Q1")},
     optional={key: _JSON for key in ("label", "aliases", "kind", "gender")}),
     max_size=3)
+_RECORDS = _JSON | _near(json.loads(
+    (FIXTURES / "single_hop_item.jsonl").read_text())) | _near(json.loads(
+        (FIXTURES / "multihop_item.jsonl").read_text()))
+_TEMPLATE_ROW = {"id": "P6", "label": "head of government",
+                 "qa": ["Who heads {}?"], "completion": ["{} is headed by"],
+                 "cloze": ["() heads {}."], "choice": ["Who heads {}?"],
+                 "nest": ["the head of {}"]}
+_TEMPLATES = _JSON | st.lists(_JSON | _near(_TEMPLATE_ROW), max_size=3)
 
 
 def _typed(t):
@@ -1091,7 +1102,7 @@ def _loads_typed_or_refuses(load, text, tmp_path_factory):
         return None
 
 
-@given(row=_JSON | _near_rows())
+@given(row=_JSON | _near(_STATE_ROW))
 @settings(max_examples=150, deadline=None)
 def test_any_json_dump_row_loads_typed_or_is_refused(tmp_path_factory, row):
     loaded = _loads_typed_or_refuses(read_dump, json.dumps(row),
@@ -1122,6 +1133,39 @@ def test_any_json_entities_file_loads_typed_or_is_refused(tmp_path_factory,
         assert type(ref.id) is str and ref.id
         assert all(type(v) is str for v in (ref.label, ref.kind, ref.gender))
         assert all(type(alias) is str and alias for alias in ref.aliases)
+
+
+@given(record=_RECORDS)
+@settings(max_examples=150, deadline=None)
+def test_any_json_benchmark_line_loads_typed_or_is_refused(tmp_path_factory,
+                                                          record):
+    items = _loads_typed_or_refuses(load_benchmark, json.dumps(record),
+                                    tmp_path_factory)
+    for item in items or ():
+        if isinstance(item, BenchmarkItem):
+            texts = [*item.queries.values(), item.locality_subject,
+                     item.locality_object, item.locality_query,
+                     *(text for pair in item.choice_options for text in pair)]
+            assert _typed(item.triple)
+        else:
+            texts = [*item.hop_queries, item.multihop_query,
+                     *item.dialogue_turns]
+            assert all(map(_typed, item.chain))
+        assert all(type(text) is str for text in texts)
+
+
+@given(rows=_TEMPLATES)
+@settings(max_examples=150, deadline=None)
+def test_any_json_templates_file_loads_typed_or_is_refused(tmp_path_factory,
+                                                           rows):
+    loaded = _loads_typed_or_refuses(load_relation_templates,
+                                     json.dumps(rows), tmp_path_factory)
+    for ref in (loaded or {}).values():
+        assert type(ref.id) is str and ref.id and type(ref.label) is str
+        assert len(ref.task_templates) == 5
+        assert all(tpls and all(type(tpl) is str and tpl.count("{}") == 1
+                                for tpl in tpls)
+                   for tpls in ref.task_templates.values())
 
 
 class TestRemoteSparqlSource:

@@ -295,6 +295,55 @@ class TestCorruptInput:
         assert str(dump) in err
         assert not Path("state.json").exists()
 
+    @pytest.mark.parametrize("name", ["missing.jsonl", "folder"])
+    @pytest.mark.parametrize("command", [
+        ["cache", "load"],
+        ["data", "build", "--out", "items.jsonl", "--triples"],
+        ["data", "validate", "--items"],
+        ["eval", "main", "--items"]],
+        ids=["cache-load", "data-build", "data-validate", "eval-main"])
+    def test_an_input_path_that_names_no_file(self, workdir, capsys, command,
+                                              name):
+        (workdir / "folder").mkdir()
+        code, out, err = run(capsys, *command, name)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {name}: cannot be read: ")
+        assert "Traceback" not in err
+        assert not Path("state.json").exists()
+
+    @pytest.mark.parametrize("data, key", [
+        (b"5\n", "JSON object"),
+        (b'{"s1_label": "A", "MultihopQA_query": 5}\n', "MultihopQA_query"),
+        (b"\xff\n", "not UTF-8")],
+        ids=["int-record", "int-multihop-query", "not-utf8"])
+    def test_validate_a_bad_benchmark_line(self, workdir, capsys, data, key):
+        (workdir / "items.jsonl").write_bytes(data)
+        code, out, err = run(capsys, "data", "validate", "--items",
+                             "items.jsonl")
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 1: items.jsonl: ") and key in err
+        code, out, err = run(capsys, "data", "validate", "--lenient",
+                             "--items", "items.jsonl")
+        assert code == 0 and out.strip() == "0 items OK"
+
+    @pytest.mark.parametrize("row, key", [
+        ({"id": "P6", "qa": ["Who heads {}?"]}, "label is missing"),
+        ({"id": "P6", "label": "head", "qa": ["Who heads it?"],
+          "completion": ["{}"], "cloze": ["{}"], "choice": ["{}"],
+          "nest": ["{}"]},
+         "qa must be")],
+        ids=["no-label", "no-placeholder"])
+    def test_build_with_a_bad_templates_file(self, workdir, capsys, row, key):
+        config = json.loads((workdir / "factcache.json").read_text())
+        config["data"] = {"templates_path": "templates.json"}
+        (workdir / "factcache.json").write_text(json.dumps(config))
+        (workdir / "templates.json").write_text(json.dumps([row]))
+        code, out, err = run(capsys, "data", "build", "--triples",
+                             "dump.jsonl", "--out", "items.jsonl")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "templates.json: relation 0: " \
+            in err and key in err
+
 
 class TestData:
     def test_validate_reference_pair(self, workdir, capsys):

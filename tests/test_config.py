@@ -71,6 +71,10 @@ def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
     ({"store": {"state_path": "."}}, "store.state_path"),
     ({"model": {"max_tokens": 0}}, "model.max_tokens"),
     ({"model": {"max_tokens": -3}}, "model.max_tokens"),
+    # the config's own directory: an input path must name a file
+    ({"data": {"entities_path": "."}}, "data.entities_path"),
+    ({"slow_source": {"kind": "local_dump", "locator": "."}},
+     "slow_source.locator"),
 ])
 def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
                                                        config, key):

@@ -9,7 +9,8 @@ from factcache.dataset import (BenchmarkItem, MultiHopItem, build_benchmark,
                                build_item, build_multihop,
                                build_multihop_benchmark, dialogue_turn,
                                emit_benchmark,
-                               fill_template, load_benchmark, pronoun_for,
+                               fill_template, load_benchmark,
+                               load_relation_templates, pronoun_for,
                                record_line, substitute_pronoun)
 from factcache.errors import (BadTemplate, BrokenChain, DistractorCollision,
                               ParseError, SchemaViolation)
@@ -308,6 +309,70 @@ class TestLoadBenchmark:
         path.write_text("{broken\n" + good)
         items = load_benchmark(path, strict=False)
         assert len(items) == 1
+
+    @pytest.mark.parametrize("line, key", [
+        ("5", "JSON object"),
+        ("[]", "JSON object"),
+        (json.dumps({**json.loads(
+            (FIXTURES / "multihop_item.jsonl").read_text()),
+            "MultihopQA_query": 5}), "MultihopQA_query"),
+        (json.dumps({**json.loads(
+            (FIXTURES / "single_hop_item.jsonl").read_text()),
+            "qa_query": ["x"]}), "qa_query")],
+        ids=["int", "list", "int-multihop-query", "list-qa-query"])
+    def test_a_record_of_the_wrong_type_is_a_schema_violation(
+            self, tmp_path, line, key):
+        path = tmp_path / "broken.jsonl"
+        path.write_text((FIXTURES / "single_hop_item.jsonl").read_text()
+                        + line + "\n")
+        with pytest.raises(SchemaViolation) as exc:
+            load_benchmark(path)
+        assert exc.value.line == 2
+        assert str(path) in str(exc.value) and key in str(exc.value)
+
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "broken.jsonl"
+        path.write_bytes((FIXTURES / "single_hop_item.jsonl").read_bytes()
+                         + b"\xff\xfe\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            load_benchmark(path)
+        assert exc.value.line == 2 and str(path) in str(exc.value)
+
+    def test_lenient_mode_skips_a_bad_line_of_any_kind(self, tmp_path):
+        good = (FIXTURES / "single_hop_item.jsonl").read_bytes()
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(b"5\n{broken\n\xff\n" + good)
+        assert len(load_benchmark(path, strict=False)) == 1
+
+
+class TestLoadRelationTemplates:
+    ROW = {"id": "P6", "label": "head of government",
+           "qa": ["Who heads {}?"], "completion": ["{} is headed by"],
+           "cloze": ["() heads {}."], "choice": ["Who heads {}?"],
+           "nest": ["the head of {}"]}
+
+    def test_a_file_loads_keyed_by_id_and_label(self, tmp_path):
+        path = tmp_path / "templates.json"
+        path.write_text(json.dumps([self.ROW]))
+        templates = load_relation_templates(path)
+        assert templates["P6"] is templates["head of government"]
+        assert templates["P6"].template(TaskKind.CLOZE) == "() heads {}."
+
+    @pytest.mark.parametrize("rows, key", [
+        ([{k: v for k, v in ROW.items() if k != "label"}], "label is missing"),
+        ([{**ROW, "nest": "the head of {}"}], "nest"),
+        ([{**ROW, "qa": ["Who heads it?"]}], "qa must be"),
+        ([{**ROW, "cloze": []}], "cloze must be a non-empty list"),
+        ({"P6": ROW}, "JSON list")],
+        ids=["no-label", "text-nest", "no-placeholder", "no-cloze",
+             "not-a-list"])
+    def test_a_bad_templates_file_is_a_parse_error(self, tmp_path, rows,
+                                                   key):
+        path = tmp_path / "templates.json"
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ParseError) as exc:
+            load_relation_templates(path)
+        assert str(path) in str(exc.value) and key in str(exc.value)
 
 
 class TestRoundTrip:
