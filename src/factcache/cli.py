@@ -24,7 +24,7 @@ from .config import Config, DEFAULT_CONFIG_PATH, load_config
 from .dataset import (BenchmarkItem, MultiHopItem, build_benchmark,
                       build_multihop_benchmark, emit_benchmark, load_benchmark,
                       load_relation_templates)
-from .errors import NAME, TEXT, FactCacheError, read_json_rows
+from .errors import NAME, TEXT, FactCacheError, read_json_rows, read_text
 from .harness import (run_main_eval, run_multihop_scenario,
                       run_scale_scenario, run_transition_scenario)
 from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
@@ -187,7 +187,7 @@ def cmd_cache(cfg: Config, args) -> int:
 
 
 def _fixture_transport(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
 
     def transport(url, params, headers):
         return TransportReply(status=200, text=text)

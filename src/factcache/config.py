@@ -42,7 +42,8 @@ class Config:
 
 # key path, Config attribute, type, check: the allowed values, the least
 # int, or INPUT or OUTPUT for a path resolved against the config's directory
-# (an input must be a file when set; an output must be set and no directory)
+# (an input must be a file when set; an output must be set, and be no
+# directory but in one)
 INPUT, OUTPUT = "input", "output"
 KEYS = (
     ("store.state_path", "state_path", str, OUTPUT),
@@ -139,4 +140,7 @@ def _checked(key: str, value, kind: type, check, base: Path):
         value = str(base / value)  # an absolute value stays as it is
         if check == INPUT and not Path(value).is_file():
             raise ConfigError(f"{key} is not a file: {value}")
+        if check == OUTPUT and not Path(value).parent.is_dir():
+            raise ConfigError(f"{key} is in no directory that exists: "
+                              f"{value}")
     return value

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one place that reads
-a JSON input file: a file that cannot be read, decoded or parsed, or whose
+an input file: a file that cannot be read, decoded or parsed, or whose
 values break a rule table, is a ParseError naming the path, the line where
 one exists, and the key."""
 
@@ -98,12 +98,21 @@ def _located(path, exc: Exception, line: Optional[int] = None
                       line or getattr(exc, "lineno", None))
 
 
-def read_json(path) -> object:
-    """The JSON document in `path`, a path or a packaged resource."""
+def read_text(path) -> str:
+    """The UTF-8 text in `path`, a path or a packaged resource."""
     try:
         raw = (Path(path) if isinstance(path, str) else path).read_bytes()
-        return json.loads(raw.decode("utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
+        return raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _located(path, exc) from exc
+
+
+def read_json(path) -> object:
+    """The JSON document in `path`, a path or a packaged resource."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise _located(path, exc) from exc
 
 

@@ -300,8 +300,10 @@ class TestCorruptInput:
         ["cache", "load"],
         ["data", "build", "--out", "items.jsonl", "--triples"],
         ["data", "validate", "--items"],
-        ["eval", "main", "--items"]],
-        ids=["cache-load", "data-build", "data-validate", "eval-main"])
+        ["eval", "main", "--items"],
+        ["data", "fetch", "--relation", "P6", "--fixture"]],
+        ids=["cache-load", "data-build", "data-validate", "eval-main",
+             "data-fetch"])
     def test_an_input_path_that_names_no_file(self, workdir, capsys, command,
                                               name):
         (workdir / "folder").mkdir()

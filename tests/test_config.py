@@ -75,6 +75,8 @@ def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
     ({"data": {"entities_path": "."}}, "data.entities_path"),
     ({"slow_source": {"kind": "local_dump", "locator": "."}},
      "slow_source.locator"),
+    # an output path in a directory that does not exist
+    ({"store": {"state_path": "nodir/state.json"}}, "store.state_path"),
 ])
 def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
                                                        config, key):
