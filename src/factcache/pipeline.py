@@ -12,15 +12,14 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .cache import TieredFactStore
 from .dataset import MultiHopItem, substitute_pronoun
 from .errors import HopFailed
 from .models import ModelAnswer, ModelClient
 from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
-from .ranking import (EMPTY_EVIDENCE, RankedEvidence, Views, rank_triples,
-                      tokenize)
+from .ranking import EMPTY_EVIDENCE, RankedEvidence, rank_triples, tokenize
 from .triples import EntityRef, FactTriple, TaskKind
 
 # texts whose entities an AliasIndex keeps; a full memo is cleared
@@ -266,10 +265,14 @@ class Pipeline:
         latencies["extract"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        # one entity's cached view, which ranking indexes once, or several
-        # entities' views: distinct entities have distinct subjects
-        candidates = (self.store.retrieve(entities[0]) if len(entities) == 1
-                      else Views(map(self.store.retrieve, entities)))
+        candidates: Collection[FactTriple] = ()
+        if len(entities) == 1:
+            # the store's cached set, which ranking indexes once
+            candidates = self.store.retrieve(entities[0])
+        elif entities:
+            # distinct entities, one subject per retrieve: no key repeats
+            candidates = [triple for entity in entities
+                          for triple in self.store.retrieve(entity)]
         latencies["retrieve"] = time.perf_counter() - t
 
         t = time.perf_counter()

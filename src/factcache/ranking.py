@@ -5,13 +5,14 @@ vectors of the serialized triple vs. the query, built from the tokens of
 the triple's labels, which are the tokens of its rendered line: the
 brackets and commas that join them are not token characters.
 
-A fact is scored only through the index kept on its TripleSet (see
-`_cache_index`), which is immutable, so nothing goes stale; any other
-iterable is ranked as a fresh TripleSet, and `Views` view by view. When
-all a set's facts share one subject label, the label's tokens add the same
-count to every fact's dot product, so a query scores only the facts its
-other tokens touch, plus the k best of the rest, which the index keeps in
-norm order. Each set keeps its evidence in a memo cleared when full.
+Ranking caches only on a TripleSet, which is immutable, so nothing goes
+stale. A set of two or more facts is ranked through an index kept on it
+(see `_cache_index`). When all its facts share one subject label, the
+label's tokens add the same count to every fact's dot product, so a query
+scores only the facts its other tokens touch, plus the k best of the rest,
+which the index keeps in norm order. A one-fact set and any other
+candidates are scored fact by fact from their labels' tokens. Both give
+the same scores and selection. A set's evidence memo is cleared when full.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, filterfalse, islice, repeat
-from operator import itemgetter, lt, mul
-from typing import Iterable, Iterator
+from itertools import filterfalse, islice, repeat
+from operator import mul
+from typing import Iterable
 
 from .triples import FactTriple, TripleSet
 
@@ -88,8 +89,8 @@ class RankedEvidence:
     k: int
 
     def __post_init__(self):
-        scores = tuple(map(itemgetter(1), self.triples))
-        if any(map(lt, scores, scores[1:])):
+        scores = [s for _, s in self.triples]
+        if any(x < y for x, y in zip(scores, scores[1:])):
             raise ValueError("scores must be non-increasing")
         if len(self.triples) > self.k:
             raise ValueError("more evidence than the selection count")
@@ -138,43 +139,21 @@ def _cache_index(candidates: TripleSet) -> tuple:
     return index
 
 
-class Views:
-    """Views of distinct subjects as one answer's candidates: len() counts
-    their facts and iterating yields them; empty views are dropped. No key
-    is in two views, so the top k of their top k is the top k of them all."""
-
-    def __init__(self, views: Iterable[TripleSet]):
-        self.views = tuple(filter(None, views))
-
-    def __len__(self) -> int:
-        return sum(map(len, self.views))
-
-    def __iter__(self) -> Iterator[FactTriple]:
-        return chain.from_iterable(self.views)
-
-
 def rank_triples(query: str, candidates: Iterable[FactTriple],
                  k: int = 1) -> RankedEvidence:
     """Score every candidate against the query and keep the top k.
 
     Ties break on the (subject, relation, object) key, so with distinct
     keys the selection does not depend on the order of the candidates.
-    A TripleSet is scored through its index and keeps the evidence of up
-    to RANK_MEMO_SIZE queries, so a repeated query and k reuse it; a full
-    memo is cleared, never iterated, as answering threads share it. `Views`
-    merge their sets' top k, and any other iterable is made a TripleSet, in
-    which the first occurrence of a key wins.
+    A TripleSet of two or more facts is scored through the index cached
+    on it; anything else is scored candidate by candidate from its labels'
+    tokens, with the same results. A TripleSet keeps the evidence of up to
+    RANK_MEMO_SIZE queries and is immutable, so a repeated query and k
+    reuse it. A full memo is cleared, never iterated: answering threads
+    share it.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if isinstance(candidates, Views):
-        merged = []
-        for view in candidates.views:
-            merged += rank_triples(query, view, k).triples
-        merged.sort(key=lambda ts: (-ts[1], ts[0].key))
-        return RankedEvidence(triples=tuple(merged[:k]), k=k)
     if not isinstance(candidates, TripleSet):
-        candidates = TripleSet(candidates)
+        return _rank(query, candidates, k)
     memo = candidates.rank_memo
     if memo is None:
         memo = candidates.rank_memo = {}
@@ -187,16 +166,30 @@ def rank_triples(query: str, candidates: Iterable[FactTriple],
     return evidence
 
 
-@lru_cache(maxsize=1)
-def _query_vector(query: str) -> tuple[dict[str, int], float]:
-    # the last query's, so an answer's views tokenize it once; read only
-    return _vector(tokenize(query))
+def _rank(query: str, candidates: Iterable[FactTriple], k: int
+          ) -> RankedEvidence:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    q, qnorm = _vector(tokenize(query))
+    # one fact needs no index: scoring it directly is cheaper
+    if isinstance(candidates, TripleSet) and len(candidates) > 1:
+        return _rank_indexed(q, qnorm, candidates, k)
+    get = q.get
+    scored = []
+    for t in candidates:
+        tokens = (*tokenize(t.subject_label),
+                  *_relation_tokens(t.relation_label),
+                  *tokenize(t.object_label))
+        norm = _norm(tokens)
+        # the same integer dot product and division as token_cosine
+        dot = sum(map(get, tokens, repeat(0)))
+        scored.append((t, dot / (qnorm * norm) if q and norm else 0.0))
+    scored.sort(key=lambda ts: (-ts[1], ts[0].key))
+    return RankedEvidence(triples=tuple(scored[:k]), k=k)
 
 
-def _rank(query: str, candidates: TripleSet, k: int) -> RankedEvidence:
-    if not candidates.triples:
-        return RankedEvidence(triples=(), k=k)
-    q, qnorm = _query_vector(query)
+def _rank_indexed(q: dict[str, int], qnorm: float, candidates: TripleSet,
+                  k: int) -> RankedEvidence:
     norms, postings, shared, by_norm = (candidates.rank_index
                                         or _cache_index(candidates))
     # the integer dot product of token_cosine, split into the shared

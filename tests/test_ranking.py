@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from factcache import ranking
 from factcache.cache import TieredFactStore, save_state, write_dump
-from factcache.ranking import (RankedEvidence, Views, rank_triples,
-                               token_cosine, tokenize)
+from factcache.ranking import (RankedEvidence, rank_triples, token_cosine,
+                               tokenize)
 from factcache.triples import FactTriple, Source, TripleSet
 from conftest import SNAPSHOT, triple
 
@@ -82,10 +82,10 @@ class TestRankTriples:
         with pytest.raises(ValueError):
             rank_triples(QUERY, TripleSet(), k=0)
 
-    def test_one_fact_is_ranked_through_the_index(self):
+    def test_one_fact_is_scored_without_an_index(self):
         ts = TripleSet([CAPITAL])
         evidence = rank_triples(QUERY, ts, k=3)
-        assert ts.rank_index is not None
+        assert ts.rank_index is None
         assert evidence.triples == ((CAPITAL,
                                      token_cosine(QUERY, CAPITAL.render())),)
 
@@ -97,24 +97,6 @@ class TestRankTriples:
         ts = TripleSet()
         assert rank_triples(QUERY, ts, k=3).triples == ()
         assert ts.rank_index is None
-
-    def test_a_list_keeps_the_first_fact_of_a_repeated_key(self):
-        again = triple("America", "capital", "Washington",
-                       object_label="head of government")
-        evidence = rank_triples(QUERY, [CAPITAL, again, HOG], k=3)
-        assert evidence.selected == (HOG, CAPITAL)
-        assert evidence.selected[1] is CAPITAL
-
-    def test_views_count_their_facts_and_tokenize_the_query_once(self):
-        views = Views((TripleSet([HOG, CAPITAL]), TripleSet(),
-                       TripleSet([triple("Paris", "capital of", "France")])))
-        assert len(views) == 3 and len(views.views) == 2  # the empty one
-        assert list(views) == [CAPITAL, HOG, *views.views[1]]
-        ranking._query_vector.cache_clear()
-        evidence = rank_triples("head of government of France", views, k=2)
-        assert ranking._query_vector.cache_info().misses == 1
-        assert evidence.selected == (HOG, *views.views[1])
-        assert rank_triples(QUERY, Views(()), k=2).triples == ()
 
 
 def _reference_cosine(a: str, b: str) -> float:
@@ -188,19 +170,20 @@ def _views(draw):
                    subject_label=subject_label, relation_label=draw(_LABEL),
                    object_label=draw(_LABEL))
             for i in range(draw(st.integers(0, 5)))))
-    return Views(tuple(views))
+    return views
 
 
 @given(query=_TEXT, views=_views())
 @settings(max_examples=200, deadline=None)
-def test_views_rank_as_their_concatenation(query, views):
-    concatenation = [t for view in views.views for t in view]
+def test_several_views_match_brute_force(query, views):
+    # a multi-entity answer's candidates: the list the pipeline builds, and
+    # one set of them all, indexed though two subjects may share a label
+    concatenation = [t for view in views for t in view]
     for k in (1, 2, 5):
-        evidence = rank_triples(query, views, k)
-        assert evidence.k == k
-        assert evidence.triples == _brute_force(query, concatenation, k)
-        # again, now from each view's memo
-        assert rank_triples(query, views, k) == evidence
+        brute = _brute_force(query, concatenation, k)
+        assert rank_triples(query, concatenation, k).triples == brute
+        as_set = TripleSet(concatenation)
+        assert rank_triples(query, as_set, k).triples == brute
 
 
 @st.composite
@@ -233,7 +216,7 @@ def test_a_one_subject_view_matches_brute_force(case, list_first, order):
     candidates, queries, k = case
     shuffled = list(candidates)
     order.shuffle(shuffled)
-    if list_first:  # a list, through an index of its own, first
+    if list_first:  # the list path first, then the index
         rank_triples(queries[0], shuffled, k)
     for query in queries:
         brute = _brute_force(query, candidates, k)
@@ -336,7 +319,7 @@ def test_the_rank_memo_matches_a_fresh_ranking(case, ks, order):
     for i, query in enumerate(asked):
         k = ks[i % len(ks)]
         memoized = rank_triples(query, candidates, k)
-        fresh = rank_triples(query, list(candidates), k)  # a new set
+        fresh = rank_triples(query, list(candidates), k)  # never memoized
         assert (memoized.triples, memoized.k) == (fresh.triples, fresh.k)
     assert 0 < len(candidates.rank_memo) <= ranking.RANK_MEMO_SIZE
 
