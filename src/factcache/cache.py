@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Optional, Protocol
 
 from .errors import (NAME, TEXT, HttpError, MalformedResponse, ParseError,
                      SlowUnreachable, fault, read_json, read_json_lines)
-from .sparqlio import RequestPolicy, Transport, load_query, uri_tail
+from .sparqlio import (RequestPolicy, Transport, entity_id, load_query,
+                       uri_tail)
 from .triples import FactTriple, Source, TripleSet
 
 log = logging.getLogger(__name__)
@@ -336,15 +337,15 @@ class RemoteSparqlSource:
             obj = row.get("object")
             if not relation_uri or obj is None:
                 continue
-            is_entity = obj.startswith("http://") or obj.startswith("https://")
+            item = entity_id(obj)
             triples.append(FactTriple(
                 subject=entity,
                 relation=uri_tail(relation_uri),
-                obj=uri_tail(obj) if is_entity else obj,
+                obj=item or obj,
                 subject_label=row.get("subjectLabel") or "",
                 relation_label=row.get("relationLabel") or "",
                 object_label=row.get("objectLabel") or "",
-                object_is_entity=is_entity,
+                object_is_entity=item is not None,
                 source=Source.WIKIDATA,
                 fetched_at=fetched_at,
             ))
@@ -603,10 +604,12 @@ class TieredFactStore:
         fact now equals the source's is absorbed: its mark is cleared, and a
         subject left with none is released to eviction like any read-through.
 
-        Manual triples issued after the slow snapshot timestamp are
-        preserved. All subjects are fetched, unlocked, before any is applied,
-        so a SlowUnreachable leaves the fast table untouched. A subject
-        evicted or edited since the sync began is skipped: the edit wins.
+        A marked manual edit issued after the slow snapshot time, or under
+        a source with none, is kept; once absorbed, the source's later
+        values replace it like any other fact. All subjects are fetched,
+        unlocked, before any is applied, so a SlowUnreachable leaves the
+        fast table untouched. A subject evicted or edited since the sync
+        began is skipped: the edit wins.
         """
         with self._lock:
             began = self._edits
@@ -621,8 +624,8 @@ class TieredFactStore:
                 if record is None or record.edited_at > began:
                     continue
                 for t in facts.values():
-                    if not self._manual_wins(record.facts.get(t.relation),
-                                             snapshot_at):
+                    if not (t.relation in record.edited and self._manual_wins(
+                            record.facts[t.relation], snapshot_at)):
                         changed += self._upsert(t, edited=False)[1]
                 record.complete = True
                 objects = {r: t.obj for r, t in facts.items()}
@@ -646,9 +649,9 @@ class TieredFactStore:
         return changed
 
     @staticmethod
-    def _manual_wins(resident: Optional[FactTriple],
+    def _manual_wins(resident: FactTriple,
                      snapshot_at: Optional[datetime]) -> bool:
-        if resident is None or resident.source is not Source.MANUAL:
+        if resident.source is not Source.MANUAL:
             return False
         issued = resident.fetched_at
         if issued is None:
@@ -734,19 +737,16 @@ def save_state(store: TieredFactStore, path: str | Path) -> None:
         raise
 
 
-def load_state(path: str | Path, slow: Optional[SlowSource] = None,
-               capacity: Optional[int] = None,
-               prefetch_depth: int = 1) -> TieredFactStore:
-    """Rebuild a store written by save_state. An edited row marks its fact
-    and pins its subject; older files, which flag every row of a pinned
-    subject, load with each of its facts marked until a sync. A subject
-    listed as incomplete reads through on its next retrieve, and a file
-    without that list loads every subject complete.
-    Unpinned subjects past `capacity` are evicted, as after any write.
-    The file keeps no recency, so subjects load in name order and that
-    eviction takes the first unpinned subjects by name."""
-    store = TieredFactStore(slow=slow, capacity=capacity,
-                            prefetch_depth=prefetch_depth)
+def load_state(store: TieredFactStore, path: str | Path) -> TieredFactStore:
+    """Fill the empty `store` with the state save_state wrote to `path`,
+    and return it. An edited row marks its fact and pins its subject;
+    older files, which flag every row of a pinned subject, load with each
+    of its facts marked until a sync. A subject listed as incomplete reads
+    through on its next retrieve, and a file without that list loads every
+    subject complete.
+    Unpinned subjects past the store's capacity are evicted, as after any
+    write. The file keeps no recency, so subjects load in name order and
+    that eviction takes the first unpinned subjects by name."""
     records: dict[str, _Subject] = {}
     state = read_json(path)
     stats = state.get("stats", {}) if type(state) is dict else {}

@@ -21,9 +21,8 @@ from . import cache as cachemod
 from .cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
                     RemoteSparqlSource, TieredFactStore, read_dump)
 from .config import Config, DEFAULT_CONFIG_PATH, load_config
-from .dataset import (BenchmarkItem, MultiHopItem, build_benchmark,
-                      build_multihop_benchmark, emit_benchmark, load_benchmark,
-                      load_relation_templates)
+from .dataset import (build_benchmark, build_multihop_benchmark,
+                      emit_benchmark, load_benchmark, load_relation_templates)
 from .errors import NAME, TEXT, FactCacheError, read_json_rows, read_text
 from .harness import (run_main_eval, run_multihop_scenario,
                       run_scale_scenario, run_transition_scenario)
@@ -60,13 +59,11 @@ def _model(cfg: Config):
 
 
 def _store(cfg: Config, fresh: bool = False) -> TieredFactStore:
-    slow = _slow_source(cfg)
-    state = Path(cfg.state_path)
-    if not fresh and state.exists():
-        return cachemod.load_state(state, slow=slow, capacity=cfg.capacity,
-                                   prefetch_depth=cfg.prefetch_depth)
-    return TieredFactStore(slow=slow, capacity=cfg.capacity,
-                           prefetch_depth=cfg.prefetch_depth)
+    store = TieredFactStore(slow=_slow_source(cfg), capacity=cfg.capacity,
+                            prefetch_depth=cfg.prefetch_depth)
+    if not fresh and Path(cfg.state_path).exists():
+        cachemod.load_state(store, cfg.state_path)
+    return store
 
 
 _ENTITY_RULES = {
@@ -279,8 +276,7 @@ def cmd_eval(cfg: Config, args) -> int:
         print(report.to_json() if fmt == "json" else report.format_table())
         return 0
     if args.suite == "rq1":
-        single = [i for i in items if isinstance(i, BenchmarkItem)]
-        curve = run_transition_scenario(single, pipeline,
+        curve = run_transition_scenario(items, pipeline,
                                         edit_counts=args.counts)
         if fmt == "json":
             print(json.dumps({"em_by_edit_count": curve}, indent=2))
@@ -289,8 +285,7 @@ def cmd_eval(cfg: Config, args) -> int:
                 print(f"edits={n} EM={em:.2f}")
         return 0
     if args.suite == "rq2":
-        chains = [i for i in items if isinstance(i, MultiHopItem)]
-        report = run_multihop_scenario(chains, pipeline)
+        report = run_multihop_scenario(items, pipeline)
         print(report.to_json() if fmt == "json" else report.format_table())
         return 0
     # rq3
@@ -400,7 +395,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 return cmd_data_build(cfg, args, seed)
             return cmd_data_validate(cfg, args)
         return cmd_eval(cfg, args)
-    except FactCacheError as exc:
+    except (FactCacheError, OSError) as exc:  # OSError: an output file
         _err(f"error: {exc}")
         return 1
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .cache import EditRequest
@@ -202,16 +202,11 @@ def run_transition_scenario(items: Iterable[BenchmarkItem],
         pipeline.store.reset()
         for item in single_hop:
             t = item.triple
-            sequence = [f"{t.object_label} (revision {j})"
-                        for j in range(1, n)] + [t.obj]
-            for obj in sequence:
-                pipeline.store.apply_update(EditRequest(
-                    subject=t.subject, relation=t.relation, new_object=obj,
-                    subject_label=t.subject_label,
-                    relation_label=t.relation_label,
-                    object_label=obj if obj != t.obj else t.object_label,
-                    object_is_entity=t.object_is_entity,
-                ))
+            for j in range(1, n):
+                revision = f"{t.object_label} (revision {j})"
+                pipeline.store.apply_update(_edit_for(
+                    replace(t, obj=revision, object_label=revision)))
+            pipeline.store.apply_update(_edit_for(t))
         pairs = []
         for item in single_hop:
             answer = pipeline.answer(item.queries[TaskKind.QA], TaskKind.QA)

@@ -16,7 +16,8 @@ from datetime import datetime
 from typing import Optional
 
 from .errors import MalformedResponse
-from .sparqlio import RequestPolicy, Transport, load_query, uri_tail
+from .sparqlio import (RequestPolicy, Transport, entity_id, load_query,
+                       uri_tail)
 from .triples import FactTriple, Source, TripleSet
 
 WIKIDATA_ENDPOINT = "https://query.wikidata.org/sparql"
@@ -83,7 +84,7 @@ class RawTripleRow:
 
     subject_uri: str
     subject_label: str
-    object_uri: Optional[str]
+    object_uri: Optional[str]  # None for a literal (sparqlio.entity_id)
     object_label: str
     relation_count: Optional[int] = None  # Wikidata query only
     relation_id: str = ""
@@ -157,12 +158,12 @@ class KnowledgeBaseClient:
             subject_label = row.get("subjectLabel")
             if not subject_uri or not subject_label:
                 continue
-            count = row.get("relationCount")
+            count, obj = row.get("relationCount"), row.get("object")
             out.append(RawTripleRow(
                 subject_uri=subject_uri,
                 subject_label=subject_label,
-                object_uri=row.get("object"),
-                object_label=row.get("objectLabel") or row.get("object") or "",
+                object_uri=obj if entity_id(obj) else None,
+                object_label=row.get("objectLabel") or obj or "",
                 relation_count=int(count) if count is not None else None,
                 relation_id=relation if self.kind == "wikidata"
                 else uri_tail(relation),

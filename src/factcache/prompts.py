@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .errors import UnknownTask
+from .errors import UnknownTask, read_text
 from .ranking import RankedEvidence
 from .triples import FactTriple, TaskKind
 
@@ -32,8 +32,7 @@ _INSTRUCTION_LINE_RE = re.compile(r'^(\w+):\s*"(.*)"\s*$')
 
 
 def _read_asset(name: str) -> str:
-    return (resources.files("factcache.assets") / name).read_text(
-        encoding="utf-8")
+    return read_text(resources.files("factcache.assets") / name)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,8 @@ from importlib import resources
 from typing import Callable, Mapping, Optional
 
 from . import __version__
-from .errors import ConfigError, HttpError, MalformedResponse, RateLimited
+from .errors import (ConfigError, HttpError, MalformedResponse, RateLimited,
+                     read_text)
 
 # Wikimedia asks every client of its endpoints to name itself:
 # https://meta.wikimedia.org/wiki/User-Agent_policy
@@ -26,6 +27,9 @@ HEADERS = {"Accept": "application/sparql-results+json",
 # backoff applies; time.sleep rejects a huge value with OverflowError.
 MAX_RETRY_AFTER_S = 3600.0
 RETRY_BACKOFF_S = 0.25  # the first wait between attempts; doubles per retry
+# URIs under these name knowledge-base items; any other value is a literal
+ENTITY_NAMESPACES = ("http://www.wikidata.org/entity/",
+                     "http://dbpedia.org/resource/")
 
 
 @dataclass
@@ -156,10 +160,17 @@ def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
 
 def load_query(name: str) -> str:
     """The text of a packaged query under assets/sparql/."""
-    return (resources.files("factcache.assets.sparql") / name).read_text(
-        encoding="utf-8")
+    return read_text(resources.files("factcache.assets.sparql") / name)
 
 
 def uri_tail(uri: str) -> str:
     """Last path segment of a URI: the bare id for Wikidata/DBpedia items."""
     return uri.rstrip("/").rsplit("/", 1)[-1]
+
+
+def entity_id(value: Optional[str]) -> Optional[str]:
+    """The id of the Wikidata or DBpedia item a result value names, or None
+    for any other value: a literal, a web address, or no value."""
+    if value and value.startswith(ENTITY_NAMESPACES):
+        return uri_tail(value)
+    return None

@@ -161,29 +161,22 @@ class TripleSet:
     when duplicates are supplied the first occurrence wins. Iteration order
     is sorted by key, so downstream output is deterministic.
 
-    The set stores one key-sorted tuple, `triples`. The key index is built
-    the first time membership, equality or `keys()` needs it, so a set that
-    is only iterated and ranked never holds it. `rank_index` (norms and
-    postings) and `rank_memo` (a dict of recent evidence, cleared when
-    full) are caches that `rank_triples` fills; the set is immutable, so
-    they never go stale.
+    The set stores its facts once, as the key-sorted tuple `triples`;
+    membership, equality and `keys()` read the keys off it. `rank_index`
+    (norms and postings) and `rank_memo` (a dict of recent evidence,
+    cleared when full) are caches that `rank_triples` fills; the set is
+    immutable, so they never go stale.
     """
 
-    __slots__ = ("triples", "_by_key", "rank_index", "rank_memo")
+    __slots__ = ("triples", "rank_index", "rank_memo")
 
     def __init__(self, triples: Iterable[FactTriple] = ()):
         by_key: dict[TripleKey, FactTriple] = {}
         for t in triples:
             by_key.setdefault(t.key, t)
         self.triples = tuple(map(by_key.__getitem__, sorted(by_key)))
-        self._by_key: dict[TripleKey, FactTriple] | None = None
         self.rank_index: tuple | None = None
         self.rank_memo: dict | None = None
-
-    def _keyed(self) -> dict[TripleKey, FactTriple]:
-        if self._by_key is None:
-            self._by_key = {t.key: t for t in self.triples}
-        return self._by_key
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -193,12 +186,12 @@ class TripleSet:
 
     def __contains__(self, item) -> bool:
         key = item.key if isinstance(item, FactTriple) else tuple(item)
-        return key in self._keyed()
+        return key in self.keys()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripleSet):
             return NotImplemented
-        return self._keyed().keys() == other._keyed().keys()
+        return self.keys() == other.keys()
 
     __hash__ = None  # mutable-free but identity is by key set; not hashable
 
@@ -209,10 +202,11 @@ class TripleSet:
         return TripleSet([*self, *other])
 
     def __sub__(self, other: "TripleSet") -> "TripleSet":
-        return TripleSet(t for t in self if t not in other)
+        keys = other.keys()
+        return TripleSet(t for t in self if t.key not in keys)
 
     def keys(self) -> frozenset[TripleKey]:
-        return frozenset(self._keyed())
+        return frozenset(t.key for t in self.triples)
 
     @property
     def objects(self) -> frozenset[str]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import random
 import threading
 import time
@@ -151,6 +152,22 @@ class TestPrefetch:
                 TieredFactStore(prefetch_depth=depth)
             with pytest.raises(ConfigError, match="0 or 1"):
                 load_config(str(path))
+
+    def test_a_failed_prefetch_still_answers_the_miss(self, caplog):
+        store, slow = make_store([US_BIDEN, BIDEN_JILL], prefetch_depth=1)
+        fetch = slow.fetch_subject
+
+        def unreachable_past_us(entity):
+            if entity != "US":
+                raise SlowUnreachable("budget exhausted")
+            return fetch(entity)
+
+        slow.fetch_subject = unreachable_past_us
+        with caplog.at_level(logging.WARNING, logger="factcache.cache"):
+            assert store.retrieve("US") == TripleSet([US_BIDEN])
+        assert "prefetch after retrieve(US) incomplete" in caplog.text
+        assert store.stats.prefetch_fetches == 0
+        assert store.get("Biden", "spouse") is None
 
     def test_partial_prefetch_kept_on_failure(self):
         class FlakySource(InMemorySlowSource):
@@ -501,6 +518,21 @@ class TestSync:
         assert store.sync() == 1
         assert store.get("US", "head_of_gov").obj == "Biden"
 
+    @pytest.mark.parametrize("snapshot_at", [None, SNAPSHOT],
+                             ids=["no-snapshot", "older-snapshot"])
+    def test_an_absorbed_manual_edit_follows_the_source(self, snapshot_at):
+        store, slow = make_store([US_BIDEN], snapshot_at=snapshot_at,
+                                 prefetch_depth=0)
+        store.retrieve("US")
+        store.inject_manual(EditRequest("US", "head_of_gov", "Harris"))
+        slow.put(triple("US", "head_of_gov", "Harris",
+                        source=Source.WIKIDATA))
+        assert store.sync() == 0  # absorbed: the mark is cleared
+        slow.put(triple("US", "head_of_gov", "Vance",
+                        source=Source.WIKIDATA))
+        assert store.sync() == 1
+        assert store.get("US", "head_of_gov").obj == "Vance"
+
     def test_a_subject_loaded_pinned_is_synced(self, tmp_path):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)
         store.retrieve("US")
@@ -508,8 +540,8 @@ class TestSync:
         save_state(store, tmp_path / "state.json")
         slow.put(triple("US", "head_of_gov", "Harris",
                         source=Source.WIKIDATA, fetched_at=SNAPSHOT))
-        loaded = load_state(tmp_path / "state.json", slow=slow,
-                            prefetch_depth=0)
+        loaded = load_state(TieredFactStore(slow, prefetch_depth=0),
+                            tmp_path / "state.json")
         assert loaded.sync() == 1
         assert loaded.get("US", "head_of_gov").obj == "Harris"
         assert loaded.get("US", "spouse").obj == "Jill"
@@ -590,8 +622,9 @@ class TestSync:
         for row in state["entries"]:
             row["edited"] = True  # as files written before per-fact marks
         (tmp_path / "state.json").write_text(json.dumps(state))
-        loaded = load_state(tmp_path / "state.json", slow=slow, capacity=1,
-                            prefetch_depth=0)
+        loaded = load_state(TieredFactStore(slow, capacity=1,
+                                            prefetch_depth=0),
+                            tmp_path / "state.json")
         assert loaded.sync() == 0
         assert len(loaded) == 2
         save_state(loaded, tmp_path / "state.json")
@@ -1114,8 +1147,9 @@ def test_any_json_dump_row_loads_typed_or_is_refused(tmp_path_factory, row):
 @settings(max_examples=150, deadline=None)
 def test_any_json_state_file_loads_typed_or_is_refused(tmp_path_factory,
                                                        state):
-    store = _loads_typed_or_refuses(load_state, json.dumps(state),
-                                    tmp_path_factory)
+    store = _loads_typed_or_refuses(
+        lambda path: load_state(TieredFactStore(), path), json.dumps(state),
+        tmp_path_factory)
     if store is not None:
         assert all(type(n) is int for n in store.stats.snapshot().values())
         assert all(map(_typed, store.fast_snapshot()))
@@ -1214,6 +1248,18 @@ class TestRemoteSparqlSource:
         assert literal.obj == "352 km"
         assert "wd:Q30" in calls[0]
         assert naps == []
+
+    def test_a_web_address_is_a_literal(self):
+        payload = json.loads(self.WIKIDATA_PAYLOAD)
+        payload["results"]["bindings"][0].update(
+            relation={"type": "uri",
+                      "value": "http://www.wikidata.org/entity/P856"},
+            object={"type": "uri", "value": "https://www.whitehouse.gov/"})
+        source, _ = self.make_source([(200, json.dumps(payload))], [])
+        website = next(t for t in source.fetch_subject("Q30")
+                       if t.relation == "P856")
+        assert (website.obj, website.object_is_entity) == (
+            "https://www.whitehouse.gov/", False)
 
     @pytest.mark.parametrize("label, rendered", [
         ("United States", "(United States, head of government, Joe Biden)"),
@@ -1428,7 +1474,8 @@ class TestDumpFormat:
         store.apply_update(EditRequest("US", "head_of_gov", "Harris"))
         state_path = tmp_path / "state.json"
         save_state(store, state_path)
-        restored = load_state(state_path, slow=slow, prefetch_depth=0)
+        restored = load_state(TieredFactStore(slow, prefetch_depth=0),
+                              state_path)
         assert restored.stats.snapshot() == store.stats.snapshot()
         assert restored.get("US", "head_of_gov").version == 2
         assert restored.fast_snapshot() == store.fast_snapshot()
@@ -1443,7 +1490,8 @@ class TestDumpFormat:
         store.apply_update(EditRequest("US", "head_of_gov", "Harris"))
         state_path = tmp_path / "state.json"
         save_state(store, state_path)
-        restored = load_state(state_path, slow=slow, prefetch_depth=0)
+        restored = load_state(TieredFactStore(slow, prefetch_depth=0),
+                              state_path)
         assert restored.retrieve("US") == TripleSet(
             [triple("US", "head_of_gov", "Harris"), capital])
         assert restored.stats.misses == restored.stats.slow_fetches == 1
@@ -1456,7 +1504,8 @@ class TestDumpFormat:
         state = json.loads(state_path.read_text(encoding="utf-8"))
         del state["incomplete"]
         state_path.write_text(json.dumps(state), encoding="utf-8")
-        restored = load_state(state_path, slow=slow, prefetch_depth=0)
+        restored = load_state(TieredFactStore(slow, prefetch_depth=0),
+                              state_path)
         assert restored.retrieve("US") == TripleSet([US_BIDEN])
         assert restored.stats.hits == 1
         assert slow.fetch_log == ["US"]
@@ -1467,8 +1516,8 @@ class TestDumpFormat:
         store.apply_update(EditRequest("p", "r", "v"))  # pinned: stays
         state_path = tmp_path / "state.json"
         save_state(store, state_path)
-        restored = load_state(state_path, slow=slow, capacity=3,
-                              prefetch_depth=0)
+        restored = load_state(TieredFactStore(slow, capacity=3,
+                                              prefetch_depth=0), state_path)
         assert len(restored) == 3
         assert restored.get("p", "r").obj == "v"
         # the file keeps no recency: subjects load, and so are evicted,
@@ -1490,7 +1539,8 @@ class TestDumpFormat:
         with pytest.raises(UnicodeEncodeError):
             save_state(store, state_path)
         assert state_path.read_bytes() == saved
-        restored = load_state(state_path, slow=slow, prefetch_depth=0)
+        restored = load_state(TieredFactStore(slow, prefetch_depth=0),
+                              state_path)
         assert restored.fast_snapshot() == TripleSet([US_BIDEN])
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
@@ -1554,6 +1604,6 @@ class TestDumpFormat:
         path = tmp_path / "state.json"
         path.write_text(text)
         with pytest.raises(ParseError) as exc:
-            load_state(path)
+            load_state(TieredFactStore(), path)
         assert exc.value.line == line
         assert str(path) in str(exc.value) and key in str(exc.value)

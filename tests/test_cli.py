@@ -313,6 +313,16 @@ class TestCorruptInput:
         assert "Traceback" not in err
         assert not Path("state.json").exists()
 
+    @pytest.mark.parametrize("path", ["nodir/items.jsonl", "folder"])
+    def test_an_output_path_that_cannot_be_written(self, workdir, capsys,
+                                                   path):
+        (workdir / "folder").mkdir()
+        code, out, err = run(capsys, "data", "build", "--triples",
+                             "dump.jsonl", "--out", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and path in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("data, key", [
         (b"5\n", "JSON object"),
         (b'{"s1_label": "A", "MultihopQA_query": 5}\n', "MultihopQA_query"),

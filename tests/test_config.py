@@ -8,6 +8,7 @@ import pytest
 
 from factcache.cli import main
 from factcache.config import ATTRS, SURE_WEIGHTS, Config, load_config
+from factcache.errors import ConfigError
 from factcache.metrics import SUREParams
 
 
@@ -83,6 +84,14 @@ def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
     code, err = run_cache_stats(tmp_path, capsys, config)
     assert code == 1
     assert err.startswith("error: ") and key in err
+
+
+def test_a_config_that_is_not_json_is_an_error_naming_it(tmp_path):
+    path = tmp_path / "factcache.json"
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ConfigError, match="not JSON") as exc:
+        load_config(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_unknown_sure_keys_are_ignored(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -73,6 +74,21 @@ class TestBuildItem:
         item = sioux_falls_item(templates, fc_truth=False)
         assert "Paul Ten Haken" not in item.queries[TaskKind.FACT_CHECK]
         assert item.gold_for(TaskKind.FACT_CHECK) == "False"
+
+    @pytest.mark.parametrize("proposition, truth", [
+        ("Scale Town is led by Mayor 1.", True),
+        ("Scale Town is led by Mayor 10.", False)],
+        ids=["names-the-gold", "names-a-longer-name"])
+    def test_a_foreign_proposition_must_name_the_gold_whole(
+            self, templates, proposition, truth):
+        item = build_item(
+            triple("Scale Town", "head of government", "Mayor 1"),
+            templates["head of government"], ["Mayor 2", "Mayor 3"],
+            triple("Viarmes", "head of government", "William Rouyer"),
+            random.Random(0))
+        foreign = dataclasses.replace(item, queries={
+            **item.queries, TaskKind.FACT_CHECK: proposition})
+        assert foreign.fc_truth is truth
 
     def test_distractor_equal_to_gold_rejected(self, templates):
         hog = templates["head of government"]

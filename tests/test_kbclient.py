@@ -156,6 +156,24 @@ class TestFetchTriples:
                                     limit=2, offset=1)
         assert [r.subject_label for r in rows] == ["France", "Norway"]
 
+    def test_a_literal_object_has_no_uri(self):
+        body = json.dumps({
+            "head": {"vars": ["subject", "subjectLabel", "object"]},
+            "results": {"bindings": [{
+                "subject": {"type": "uri", "value":
+                            "http://dbpedia.org/resource/Highway_to_Hell"},
+                "subjectLabel": {"type": "literal",
+                                 "value": "Highway to Hell"},
+                "object": {"type": "literal", "value": "AC/DC"}}]}})
+        client = KnowledgeBaseClient(
+            kind="dbpedia", endpoint=DBPEDIA_ENDPOINT,
+            transport=lambda u, p, h: TransportReply(200, body))
+        (raw,) = client.fetch_triples("http://dbpedia.org/ontology/artist",
+                                      limit=5)
+        assert (raw.object_uri, raw.object_label) == (None, "AC/DC")
+        (fact,) = filter_ambiguous([raw])
+        assert (fact.obj, fact.object_is_entity) == ("AC/DC", False)
+
     def test_offset_beyond_data_is_empty(self):
         client = dbpedia_client()
         assert client.fetch_triples("http://dbpedia.org/ontology/capital",
@@ -256,6 +274,17 @@ class TestWithRetries:
         with pytest.raises(HttpError):
             policy.select("q")
         assert naps == [3.0, 0.5, 0.0]  # a negative hint waits not at all
+
+    @pytest.mark.parametrize("headers", [{}, {"Retry-After": "soon"}],
+                             ids=["no-hint", "text-hint"])
+    def test_a_rate_limit_without_a_usable_hint_backs_off(self, headers):
+        naps = []
+        policy, calls = self.policy(
+            [TransportReply(429, "slow down", headers)] * 3, naps)
+        with pytest.raises(RateLimited) as exc:
+            policy.select("q")
+        assert exc.value.retry_after is None
+        assert len(calls) == 3 and naps == [0.25, 0.5]
 
     def test_other_errors_are_not_retried(self):
         for reply, error in [(TransportReply(200, "not json"),

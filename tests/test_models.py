@@ -171,6 +171,20 @@ class TestHttpCompletionModel:
         with pytest.raises(ModelError):
             model.generate(qa_prompt("q"))
 
+    @pytest.mark.parametrize("body", [
+        None, "not json", json.dumps({"answer": "x"}), json.dumps(["x"])],
+        ids=["transport-raises", "not-json", "no-text", "a-list"])
+    def test_a_failed_request_or_a_malformed_payload(self, body):
+        def transport(url, payload, headers):
+            if body is None:
+                raise ConnectionError("refused")
+            return TransportReply(status=200, text=body)
+
+        model = HttpCompletionModel(endpoint="https://unit.test",
+                                    transport=transport)
+        with pytest.raises(ModelError):
+            model.generate(qa_prompt("q"))
+
     def test_zero_budget_never_retries(self):
         for status in (503, 429):  # a rate limit is not waited out either
             calls = []
