@@ -180,6 +180,10 @@ def _identifier_like(label: str) -> bool:
     return bool(tokens & BLOCK_TOKENS)
 
 
+def _item_id(uri: str) -> str:
+    return entity_id(uri) or uri_tail(uri)  # not an item's: a last segment
+
+
 def filter_ambiguous(rows: list[RawTripleRow],
                      fetched_at: Optional[datetime] = None) -> TripleSet:
     """Drop rows that would make a question ambiguous, then build triples
@@ -212,9 +216,9 @@ def filter_ambiguous(rows: list[RawTripleRow],
         if len(objects_per_subject[(row.relation_id, row.subject_uri)]) > 1:
             continue
         is_entity = row.object_uri is not None
-        obj_id = uri_tail(row.object_uri) if is_entity else row.object_label
+        obj_id = _item_id(row.object_uri) if is_entity else row.object_label
         kept.append(FactTriple(
-            subject=uri_tail(row.subject_uri),
+            subject=_item_id(row.subject_uri),
             relation=row.relation_id,
             obj=obj_id,
             subject_label=row.subject_label,

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Protocol
 
 from .errors import EmptyCompletion, ModelError
 from .prompts import AssembledPrompt
-from .ranking import tokenize
+from .ranking import RELATION_MEMO_SIZE, tokenize
 from .sparqlio import TransportReply
 from .triples import TaskKind
 
@@ -26,9 +27,16 @@ _STOPWORDS = frozenset(
     "a an and at by for in is of on or the to with".split())
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=RELATION_MEMO_SIZE)
+def _content_words(label: str) -> frozenset[str]:
+    """A relation label's tokens, less the function words."""
+    return frozenset(tokenize(label)).difference(_STOPWORDS)
+
+
+@dataclass(frozen=True, slots=True)
 class ModelAnswer:
-    """Generated text and an optional answer distribution."""
+    """Generated text and an optional answer distribution, whose entries
+    are finite, non-negative and sum to 1."""
 
     text: str
     distribution: Optional[Mapping[str, float]] = None
@@ -37,11 +45,12 @@ class ModelAnswer:
         if self.distribution is not None:
             dist = dict(self.distribution)
             object.__setattr__(self, "distribution", dist)
-            if any(p < 0 for p in dist.values()):
-                raise ValueError("distribution entries must be non-negative")
             total = sum(dist.values())
-            if abs(total - 1.0) > DISTRIBUTION_TOLERANCE:
+            # a NaN or infinite entry makes the sum fail this comparison
+            if not abs(total - 1.0) <= DISTRIBUTION_TOLERANCE:
                 raise ValueError(f"distribution sums to {total}, expected 1")
+            if min(dist.values()) < 0:
+                raise ValueError("distribution entries must be non-negative")
 
 
 class ModelClient(Protocol):
@@ -75,20 +84,28 @@ class MockTableModel:
         self.priors = dict(priors or {})
 
     def generate(self, prompt: AssembledPrompt) -> ModelAnswer:
-        applicable = self._applicable_triple(prompt)
+        words = tokenize(prompt.query) if prompt.evidence else []
+        applicable = None
+        for triple in prompt.evidence:
+            if not _content_words(triple.relation_label).isdisjoint(words):
+                applicable = triple
+                break
         if applicable is None:
             answer = self.priors.get(prompt.query, self.DEFAULT_ANSWER)
         elif prompt.task is TaskKind.FACT_CHECK:
             said = tokenize(applicable.object_label)
-            words = tokenize(prompt.query)
             cut = len(words) - len(said)
             stated = (bool(said) and cut > 0 and words[cut:] == said
                       and words[cut - 1] in _STOPWORDS)
             answer = "True" if stated else "False"
         else:
             answer = applicable.object_label
-        return ModelAnswer(text=answer,
-                           distribution=self._distribution(prompt, answer))
+        candidates = {answer, self.DEFAULT_ANSWER, *self.priors.values(),
+                      *[t.object_label for t in prompt.evidence]}
+        dist = dict.fromkeys(sorted(candidates),
+                             self.EPSILON / len(candidates))
+        dist[answer] += 1.0 - self.EPSILON
+        return ModelAnswer(text=answer, distribution=dist)
 
     def complete_text(self, text: str) -> str:
         """Answer the last line of a raw prompt from the prior table."""
@@ -96,25 +113,6 @@ class MockTableModel:
         if not lines:
             return self.DEFAULT_ANSWER
         return self.priors.get(lines[-1], self.DEFAULT_ANSWER)
-
-    def _applicable_triple(self, prompt: AssembledPrompt):
-        query_tokens = set(tokenize(prompt.query)) - _STOPWORDS
-        for triple in prompt.evidence:
-            relation_tokens = set(tokenize(triple.relation_label)) - _STOPWORDS
-            if relation_tokens & query_tokens:
-                return triple
-        return None
-
-    def _distribution(self, prompt: AssembledPrompt,
-                      answer: str) -> dict[str, float]:
-        candidates = {answer, self.DEFAULT_ANSWER}
-        candidates.update(self.priors.values())
-        candidates.update(t.object_label for t in prompt.evidence)
-        ordered = sorted(candidates)
-        share = self.EPSILON / len(ordered)
-        dist = {c: share for c in ordered}
-        dist[answer] += 1.0 - self.EPSILON
-        return dist
 
 
 PostTransport = Callable[[str, dict, Mapping[str, str]], TransportReply]
@@ -164,6 +162,8 @@ class HttpCompletionModel:
             completion = body["text"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ModelError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(completion, str):
+            raise ModelError("malformed completion payload: text not a string")
         first_line = completion.strip().splitlines()
         if not first_line or not first_line[0].strip():
             raise EmptyCompletion("completion endpoint returned empty text")

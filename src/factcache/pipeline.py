@@ -184,7 +184,7 @@ def greedy_alias_matches(index: AliasIndex, text: str) -> list[str]:
     return ordered
 
 
-@dataclass
+@dataclass(slots=True)
 class AnswerTrace:
     """Everything the pipeline did for one answer, for --trace output and
     multi-hop bookkeeping."""
@@ -254,17 +254,15 @@ class Pipeline:
         self.__post_init__()  # k may have been set since construction
         if self.model is None:
             raise ValueError("no model client configured")
-        latencies: dict[str, float] = {}
-        hits0 = self.store.stats.hits
-        misses0 = self.store.stats.misses
+        stats, clock = self.store.stats, time.perf_counter
+        hits0, misses0 = stats.hits, stats.misses
 
-        t = time.perf_counter()
+        t0 = clock()
         entities: tuple[str, ...] = ()
         if use_evidence:
             entities = tuple(self.extract_entities(query))
-        latencies["extract"] = time.perf_counter() - t
+        t1 = clock()
 
-        t = time.perf_counter()
         candidates: Collection[FactTriple] = ()
         if len(entities) == 1:
             # the store's cached set, which ranking indexes once
@@ -273,29 +271,23 @@ class Pipeline:
             # distinct entities, one subject per retrieve: no key repeats
             candidates = [triple for entity in entities
                           for triple in self.store.retrieve(entity)]
-        latencies["retrieve"] = time.perf_counter() - t
+        t2 = clock()
 
-        t = time.perf_counter()
         evidence = (rank_triples(query, candidates, self.k) if candidates
                     else EMPTY_EVIDENCE)
-        latencies["rank"] = time.perf_counter() - t
+        t3 = clock()
 
-        t = time.perf_counter()
         prompt = assemble_prompt(task, evidence, query)
-        latencies["assemble"] = time.perf_counter() - t
+        t4 = clock()
 
-        t = time.perf_counter()
         answer = self.model.generate(prompt)  # ModelError propagates
-        latencies["generate"] = time.perf_counter() - t
+        t5 = clock()
 
         trace = AnswerTrace(
-            entities=entities,
-            cache_hits=self.store.stats.hits - hits0,
-            cache_misses=self.store.stats.misses - misses0,
-            evidence=evidence,
-            prompt=prompt,
-            latencies=latencies,
-        )
+            entities, stats.hits - hits0, stats.misses - misses0, evidence,
+            prompt, {"extract": t1 - t0, "retrieve": t2 - t1,
+                     "rank": t3 - t2, "assemble": t4 - t3,
+                     "generate": t5 - t4})
         return answer, trace
 
     # -- multi-hop ---------------------------------------------------------------

@@ -88,7 +88,7 @@ def build_extraction_prompt(text: str) -> str:
     return "\n".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssembledPrompt:
     """A composed in-context prompt: the task, the query and the selected
     evidence triples. `render` lays them out as the text a model reads."""

@@ -100,7 +100,7 @@ class RankedEvidence:
 
     @property
     def selected(self) -> tuple[FactTriple, ...]:
-        return tuple(t for t, _ in self.triples)
+        return tuple([t for t, _ in self.triples])
 
 
 EMPTY_EVIDENCE = RankedEvidence(triples=(), k=1)

@@ -164,13 +164,16 @@ def load_query(name: str) -> str:
 
 
 def uri_tail(uri: str) -> str:
-    """Last path segment of a URI: the bare id for Wikidata/DBpedia items."""
+    """Last path segment of a URI: the bare id of a property."""
     return uri.rstrip("/").rsplit("/", 1)[-1]
 
 
 def entity_id(value: Optional[str]) -> Optional[str]:
-    """The id of the Wikidata or DBpedia item a result value names, or None
-    for any other value: a literal, a web address, or no value."""
+    """The id of the Wikidata or DBpedia item a result value names, all of
+    it after the namespace (`.../resource/AC/DC` is `AC/DC`); None for any
+    other value: a literal, a web address, a bare namespace, no value."""
     if value and value.startswith(ENTITY_NAMESPACES):
-        return uri_tail(value)
+        for namespace in ENTITY_NAMESPACES:
+            if value.startswith(namespace):
+                return value[len(namespace):] or None
     return None

@@ -14,7 +14,7 @@ from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
                                 _identifier_like, dbpedia_triples_query,
                                 equivalent_properties_query, filter_ambiguous,
                                 wikidata_triples_query)
-from factcache.sparqlio import RequestPolicy, TransportReply
+from factcache.sparqlio import RequestPolicy, TransportReply, entity_id
 from factcache.triples import Source
 from conftest import FIXTURES, SNAPSHOT
 
@@ -174,6 +174,27 @@ class TestFetchTriples:
         (fact,) = filter_ambiguous([raw])
         assert (fact.obj, fact.object_is_entity) == ("AC/DC", False)
 
+    def test_an_item_name_with_a_slash_is_the_whole_id(self):
+        band = "http://dbpedia.org/resource/AC/DC"
+        body = json.dumps({
+            "head": {"vars": ["subject", "subjectLabel", "object",
+                              "objectLabel"]},
+            "results": {"bindings": [{
+                "subject": {"type": "uri", "value": band},
+                "subjectLabel": {"type": "literal", "value": "AC/DC"},
+                "object": {"type": "uri", "value":
+                           "http://dbpedia.org/resource/Back_in_Black/Live"},
+                "objectLabel": {"type": "literal",
+                                "value": "Back in Black (live)"}}]}})
+        client = KnowledgeBaseClient(
+            kind="dbpedia", endpoint=DBPEDIA_ENDPOINT,
+            transport=lambda u, p, h: TransportReply(200, body))
+        (raw,) = client.fetch_triples("http://dbpedia.org/ontology/album",
+                                      limit=5)
+        (fact,) = filter_ambiguous([raw])
+        assert (fact.subject, fact.obj, fact.object_is_entity) == \
+            ("AC/DC", "Back_in_Black/Live", True)
+
     def test_offset_beyond_data_is_empty(self):
         client = dbpedia_client()
         assert client.fetch_triples("http://dbpedia.org/ontology/capital",
@@ -315,6 +336,19 @@ def test_every_request_names_factcache_and_its_version(fetch):
 
     fetch(transport)
     assert agents == [f"factcache/{factcache.__version__}"]
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("http://www.wikidata.org/entity/Q30", "Q30"),
+    ("http://dbpedia.org/resource/Paris", "Paris"),
+    ("http://dbpedia.org/resource/AC/DC", "AC/DC"),
+    ("http://dbpedia.org/resource/", None),
+    ("https://example.org/AC/DC", None),
+    ("AC/DC", None),
+    ("", None),
+    (None, None)])
+def test_an_entity_id_is_the_value_after_its_namespace(value, expected):
+    assert entity_id(value) == expected
 
 
 def row(subject_uri, subject_label, object_uri, object_label,

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factcache.errors import EmptyCompletion, ModelError
 from factcache.models import (HttpCompletionModel, MockTableModel,
                               ModelAnswer)
-from factcache.prompts import assemble_prompt
-from factcache.ranking import RankedEvidence
+from factcache.prompts import AssembledPrompt, assemble_prompt
+from factcache.ranking import RankedEvidence, tokenize
 from factcache.sparqlio import TransportReply
 from factcache.triples import TaskKind
 from conftest import triple
@@ -33,6 +36,15 @@ class TestModelAnswer:
     def test_distribution_must_be_non_negative(self):
         with pytest.raises(ValueError):
             ModelAnswer(text="x", distribution={"a": 1.5, "b": -0.5})
+
+    @pytest.mark.parametrize("distribution", [
+        {"a": math.nan}, {"a": math.nan, "b": 1.0},
+        {"a": math.inf}, {"a": math.inf, "b": -math.inf, "c": 1.0},
+        {"a": -math.inf, "b": 1.0}],
+        ids=["nan", "nan-and-one", "inf", "infs-and-one", "minus-inf"])
+    def test_distribution_entries_must_be_finite(self, distribution):
+        with pytest.raises(ValueError):
+            ModelAnswer(text="x", distribution=distribution)
 
     def test_absent_distribution_is_fine(self):
         assert ModelAnswer(text="x").distribution is None
@@ -125,6 +137,81 @@ class TestMockModel:
             "Naples"
 
 
+# The mock's answer as first written: every relation label tokenized on
+# every call, the query tokenized again for a fact check, the distribution
+# filled candidate by candidate. The mock must keep giving its answers.
+REFERENCE_STOPWORDS = frozenset(
+    "a an and at by for in is of on or the to with".split())
+
+
+def reference_generate(priors, prompt):
+    query_tokens = set(tokenize(prompt.query)) - REFERENCE_STOPWORDS
+    applicable = None
+    for t in prompt.evidence:
+        if (set(tokenize(t.relation_label)) - REFERENCE_STOPWORDS) \
+                & query_tokens:
+            applicable = t
+            break
+    if applicable is None:
+        answer = priors.get(prompt.query, "I don't know")
+    elif prompt.task is TaskKind.FACT_CHECK:
+        said = tokenize(applicable.object_label)
+        words = tokenize(prompt.query)
+        cut = len(words) - len(said)
+        stated = (bool(said) and cut > 0 and words[cut:] == said
+                  and words[cut - 1] in REFERENCE_STOPWORDS)
+        answer = "True" if stated else "False"
+    else:
+        answer = applicable.object_label
+    candidates = {answer, "I don't know"}
+    candidates.update(priors.values())
+    candidates.update(t.object_label for t in prompt.evidence)
+    ordered = sorted(candidates)
+    share = 0.01 / len(ordered)
+    dist = {c: share for c in ordered}
+    dist[answer] += 1.0 - 0.01
+    return answer, dist
+
+
+# words that relation labels, objects and queries are drawn from: function
+# words, content words and punctuation, so labels can be all stopwords
+WORDS = st.sampled_from(["the", "of", "is", "a", "in", "head", "Head",
+                         "government", "capital", "York", "New", "Paris",
+                         "-", ",", "?", "'s", "1", "10"])
+PHRASES = st.lists(WORDS, max_size=5).map(" ".join)
+
+
+@st.composite
+def prompts(draw):
+    evidence = tuple(
+        triple(f"S{i}", f"P{i}", draw(PHRASES), subject_label=draw(PHRASES),
+               relation_label=draw(PHRASES), object_label=draw(PHRASES))
+        for i in range(draw(st.integers(0, 3))))
+    labels = [t.relation_label for t in evidence] or ["capital"]
+    objects = [t.object_label for t in evidence] or ["Paris"]
+    query = " ".join((draw(PHRASES), draw(st.sampled_from(["", *labels]))))
+    if draw(st.booleans()):  # a proposition that ends with an object
+        query = " ".join((query, draw(st.sampled_from(["is", "New", "-"])),
+                          draw(st.sampled_from(objects))))
+    task = draw(st.one_of(st.just(TaskKind.FACT_CHECK),
+                          st.sampled_from(list(TaskKind))))
+    return AssembledPrompt(task, query, evidence)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prompt=prompts(),
+       priors=st.dictionaries(PHRASES, PHRASES, max_size=3),
+       ask_a_prior=st.booleans())
+def test_the_mock_answers_as_the_reference_does(prompt, priors, ask_a_prior):
+    if ask_a_prior and priors:
+        priors = {**priors, prompt.query: next(iter(priors.values()))}
+    answer = MockTableModel(priors).generate(prompt)
+    text, distribution = reference_generate(priors, prompt)
+    assert answer.text == text
+    # the same keys in the same order, and bit for bit the same floats
+    assert list(answer.distribution.items()) == list(distribution.items())
+
+
 class TestHttpCompletionModel:
     @staticmethod
     def fixed_transport(status=200, body=None, recorder=None):
@@ -172,8 +259,11 @@ class TestHttpCompletionModel:
             model.generate(qa_prompt("q"))
 
     @pytest.mark.parametrize("body", [
-        None, "not json", json.dumps({"answer": "x"}), json.dumps(["x"])],
-        ids=["transport-raises", "not-json", "no-text", "a-list"])
+        None, "not json", json.dumps({"answer": "x"}), json.dumps(["x"]),
+        json.dumps({"text": 5}), json.dumps({"text": None}),
+        json.dumps({"text": ["x"]})],
+        ids=["transport-raises", "not-json", "no-text", "a-list",
+             "text-a-number", "text-null", "text-a-list"])
     def test_a_failed_request_or_a_malformed_payload(self, body):
         def transport(url, payload, headers):
             if body is None:

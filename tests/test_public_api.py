@@ -75,6 +75,34 @@ def test_each_answer_ranks_once_over_a_sized_candidate_set(
     assert calls == [candidates]
 
 
+# The traced benchmark wraps these five calls on the instances a pipeline
+# holds and on the pipeline module; an answer that skipped one (say, by
+# reading a memo directly) would lose that layer's span.
+def test_a_warm_answer_makes_each_traced_call_once(us_pipeline, monkeypatch):
+    question = "Who is the head of government of America?"
+    first = us_pipeline.answer(question)  # fills the store and the memos
+    calls = []
+
+    def spy(owner, name, label):
+        call = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(us_pipeline, "extract_entities", "extract")
+    spy(us_pipeline.store, "retrieve", "retrieve")
+    spy(pipeline_module, "rank_triples", "rank")
+    spy(pipeline_module, "assemble_prompt", "assemble")
+    spy(us_pipeline.model, "generate", "generate")
+    hits = us_pipeline.store.stats.hits
+    assert us_pipeline.answer(question) == first
+    assert us_pipeline.store.stats.hits == hits + 1
+    assert calls == ["extract", "retrieve", "rank", "assemble", "generate"]
+
+
 def test_benchmark_constructor_calls_bind():
     def binds(cls, *args, **kwargs):
         inspect.signature(cls).bind(*args, **kwargs)  # TypeError if not
