@@ -333,14 +333,14 @@ class RemoteSparqlSource:
         fetched_at = utcnow()
         triples = []
         for row in rows:
-            relation_uri = row.get("relation")
+            relation = uri_tail(row.get("relation") or "")  # "" for "/"
             obj = row.get("object")
-            if not relation_uri or obj is None:
+            if not relation or obj is None:
                 continue
             item = entity_id(obj)
             triples.append(FactTriple(
                 subject=entity,
-                relation=uri_tail(relation_uri),
+                relation=relation,
                 obj=item or obj,
                 subject_label=row.get("subjectLabel") or "",
                 relation_label=row.get("relationLabel") or "",

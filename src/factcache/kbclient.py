@@ -154,11 +154,13 @@ class KnowledgeBaseClient:
             rows = self.policy.select(query)[offset:offset + limit]
         out = []
         for row in rows:
-            subject_uri = row.get("subject")
+            subject_uri = row.get("subject") or ""
             subject_label = row.get("subjectLabel")
-            if not subject_uri or not subject_label:
-                continue
+            if not _item_id(subject_uri) or not subject_label:
+                continue  # no subject, or one made only of slashes
             count, obj = row.get("relationCount"), row.get("object")
+            if count is not None and not count.isdecimal():
+                raise MalformedResponse(f"relationCount {count!r} is no count")
             out.append(RawTripleRow(
                 subject_uri=subject_uri,
                 subject_label=subject_label,

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Protocol
 from .errors import EmptyCompletion, ModelError
 from .prompts import AssembledPrompt
 from .ranking import RELATION_MEMO_SIZE, tokenize
-from .sparqlio import TransportReply
+from .sparqlio import TransportReply, http_transport
 from .triples import TaskKind
 
 DISTRIBUTION_TOLERANCE = 1e-9
@@ -118,13 +118,9 @@ class MockTableModel:
 PostTransport = Callable[[str, dict, Mapping[str, str]], TransportReply]
 
 
-def requests_post_transport(url: str, payload: dict,
-                            headers: Mapping[str, str]) -> TransportReply:
-    import requests
-
-    resp = requests.post(url, json=payload, headers=headers, timeout=120)
-    return TransportReply(status=resp.status_code, text=resp.text,
-                          headers=dict(resp.headers))
+def post_transport(url: str, payload: dict,
+                   headers: Mapping[str, str]) -> TransportReply:
+    return http_transport(url, {}, headers, payload, timeout=120.0)
 
 
 @dataclass
@@ -140,7 +136,7 @@ class HttpCompletionModel:
     endpoint: str
     api_key: Optional[str] = None
     max_tokens: int = 64
-    transport: PostTransport = field(default=requests_post_transport)
+    transport: PostTransport = field(default=post_transport)
 
     def generate(self, prompt: AssembledPrompt) -> ModelAnswer:
         return ModelAnswer(text=self.complete_text(prompt.render()))

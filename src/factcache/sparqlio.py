@@ -3,7 +3,8 @@ remote slow source: the request policy (retries), request execution,
 results-JSON parsing, query assets, URI helpers.
 
 The transport is injectable so every test can run against recorded
-responses; the default transport issues a real GET via requests.
+responses; the default, http_transport, sends a real request through the
+standard library's urllib.request, imported on the first request.
 """
 
 from __future__ import annotations
@@ -44,18 +45,42 @@ class TransportReply:
 Transport = Callable[[str, Mapping[str, str], Mapping[str, str]], TransportReply]
 
 
-def requests_transport(url: str, params: Mapping[str, str],
-                       headers: Mapping[str, str]) -> TransportReply:
-    import requests
+def http_transport(url: str, params: Mapping[str, str],
+                   headers: Mapping[str, str], payload: Optional[dict] = None,
+                   timeout: float = 60.0) -> TransportReply:
+    """GET `url` with `params` as its query string, or POST `payload` as
+    JSON. A reply of any status is returned, decoded by its charset or else
+    UTF-8. A failed connection or a garbled reply is an OSError; a URL that
+    names no http(s) host is a ConfigError, raised before sending."""
+    import http.client
+    import urllib.error
+    import urllib.request
+    from urllib.parse import urlencode, urlsplit
 
     try:
-        resp = requests.get(url, params=params, headers=headers, timeout=60)
-    except ValueError as exc:
-        # InvalidURL, MissingSchema, InvalidSchema, InvalidHeader: requests
-        # cannot send this request, so sending it again fails alike
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError("it names no http or https host")
+        if params:
+            url += ("&" if parts.query else "?") + urlencode(params)
+        data = None if payload is None else json.dumps(payload).encode()
+        request = urllib.request.Request(url, data, headers)
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, info, body = resp.status, resp.headers, resp.read()
+    except urllib.error.HTTPError as exc:
+        with exc:  # an error reply holds its socket until closed
+            status, info, body = exc.code, exc.headers, exc.read()
+    except (ValueError, http.client.InvalidURL) as exc:
+        # a bad port, a control character: sending it again fails alike
         raise ConfigError(f"cannot send a request to {url}: {exc}") from exc
-    return TransportReply(status=resp.status_code, text=resp.text,
-                          headers=dict(resp.headers))
+    except http.client.HTTPException as exc:  # a garbled or cut-off reply
+        raise ConnectionError(f"{url}: {exc!r}") from exc
+    charset = info.get_content_charset() or "utf-8"
+    try:
+        text = body.decode(charset, errors="replace")
+    except LookupError:  # a charset Python does not know
+        text = body.decode("utf-8", errors="replace")
+    return TransportReply(status, text, dict(info))
 
 
 def exec_sparql(endpoint: str, query: str,
@@ -64,12 +89,12 @@ def exec_sparql(endpoint: str, query: str,
     to plain value, None where unbound.
 
     Raises RateLimited on 429 (carrying any Retry-After hint), HttpError on
-    other non-2xx statuses or a connection error (an OSError, as requests'
+    other non-2xx statuses or a connection error (an OSError, as urllib's
     are), MalformedResponse when the body is not a SPARQL results document
     or its head, a row or a cell is misshapen. Any other exception from the
     transport propagates.
     """
-    transport = transport or requests_transport
+    transport = transport or http_transport
     try:
         reply = transport(endpoint, {"query": query, "format": "json"},
                           HEADERS)
@@ -103,7 +128,9 @@ def exec_sparql(endpoint: str, query: str,
             cell = binding.get(var)
             if cell is not None and not isinstance(cell, dict):
                 raise MalformedResponse(f"cell {var!r} is not an object")
-            row[var] = cell.get("value") if cell else None
+            value = row[var] = cell.get("value") if cell else None
+            if value is not None and not isinstance(value, str):
+                raise MalformedResponse(f"cell {var!r}: value is no string")
         rows.append(row)
     return rows
 

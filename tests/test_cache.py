@@ -1249,6 +1249,13 @@ class TestRemoteSparqlSource:
         assert "wd:Q30" in calls[0]
         assert naps == []
 
+    def test_a_relation_made_of_slashes_names_no_fact(self):
+        payload = json.loads(self.WIKIDATA_PAYLOAD)
+        payload["results"]["bindings"][0]["relation"]["value"] = "/"
+        source, _ = self.make_source([(200, json.dumps(payload))], [])
+        store = TieredFactStore(slow=source, prefetch_depth=0)
+        assert [t.relation for t in store.retrieve("Q30")] == ["P2043"]
+
     def test_a_web_address_is_a_literal(self):
         payload = json.loads(self.WIKIDATA_PAYLOAD)
         payload["results"]["bindings"][0].update(
@@ -1382,7 +1389,7 @@ class TestRemoteSparqlSource:
             sent_at.append(now[0])
             return sparqlio.TransportReply(200, self.WIKIDATA_PAYLOAD)
 
-        monkeypatch.setattr(sparqlio, "requests_transport", network)
+        monkeypatch.setattr(sparqlio, "http_transport", network)
         source = RemoteSparqlSource("https://unit.test/sparql", sleep=sleep)
         for _ in range(3):
             assert len(source.fetch_subject("Q30")) == 2
@@ -1404,7 +1411,7 @@ class TestRemoteSparqlSource:
         facts.update({item: [("P2043", "length", "1 km", "1 km")]
                       for item in neighbours})
         sent_at, naps = [], []
-        monkeypatch.setattr(sparqlio, "requests_transport",
+        monkeypatch.setattr(sparqlio, "http_transport",
                             subject_facts_endpoint(facts, sent_at))
         store = TieredFactStore(slow=RemoteSparqlSource(
             "https://unit.test/sparql", sleep=naps.append))
@@ -1419,14 +1426,14 @@ class TestRemoteSparqlSource:
         from factcache.cache import RemoteSparqlSource
 
         calls, naps = [], []
-        network = sparqlio.requests_transport
+        network = sparqlio.http_transport
 
         def counted(url, params, headers):
             calls.append(url)
             return network(url, params, headers)
 
-        monkeypatch.setattr(sparqlio, "requests_transport", counted)
-        # requests refuses both before it opens a connection
+        monkeypatch.setattr(sparqlio, "http_transport", counted)
+        # the transport refuses both before it opens a connection
         for endpoint in ("unit.test/sparql", "http://"):  # no scheme, no host
             source = RemoteSparqlSource(endpoint, sleep=naps.append)
             with pytest.raises(ConfigError, match="cannot send a request"):

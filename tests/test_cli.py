@@ -64,6 +64,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fetch_fixture(directory, **cells) -> str:
+    """A copy of the recorded Wikidata triples reply whose first row has
+    `cells`' values, written under `directory`; its path."""
+    payload = json.loads(
+        (FIXTURES / "wikidata_triples_response.json").read_text())
+    for name, value in cells.items():
+        payload["results"]["bindings"][0][name]["value"] = value
+    path = directory / "fixture.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 class TestEdit:
     def test_insert_then_noop_replace(self, workdir, capsys):
         code, out, _ = run(capsys, "edit", "US", "head_of_gov", "Biden")
@@ -159,7 +171,7 @@ class TestQuery:
         (workdir / "entities.json").write_text(json.dumps(
             [{"id": "Q30", "label": "America"}]))
         sent_at = []
-        monkeypatch.setattr(sparqlio, "requests_transport",
+        monkeypatch.setattr(sparqlio, "http_transport",
                             subject_facts_endpoint({"Q30": [
                                 ("P6", "head of government", "Q6279",
                                  "Joe Biden"),
@@ -180,7 +192,7 @@ class TestQuery:
             "data": {"entities_path": "entities.json"}}))
         (workdir / "entities.json").write_text(json.dumps(
             [{"id": "Q30", "label": "America"}]))
-        monkeypatch.setattr(sparqlio, "requests_transport",
+        monkeypatch.setattr(sparqlio, "http_transport",
                             subject_facts_endpoint(
                                 {"Q30": [("P6", "head of government",
                                           "Q6279", "Joe Biden")]},
@@ -338,6 +350,15 @@ class TestCorruptInput:
                              "--items", "items.jsonl")
         assert code == 0 and out.strip() == "0 items OK"
 
+    def test_fetch_a_relation_count_that_is_no_integer(self, workdir,
+                                                        capsys):
+        fixture = fetch_fixture(workdir, relationCount="x")
+        for extra in ((), ("--filter-ambiguous",)):
+            code, out, err = run(capsys, "data", "fetch", "--relation", "P6",
+                                 "--fixture", fixture, *extra)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and "relationCount 'x'" in err
+
     @pytest.mark.parametrize("row, key", [
         ({"id": "P6", "qa": ["Who heads {}?"]}, "label is missing"),
         ({"id": "P6", "label": "head", "qa": ["Who heads it?"],
@@ -428,6 +449,19 @@ class TestData:
         assert all(json.loads(line)["fetched_at"] is None
                    for line in out.splitlines())
         assert run(capsys, *argv) == (code, out, "")
+
+    def test_fetch_skips_a_subject_made_of_slashes(self, workdir, capsys):
+        argv = ("data", "fetch", "--relation", "P6", "--filter-ambiguous",
+                "--fixture")
+        _, whole, _ = run(capsys, *argv,
+                          str(FIXTURES / "wikidata_triples_response.json"))
+        code, out, err = run(capsys, *argv,
+                             fetch_fixture(workdir, subject="/"))
+        assert code == 0 and err == ""
+        # the first row, Sioux Falls', names no subject, so it is dropped
+        kept = [line for line in whole.splitlines() if "Sioux" not in line]
+        assert len(kept) < len(whole.splitlines())
+        assert out.splitlines() == kept
 
     def test_fetch_properties_fixture_mode(self, workdir, capsys):
         code, out, _ = run(
