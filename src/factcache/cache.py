@@ -62,11 +62,11 @@ class UpdateOutcome(enum.Enum):
 class CacheStats:
     """Monotone counters for cache behavior.
 
-    hits + misses equals the number of retrieve calls that completed;
-    slow_fetches counts only miss-driven read-through fetches, so it equals
-    misses whenever the slow source is reachable. Prefetch and sync traffic
-    is tracked separately so that equality stays exact. evictions counts
-    whole subjects.
+    hits + misses equals the number of retrieve calls that completed, and
+    misses equals slow_fetches, the miss-driven fetches: a fetch dropped as
+    stale still counts in both, as a prefetch's does in prefetch_fetches.
+    Sync fetches count in neither, so the equality stays exact. evictions
+    counts whole subjects.
     """
 
     hits: int = 0
@@ -326,10 +326,6 @@ class RemoteSparqlSource:
         except (HttpError, MalformedResponse) as exc:
             raise SlowUnreachable(
                 f"slow source {self.policy.endpoint} failed: {exc}") from exc
-        return self._rows_to_triples(entity, rows)
-
-    def _rows_to_triples(self, entity: str,
-                         rows: list[dict]) -> list[FactTriple]:
         fetched_at = utcnow()
         triples = []
         for row in rows:
@@ -361,9 +357,7 @@ def _by_subject(triples: Iterable[FactTriple]
     triples does not matter."""
     subjects: dict[str, dict[str, FactTriple]] = {}
     for subject, run in groupby(triples, key=attrgetter("subject")):
-        facts = subjects.get(subject)
-        if facts is None:
-            subjects[subject] = facts = {}
+        facts = subjects.setdefault(subject, {})
         for t in run:
             kept = facts.setdefault(t.relation, t)
             if kept is not t and t.obj < kept.obj:
@@ -381,7 +375,7 @@ class _Subject:
     # (never evicted). An unedited record shares the empty default.
     edited: frozenset[str] = frozenset()
     view: Optional[TripleSet] = None  # served by hits until a write
-    edited_at: int = 0  # the store's edit count at the last edit
+    stamp: int = 0  # the store's clock at the last write to the subject
 
 
 class TieredFactStore:
@@ -398,10 +392,8 @@ class TieredFactStore:
 
     A hit serves the subject's view: one immutable TripleSet, built on the
     first hit and returned by every later hit until a write changes the
-    subject's facts (an edit; a read-through, prefetch or bulk_load that
-    adds facts; a sync that replaces one). Eviction and reset drop it with
-    the record. Ranking indexes the view once, so a subject read many times
-    is sorted and indexed once per write, not once per read.
+    subject's facts. Ranking indexes the view once, so a subject read many
+    times is sorted and indexed once per write, not once per read.
 
     Capacity counts facts, as len() does. Past it, whole unpinned subjects
     are evicted, least recently used first. Each edit (apply_update /
@@ -415,8 +407,16 @@ class TieredFactStore:
     prefetch off.
 
     Structural access goes through one short-held lock and slow fetches run
-    unlocked: concurrent misses on one entity converge to one stored copy
-    (both fetches count), and an edit waits on a sync for one subject at most.
+    unlocked. Each write to a subject stamps it from one store clock, which
+    a read-through (a miss, a prefetch, a sync) reads as its ticket before
+    it fetches. A fetch older than its subject's stamp is dropped, and its
+    caller is served what is resident, as by a hit (a miss that an edit
+    overtook on an unread subject answers from its fetch). So each subject
+    is linearizable while it stays resident, a sync taking two steps: it
+    reads the source, then applies what it read unless the subject was
+    written since it began. Concurrent misses on one entity still converge
+    to one stored copy (both fetches count); an edit waits on a sync for
+    one subject at most.
     """
 
     def __init__(self, slow: Optional[SlowSource] = None,
@@ -434,7 +434,7 @@ class TieredFactStore:
         # the unpinned resident subjects, least recently used first
         self._lru: OrderedDict[str, _Subject] = OrderedDict()
         self._facts = 0
-        self._edits = 0
+        self._clock = 0  # moves on at each write to a subject
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -453,13 +453,10 @@ class TieredFactStore:
             if hit is not None:
                 self.stats.hits += 1
                 return hit
-        fetched = self._fetch(entity)  # may raise SlowUnreachable
-        with self._lock:
-            self.stats.misses += 1
-            self.stats.slow_fetches += 1
-            self._absorb(entity, fetched)
-            result = self._serve_fast(entity) or TripleSet()
-            self._evict()
+            record = self._subjects.get(entity)  # absent, or edits only
+            held = dict(record.facts) if record else {}
+            ticket = self._clock
+        result = self._read_through("miss", ticket, [entity], held)[1]
         if result and self.prefetch_depth > 0:
             try:
                 self.prefetch_neighbors(result)
@@ -486,9 +483,16 @@ class TieredFactStore:
         stand, so their order does not matter. Returns the number
         inserted."""
         grouped = _by_subject(triples)
+        added = 0
         with self._lock:
-            added = sum(self._absorb(subject, facts)
-                        for subject, facts in grouped.items())
+            self._clock += 1  # one stamp for every subject loaded
+            for subject, facts in grouped.items():
+                record = self._subjects.get(subject)
+                if record is None:
+                    self._admit(subject, _Subject(facts, stamp=self._clock))
+                    added += len(facts)
+                else:  # each resident fact wins
+                    added += self._lay(subject, record, facts, record.facts)
             self._evict()
         return added
 
@@ -507,26 +511,17 @@ class TieredFactStore:
     def prefetch_neighbors(self, seeds: TripleSet) -> int:
         """Fetch the subjects that seed triples name as entity objects, one
         hop out, in sorted order, and insert them as complete subjects under
-        any edits. Subjects already held complete are skipped.
-
-        Returns the number of newly inserted triples. On SlowUnreachable the
-        partial prefetch already inserted is kept and the error raised.
-        """
+        any edits; subjects held complete are skipped. Returns the number of
+        triples inserted. On SlowUnreachable the partial prefetch already
+        inserted is kept and the error raised."""
         if self.prefetch_depth == 0:
             return 0
         with self._lock:
-            held = self._subjects
+            held, ticket = self._subjects, self._clock
             targets = sorted({
                 t.obj for t in seeds if t.object_is_entity
                 and not (t.obj in held and held[t.obj].complete)})
-        added = 0
-        for entity in targets:
-            fetched = self._fetch(entity)  # may raise
-            with self._lock:
-                self.stats.prefetch_fetches += 1
-                added += self._absorb(entity, fetched)
-                self._evict()
-        return added
+        return self._read_through("prefetch", ticket, targets)[0]  # may raise
 
     # -- writes ---------------------------------------------------------------
 
@@ -541,124 +536,146 @@ class TieredFactStore:
         over the fact's provenance unless a manual edit issued later holds
         it. The (subject, relation) key stays unique.
         """
+        subject, relation = edit.subject, edit.relation
         triple = FactTriple(
-            subject=edit.subject,
-            relation=edit.relation,
-            obj=edit.new_object,
+            subject=subject, relation=relation, obj=edit.new_object,
             subject_label=edit.subject_label,
             relation_label=edit.relation_label,
             object_label=edit.object_label,
-            object_is_entity=edit.object_is_entity,
-            source=source,
-            fetched_at=edit.issued_at,
-        )
+            object_is_entity=edit.object_is_entity, source=source,
+            fetched_at=edit.issued_at)
         with self._lock:
-            outcome, _ = self._upsert(triple, edited=True)
-            self._evict()
-            return outcome
+            self.stats.updates_applied += 1
+            record = self._subjects.get(subject) or self._admit(
+                subject, _Subject(complete=False))  # laid over a fetch later
+            # marked and stamped even when the object is unchanged
+            if not record.edited:
+                del self._lru[subject]
+            record.edited |= {relation}
+            record.stamp = self._clock = self._clock + 1
+            existing = record.facts.get(relation)
+            if existing is not None and existing.obj == triple.obj:
+                if (source is Source.MANUAL
+                        and not self._manual_wins(existing, edit.issued_at)):
+                    # a manual edit takes over the provenance it confirms
+                    record.facts[relation] = dataclasses.replace(
+                        triple, version=existing.version)
+                    record.view = None
+                return UpdateOutcome.REPLACED
+            record.view = None
+            if existing is None:
+                record.facts[relation] = triple
+                self._facts += 1
+                self._evict()
+                return UpdateOutcome.INSERTED
+            record.facts[relation] = dataclasses.replace(
+                triple, version=existing.version + 1)
+            self.stats.replacements += 1
+            return UpdateOutcome.REPLACED
 
     def inject_manual(self, edit: EditRequest) -> UpdateOutcome:
         """apply_update with MANUAL provenance: a real-world fact injected
         directly, ahead of the slow source absorbing it."""
         return self.apply_update(edit, source=Source.MANUAL)
 
-    def _upsert(self, triple: FactTriple,
-                edited: bool) -> tuple[UpdateOutcome, bool]:
-        self.stats.updates_applied += 1
-        record = self._subjects.get(triple.subject)
-        if record is None:
-            # only edits reach a subject that is not resident
-            record = self._admit(triple.subject, _Subject(complete=False))
-        if edited:  # marked and stamped even when the object is unchanged
-            if not record.edited:
-                del self._lru[triple.subject]
-            record.edited |= {triple.relation}
-            self._edits += 1
-            record.edited_at = self._edits
-        existing = record.facts.get(triple.relation)
-        if existing is not None and existing.obj == triple.obj:
-            if (edited and triple.source is Source.MANUAL
-                    and not self._manual_wins(existing, triple.fetched_at)):
-                # a manual edit takes over the provenance of what it confirms
-                record.facts[triple.relation] = dataclasses.replace(
-                    triple, version=existing.version)
-                record.view = None
-            return UpdateOutcome.REPLACED, False
-        record.view = None
-        if existing is None:
-            record.facts[triple.relation] = triple
-            self._facts += 1
-            return UpdateOutcome.INSERTED, True
-        record.facts[triple.relation] = dataclasses.replace(
-            triple, version=existing.version + 1)
-        self.stats.replacements += 1
-        return UpdateOutcome.REPLACED, True
-
     # -- sync ------------------------------------------------------------------
 
     def sync(self) -> int:
-        """Re-fetch every fast-table subject from the slow source and apply
-        update semantics per triple, then drop each fact the source no
-        longer returns that holds no edit; returns replacements + insertions
-        + drops. Every subject synced is complete afterwards. An edit whose
-        fact now equals the source's is absorbed: its mark is cleared, and a
-        subject left with none is released to eviction like any read-through.
+        """Re-fetch every fast-table subject and lay its edits over exactly
+        the fetched facts, so each unedited fact the source no longer
+        returns is dropped; returns replacements + insertions + drops. An
+        edit whose fact now equals the source's is absorbed: its mark is
+        cleared, and a subject left with none is released to eviction.
 
         A marked manual edit issued after the slow snapshot time, or under
         a source with none, is kept; once absorbed, the source's later
         values replace it like any other fact. All subjects are fetched,
         unlocked, before any is applied, so a SlowUnreachable leaves the
-        fast table untouched. A subject evicted or edited since the sync
-        began is skipped: the edit wins.
+        fast table untouched. A subject evicted, edited or read through
+        since the sync began is skipped: the later write wins.
         """
         with self._lock:
-            began = self._edits
-            subjects = sorted(self._subjects)
-        fetched = [(subject, self._fetch(subject))  # may raise
-                   for subject in subjects]
-        snapshot_at = self.slow.snapshot_at
-        changed = 0
-        for subject, facts in fetched:
-            with self._lock:
-                record = self._subjects.get(subject)
-                if record is None or record.edited_at > began:
-                    continue
-                for t in facts.values():
-                    if not (t.relation in record.edited and self._manual_wins(
-                            record.facts[t.relation], snapshot_at)):
-                        changed += self._upsert(t, edited=False)[1]
-                record.complete = True
-                objects = {r: t.obj for r, t in facts.items()}
-                gone = [r for r in record.facts
-                        if r not in objects and r not in record.edited]
-                for relation in gone:
-                    del record.facts[relation]
-                    record.view = None
-                self._facts -= len(gone)
-                changed += len(gone)
-                if record.edited:
-                    record.edited = frozenset(
-                        r for r in record.edited
-                        if objects.get(r) != record.facts[r].obj)
-                    if not record.edited:  # the source holds every edit
-                        self._lru[subject] = record
-                if not record.facts:  # absence is not cached
-                    del self._subjects[subject], self._lru[subject]
-        with self._lock:
-            self._evict()
-        return changed
+            ticket, subjects = self._clock, sorted(self._subjects)
+        return self._read_through("sync", ticket, subjects)[0]
 
     @staticmethod
     def _manual_wins(resident: FactTriple,
                      snapshot_at: Optional[datetime]) -> bool:
-        if resident.source is not Source.MANUAL:
-            return False
         issued = resident.fetched_at
-        if issued is None:
-            return False
-        if snapshot_at is None:
-            return True  # snapshot age unknown: never clobber a manual edit
-        return issued > snapshot_at
+        return resident.source is Source.MANUAL and issued is not None and (
+            snapshot_at is None or issued > snapshot_at)
+
+    # -- the read-through -----------------------------------------------------
+
+    def _read_through(self, why: str, ticket: int, subjects: list[str],
+                      held: Optional[dict[str, FactTriple]] = None
+                      ) -> tuple[int, Optional[TripleSet]]:
+        """Fetch `subjects` unlocked for a "miss", "prefetch" or "sync"
+        (`why`; a sync fetches all first), then apply each fetch under the
+        lock unless its subject was written since `ticket`. A miss is served
+        what is resident or, while that is only edits, its fetch under
+        `held`, the edits at the ticket. Returns (facts changed, answer)."""
+        sync = why == "sync"
+        fetched = ((subject, self._fetch(subject)) for subject in subjects)
+        if sync:  # SlowUnreachable leaves the fast table untouched
+            fetched, snapshot_at = list(fetched), self.slow.snapshot_at
+        changed, served = 0, None
+        for subject, facts in fetched:
+            with self._lock:
+                if why == "miss":
+                    self.stats.misses += 1
+                    self.stats.slow_fetches += 1
+                elif not sync:
+                    self.stats.prefetch_fetches += 1
+                record = self._subjects.get(subject)
+                if record is None:
+                    if facts and not sync:  # absence is not cached
+                        self._clock += 1
+                        self._admit(subject,
+                                    _Subject(facts, stamp=self._clock))
+                        changed += len(facts)
+                elif record.stamp <= ticket:
+                    # the edits that stay marked (a sync's: see sync())
+                    kept = record.edited if not sync else frozenset(
+                        r for r in record.edited if r not in facts
+                        or facts[r].obj != record.facts[r].obj
+                        and self._manual_wins(record.facts[r], snapshot_at))
+                    changed += self._lay(subject, record, facts, kept)
+                if why == "miss":
+                    served = self._serve_fast(subject) or TripleSet(
+                        {**facts, **held}.values())
+                self._evict()
+        return changed, served
+
+    def _lay(self, subject: str, record: _Subject,
+             facts: dict[str, FactTriple], kept: Iterable[str]) -> int:
+        """Lay the resident facts of the `kept` relations over exactly
+        `facts`: a record never mixes two fetches, an unchanged object keeps
+        its version, only kept edits stay marked. Returns the facts changed."""
+        old = record.facts
+        new = {**facts, **{r: old[r] for r in kept}}
+        changed = len(new.keys() ^ old.keys())  # inserted or dropped
+        for relation in new.keys() & old.keys():
+            t, existing = new[relation], old[relation]
+            if t.obj == existing.obj:
+                new[relation] = existing
+            else:
+                new[relation] = dataclasses.replace(
+                    t, version=existing.version + 1)
+                changed += 1
+                self.stats.replacements += 1
+        self._facts += len(new) - len(old)
+        if record.edited:
+            record.edited = record.edited.intersection(kept)
+            if not record.edited:  # the source holds every edit
+                self._lru[subject] = record
+        record.facts, record.complete = new, True
+        record.stamp = self._clock = self._clock + 1
+        if changed:
+            record.view = None
+        if not new:  # absence is not cached
+            del self._subjects[subject], self._lru[subject]
+        return changed
 
     # -- internals --------------------------------------------------------------
 
@@ -672,25 +689,6 @@ class TieredFactStore:
     def _fetch(self, subject: str) -> dict[str, FactTriple]:
         """The slow source's facts about `subject`, by relation."""
         return _by_subject(self.slow.fetch_subject(subject)).get(subject, {})
-
-    def _absorb(self, subject: str, facts: dict[str, FactTriple]) -> int:
-        """Lay the slow source's facts about `subject`, by relation, under
-        what is resident, so each resident fact wins, and mark the subject
-        complete. Returns the number of facts added."""
-        record = self._subjects.get(subject)
-        if record is None:
-            if facts:  # absence is not cached
-                self._admit(subject, _Subject(facts))
-            return len(facts)
-        resident = record.facts
-        before = len(resident)
-        for relation, t in facts.items():
-            resident.setdefault(relation, t)
-        record.complete = True
-        if len(resident) > before:
-            record.view = None
-        self._facts += len(resident) - before
-        return len(resident) - before
 
     def _evict(self) -> None:
         if self.capacity is None:

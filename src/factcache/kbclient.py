@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
-from .errors import MalformedResponse
+from .errors import ConfigError, MalformedResponse
 from .sparqlio import (RequestPolicy, Transport, entity_id, load_query,
                        uri_tail)
 from .triples import FactTriple, Source, TripleSet
@@ -143,6 +143,8 @@ class KnowledgeBaseClient:
         """
         if limit < 0 or offset < 0:
             raise ValueError("limit and offset must be non-negative")
+        if not uri_tail(relation):  # "/", say: no property to ask for
+            raise ConfigError(f"relation {relation!r} names no property id")
         if limit == 0:
             return []
         if self.kind == "wikidata":

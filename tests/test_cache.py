@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
+import queue
 import random
 import threading
 import time
+from dataclasses import dataclass
 from datetime import datetime, timedelta
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -1075,6 +1079,362 @@ def test_two_threads_answering_one_cold_question_select_alike(seed):
     assert alone.evidence
     assert [trace.evidence.selected for trace in traces] == \
         [alone.evidence.selected] * 2
+
+
+# --- stale fetches and per-subject linearizability --------------------------
+
+class GatedSource(InMemorySlowSource):
+    """A slow source whose every fetch reads the source and then waits at a
+    gate until the test opens it, so the test decides when each fetch
+    returns. `parked` hands over each waiting fetch's gate in turn; the
+    history checker also puts None there when one of its calls ends."""
+
+    def __init__(self, triples=()):
+        super().__init__(triples, snapshot_at=SNAPSHOT)
+        self.parked: queue.Queue = queue.Queue()
+
+    def fetch_subject(self, entity):
+        facts = super().fetch_subject(entity)
+        gate = threading.Event()
+        self.parked.put(gate)
+        if not gate.wait(timeout=10):
+            raise SlowUnreachable("the test never opened this fetch's gate")
+        return facts
+
+    def park(self, call, *args):
+        """Start call(*args) on its own thread and wait until its fetch
+        waits at its gate; returns the thread and the gate."""
+        thread = OnThread(call, *args)
+        return thread, self.parked.get(timeout=5)
+
+    def run(self, call, *args):
+        """call(*args) on its own thread, opening each gate its fetches
+        wait at; returns its result."""
+        thread = OnThread(call, *args)
+        while thread.is_alive():
+            try:
+                self.parked.get(timeout=0.01).set()
+            except queue.Empty:
+                pass
+        return thread.join()
+
+
+class OnThread(threading.Thread):
+    """call(*args), started at once on its own thread; join() returns what
+    it returned."""
+
+    def __init__(self, call, *args):
+        super().__init__(daemon=True)
+        self.call, self.args, self.result = call, args, None
+        self.start()
+
+    def run(self):
+        self.result = self.call(*self.args)
+
+    def join(self, timeout=5):
+        super().join(timeout)
+        assert not self.is_alive()
+        return self.result
+
+
+def literals(subject, **objects):
+    return [triple(subject, relation, obj, object_is_entity=False)
+            for relation, obj in objects.items()]
+
+
+def pairs(triples):
+    return {(t.relation, t.obj) for t in triples}
+
+
+def assert_counts(store, retrieves):
+    assert store.stats.hits + store.stats.misses == retrieves
+    assert store.stats.misses == store.stats.slow_fetches
+
+
+class TestStaleFetches:
+    """A fetch that comes back after its subject was written (read through,
+    synced or edited) is dropped, and its caller is served what is
+    resident. Each history parks fetches at a gate to force its order."""
+
+    def test_a_read_older_than_a_later_read_and_sync_is_dropped(self):
+        slow = GatedSource(literals("X", r1="a", r2="b"))
+        store = TieredFactStore(slow, prefetch_depth=0)
+        first, gate = slow.park(store.retrieve, "X")  # reads {r1, r2}
+        slow.remove("X", "r2")
+        assert pairs(slow.run(store.retrieve, "X")) == {("r1", "a")}
+        assert slow.run(store.sync) == 0
+        gate.set()
+        assert pairs(first.join()) == {("r1", "a")}
+        assert pairs(store.retrieve("X")) == {("r1", "a")}
+        assert slow.run(store.sync) == 0
+        assert_counts(store, 3)
+        assert store.stats.hits == 1
+
+    def test_a_sync_older_than_a_read_is_dropped(self):
+        slow = GatedSource(literals("Y", r1="a", r2="b"))
+        store = TieredFactStore(slow, prefetch_depth=0)
+        store.apply_update(EditRequest("Y", "r3", "c", object_is_entity=False))
+        sync, gate = slow.park(store.sync)  # reads {r1, r2}
+        slow.remove("Y", "r2")
+        served = {("r1", "a"), ("r3", "c")}
+        assert pairs(slow.run(store.retrieve, "Y")) == served
+        gate.set()
+        assert sync.join() == 0
+        assert pairs(store.retrieve("Y")) == served
+        assert_counts(store, 2)
+
+    def test_two_reads_of_different_sources_do_not_merge(self):
+        slow = GatedSource(literals("X", r1="a", r2="b"))
+        store = TieredFactStore(slow, prefetch_depth=0)
+        first, first_gate = slow.park(store.retrieve, "X")  # {r1, r2}
+        slow.remove("X", "r2")
+        slow.put(literals("X", r3="c")[0])
+        second, second_gate = slow.park(store.retrieve, "X")  # {r1, r3}
+        first_gate.set()
+        assert pairs(first.join()) == {("r1", "a"), ("r2", "b")}
+        second_gate.set()
+        # the first copy stored is the one copy served, never a mix
+        assert pairs(second.join()) == {("r1", "a"), ("r2", "b")}
+        assert pairs(store.retrieve("X")) == {("r1", "a"), ("r2", "b")}
+        assert slow.run(store.sync) == 2  # r2 dropped, r3 inserted
+        assert pairs(store.retrieve("X")) == {("r1", "a"), ("r3", "c")}
+        assert_counts(store, 4)
+
+    def test_a_prefetch_older_than_a_read_is_dropped(self):
+        slow = GatedSource([triple("S", "r0", "Y"),
+                            *literals("Y", r1="a", r2="b")])
+        store = TieredFactStore(slow, prefetch_depth=1)
+        miss, gate = slow.park(store.retrieve, "S")
+        gate.set()
+        prefetch = slow.parked.get(timeout=5)  # reads Y's {r1, r2}
+        slow.remove("Y", "r2")
+        assert pairs(slow.run(store.retrieve, "Y")) == {("r1", "a")}
+        prefetch.set()
+        assert pairs(miss.join()) == {("r0", "Y")}
+        assert pairs(store.retrieve("Y")) == {("r1", "a")}
+        assert store.stats.prefetch_fetches == 1  # a dropped fetch counts
+        assert_counts(store, 3)
+
+    def test_an_edit_during_a_first_read_leaves_the_subject_unread(self):
+        # the read answers as of its fetch, and the edit, made after the
+        # source dropped r2, reports what it found: no fact under r1
+        slow = GatedSource(literals("X", r1="a", r2="b"))
+        store = TieredFactStore(slow, prefetch_depth=0)
+        first, gate = slow.park(store.retrieve, "X")  # reads {r1, r2}
+        slow.remove("X", "r2")
+        assert store.apply_update(EditRequest(
+            "X", "r1", "e", object_is_entity=False)) is UpdateOutcome.INSERTED
+        gate.set()
+        assert pairs(first.join()) == {("r1", "a"), ("r2", "b")}
+        assert store.get("X", "r2") is None  # the stale fetch was dropped
+        assert pairs(slow.run(store.retrieve, "X")) == {("r1", "e")}
+        assert_counts(store, 2)
+
+
+@dataclass
+class Call:
+    """One call in a recorded history: when it started and ended on one
+    clock, and what it returned (None: not checked)."""
+
+    kind: str
+    subject: Optional[str]  # None for a sync, which touches every subject
+    args: tuple
+    start: int = -1
+    end: int = -1
+    result: object = None
+    may_pass: bool = False  # it may leave the subject as it found it
+
+
+def model_step(state, call):
+    """The store, one subject at a time, with no capacity and synthetic
+    edits only: each (result, state after) that `call` may give from
+    `state` = (source, held, complete, marked, read). source and held are
+    frozensets of (relation, object) pairs; held is None while the subject
+    is not resident and holds only edits while it is incomplete. A sync
+    takes two steps, as the store fetches every subject before it applies
+    any: a "read" of the source, kept in `read` by the sync's number, and
+    the "sync" that applies it later, or passes over the subject."""
+    source, held, complete, marked, read = state
+    if call.kind in ("put", "remove"):
+        facts = {r: o for r, o in source if r != call.args[0]}
+        facts.update([call.args] if call.kind == "put" else [])
+        return [(None, (frozenset(facts.items()), *state[1:]))]
+    if call.kind == "retrieve":
+        if held is not None and complete:
+            return [(held, state)]
+        view = frozenset({**dict(source), **dict(held or ())}.items())
+        filled = (source, view or None, True, marked, read)
+        return [(view, filled)] + [(view, state)] * call.may_pass
+    if call.kind == "edit":
+        relation, obj = call.args
+        facts = {**dict(held or ()), relation: obj}
+        outcome = "replaced" if held and relation in dict(held) else "inserted"
+        return [(outcome, (source, frozenset(facts.items()),
+                           held is not None and complete, marked | {relation},
+                           read))]
+    number = call.args[0]
+    if call.kind == "read":
+        return [(None, (*state[:4], read | {(number, source)}))]
+    fetched = dict(read).get(number)
+    if fetched is None:
+        return []  # a sync applies only what it read
+    read = read - {(number, fetched)}
+    if held is None:  # a subject not resident is not synced
+        return [(None, (*state[:4], read))]
+    now, facts = dict(fetched), dict(held)
+    kept = frozenset(r for r in marked if r not in now)
+    view = frozenset({**now, **{r: facts[r] for r in kept}}.items())
+    synced = [(None, (source, view or None, True, kept, read))]
+    return synced + [(None, (*state[:4], read))] * call.may_pass
+
+
+def linearizable(history, initial) -> bool:
+    """Wing and Gong's search, with Lowe's memo of the states reached: can
+    the calls of `history` be put in one order, each between its start and
+    its end, in which model_step gives each call its recorded result?"""
+    seen = set()
+
+    def search(left, state):
+        if not left:
+            return True
+        if (left, state) in seen:
+            return False
+        seen.add((left, state))
+        first_end = min(history[i].end for i in left)
+        for i in left:
+            call = history[i]
+            if call.start > first_end:
+                continue  # a call left ended before this one started
+            for result, after in model_step(state, call):
+                if (call.result is None or result == call.result) \
+                        and search(left - {i}, after):
+                    return True
+        return False
+
+    return search(frozenset(range(len(history))), initial)
+
+
+def record_history(seed, steps=40):
+    """Seeded threads call retrieve, apply_update and sync on two or three
+    subjects, and the source puts and removes facts, through a gated
+    source: one call runs at a time, and each step either starts a call or
+    opens one parked fetch, so the seed alone sets the interleaving.
+    Every subject keeps r0 in the source; a final retrieve of each subject
+    closes the history. Returns the store, the source's first facts and
+    the calls."""
+    rng = random.Random(seed)
+    subjects = ["X", "Y", "Z"][:rng.choice((2, 2, 3))]
+    first = {(s, r): f"{s}-{r}" for s in subjects
+             for r in ["r0"] + ["r1"] * rng.randrange(2)}
+    slow = GatedSource(triple(s, r, o, object_is_entity=False)
+                       for (s, r), o in first.items())
+    store = TieredFactStore(slow, prefetch_depth=0)
+    clock = itertools.count()
+    calls: list[Call] = []
+    gates: list[threading.Event] = []
+    running = [0]
+    failed = []
+
+    def settle():  # wait until the one running call parks or ends
+        event = slow.parked.get(timeout=5)
+        if event is None:
+            running[0] -= 1
+        else:
+            gates.append(event)
+
+    def begin(call, act):
+        def body():
+            call.start = next(clock)
+            try:
+                call.result = act()
+            except BaseException as exc:
+                failed.append(exc)
+            call.end = next(clock)
+            slow.parked.put(None)
+
+        calls.append(call)
+        running[0] += 1
+        threading.Thread(target=body, daemon=True).start()
+        settle()
+
+    def read(subject):
+        begin(Call("retrieve", subject, ()),
+              lambda: frozenset(pairs(store.retrieve(subject))))
+
+    def edit(subject, relation, obj):
+        begin(Call("edit", subject, (relation, obj)),
+              lambda: store.apply_update(EditRequest(
+                  subject, relation, obj, object_is_entity=False)).value)
+
+    def change(kind, subject, *args):  # the source's; no call is running
+        call = Call(kind, subject, args, start=next(clock))
+        if kind == "put":
+            slow.put(triple(subject, *args, object_is_entity=False))
+        else:
+            slow.remove(subject, *args)
+        call.end = next(clock)
+        calls.append(call)
+
+    def open_all():
+        while running[0]:
+            gates.pop(rng.randrange(len(gates))).set()
+            settle()
+
+    for n in range(steps):
+        roll, subject = rng.random(), rng.choice(subjects)
+        if gates and (roll < 0.3 or running[0] == 3):
+            gates.pop(rng.randrange(len(gates))).set()
+            settle()
+        elif roll < 0.55:
+            read(subject)
+        elif roll < 0.65:
+            edit(subject, rng.choice(["r0", "r1", "r2", "r3"]), f"e{n}")
+        elif roll < 0.72:
+            begin(Call("sync", None, ()), store.sync)
+        elif roll < 0.86:
+            change("put", subject, rng.choice(["r1", "r2"]), f"p{n}")
+        else:
+            change("remove", subject, rng.choice(["r1", "r2"]))
+    open_all()
+    for subject in subjects:  # a last read of each subject closes it
+        read(subject)
+        open_all()
+    assert not failed
+    return store, first, calls
+
+
+def may_pass(call, calls, subject) -> bool:
+    """Whether `call` may leave `subject` as it found it: a sync passes
+    over a subject another call wrote while it ran (a retrieve or edit of
+    it, or another sync), and a miss leaves one edited while it ran to be
+    read again."""
+    writers = ("edit",) if call.kind == "retrieve" else ("retrieve", "edit")
+    return any(other.start < call.end and call.start < other.end
+               for other in calls if other is not call and (
+                   other.kind == call.kind == "sync"
+                   or other.subject == subject and other.kind in writers))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_every_subject_is_linearizable(seed):
+    """Each subject's history, on its own, against model_step: a subject
+    is its own object, so the store is linearizable if each subject is."""
+    store, first, calls = record_history(seed)
+    assert_counts(store, sum(call.kind == "retrieve" for call in calls))
+    for subject in {s for s, _ in first}:
+        history = [dataclasses.replace(call, may_pass=call.kind == "retrieve"
+                                       and may_pass(call, calls, subject))
+                   for call in calls if call.subject == subject]
+        for number, sync in enumerate(calls):
+            if sync.kind == "sync":  # its count sums over every subject
+                history += [dataclasses.replace(
+                    sync, kind=kind, args=(number,), result=None,
+                    may_pass=may_pass(sync, calls, subject))
+                    for kind in ("read", "sync")]
+        source = frozenset((r, o) for (s, r), o in first.items()
+                           if s == subject)
+        initial = (source, None, False, frozenset(), frozenset())
+        assert linearizable(history, initial), (subject, history)
 
 
 _JSON = st.recursive(

@@ -350,6 +350,17 @@ class TestCorruptInput:
                              "--items", "items.jsonl")
         assert code == 0 and out.strip() == "0 items OK"
 
+    @pytest.mark.parametrize("kb", ["dbpedia", "wikidata"])
+    def test_fetch_a_relation_that_names_no_property(self, workdir, capsys,
+                                                     kb):
+        fixture = str(FIXTURES / f"{kb}_triples_response.json")
+        for extra in ((), ("--filter-ambiguous",)):
+            code, out, err = run(capsys, "data", "fetch", "--kb", kb,
+                                 "--relation", "/", "--fixture", fixture,
+                                 *extra)
+            assert code == 1 and out == ""
+            assert err == "error: relation '/' names no property id\n"
+
     def test_fetch_a_relation_count_that_is_no_integer(self, workdir,
                                                         capsys):
         fixture = fetch_fixture(workdir, relationCount="x")

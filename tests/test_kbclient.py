@@ -8,7 +8,8 @@ import pytest
 
 import factcache
 from factcache.cache import RemoteSparqlSource
-from factcache.errors import HttpError, MalformedResponse, RateLimited
+from factcache.errors import (ConfigError, HttpError, MalformedResponse,
+                             RateLimited)
 from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
                                 KnowledgeBaseClient, RawTripleRow,
                                 _identifier_like, dbpedia_triples_query,
@@ -149,6 +150,18 @@ class TestFetchTriples:
                                      transport=transport)
         assert client.fetch_triples("P6", limit=0) == []
         assert calls == []
+
+    @pytest.mark.parametrize("kind", ["wikidata", "dbpedia"])
+    @pytest.mark.parametrize("relation", ["/", "//"])
+    def test_a_relation_that_names_no_property_sends_nothing(self, kind,
+                                                             relation):
+        def transport(url, params, headers):
+            raise AssertionError("a request was sent")
+
+        client = KnowledgeBaseClient(kind=kind, endpoint="https://u.t",
+                                     transport=transport)
+        with pytest.raises(ConfigError, match="names no property id"):
+            client.fetch_triples(relation, limit=5)
 
     def test_dbpedia_pages_client_side(self):
         client = dbpedia_client()

@@ -18,8 +18,9 @@ from factcache.errors import (ConfigError, FactCacheError, HttpError,
                               ModelError, RateLimited)
 from factcache.kbclient import KnowledgeBaseClient, filter_ambiguous
 from factcache.models import HttpCompletionModel
-from factcache.sparqlio import (HEADERS, RequestPolicy, TransportReply,
-                                exec_sparql, http_transport)
+from factcache.sparqlio import (ENTITY_NAMESPACES, HEADERS, RequestPolicy,
+                                TransportReply, entity_id, exec_sparql,
+                                http_transport)
 from factcache.triples import FactTriple
 
 LABEL = "Zürich"  # not ASCII, so the body's charset matters
@@ -182,6 +183,38 @@ class TestPost:
             endpoint=f"http://127.0.0.1:{closed_port()}/")
         with pytest.raises(ModelError, match="request failed"):
             model.complete_text("Where?")
+
+
+# --- the entity rule ---------------------------------------------------------
+
+_NAMESPACES = st.sampled_from(ENTITY_NAMESPACES)
+
+
+def _outside(value: str) -> bool:
+    return not value.startswith(ENTITY_NAMESPACES)
+
+
+@given(namespace=_NAMESPACES, item=st.text(min_size=1))
+@settings(max_examples=200, deadline=None)
+def test_an_id_under_either_namespace_round_trips_to_its_uri(namespace,
+                                                             item):
+    uri = namespace + item
+    assert entity_id(uri) == item
+    assert namespace + entity_id(uri) == uri
+
+
+@given(value=st.none()
+       | st.text().filter(_outside)  # a literal
+       | st.builds("{}://{}.example/{}".format,  # a web address
+                   st.sampled_from(["http", "https"]),
+                   st.from_regex(r"[a-z]{1,8}", fullmatch=True), st.text())
+       | _NAMESPACES  # a bare namespace
+       | st.builds(lambda namespace, cut, rest: namespace[:cut] + rest,
+                   _NAMESPACES, st.integers(0, 40),
+                   st.text(max_size=4)).filter(_outside))  # one cut short
+@settings(max_examples=300, deadline=None)
+def test_a_value_outside_both_namespaces_names_no_entity(value):
+    assert entity_id(value) is None
 
 
 # --- any JSON as a network reply ------------------------------------------
