@@ -31,8 +31,8 @@ from typing import Callable, Iterable, Optional, Protocol
 
 from .errors import (NAME, TEXT, HttpError, MalformedResponse, ParseError,
                      SlowUnreachable, fault, read_json, read_json_lines)
-from .sparqlio import (RequestPolicy, Transport, entity_id, load_query,
-                       uri_tail)
+from .sparqlio import (ENTITY_NAMESPACES, RequestPolicy, Transport,
+                       load_query, row_fact)
 from .triples import FactTriple, Source, TripleSet
 
 log = logging.getLogger(__name__)
@@ -305,8 +305,9 @@ class RemoteSparqlSource:
     and any other 4xx are SlowUnreachable; any other exception propagates
     as itself: a transport's TypeError, or the ConfigError of an endpoint
     the network transport cannot send to. The query is Wikidata's, so rows
-    are WIKIDATA triples; a live endpoint has no snapshot time. Each fact
-    takes the subject's English label from the reply, or else its id."""
+    are WIKIDATA triples; a live endpoint has no snapshot time. Each row is
+    a fact by sparqlio.row_fact, the rule `data fetch` keeps too, with the
+    subject's English label from the reply, or else its id."""
 
     snapshot_at: Optional[datetime] = None
 
@@ -326,26 +327,12 @@ class RemoteSparqlSource:
         except (HttpError, MalformedResponse) as exc:
             raise SlowUnreachable(
                 f"slow source {self.policy.endpoint} failed: {exc}") from exc
-        fetched_at = utcnow()
-        triples = []
-        for row in rows:
-            relation = uri_tail(row.get("relation") or "")  # "" for "/"
-            obj = row.get("object")
-            if not relation or obj is None:
-                continue
-            item = entity_id(obj)
-            triples.append(FactTriple(
-                subject=entity,
-                relation=relation,
-                obj=item or obj,
-                subject_label=row.get("subjectLabel") or "",
-                relation_label=row.get("relationLabel") or "",
-                object_label=row.get("objectLabel") or "",
-                object_is_entity=item is not None,
-                source=Source.WIKIDATA,
-                fetched_at=fetched_at,
-            ))
-        return triples
+        fetched_at, subject = utcnow(), ENTITY_NAMESPACES[0] + entity
+        facts = (row_fact(subject, row.get("relation"), row.get("object"),
+                          row.get("objectLabel"), row.get("subjectLabel"),
+                          row.get("relationLabel"), Source.WIKIDATA,
+                          fetched_at) for row in rows)
+        return [fact for fact in facts if fact is not None]
 
 
 # --- the store --------------------------------------------------------------

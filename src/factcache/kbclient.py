@@ -11,19 +11,20 @@ transport.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Optional
 
 from .errors import ConfigError, MalformedResponse
-from .sparqlio import (RequestPolicy, Transport, entity_id, load_query,
+from .sparqlio import (RequestPolicy, Transport, load_query, row_fact,
                        uri_tail)
 from .triples import FactTriple, Source, TripleSet
 
 WIKIDATA_ENDPOINT = "https://query.wikidata.org/sparql"
 DBPEDIA_ENDPOINT = "https://dbpedia.org/sparql"
 
-_PROPERTY_ID_RE = re.compile(r"^P\d+$")
+_PROPERTY_ID_RE = re.compile(r"P\d+")  # used with fullmatch
 
 # Relations whose objects are opaque identifiers carry no usable knowledge;
 # airline designators are kept because they are real-world answerable facts.
@@ -67,7 +68,7 @@ class EquivalentPropertyPair:
     label: str
 
     def __post_init__(self):
-        if not _PROPERTY_ID_RE.match(self.wikidata_property):
+        if not _PROPERTY_ID_RE.fullmatch(self.wikidata_property):
             raise ValueError(
                 f"not a Wikidata property id: {self.wikidata_property!r}")
         if not self.label:
@@ -84,7 +85,7 @@ class RawTripleRow:
 
     subject_uri: str
     subject_label: str
-    object_uri: Optional[str]  # None for a literal (sparqlio.entity_id)
+    object_uri: Optional[str]  # None for a literal (sparqlio.row_fact)
     object_label: str
     relation_count: Optional[int] = None  # Wikidata query only
     relation_id: str = ""
@@ -125,9 +126,7 @@ class KnowledgeBaseClient:
             if not dbp or not label or not wd_uri:
                 raise MalformedResponse(f"incomplete property row: {row}")
             wd_id = uri_tail(wd_uri)
-            if not _PROPERTY_ID_RE.match(wd_id):
-                continue
-            if _identifier_like(label):
+            if not _PROPERTY_ID_RE.fullmatch(wd_id) or _identifier_like(label):
                 continue
             pairs.append(EquivalentPropertyPair(
                 dbpedia_property=dbp, wikidata_property=wd_id, label=label))
@@ -138,40 +137,47 @@ class KnowledgeBaseClient:
                       person_only: bool = False) -> list[RawTripleRow]:
         """Up to `limit` (subject, object) rows for one relation.
 
-        `relation` is a Wikidata property id (P-number) or a DBpedia
-        property URL, depending on the endpoint kind.
+        `relation` is a Wikidata property id (P-number) or URL, or a
+        DBpedia property URL, depending on the endpoint kind; the relation
+        id is its last segment. A negative limit or offset, or a relation
+        naming no property id, is a ConfigError raised before any request.
+        A row is kept if it has a subject label and states a fact
+        (sparqlio.row_fact); its object_label is that fact's.
         """
         if limit < 0 or offset < 0:
-            raise ValueError("limit and offset must be non-negative")
-        if not uri_tail(relation):  # "/", say: no property to ask for
+            raise ConfigError("limit and offset must be non-negative")
+        relation_id = uri_tail(relation)  # "" for "/"
+        if not relation_id or self.kind == "wikidata" and \
+                not _PROPERTY_ID_RE.fullmatch(relation_id):
+            # and is never pasted into the query text
             raise ConfigError(f"relation {relation!r} names no property id")
         if limit == 0:
             return []
         if self.kind == "wikidata":
-            query = wikidata_triples_query(relation, limit, offset,
-                                           person_only=person_only)
-            rows = self.policy.select(query)
-        else:
-            query = dbpedia_triples_query(relation)
-            rows = self.policy.select(query)[offset:offset + limit]
+            rows = self.policy.select(wikidata_triples_query(
+                relation_id, limit, offset, person_only=person_only))
+        else:  # the DBpedia query has no pages: slice its rows
+            rows = self.policy.select(
+                dbpedia_triples_query(relation))[offset:offset + limit]
         out = []
         for row in rows:
-            subject_uri = row.get("subject") or ""
             subject_label = row.get("subjectLabel")
-            if not _item_id(subject_uri) or not subject_label:
-                continue  # no subject, or one made only of slashes
-            count, obj = row.get("relationCount"), row.get("object")
+            fact = row_fact(row.get("subject"), relation_id, row.get("object"),
+                            row.get("objectLabel"), subject_label,
+                            relation_label, self.source, None)
+            if fact is None or not subject_label:
+                continue
+            count = row.get("relationCount")
             if count is not None and not count.isdecimal():
                 raise MalformedResponse(f"relationCount {count!r} is no count")
             out.append(RawTripleRow(
-                subject_uri=subject_uri,
+                subject_uri=row["subject"],
                 subject_label=subject_label,
-                object_uri=obj if entity_id(obj) else None,
-                object_label=row.get("objectLabel") or obj or "",
+                object_uri=row["object"] if fact.object_is_entity else None,
+                object_label=fact.object_label,
                 relation_count=int(count) if count is not None else None,
-                relation_id=relation if self.kind == "wikidata"
-                else uri_tail(relation),
-                relation_label=relation_label or uri_tail(relation),
+                relation_id=relation_id,
+                relation_label=fact.relation_label,
                 origin=self.source,
             ))
         return out
@@ -184,52 +190,31 @@ def _identifier_like(label: str) -> bool:
     return bool(tokens & BLOCK_TOKENS)
 
 
-def _item_id(uri: str) -> str:
-    return entity_id(uri) or uri_tail(uri)  # not an item's: a last segment
-
-
 def filter_ambiguous(rows: list[RawTripleRow],
                      fetched_at: Optional[datetime] = None) -> TripleSet:
-    """Drop rows that would make a question ambiguous, then build triples
-    stamped `fetched_at` (None when the fetch time is unknown).
+    """The facts the rows state (sparqlio.row_fact, the slow tier's rule
+    too), stamped `fetched_at` (None when the fetch time is unknown), less
+    those that would make a question ambiguous.
 
     Within the batch (which must cover a single relation per grouping):
-    (a) a subject label naming more than one subject URI is dropped entirely,
+    (a) a subject label naming more than one subject is dropped entirely,
     (b) a (subject, relation) with more than one object is dropped entirely.
+    A row's object is its `object_uri`, or else its `object_label`, a
+    literal; a row that states no fact counts for neither.
     """
-    # exact duplicate rows collapse first so they do not fake a conflict
-    unique: dict[tuple, RawTripleRow] = {}
+    # exact duplicate facts collapse first so they do not fake a conflict
+    unique: dict[tuple, FactTriple] = {}
     for row in rows:
-        unique.setdefault((row.subject_uri, row.relation_id,
-                           row.object_uri, row.object_label), row)
-    deduped = list(unique.values())
-
-    uris_per_label: dict[tuple[str, str], set[str]] = {}
-    objects_per_subject: dict[tuple[str, str], set[tuple]] = {}
-    for row in deduped:
-        uris_per_label.setdefault(
-            (row.relation_id, row.subject_label), set()).add(row.subject_uri)
-        objects_per_subject.setdefault(
-            (row.relation_id, row.subject_uri), set()).add(
-            (row.object_uri, row.object_label))
-
-    kept = []
-    for row in deduped:
-        if len(uris_per_label[(row.relation_id, row.subject_label)]) > 1:
-            continue
-        if len(objects_per_subject[(row.relation_id, row.subject_uri)]) > 1:
-            continue
-        is_entity = row.object_uri is not None
-        obj_id = _item_id(row.object_uri) if is_entity else row.object_label
-        kept.append(FactTriple(
-            subject=_item_id(row.subject_uri),
-            relation=row.relation_id,
-            obj=obj_id,
-            subject_label=row.subject_label,
-            relation_label=row.relation_label,
-            object_label=row.object_label or obj_id,
-            object_is_entity=is_entity,
-            source=row.origin,
-            fetched_at=fetched_at,
-        ))
-    return TripleSet(kept)
+        fact = row_fact(row.subject_uri, row.relation_id,
+                        row.object_uri or row.object_label, row.object_label,
+                        row.subject_label, row.relation_label, row.origin,
+                        fetched_at)
+        if fact is not None:
+            unique.setdefault((fact.key, fact.object_label), fact)
+    facts = unique.values()
+    objects = Counter((t.relation, t.subject) for t in facts)
+    subjects = Counter((relation, label) for relation, label, _ in
+                       {(t.relation, t.subject_label, t.subject) for t in facts})
+    return TripleSet(t for t in facts
+                     if objects[t.relation, t.subject] == 1
+                     and subjects[t.relation, t.subject_label] == 1)

@@ -1,6 +1,7 @@
 """Low-level SPARQL-over-HTTP plumbing shared by the KB clients and the
 remote slow source: the request policy (retries), request execution,
-results-JSON parsing, query assets, URI helpers.
+results-JSON parsing, query assets, URI helpers, and the one rule that
+turns a result row into a fact.
 
 The transport is injectable so every test can run against recorded
 responses; the default, http_transport, sends a real request through the
@@ -13,12 +14,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from datetime import datetime
 from importlib import resources
 from typing import Callable, Mapping, Optional
 
 from . import __version__
 from .errors import (ConfigError, HttpError, MalformedResponse, RateLimited,
                      read_text)
+from .triples import FactTriple, Source
 
 # Wikimedia asks every client of its endpoints to name itself:
 # https://meta.wikimedia.org/wiki/User-Agent_policy
@@ -204,3 +207,28 @@ def entity_id(value: Optional[str]) -> Optional[str]:
             if value.startswith(namespace):
                 return value[len(namespace):] or None
     return None
+
+
+def row_fact(subject: Optional[str], relation: Optional[str],
+             obj: Optional[str], object_label: Optional[str],
+             subject_label: Optional[str], relation_label: Optional[str],
+             source: Source, fetched_at: Optional[datetime]
+             ) -> Optional[FactTriple]:
+    """The fact a result row states, or None if it states none.
+
+    A row states no fact without a subject, a relation (the last segment of
+    `relation`) or an object, or when its subject is no item's URI. An
+    object under ENTITY_NAMESPACES is the item entity_id names, labelled
+    `object_label` or else its id; any other object is a literal whose
+    value is both its id and its label, as a dump row keeps it. A missing
+    subject or relation label is the id."""
+    subject, relation = entity_id(subject), uri_tail(relation or "")
+    if not (subject and relation and obj):
+        return None
+    item = entity_id(obj)  # None for a literal
+    return FactTriple(subject=subject, relation=relation, obj=item or obj,
+                      subject_label=subject_label or "",
+                      relation_label=relation_label or "",
+                      object_label=(object_label or item) if item else obj,
+                      object_is_entity=item is not None, source=source,
+                      fetched_at=fetched_at)

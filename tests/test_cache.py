@@ -1628,6 +1628,24 @@ class TestRemoteSparqlSource:
         assert (website.obj, website.object_is_entity) == (
             "https://www.whitehouse.gov/", False)
 
+    def test_a_literal_is_its_value_and_survives_a_state_round_trip(
+            self, tmp_path):
+        payload = json.loads(self.WIKIDATA_PAYLOAD)
+        payload["results"]["bindings"][1].update(
+            object={"type": "literal", "value": "1.5"},
+            objectLabel={"type": "literal", "value": "one and a half"})
+        source, _ = self.make_source([(200, json.dumps(payload))], [])
+        store = TieredFactStore(slow=source, prefetch_depth=0)
+        store.retrieve("Q30")
+        length = store.get("Q30", "P2043")
+        assert (length.obj, length.object_label) == ("1.5", "1.5")
+        save_state(store, tmp_path / "state.json")
+        loaded = load_state(TieredFactStore(slow=source, prefetch_depth=0),
+                            tmp_path / "state.json")
+        assert loaded.get("Q30", "P2043") == length
+        assert loaded.sync() == 0
+        assert loaded.get("Q30", "P2043").render() == "(Q30, length, 1.5)"
+
     @pytest.mark.parametrize("label, rendered", [
         ("United States", "(United States, head of government, Joe Biden)"),
         (None, "(Q30, head of government, Joe Biden)")],

@@ -361,6 +361,22 @@ class TestCorruptInput:
             assert code == 1 and out == ""
             assert err == "error: relation '/' names no property id\n"
 
+    @pytest.mark.parametrize("option", ["--limit", "--offset"])
+    def test_fetch_a_negative_limit_or_offset(self, workdir, capsys, option):
+        fixture = str(FIXTURES / "wikidata_triples_response.json")
+        code, out, err = run(capsys, "data", "fetch", "--relation", "P6",
+                             option, "-1", "--fixture", fixture)
+        assert code == 1 and out == ""
+        assert err == "error: limit and offset must be non-negative\n"
+
+    def test_fetch_a_wikidata_relation_that_is_no_property_id(self, workdir,
+                                                               capsys):
+        fixture = str(FIXTURES / "wikidata_triples_response.json")
+        code, out, err = run(capsys, "data", "fetch", "--relation", "P6 } #",
+                             "--fixture", fixture)
+        assert code == 1 and out == ""
+        assert err == "error: relation 'P6 } #' names no property id\n"
+
     def test_fetch_a_relation_count_that_is_no_integer(self, workdir,
                                                         capsys):
         fixture = fetch_fixture(workdir, relationCount="x")

@@ -5,9 +5,11 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import factcache
-from factcache.cache import RemoteSparqlSource
+from factcache.cache import RemoteSparqlSource, row_to_triple, triple_to_row
 from factcache.errors import (ConfigError, HttpError, MalformedResponse,
                              RateLimited)
 from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
@@ -15,7 +17,8 @@ from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
                                 _identifier_like, dbpedia_triples_query,
                                 equivalent_properties_query, filter_ambiguous,
                                 wikidata_triples_query)
-from factcache.sparqlio import RequestPolicy, TransportReply, entity_id
+from factcache.sparqlio import (ENTITY_NAMESPACES, RequestPolicy,
+                                TransportReply, entity_id)
 from factcache.triples import Source
 from conftest import FIXTURES, SNAPSHOT
 
@@ -52,6 +55,21 @@ def wikidata_client(fixture: str = "wikidata_triples_response.json"):
 def dbpedia_client(fixture: str = "dbpedia_triples_response.json"):
     return KnowledgeBaseClient(kind="dbpedia", endpoint=DBPEDIA_ENDPOINT,
                                transport=fixture_transport(fixture))
+
+
+def reply_with(*rows):
+    """A transport answering every query with `rows`, each a dict of
+    variable to value; a None value is left unbound."""
+    names = sorted({name for row in rows for name in row})
+    body = json.dumps({"head": {"vars": names}, "results": {"bindings": [
+        {name: {"type": "literal", "value": value}
+         for name, value in row.items() if value is not None}
+        for row in rows]}})
+    return lambda url, params, headers: TransportReply(200, body)
+
+
+def refuse(url, params, headers):
+    raise AssertionError("a request was sent")
 
 
 class TestQueryGeneration:
@@ -207,6 +225,60 @@ class TestFetchTriples:
         (fact,) = filter_ambiguous([raw])
         assert (fact.subject, fact.obj, fact.object_is_entity) == \
             ("AC/DC", "Back_in_Black/Live", True)
+
+    def test_an_unlabelled_item_is_labelled_by_its_id(self):
+        client = KnowledgeBaseClient(kind="dbpedia", endpoint=DBPEDIA_ENDPOINT,
+                                     transport=reply_with({
+            "subject": "http://dbpedia.org/resource/Sweden",
+            "subjectLabel": "Sweden",
+            "object": "http://dbpedia.org/resource/Stockholm"}))
+        (raw,) = client.fetch_triples("http://dbpedia.org/ontology/capital",
+                                      limit=5)
+        assert raw.object_label == "Stockholm"
+        (fact,) = filter_ambiguous([raw])
+        assert fact.render() == "(Sweden, capital, Stockholm)"
+
+    def test_a_row_with_no_object_states_no_fact(self):
+        client = KnowledgeBaseClient(kind="wikidata", endpoint="https://u.t",
+                                     transport=reply_with({
+            "subject": WD + "Q1", "subjectLabel": "Town",
+            "object": None, "objectLabel": "Mayor"}))
+        assert client.fetch_triples("P6", limit=5) == []
+        assert len(filter_ambiguous([row(WD + "Q1", "Town", None, "")])) == 0
+
+    @pytest.mark.parametrize("relation", [
+        "P6 } #", "P6\n", "p6", "Q6", "P", "P6.5",
+        "http://www.wikidata.org/prop/direct/P6 } #"])
+    def test_a_wikidata_relation_must_be_a_property_id(self, relation):
+        client = KnowledgeBaseClient(kind="wikidata", endpoint="https://u.t",
+                                     transport=refuse)
+        with pytest.raises(ConfigError, match="names no property id"):
+            client.fetch_triples(relation, limit=5)
+
+    def test_a_wikidata_property_url_names_its_id(self):
+        queries = []
+
+        def transport(url, params, headers):
+            queries.append(params["query"])
+            return fixture_transport("wikidata_triples_response.json")(
+                url, params, headers)
+
+        client = KnowledgeBaseClient(kind="wikidata", endpoint="https://u.t",
+                                     transport=transport)
+        rows = client.fetch_triples("http://www.wikidata.org/prop/direct/P6",
+                                    limit=5)
+        assert queries == [wikidata_triples_query("P6", 5, 0)]
+        assert {(r.relation_id, r.relation_label) for r in rows} == \
+            {("P6", "P6")}
+
+    @pytest.mark.parametrize("kind", ["wikidata", "dbpedia"])
+    @pytest.mark.parametrize("limit, offset", [(-1, 0), (5, -1)])
+    def test_a_negative_limit_or_offset_sends_nothing(self, kind, limit,
+                                                      offset):
+        client = KnowledgeBaseClient(kind=kind, endpoint="https://u.t",
+                                     transport=refuse)
+        with pytest.raises(ConfigError, match="must be non-negative"):
+            client.fetch_triples("P6", limit=limit, offset=offset)
 
     def test_offset_beyond_data_is_empty(self):
         client = dbpedia_client()
@@ -364,6 +436,9 @@ def test_an_entity_id_is_the_value_after_its_namespace(value, expected):
     assert entity_id(value) == expected
 
 
+WD = "http://www.wikidata.org/entity/"
+
+
 def row(subject_uri, subject_label, object_uri, object_label,
         relation_id="P57", relation_label="director"):
     return RawTripleRow(subject_uri=subject_uri, subject_label=subject_label,
@@ -374,26 +449,26 @@ def row(subject_uri, subject_label, object_uri, object_label,
 class TestFilterAmbiguous:
     def test_shared_name_drops_both(self):
         rows = [
-            row("http://wd/Q327214", "Hope Springs", "http://wd/Q1", "A"),
-            row("http://wd/Q596646", "Hope Springs", "http://wd/Q2", "B"),
-            row("http://wd/Q42", "Clear Label", "http://wd/Q3", "C"),
+            row(WD + "Q327214", "Hope Springs", WD + "Q1", "A"),
+            row(WD + "Q596646", "Hope Springs", WD + "Q2", "B"),
+            row(WD + "Q42", "Clear Label", WD + "Q3", "C"),
         ]
         kept = filter_ambiguous(rows)
         assert {t.subject_label for t in kept} == {"Clear Label"}
 
     def test_multiple_objects_drop_the_subject(self):
         rows = [
-            row("http://wd/Q10", "Parent", "http://wd/Q11", "First Child",
+            row(WD + "Q10", "Parent", WD + "Q11", "First Child",
                 relation_id="P40", relation_label="child"),
-            row("http://wd/Q10", "Parent", "http://wd/Q12", "Second Child",
+            row(WD + "Q10", "Parent", WD + "Q12", "Second Child",
                 relation_id="P40", relation_label="child"),
         ]
         assert len(filter_ambiguous(rows)) == 0
 
     def test_unambiguous_row_is_kept(self):
         kept = filter_ambiguous(
-            [row("http://wd/Q488056", "Sioux Falls",
-                 "http://wd/Q63538209", "Paul Ten Haken",
+            [row(WD + "Q488056", "Sioux Falls",
+                 WD + "Q63538209", "Paul Ten Haken",
                  relation_id="P6", relation_label="head of government")])
         (t,) = kept
         assert t.subject == "Q488056"
@@ -402,20 +477,29 @@ class TestFilterAmbiguous:
         assert t.relation == "P6"
 
     def test_every_kept_triple_carries_the_given_stamp(self):
-        rows = [row("http://wd/Q1", "Town", "http://wd/Q2", "Mayor"),
-                row("http://wd/Q3", "City", "http://wd/Q4", "Chief")]
+        rows = [row(WD + "Q1", "Town", WD + "Q2", "Mayor"),
+                row(WD + "Q3", "City", WD + "Q4", "Chief")]
         assert {t.fetched_at for t in filter_ambiguous(rows)} == {None}
         stamped = filter_ambiguous(rows, fetched_at=SNAPSHOT)
         assert [t.fetched_at for t in stamped] == [SNAPSHOT, SNAPSHOT]
 
     def test_exact_duplicates_do_not_fake_a_conflict(self):
-        duplicated = row("http://wd/Q1", "Town", "http://wd/Q2", "Mayor")
+        duplicated = row(WD + "Q1", "Town", WD + "Q2", "Mayor")
         kept = filter_ambiguous([duplicated, duplicated])
         assert len(kept) == 1
 
+    def test_a_subject_outside_both_namespaces_states_no_fact(self):
+        client = KnowledgeBaseClient(kind="wikidata", endpoint="https://u.t",
+                                     transport=reply_with({
+            "subject": "http://wd/Q1", "subjectLabel": "Town",
+            "object": WD + "Q2", "objectLabel": "Mayor"}))
+        assert client.fetch_triples("P6", limit=5) == []
+        assert len(filter_ambiguous(
+            [row("http://wd/Q1", "Town", WD + "Q2", "Mayor")])) == 0
+
     def test_literal_objects_survive(self):
         kept = filter_ambiguous(
-            [row("http://wd/Q9", "Bridge", None, "352 km",
+            [row(WD + "Q9", "Bridge", None, "352 km",
                  relation_id="P2043", relation_label="length")])
         (t,) = kept
         assert not t.object_is_entity
@@ -423,12 +507,12 @@ class TestFilterAmbiguous:
 
     def test_output_satisfies_functional_dependencies(self):
         rows = [
-            row("http://wd/Q1", "A", "http://wd/Q2", "x"),
-            row("http://wd/Q1", "A", "http://wd/Q3", "y"),   # dup objects
-            row("http://wd/Q4", "B", "http://wd/Q5", "z"),
-            row("http://wd/Q6", "B2", "http://wd/Q5", "z"),
-            row("http://wd/Q7", "C", "http://wd/Q8", "w"),
-            row("http://wd/Q9", "C", "http://wd/Q10", "v"),  # dup label
+            row(WD + "Q1", "A", WD + "Q2", "x"),
+            row(WD + "Q1", "A", WD + "Q3", "y"),   # dup objects
+            row(WD + "Q4", "B", WD + "Q5", "z"),
+            row(WD + "Q6", "B2", WD + "Q5", "z"),
+            row(WD + "Q7", "C", WD + "Q8", "w"),
+            row(WD + "Q9", "C", WD + "Q10", "v"),  # dup label
         ]
         kept = filter_ambiguous(rows)
         labels = {}
@@ -436,3 +520,34 @@ class TestFilterAmbiguous:
         for t in kept:
             assert labels.setdefault(t.subject_label, t.subject) == t.subject
             assert pairs.setdefault((t.subject, t.relation), t.obj) == t.obj
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+# a cell: unbound, or text under an item namespace, a web address or none
+CELLS = st.none() | st.tuples(
+    st.sampled_from(ENTITY_NAMESPACES + ("https://example.org/", "")),
+    TEXT).map("".join)
+
+
+@given(obj=CELLS, label=CELLS, relation=CELLS)
+def test_the_slow_tier_and_data_fetch_read_a_row_alike(obj, label,
+                                                        relation):
+    slow = RemoteSparqlSource("https://u.t", transport=reply_with(
+        {"relation": relation, "object": obj, "objectLabel": label}))
+    client = KnowledgeBaseClient(kind="dbpedia", endpoint="https://u.t",
+                                 transport=reply_with({
+        "subject": WD + "Q30", "subjectLabel": "United States",
+        "object": obj, "objectLabel": label}))
+    try:
+        fetched = list(filter_ambiguous(
+            client.fetch_triples(relation or "", limit=5)))
+    except ConfigError:  # a relation that names no property id
+        fetched = []
+    facts = slow.fetch_subject("Q30")
+
+    def objects(triples):
+        return [(t.obj, t.object_label, t.object_is_entity) for t in triples]
+
+    assert objects(facts) == objects(fetched)
+    for fact in facts + fetched:
+        assert row_to_triple(triple_to_row(fact)) == fact
