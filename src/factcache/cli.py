@@ -29,7 +29,7 @@ from .harness import (run_main_eval, run_multihop_scenario,
 from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
                        KnowledgeBaseClient, filter_ambiguous)
 from .models import HttpCompletionModel, MockTableModel
-from .pipeline import (AliasIndex, ExtractorKind, Pipeline, aliases_for_items)
+from .pipeline import AliasIndex, ExtractorKind, Pipeline, item_aliases
 from .sparqlio import TransportReply
 from .triples import EntityRef, TaskKind
 
@@ -105,7 +105,8 @@ def _pipeline(cfg: Config, store: TieredFactStore,
         triples += store.slow.triples  # already parsed, in dump-file order
     aliases = AliasIndex.from_triples(triples)
     for ref in (entities or {}).values():
-        aliases.add_entity(ref)
+        for surface in sorted(ref.surface_forms):
+            aliases.add(surface, ref.id)
     return Pipeline(
         store=store,
         aliases=aliases,
@@ -269,7 +270,9 @@ def cmd_eval(cfg: Config, args) -> int:
             _err(f"eval {args.suite} requires --items or a configured path")
             return 2
         items = load_benchmark(path, entities=entities)
-        pipeline.aliases.merge(aliases_for_items(items))
+        # after the state, dump and entities labels, which keep their ids
+        for surface, entity_id in item_aliases(items):
+            pipeline.aliases.add(surface, entity_id)
 
     if args.suite == "main":
         report = run_main_eval(items, pipeline, params=cfg.sure_params)

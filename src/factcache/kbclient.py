@@ -17,6 +17,7 @@ from datetime import datetime
 from typing import Optional
 
 from .errors import ConfigError, MalformedResponse
+from .ranking import tokenize
 from .sparqlio import (RequestPolicy, Transport, load_query, row_fact,
                        uri_tail)
 from .triples import FactTriple, Source, TripleSet
@@ -25,6 +26,8 @@ WIKIDATA_ENDPOINT = "https://query.wikidata.org/sparql"
 DBPEDIA_ENDPOINT = "https://dbpedia.org/sparql"
 
 _PROPERTY_ID_RE = re.compile(r"P\d+")  # used with fullmatch
+# what SPARQL's IRIREF forbids: a relation is pasted between < and >
+_NOT_IN_IRI_RE = re.compile(r'[<>"{}|^`\\\x00-\x20]')
 
 # Relations whose objects are opaque identifiers carry no usable knowledge;
 # airline designators are kept because they are real-world answerable facts.
@@ -140,7 +143,8 @@ class KnowledgeBaseClient:
         `relation` is a Wikidata property id (P-number) or URL, or a
         DBpedia property URL, depending on the endpoint kind; the relation
         id is its last segment. A negative limit or offset, or a relation
-        naming no property id, is a ConfigError raised before any request.
+        naming no property id or holding a character SPARQL's IRIREF
+        forbids, is a ConfigError raised before any request.
         A row is kept if it has a subject label and states a fact
         (sparqlio.row_fact); its object_label is that fact's.
         """
@@ -151,6 +155,9 @@ class KnowledgeBaseClient:
                 not _PROPERTY_ID_RE.fullmatch(relation_id):
             # and is never pasted into the query text
             raise ConfigError(f"relation {relation!r} names no property id")
+        if _NOT_IN_IRI_RE.search(relation):
+            raise ConfigError(
+                f"relation {relation!r} holds a character no IRI may")
         if limit == 0:
             return []
         if self.kind == "wikidata":
@@ -184,7 +191,7 @@ class KnowledgeBaseClient:
 
 
 def _identifier_like(label: str) -> bool:
-    tokens = {t for t in re.split(r"[^0-9A-Za-z]+", label.lower()) if t}
+    tokens = set(tokenize(label))
     if tokens & ALLOW_TOKENS:
         return False
     return bool(tokens & BLOCK_TOKENS)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .cache import TieredFactStore
 from .dataset import MultiHopItem, substitute_pronoun
@@ -20,7 +20,7 @@ from .errors import HopFailed
 from .models import ModelAnswer, ModelClient
 from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
 from .ranking import EMPTY_EVIDENCE, RankedEvidence, rank_triples, tokenize
-from .triples import EntityRef, FactTriple, TaskKind
+from .triples import FactTriple, TaskKind
 
 # texts whose entities an AliasIndex keeps; a full memo is cleared
 ALIAS_MEMO_SIZE = 1 << 14
@@ -36,13 +36,6 @@ class MultihopMode(enum.Enum):
     DECOMPOSE = "decompose"
 
 
-@dataclass(frozen=True)
-class AliasMatch:
-    start: int      # token offset in the input
-    length: int     # tokens covered
-    entity_id: str
-
-
 def _alias_key(tokens: list[str]) -> str | tuple[str, ...]:
     return tokens[0] if len(tokens) == 1 else tuple(tokens)
 
@@ -56,7 +49,7 @@ class AliasIndex:
 
     A one-token surface is keyed by its bare token, a longer one by its
     token tuple. `_lengths` maps a token to the lengths, longest first, of
-    the multi-token surfaces that start with it, so `matches` probes only
+    the multi-token surfaces that start with it, so `_scan` probes only
     n-grams that some surface could fill.
     """
 
@@ -70,32 +63,19 @@ class AliasIndex:
 
     def add(self, surface: str, entity_id: str) -> None:
         tokens = tokenize(surface)
-        if tokens:
-            self._register(_alias_key(tokens), entity_id)
-
-    def _register(self, key: str | tuple[str, ...], entity_id: str) -> None:
-        if key in self._by_tokens:
-            return  # first registration wins; its length is already known
+        key = _alias_key(tokens)
+        if not tokens or key in self._by_tokens:
+            return  # the first registration wins; its length is known
         self._by_tokens[key] = entity_id
         self._memo.clear()
         if type(key) is tuple:
             lengths = {*self._lengths.get(key[0], ()), len(key)}
             self._lengths[key[0]] = tuple(sorted(lengths, reverse=True))
 
-    def add_triple(self, t: FactTriple) -> None:
-        """Register the subject label and any entity-object label."""
-        self.add(t.subject_label, t.subject)
-        if t.object_is_entity:
-            self.add(t.object_label, t.obj)
-
-    def add_entity(self, entity: EntityRef) -> None:
-        for surface in sorted(entity.surface_forms):
-            self.add(surface, entity.id)
-
     @classmethod
     def from_triples(cls, triples: Iterable[FactTriple]) -> "AliasIndex":
-        """Index subject and entity-object labels as `add_triple` would row
-        by row, tokenizing each distinct label once."""
+        """Index subject and entity-object labels as `add` would row by
+        row, tokenizing each distinct label once."""
         first: dict[str, str] = {}
         for t in triples:
             first.setdefault(t.subject_label, t.subject)
@@ -106,82 +86,72 @@ class AliasIndex:
             index.add(label, entity_id)
         return index
 
-    def merge(self, other: "AliasIndex") -> None:
-        """Fold another index in; existing registrations keep priority."""
-        for key, entity_id in other._by_tokens.items():
-            self._register(key, entity_id)
-
     def lookup(self, surface: str) -> Optional[str]:
         return self._by_tokens.get(_alias_key(tokenize(surface)))
 
-    def matches(self, text: str) -> list[AliasMatch]:
-        tokens = tokenize(text)
+    def _scan(self, tokens: list[str]) -> list[str]:
+        """Non-overlapping matches, longest span first, then leftmost;
+        returned in reading order with each entity once."""
         end = len(tokens)
         by_tokens, lengths = self._by_tokens, self._lengths
-        found = []
+        found = []  # (-length, start, entity_id); no two share a span
         for start, token in enumerate(tokens):
             for length in lengths.get(token, ()):
                 if start + length <= end:
                     entity_id = by_tokens.get(
                         tuple(tokens[start:start + length]))
                     if entity_id is not None:
-                        found.append(AliasMatch(start, length, entity_id))
+                        found.append((-length, start, entity_id))
             entity_id = by_tokens.get(token)
             if entity_id is not None:
-                found.append(AliasMatch(start, 1, entity_id))
-        return found
+                found.append((-1, start, entity_id))
+        if len(found) < 2:  # nothing can overlap or repeat
+            return [entity_id for _, _, entity_id in found]
+        found.sort()
+        taken = [False] * end
+        chosen = []
+        for negative_length, start, entity_id in found:
+            stop = start - negative_length
+            if not any(taken[start:stop]):
+                taken[start:stop] = [True] * (stop - start)
+                chosen.append((start, entity_id))
+        return list(dict.fromkeys(entity for _, entity in sorted(chosen)))
 
     def entities(self, text: str) -> list[str]:
-        """`greedy_alias_matches(self, text)`, kept in a dict for up to
+        """The entities `text` names, kept in a dict for up to
         ALIAS_MEMO_SIZE texts until a registration adds a surface, which can
         change any text's. A full memo is cleared, never iterated: answering
         threads share it."""
         memo = self._memo
         found = memo.get(text)
         if found is None:
-            found = tuple(greedy_alias_matches(self, text))
+            found = tuple(self._scan(tokenize(text)))
             if len(memo) >= ALIAS_MEMO_SIZE:
                 memo.clear()
             memo[text] = found
         return list(found)
 
 
-def aliases_for_items(items) -> AliasIndex:
-    """Alias index covering every label a benchmark item set can mention:
-    subjects, entity objects, and locality subjects/objects."""
-    index = AliasIndex()
+def item_aliases(items) -> Iterator[tuple[str, str]]:
+    """(surface, entity id) for every label a benchmark item set can
+    mention: subjects, entity objects, and locality subjects/objects."""
     for item in items:
-        if isinstance(item, MultiHopItem):
-            for t in item.chain:
-                index.add_triple(t)
-            continue
-        index.add_triple(item.triple)
-        index.add(item.locality_subject, item.locality_subject)
-        index.add(item.locality_object, item.locality_object)
+        multihop = isinstance(item, MultiHopItem)
+        for t in item.chain if multihop else (item.triple,):
+            yield t.subject_label, t.subject
+            if t.object_is_entity:
+                yield t.object_label, t.obj
+        if not multihop:
+            yield item.locality_subject, item.locality_subject
+            yield item.locality_object, item.locality_object
+
+
+def aliases_for_items(items) -> AliasIndex:
+    """An alias index of `item_aliases(items)`, in order."""
+    index = AliasIndex()
+    for surface, entity_id in item_aliases(items):
+        index.add(surface, entity_id)
     return index
-
-
-def greedy_alias_matches(index: AliasIndex, text: str) -> list[str]:
-    """Non-overlapping matches, longest span first, then leftmost; returned
-    in reading order with duplicates removed."""
-    matches = index.matches(text)
-    if len(matches) < 2:  # nothing can overlap or repeat
-        return [m.entity_id for m in matches]
-    chosen: list[AliasMatch] = []
-    taken: set[int] = set()
-    for m in sorted(matches, key=lambda m: (-m.length, m.start)):
-        span = set(range(m.start, m.start + m.length))
-        if span & taken:
-            continue
-        taken |= span
-        chosen.append(m)
-    seen = set()
-    ordered = []
-    for m in sorted(chosen, key=lambda m: m.start):
-        if m.entity_id not in seen:
-            seen.add(m.entity_id)
-            ordered.append(m.entity_id)
-    return ordered
 
 
 @dataclass(slots=True)
@@ -217,10 +187,10 @@ class Pipeline:
         """Every entity mentioned, in reading order; retrieval unions them
         all.
 
-        ALIAS_DICTIONARY takes the non-overlapping alias matches, longest
-        span first (ties: leftmost). MODEL_PROMPTED asks the model with the
-        packaged few-shot prompt and maps the returned surface through the
-        alias index, so it finds one entity at most; it rejects empty input.
+        ALIAS_DICTIONARY takes `AliasIndex.entities`. MODEL_PROMPTED asks
+        the model with the packaged few-shot prompt and maps the returned
+        surface through the alias index, so it finds one entity at most; it
+        rejects empty input.
         """
         if self.extractor is ExtractorKind.ALIAS_DICTIONARY:
             return self.aliases.entities(text)

@@ -1,8 +1,9 @@
 """Prompt assets and prompt assembly.
 
-The instruction and layout texts live as packaged text assets and are used
-verbatim: a per-task instruction line, few-shot exemplar blocks, the
-serialized evidence triples, then the query in ``Q: ... / A:`` framing.
+The per-task instruction lines and the few-shot exemplar blocks live as
+packaged text assets and are used verbatim. `AssembledPrompt.render` lays a
+prompt out: the instruction line, the exemplar blocks, the serialized
+evidence triples, then the query in ``Q: ... / A:`` framing.
 """
 
 from __future__ import annotations

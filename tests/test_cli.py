@@ -568,6 +568,29 @@ class TestEval:
         assert code == 0
         assert len(calls) == 1
 
+    def test_a_dump_label_outranks_an_item_label_alike(
+            self, workdir, capsys, monkeypatch):
+        # the items name "America"; the dump, registered first, now names
+        # another subject "AMERICA!", which tokenizes alike
+        run(capsys, "data", "build", "--triples", "dump.jsonl",
+            "--out", "items.jsonl")
+        write_dump(workdir / "dump.jsonl", [
+            triple("Q30", "head of government", "Joe Biden",
+                   subject_label="AMERICA!")], snapshot_at=SNAPSHOT)
+        seen = {}
+        evaluate = factcache.cli.run_main_eval
+
+        def spy(items, pipeline, **kwargs):
+            for surface in ("America", "Sioux Falls"):
+                seen[surface] = pipeline.aliases.lookup(surface)
+            return evaluate(items, pipeline, **kwargs)
+
+        monkeypatch.setattr(factcache.cli, "run_main_eval", spy)
+        code, _, _ = run(capsys, "eval", "main", "--items", "items.jsonl")
+        assert code == 0
+        # "Sioux Falls" is only in the items now
+        assert seen == {"America": "Q30", "Sioux Falls": "Sioux Falls"}
+
     def test_bad_suite_name_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "nonsense"])

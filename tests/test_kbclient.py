@@ -255,6 +255,22 @@ class TestFetchTriples:
         with pytest.raises(ConfigError, match="names no property id"):
             client.fetch_triples(relation, limit=5)
 
+    @pytest.mark.parametrize("kind", ["wikidata", "dbpedia"])
+    @pytest.mark.parametrize("bad", list('<>"{}|^`\\ \n\t\x00\x1f'))
+    def test_a_relation_that_is_no_iri_sends_nothing(self, kind, bad):
+        client = KnowledgeBaseClient(kind=kind, endpoint="https://u.t",
+                                     transport=refuse)
+        relation = f"http://dbpedia.org/ontology/{bad}/P6"
+        with pytest.raises(ConfigError, match="no IRI may"):
+            client.fetch_triples(relation, limit=5)
+
+    def test_a_dbpedia_relation_cannot_reshape_the_query(self):
+        client = KnowledgeBaseClient(kind="dbpedia", endpoint="https://u.t",
+                                     transport=refuse)
+        with pytest.raises(ConfigError, match="no IRI may"):
+            client.fetch_triples(
+                "http://dbpedia.org/ontology/capital> ?o . } #", limit=5)
+
     def test_a_wikidata_property_url_names_its_id(self):
         queries = []
 
@@ -541,8 +557,10 @@ def test_the_slow_tier_and_data_fetch_read_a_row_alike(obj, label,
     try:
         fetched = list(filter_ambiguous(
             client.fetch_triples(relation or "", limit=5)))
-    except ConfigError:  # a relation that names no property id
-        fetched = []
+    except ConfigError as error:
+        if "no IRI may" in str(error):
+            return  # data fetch never sends it; the slow tier may read it
+        fetched = []  # a relation that names no property id
     facts = slow.fetch_subject("Q30")
 
     def objects(triples):

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factcache import cli
 from factcache import pipeline as pipeline_module
 from factcache import ranking as ranking_module
 from factcache.cache import EditRequest, InMemorySlowSource, TieredFactStore
+from factcache.config import Config
 from factcache.dataset import build_multihop
 from factcache.errors import HopFailed
 from factcache.models import MockTableModel
-from factcache.pipeline import (AliasIndex, AliasMatch, ExtractorKind,
-                                MultihopMode, Pipeline, aliases_for_items,
-                                greedy_alias_matches)
+from factcache.pipeline import (AliasIndex, ExtractorKind, MultihopMode,
+                                Pipeline, aliases_for_items)
 from factcache.ranking import rank_triples, token_cosine, tokenize
 from factcache.triples import EntityRef, Source, TaskKind, TripleSet
 from conftest import triple
@@ -35,51 +36,58 @@ def alias_index():
 
 class TestAliasIndex:
     def test_longest_match_examples(self, alias_index):
-        assert greedy_alias_matches(
-            alias_index, "Who is the cast member of Casino Royale?") == \
-            ["Q161678"]
-        assert greedy_alias_matches(
-            alias_index,
+        assert alias_index.entities(
+            "Who is the cast member of Casino Royale?") == ["Q161678"]
+        assert alias_index.entities(
             "What is the inspiration behind the name of Seine-Maritime?") == \
             ["Q12675"]
 
     def test_empty_dictionary_finds_nothing(self):
-        assert greedy_alias_matches(AliasIndex(), "Anything at all?") == []
+        assert AliasIndex().entities("Anything at all?") == []
 
     def test_longest_span_wins(self, alias_index):
         # "Route 128 station" (3 tokens) comes before "America" (1 token)
         # and no one-token surface inside it fires
         alias_index.add("Route", "Q1")
         text = "Is Route 128 station in America?"
-        assert greedy_alias_matches(alias_index, text) == ["Q7371545", "Q30"]
+        assert alias_index.entities(text) == ["Q7371545", "Q30"]
 
     def test_tie_goes_to_the_leftmost(self):
         index = AliasIndex()
         index.add("Paris", "Q90")
         index.add("Berlin", "Q64")
-        assert greedy_alias_matches(index, "Paris or Berlin?") == \
-            ["Q90", "Q64"]
-        assert greedy_alias_matches(index, "Berlin or Paris?") == \
-            ["Q64", "Q90"]
+        assert index.entities("Paris or Berlin?") == ["Q90", "Q64"]
+        assert index.entities("Berlin or Paris?") == ["Q64", "Q90"]
+
+    def test_an_equal_span_overlap_goes_to_the_leftmost(self):
+        index = AliasIndex()
+        index.add("New York", "Q60")
+        index.add("York City", "Q2")
+        assert index.entities("New York City") == ["Q60"]
 
     def test_word_boundaries_respected(self, alias_index):
         # "US" must not fire inside other words
-        assert greedy_alias_matches(alias_index, "A virus mutation") == []
+        assert alias_index.entities("A virus mutation") == []
 
     def test_case_insensitive(self, alias_index):
-        assert greedy_alias_matches(alias_index, "who leads AMERICA?") == \
-            ["Q30"]
+        assert alias_index.entities("who leads AMERICA?") == ["Q30"]
 
     def test_greedy_matches_do_not_overlap(self, alias_index):
-        ids = greedy_alias_matches(
-            alias_index, "Route 128 station sits in the United States")
+        ids = alias_index.entities(
+            "Route 128 station sits in the United States")
         assert ids == ["Q7371545", "Q30"]
+
+    def test_each_entity_is_named_once_in_reading_order(self, alias_index):
+        assert alias_index.entities(
+            "Is the US, or America, near Casino Royale and the US?") == \
+            ["Q30", "Q161678"]
 
     def test_first_registration_wins_for_shared_surface(self):
         index = AliasIndex()
         index.add("Springfield", "Q1")
         index.add("Springfield", "Q2")
         assert index.lookup("Springfield") == "Q1"
+        assert index.entities("Springfield") == ["Q1"]
 
     def test_a_surface_added_after_an_extraction_is_found(self, alias_index):
         # the memo of a text's entities must not outlive a registration
@@ -90,9 +98,7 @@ class TestAliasIndex:
         assert alias_index.entities(text) == []
         alias_index.add("Gotham City", "Q1")
         assert alias_index.entities(text) == ["Q1"]
-        other = AliasIndex()
-        other.add("mayor", "Q2")
-        alias_index.merge(other)
+        alias_index.add("mayor", "Q2")
         assert alias_index.entities(text) == ["Q2", "Q1"]
 
     def test_the_entities_memo_is_cleared_when_full(self, alias_index,
@@ -100,8 +106,7 @@ class TestAliasIndex:
         monkeypatch.setattr(pipeline_module, "ALIAS_MEMO_SIZE", 8)
         texts = [f"Is America {i}?" for i in range(9)]
         for text in texts[:8]:
-            assert alias_index.entities(text) == \
-                greedy_alias_matches(alias_index, text)
+            assert alias_index.entities(text) == ["Q30"]
         assert list(alias_index._memo) == texts[:8]
         for text in texts[:8]:  # hits, which change nothing
             assert alias_index.entities(text) == ["Q30"]
@@ -109,18 +114,20 @@ class TestAliasIndex:
         assert alias_index.entities(texts[8]) == ["Q30"]
         assert list(alias_index._memo) == texts[8:]
 
-    def test_from_entities_uses_all_surface_forms(self):
-        index = AliasIndex()
-        index.add_entity(EntityRef(id="Q30", label="United States",
-                                   aliases=frozenset({"America", "US"})))
+    def test_from_entities_uses_all_surface_forms(self, us_store):
+        # the CLI registers each entities-file entry under every surface
+        ref = EntityRef(id="Q30", label="United States",
+                        aliases=frozenset({"America", "US"}))
+        index = cli._pipeline(Config(), us_store, {"Q30": ref}).aliases
         assert index.lookup("america") == "Q30"
         assert index.lookup("United States") == "Q30"
+        assert index.entities("Is the US America?") == ["Q30"]
 
 
 class ReferenceAliasIndex:
     """The dictionary written out plainly: token-tuple keys for every
     surface, and `matches` probes every length up to the longest surface at
-    each start, longest first."""
+    each start, longest first, as (start, length, entity_id)."""
 
     def __init__(self):
         self.by_tokens: dict[tuple[str, ...], str] = {}
@@ -135,16 +142,6 @@ class ReferenceAliasIndex:
             self.by_tokens.setdefault(tokens, entity_id)
             self.max_tokens = max(self.max_tokens, len(tokens))
 
-    def add_triple(self, t):
-        self.add(t.subject_label, t.subject)
-        if t.object_is_entity:
-            self.add(t.object_label, t.obj)
-
-    def merge(self, other):
-        for tokens, entity_id in other.by_tokens.items():
-            self.by_tokens.setdefault(tokens, entity_id)
-        self.max_tokens = max(self.max_tokens, other.max_tokens)
-
     def lookup(self, surface):
         return self.by_tokens.get(tuple(tokenize(surface)))
 
@@ -157,8 +154,28 @@ class ReferenceAliasIndex:
                 entity_id = self.by_tokens.get(
                     tuple(tokens[start:start + length]))
                 if entity_id is not None:
-                    found.append(AliasMatch(start, length, entity_id))
+                    found.append((start, length, entity_id))
         return found
+
+
+def reference_entities(reference, text):
+    """The match policy written out plainly: take the longest match, the
+    leftmost of equal ones, unless it overlaps one taken before; then read
+    the taken ones left to right, each entity once."""
+    remaining = reference.matches(text)
+    taken = []
+    while remaining:
+        best = min(remaining, key=lambda m: (-m[1], m[0]))
+        remaining.remove(best)
+        start, length, _ = best
+        if all(start + length <= s or s + n <= start
+               for s, n, _ in taken):
+            taken.append(best)
+    ids = []
+    for _, _, entity_id in sorted(taken):
+        if entity_id not in ids:
+            ids.append(entity_id)
+    return ids
 
 
 # digits, punctuation, and a word that tokenizes to nothing or to two tokens
@@ -173,11 +190,13 @@ def alias_surfaces(min_words=1):
 
 @st.composite
 def alias_rows(draw):
-    """(surface, id) rows with a surface shared by two ids and a multi-word
-    surface whose first word is also a one-word surface."""
+    """(surface, id) rows with a surface shared by two ids, a multi-word
+    surface whose first word is also a one-word surface, and a two-word
+    surface that starts with its last word."""
     rows = draw(st.lists(st.tuples(alias_surfaces(), ALIAS_IDS), max_size=8))
     phrase = draw(alias_surfaces(min_words=2))
-    rows += [(phrase, draw(ALIAS_IDS)), (phrase.split()[0], draw(ALIAS_IDS))]
+    rows += [(phrase, draw(ALIAS_IDS)), (phrase.split()[0], draw(ALIAS_IDS)),
+             (f"{phrase.split()[-1]} {draw(ALIAS_WORDS)}", draw(ALIAS_IDS))]
     surface, _ = draw(st.sampled_from(rows))
     rows.append((surface, "Q9"))  # no drawn id is Q9
     return draw(st.permutations(rows))
@@ -195,22 +214,29 @@ def test_alias_index_agrees_with_the_reference_model(data):
     index = AliasIndex.from_triples(triples)
     row_by_row, reference = AliasIndex(), ReferenceAliasIndex()
     for t in triples:
-        row_by_row.add_triple(t)
-        reference.add_triple(t)
+        for built in (row_by_row, reference):
+            built.add(t.subject_label, t.subject)
+            if t.object_is_entity:
+                built.add(t.object_label, t.obj)
 
+    # later registrations, as `eval` adds its items' labels after the rest
+    texts = data.draw(st.lists(st.lists(ALIAS_WORDS, min_size=1, max_size=6)
+                               .map(" ".join), min_size=1, max_size=2))
+    for text in texts:  # memoized before the registrations below
+        index.entities(text)
     other_rows = data.draw(alias_rows())
-    if data.draw(st.booleans(), label="merge"):
-        other, other_reference = AliasIndex(), ReferenceAliasIndex()
-        for surface, entity_id in other_rows:
-            other.add(surface, entity_id)
-            other_reference.add(surface, entity_id)
-        for built in (index, row_by_row):
-            built.merge(other)
-        reference.merge(other_reference)
+    for surface, entity_id in other_rows:
+        for built in (index, row_by_row, reference):
+            built.add(surface, entity_id)
 
     surfaces = [s for s, _ in rows + other_rows]
-    texts = data.draw(st.lists(
-        st.lists(st.one_of(ALIAS_WORDS, st.sampled_from(surfaces)),
+    # two surfaces that share a word, written once: "new york" + "york 128"
+    overlaps = [f"{a} {b.split(' ', 1)[1]}" for a in surfaces
+                for b in surfaces if " " in b and a.split()[-1:] ==
+                b.split()[:1]]
+    texts += data.draw(st.lists(
+        st.lists(st.one_of(ALIAS_WORDS, st.sampled_from(surfaces),
+                           st.sampled_from(overlaps)),
                  min_size=1, max_size=6).map(" ".join),
         min_size=1, max_size=4))
     for built in (index, row_by_row):
@@ -218,9 +244,9 @@ def test_alias_index_agrees_with_the_reference_model(data):
         for surface in surfaces:
             assert built.lookup(surface) == reference.lookup(surface)
         for text in texts:
-            assert built.matches(text) == reference.matches(text)
-            assert greedy_alias_matches(built, text) == \
-                greedy_alias_matches(reference, text)
+            expected = reference_entities(reference, text)
+            assert built.entities(text) == expected
+            assert built.entities(text) == expected  # from the memo
 
 
 class TestExtractEntity:

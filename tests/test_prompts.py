@@ -17,8 +17,6 @@ from conftest import triple
 PROMPT_ASSET_DIGESTS = {
     "entity_extraction_prompt.txt":
         "4a4d7206973d3dfee3eff731d559b06fd3b9a40cc7dd9eec5e8c644c40c51ae4",
-    "knowledge_prompt.txt":
-        "b5d1674d7b00ab462d669e56be9a2aa47f6c0cca75820020a34ce6dd940d1cc4",
     "task_instructions.txt":
         "2e62f296fff4b1690b32a244e7ea98c0f9e3fcb22c9eed7799ec09bb4b37b359",
 }
