@@ -15,9 +15,7 @@ import dataclasses
 import enum
 import json
 import logging
-import os
 import re
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -30,7 +28,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol
 
 from .errors import (NAME, TEXT, HttpError, MalformedResponse, ParseError,
-                     SlowUnreachable, fault, read_json, read_json_lines)
+                     SlowUnreachable, fault, read_json, read_json_lines,
+                     write_text)
 from .sparqlio import (ENTITY_NAMESPACES, RequestPolicy, Transport,
                        load_query, row_fact)
 from .triples import FactTriple, Source, TripleSet
@@ -221,14 +220,11 @@ def read_dump(path: str | Path) -> tuple[Optional[datetime], list[FactTriple]]:
 
 def write_dump(path: str | Path, triples: Iterable[FactTriple],
                snapshot_at: Optional[datetime] = None) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        if snapshot_at is not None:
-            f.write(json.dumps({"snapshot_at": format_rfc3339(snapshot_at)}) + "\n")
-        for t in triples:
-            f.write(json.dumps(triple_to_row(t), ensure_ascii=False) + "\n")
-            count += 1
-    return count
+    rows = [json.dumps(triple_to_row(t), ensure_ascii=False) for t in triples]
+    head = "" if snapshot_at is None else json.dumps(
+        {"snapshot_at": format_rfc3339(snapshot_at)}) + "\n"
+    write_text(path, head + "".join(row + "\n" for row in rows))
+    return len(rows)
 
 
 # --- slow sources -----------------------------------------------------------
@@ -711,15 +707,7 @@ def save_state(store: TieredFactStore, path: str | Path) -> None:
                             in store._subjects.items() if not record.complete)
         state = {"stats": store.stats.snapshot(), "entries": entries,
                  "incomplete": incomplete}
-    text = json.dumps(state, ensure_ascii=False, indent=2)
-    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
-    try:
-        with open(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_text(path, json.dumps(state, ensure_ascii=False, indent=2))
 
 
 def load_state(store: TieredFactStore, path: str | Path) -> TieredFactStore:

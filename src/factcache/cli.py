@@ -23,7 +23,8 @@ from .cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
 from .config import Config, DEFAULT_CONFIG_PATH, load_config
 from .dataset import (build_benchmark, build_multihop_benchmark,
                       emit_benchmark, load_benchmark, load_relation_templates)
-from .errors import NAME, TEXT, FactCacheError, read_json_rows, read_text
+from .errors import (NAME, SURROGATE, TEXT, FactCacheError, read_json_rows,
+                     read_text)
 from .harness import (run_main_eval, run_multihop_scenario,
                       run_scale_scenario, run_transition_scenario)
 from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
@@ -380,6 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv:  # bytes the system could not decode, kept as surrogates
+        if SURROGATE.search(arg):
+            _err(f"error: argument {arg!r} is not valid text")
+            return 1
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -134,7 +134,8 @@ def _checked(key: str, value, kind: type, check, base: Path):
         raise ConfigError(f"{key} must be {allowed}, got {value!r}")
     if type(check) is int and value < check:
         raise ConfigError(f"{key} must be >= {check}, got {value!r}")
-    if check == OUTPUT and (not value or (base / value).is_dir()):
+    if check == OUTPUT and (not value or "\0" in value
+                            or (base / value).is_dir()):
         raise ConfigError(f"{key} must name a file, got {value!r}")
     if check in (INPUT, OUTPUT) and value:
         value = str(base / value)  # an absolute value stays as it is

@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (NAME, BadTemplate, BrokenChain, DistractorCollision,
-                     SchemaViolation, fault, read_json_lines, read_json_rows)
+                     SchemaViolation, fault, read_json_lines, read_json_rows,
+                     write_text)
 from .ranking import contains_phrase
 from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
                       TripleSet)
@@ -441,12 +442,9 @@ def record_line(item: AnyItem) -> str:
 
 
 def emit_benchmark(items: Iterable[AnyItem], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for item in items:
-            f.write(record_line(item) + "\n")
-            count += 1
-    return count
+    lines = [record_line(item) + "\n" for item in items]
+    write_text(path, "".join(lines))
+    return len(lines)
 
 
 def load_benchmark(path: str | Path, strict: bool = True,

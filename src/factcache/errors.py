@@ -1,12 +1,14 @@
 """Exception types shared across the package, and the one place that reads
-an input file: a file that cannot be read, decoded or parsed, or whose
-values break a rule table, is a ParseError naming the path, the line where
-one exists, and the key."""
+an input file and writes an output file: a file that cannot be read,
+decoded or parsed, or whose values break a rule table, is a ParseError
+naming the path, the line where one exists, and the key."""
 
 from __future__ import annotations
 
 import json
 import logging
+import os
+import re
 import reprlib
 from pathlib import Path
 from typing import Callable, Optional
@@ -92,10 +94,26 @@ def _located(path, exc: Exception, line: Optional[int] = None
         return type(exc)(f"{path}: {exc}", line)
     if isinstance(exc, OSError):
         return ParseError(f"{path}: cannot be read: {exc.strerror or exc}")
-    reason = "not UTF-8" if isinstance(exc, UnicodeDecodeError) else "not JSON"
+    reason = "not UTF-8" if isinstance(exc, UnicodeError) else "not JSON"
     # a JSONDecodeError knows its line in a document; a line holds one value
     return ParseError(f"{path}: {reason}: {exc}",
                       line or getattr(exc, "lineno", None))
+
+
+# a code point no UTF-8 text holds, and a JSON escape that may spell one
+SURROGATE = re.compile(r"[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def parse_json(text: str) -> object:
+    """json.loads(text), for text decoded from bytes, which holds no lone
+    surrogate itself; a string whose escapes spell one is a UnicodeError
+    (a ValueError)."""
+    value = json.loads(text)
+    if _SURROGATE_ESCAPE.search(text) and SURROGATE.search(
+            json.dumps(value, ensure_ascii=False)):
+        raise UnicodeError("a string holds a lone surrogate")
+    return value
 
 
 def read_text(path) -> str:
@@ -111,7 +129,7 @@ def read_json(path) -> object:
     """The JSON document in `path`, a path or a packaged resource."""
     text = read_text(path)
     try:
-        return json.loads(text)
+        return parse_json(text)
     except (ValueError, RecursionError) as exc:
         raise _located(path, exc) from exc
 
@@ -128,7 +146,7 @@ def read_json_lines(path, parse: Callable[[object], object],
             for lineno, line in enumerate(f, start=1):
                 try:
                     if line := line.decode("utf-8").strip():
-                        items.append(parse(json.loads(line)))
+                        items.append(parse(parse_json(line)))
                 except (ParseError, ValueError, RecursionError) as exc:
                     error = _located(path, exc, lineno)
                     if strict:
@@ -137,6 +155,19 @@ def read_json_lines(path, parse: Callable[[object], object],
     except OSError as exc:
         raise _located(path, exc) from exc
     return items
+
+
+def write_text(path, text: str) -> None:
+    """Replace the file at `path` (a symlink's target) with UTF-8 `text`:
+    on a failure the old file stays, and the temporary file is removed."""
+    data, path = text.encode("utf-8"), Path(path).resolve()  # before a file
+    tmp = Path(f"{path}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:  # the mode open(path, "w") would give
+            f.write(data)
+        tmp.replace(path)
+    finally:  # gone once it replaced the file; removed if it did not
+        tmp.unlink(missing_ok=True)
 
 
 # common rule-table rows: what a value must be, and its test

@@ -9,12 +9,11 @@ playing the role of a stale model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping, Optional, Protocol
 
-from .errors import EmptyCompletion, ModelError
+from .errors import EmptyCompletion, ModelError, parse_json
 from .prompts import AssembledPrompt
 from .ranking import RELATION_MEMO_SIZE, tokenize
 from .sparqlio import TransportReply, http_transport
@@ -154,7 +153,7 @@ class HttpCompletionModel:
             raise ModelError(f"completion endpoint returned HTTP "
                              f"{reply.status}: {reply.text[:200]}")
         try:
-            body = json.loads(reply.text)
+            body = parse_json(reply.text)
             completion = body["text"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ModelError(f"malformed completion payload: {exc}") from exc

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional
 
 from . import __version__
 from .errors import (ConfigError, HttpError, MalformedResponse, RateLimited,
-                     read_text)
+                     parse_json, read_text)
 from .triples import FactTriple, Source
 
 # Wikimedia asks every client of its endpoints to name itself:
@@ -110,7 +110,7 @@ def exec_sparql(endpoint: str, query: str,
         raise HttpError(f"{endpoint} returned HTTP {reply.status}",
                         status=reply.status)
     try:
-        payload = json.loads(reply.text)
+        payload = parse_json(reply.text)
     except ValueError as exc:
         raise MalformedResponse(f"not JSON: {exc}") from exc
     results = payload.get("results") if isinstance(payload, dict) else None

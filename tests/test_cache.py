@@ -24,8 +24,8 @@ from factcache.cli import load_entities
 from factcache.config import load_config
 from factcache.dataset import (BenchmarkItem, load_benchmark,
                                load_relation_templates)
-from factcache.errors import (ConfigError, FactCacheError, ParseError,
-                              SlowUnreachable)
+from factcache.errors import (SURROGATE, ConfigError, FactCacheError,
+                              ParseError, SlowUnreachable)
 from factcache.models import MockTableModel
 from factcache.pipeline import AliasIndex, Pipeline
 from factcache.triples import Source, TripleSet
@@ -1437,9 +1437,11 @@ def test_every_subject_is_linearizable(seed):
         assert linearizable(history, initial), (subject, history)
 
 
+# any code point, a lone surrogate too: the JSON escape \ud800 spells one
+_CHARS = st.characters(exclude_categories=()) | st.sampled_from("\ud800\udfff")
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.text(max_size=4) | st.sampled_from(["", "US", "2024-01-01"]),
+    | st.text(_CHARS, max_size=4) | st.sampled_from(["", "US", "2024-01-01"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
@@ -1447,13 +1449,13 @@ _JSON = st.recursive(
 
 @st.composite
 def _near(draw, row):
-    """`row` with some keys dropped or set to any JSON value."""
+    """`row` with some keys dropped or set to any text or JSON value."""
     row = dict(row)
     for key in draw(st.sets(st.sampled_from(sorted(row)), max_size=3)):
         if draw(st.booleans()):
             del row[key]
         else:
-            row[key] = draw(_JSON)
+            row[key] = draw(st.text(_CHARS, max_size=4) | _JSON)
     return row
 
 
@@ -1478,7 +1480,9 @@ _TEMPLATES = _JSON | st.lists(_JSON | _near(_TEMPLATE_ROW), max_size=3)
 
 
 def _typed(t):
-    return (all(type(v) is str for v in (
+    """Whether every field of `t` has its type, each string one that UTF-8
+    can encode."""
+    return (all(type(v) is str and not SURROGATE.search(v) for v in (
                 t.subject, t.relation, t.obj, t.subject_label,
                 t.relation_label, t.object_label))
             and type(t.object_is_entity) is bool and type(t.version) is int

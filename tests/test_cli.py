@@ -273,6 +273,55 @@ class TestCorruptInput:
         assert code == 1 and out == ""
         assert err.startswith("error: line 2: ") and "object_label" in err
 
+    def surrogate_dump(self, workdir) -> str:
+        """A copy of the dump whose second line's label is the JSON escape
+        of a lone surrogate, which no UTF-8 text holds; its name."""
+        lines = (workdir / "dump.jsonl").read_text().splitlines()
+        row = {**json.loads(lines[1]), "object_label": "\ud800"}
+        (workdir / "surrogate.jsonl").write_text("\n".join(
+            [lines[0], json.dumps(row), *lines[2:]]))
+        return "surrogate.jsonl"
+
+    def test_query_over_a_dump_row_with_a_lone_surrogate(self, workdir,
+                                                         capsys):
+        config = json.loads((workdir / "factcache.json").read_text())
+        config["slow_source"]["locator"] = self.surrogate_dump(workdir)
+        (workdir / "factcache.json").write_text(json.dumps(config))
+        code, out, err = run(capsys, "query", self.QUESTION)
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2: surrogate.jsonl: ")
+        assert "lone surrogate" in err
+        assert not Path("state.json").exists()
+
+    def test_build_over_a_dump_row_with_a_lone_surrogate(self, workdir,
+                                                         capsys):
+        Path("items.jsonl").write_text("old\n")
+        code, out, err = run(capsys, "data", "build", "--triples",
+                             self.surrogate_dump(workdir), "--out",
+                             "items.jsonl")
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2: ") and "lone surrogate" in err
+        assert Path("items.jsonl").read_text() == "old\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--filter-ambiguous"]],
+                             ids=["rows", "filtered"])
+    def test_fetch_a_reply_with_a_lone_surrogate(self, workdir, capsys,
+                                                 extra):
+        fixture = fetch_fixture(workdir, objectLabel="\ud800")
+        code, out, err = run(capsys, "data", "fetch", "--relation", "P6",
+                             "--fixture", fixture, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "lone surrogate" in err
+
+    def test_an_argument_that_is_not_text(self, workdir, capsys):
+        run(capsys, "edit", "America", "capital", "Washington")
+        saved = Path("state.json").read_bytes()
+        # the system keeps an argument's undecodable bytes as surrogates
+        code, out, err = run(capsys, "edit", "America", "capital", "\udcff")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "not valid text" in err
+        assert Path("state.json").read_bytes() == saved
+
     @pytest.mark.parametrize("text, key", [
         ("not json", "Expecting"), ('{"a": 1}', "JSON list"),
         ('[{"label": "x"}]', "id"), ('[{"id": ""}]', "id"),

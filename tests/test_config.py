@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factcache.cli import main
-from factcache.config import ATTRS, SURE_WEIGHTS, Config, load_config
+from factcache.config import (ATTRS, INPUT, KEYS, OUTPUT, SURE_WEIGHTS,
+                              Config, load_config)
 from factcache.errors import ConfigError
 from factcache.metrics import SUREParams
 
@@ -78,6 +82,8 @@ def run_cache_stats(tmp_path, capsys, config) -> tuple[int, str]:
      "slow_source.locator"),
     # an output path in a directory that does not exist
     ({"store": {"state_path": "nodir/state.json"}}, "store.state_path"),
+    # a path holding NUL, which no file name can
+    ({"store": {"state_path": "a\u0000b"}}, "store.state_path"),
 ])
 def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
                                                        config, key):
@@ -141,3 +147,75 @@ def test_the_readme_example_names_every_key_and_loads(tmp_path):
     cfg = load_config(str(path))
     assert cfg.slow_locator == str(tmp_path / "dump.jsonl")
     assert cfg.state_path == str(tmp_path / "factcache_state.json")
+
+
+# --- any JSON as a config file ----------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+# strings load_config treats specially: a path naming this file, a
+# directory, nothing, a missing directory's file, or holding a NUL, which
+# no path can; and a URL
+_TEXTS = {INPUT: ["factcache.json", "nope.json"],
+          OUTPUT: ["state.json", "nodir/state.json"],
+          None: ["https://unit.test"]}
+
+
+def _special(kind: type, check):
+    """A value of the key's type that its check treats specially: one of
+    its choices, a bound, a path or a URL."""
+    if isinstance(check, tuple):
+        return st.sampled_from(check)
+    if kind is str:
+        return st.sampled_from(["", ".", "a\0b", *_TEXTS[check]])
+    return st.integers(-1, 2) if kind is int else _JSON
+
+
+# each key's row, the eval.sure weights' too
+_ROWS = [(key, kind, check) for key, _, kind, check in KEYS] + [
+    (f"eval.sure.{name}", float, None) for name in SURE_WEIGHTS]
+
+
+@st.composite
+def _configs(draw):
+    """A config object setting one to four keys, each to a value its check
+    treats specially; one time in 8, a key, a section or the whole file is
+    any JSON instead."""
+    def part(shaped):
+        return draw(_JSON) if draw(st.integers(0, 7)) == 0 else shaped
+
+    config = {}
+    for key, kind, check in draw(st.lists(st.sampled_from(_ROWS), min_size=1,
+                                          max_size=4, unique=True)):
+        *sections, name = key.split(".")
+        parent = config
+        for section in sections:
+            parent = parent.setdefault(section, {})
+        parent[name] = part(draw(_special(kind, check)))
+    return part({section: part(value) for section, value in config.items()})
+
+
+@given(config=_configs())
+@settings(max_examples=200, deadline=None)
+def test_any_json_config_loads_usable_or_is_a_config_error(tmp_path_factory,
+                                                          config):
+    path = tmp_path_factory.mktemp("config") / "factcache.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    try:
+        cfg = load_config(str(path))
+    except ConfigError:
+        return
+    for key, attr, kind, check in KEYS:
+        value = getattr(cfg, attr)
+        assert type(value) is kind or (value is None and attr == "capacity")
+        if check in (INPUT, OUTPUT) and value:
+            try:  # the system takes the path: it may name no file
+                os.stat(value)
+            except OSError:
+                pass
+    assert all(type(v) is str for v in cfg.model_priors.values())
+    assert isinstance(cfg.sure_params, SUREParams)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factcache.cache import RemoteSparqlSource
-from factcache.errors import (ConfigError, FactCacheError, HttpError,
-                              ModelError, RateLimited)
+from factcache.errors import (SURROGATE, ConfigError, FactCacheError,
+                              HttpError, ModelError, RateLimited)
 from factcache.kbclient import KnowledgeBaseClient, filter_ambiguous
 from factcache.models import HttpCompletionModel
 from factcache.sparqlio import (ENTITY_NAMESPACES, HEADERS, RequestPolicy,
@@ -224,8 +224,11 @@ def test_a_value_outside_both_namespaces_names_no_entity(value):
 _VALUES = st.sampled_from([
     "/", "x", "http://www.wikidata.org/entity/Q1",
     "http://www.wikidata.org/prop/direct/P6"])
+# any code point, a lone surrogate too: the JSON escape \ud800 spells one
+_CHARS = st.characters(exclude_categories=()) | st.sampled_from("\ud800\udfff")
 _SCALARS = (st.none() | st.booleans() | st.integers()
-            | st.floats(allow_nan=False) | st.text(max_size=3) | _VALUES)
+            | st.floats(allow_nan=False) | st.text(_CHARS, max_size=3)
+            | _VALUES)
 _JSON = st.recursive(
     _SCALARS,
     lambda inner: st.lists(inner, max_size=3)
@@ -261,6 +264,12 @@ def replaying(body):
     return lambda url, params, headers: TransportReply(200, text)
 
 
+def text(value) -> bool:
+    """Whether `value` is a string UTF-8 can encode, so it can be printed
+    and saved."""
+    return type(value) is str and not SURROGATE.search(value)
+
+
 def typed_or_refused(read):
     """read()'s value, or None when it raised a FactCacheError."""
     try:
@@ -278,8 +287,7 @@ def test_any_subject_facts_reply_reads_typed_or_is_refused(body):
                                 sleep=lambda s: None)
     facts = typed_or_refused(lambda: source.fetch_subject("Q30"))
     assert facts is None or all(isinstance(t, FactTriple) and all(
-        type(v) is str for v in (t.relation, t.obj, t.object_label))
-        for t in facts)
+        map(text, (t.relation, t.obj, t.object_label))) for t in facts)
 
 
 # Wikidata's triples query counts each subject's relations; DBpedia's
@@ -299,11 +307,10 @@ def test_any_triples_reply_reads_and_filters_typed_or_is_refused(
                                  transport=replaying(body))
     rows = typed_or_refused(lambda: client.fetch_triples(relation, limit=5))
     if rows is not None:
-        assert all(type(row.subject_uri) is str and
-                   type(row.object_label) is str and
+        assert all(text(row.subject_uri) and text(row.object_label) and
                    type(row.relation_count) in (int, type(None))
                    for row in rows)
-        assert all(isinstance(t, FactTriple) and type(t.obj) is str
+        assert all(isinstance(t, FactTriple) and text(t.obj)
                    for t in filter_ambiguous(rows))
 
 
@@ -314,11 +321,11 @@ def test_any_properties_reply_reads_typed_or_is_refused(body):
                                  transport=replaying(body))
     pairs = typed_or_refused(client.fetch_equivalent_properties)
     assert pairs is None or all(
-        type(p.dbpedia_property) is str and type(p.label) is str
-        for p in pairs)
+        text(p.dbpedia_property) and text(p.label) for p in pairs)
 
 
-@given(body=_JSON | st.fixed_dictionaries({"text": _JSON}))
+@given(body=_JSON
+       | st.fixed_dictionaries({"text": _JSON | st.text(_CHARS)}))
 @settings(max_examples=100, deadline=None)
 def test_any_completion_reads_as_one_line_or_is_a_model_error(body):
     reply = TransportReply(200, json.dumps(body))
@@ -326,8 +333,8 @@ def test_any_completion_reads_as_one_line_or_is_a_model_error(body):
         endpoint="https://unit.test",
         transport=lambda url, payload, headers: reply)
     try:
-        text = model.complete_text("Where?")
+        answer = model.complete_text("Where?")
     except ModelError:
         return
-    assert type(text) is str and text and text == text.strip()
-    assert "\n" not in text
+    assert text(answer) and answer and answer == answer.strip()
+    assert "\n" not in answer
