@@ -320,9 +320,8 @@ class RemoteSparqlSource:
             return []  # and is never pasted into the query text
         try:
             rows = self.policy.select(self.query.replace("{subject}", entity))
-        except (HttpError, MalformedResponse) as exc:
-            raise SlowUnreachable(
-                f"slow source {self.policy.endpoint} failed: {exc}") from exc
+        except (HttpError, MalformedResponse) as exc:  # names the endpoint
+            raise SlowUnreachable(f"slow source failed: {exc}") from exc
         fetched_at, subject = utcnow(), ENTITY_NAMESPACES[0] + entity
         facts = (row_fact(subject, row.get("relation"), row.get("object"),
                           row.get("objectLabel"), row.get("subjectLabel"),
@@ -440,12 +439,11 @@ class TieredFactStore:
             held = dict(record.facts) if record else {}
             ticket = self._clock
         result = self._read_through("miss", ticket, [entity], held)[1]
-        if result and self.prefetch_depth > 0:
-            try:
-                self.prefetch_neighbors(result)
-            except SlowUnreachable as exc:
-                log.warning("prefetch after retrieve(%s) incomplete: %s",
-                            entity, exc)
+        try:
+            self.prefetch_neighbors(result)
+        except SlowUnreachable as exc:
+            log.warning("prefetch after retrieve(%s) incomplete: %s",
+                        entity, exc)
         return result
 
     def get(self, subject: str, relation: str) -> Optional[FactTriple]:

@@ -195,7 +195,8 @@ def _fixture_transport(path: str):
 
 
 def cmd_data_fetch(cfg: Config, args) -> int:
-    endpoint = args.endpoint or (
+    # a replayed fixture stands in for the endpoint, and errors name it
+    endpoint = args.fixture or args.endpoint or (
         WIKIDATA_ENDPOINT if args.kb == "wikidata" else DBPEDIA_ENDPOINT)
     transport = _fixture_transport(args.fixture) if args.fixture else None
     client = KnowledgeBaseClient(kind=args.kb, endpoint=endpoint,

@@ -159,13 +159,16 @@ def read_json_lines(path, parse: Callable[[object], object],
 
 def write_text(path, text: str) -> None:
     """Replace the file at `path` (a symlink's target) with UTF-8 `text`:
-    on a failure the old file stays, and the temporary file is removed."""
-    data, path = text.encode("utf-8"), Path(path).resolve()  # before a file
-    tmp = Path(f"{path}.{os.urandom(4).hex()}.tmp")
+    on a failure the old file stays, the temporary file is removed, and
+    the OSError names `path`, not the temporary file."""
+    data, target = text.encode("utf-8"), Path(path).resolve()  # before a file
+    tmp = Path(f"{target}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:  # the mode open(path, "w") would give
             f.write(data)
-        tmp.replace(path)
+        tmp.replace(target)
+    except OSError as exc:  # the same error, of the same subclass
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:  # gone once it replaced the file; removed if it did not
         tmp.unlink(missing_ok=True)
 

@@ -157,14 +157,23 @@ def aliases_for_items(items) -> AliasIndex:
 @dataclass(slots=True)
 class AnswerTrace:
     """Everything the pipeline did for one answer, for --trace output and
-    multi-hop bookkeeping."""
+    multi-hop bookkeeping. `clock` holds the perf_counter readings taken
+    before each stage and after the last."""
 
     entities: tuple[str, ...]
     cache_hits: int
     cache_misses: int
     evidence: RankedEvidence
     prompt: AssembledPrompt
-    latencies: dict[str, float] = field(default_factory=dict)
+    clock: tuple[float, ...]
+
+    @property
+    def latencies(self) -> dict[str, float]:
+        """Seconds each stage took, in order: extract, retrieve, rank,
+        assemble, generate."""
+        clock = self.clock
+        return {stage: clock[i + 1] - clock[i] for i, stage in enumerate(
+            ("extract", "retrieve", "rank", "assemble", "generate"))}
 
 
 @dataclass
@@ -255,9 +264,7 @@ class Pipeline:
 
         trace = AnswerTrace(
             entities, stats.hits - hits0, stats.misses - misses0, evidence,
-            prompt, {"extract": t1 - t0, "retrieve": t2 - t1,
-                     "rank": t3 - t2, "assemble": t4 - t3,
-                     "generate": t5 - t4})
+            prompt, (t0, t1, t2, t3, t4, t5))
         return answer, trace
 
     # -- multi-hop ---------------------------------------------------------------

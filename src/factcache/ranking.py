@@ -29,6 +29,9 @@ from typing import Iterable
 from .triples import FactTriple, TripleSet
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+# for ASCII text: keep 0-9 and a-z, fold A-Z, make every other byte a space
+_ASCII_TOKENS = bytes(c | 32 if chr(c).isalpha() else c if chr(c).isdigit()
+                      else 32 for c in range(128)) + b" " * 128
 # distinct relation labels whose tokens are kept for reuse
 RELATION_MEMO_SIZE = 4096
 # queries whose evidence a TripleSet keeps; a full memo is cleared
@@ -36,6 +39,11 @@ RANK_MEMO_SIZE = 64
 
 
 def tokenize(text: str) -> list[str]:
+    """The runs of [0-9a-z] in text.lower(). Only ASCII text takes the
+    byte table: folding other text can yield ASCII letters (the Kelvin
+    sign, U+212A, folds to 'k')."""
+    if text.isascii():
+        return text.encode().translate(_ASCII_TOKENS).decode().split()
     return _TOKEN_RE.findall(text.lower())
 
 

@@ -94,8 +94,8 @@ def exec_sparql(endpoint: str, query: str,
     Raises RateLimited on 429 (carrying any Retry-After hint), HttpError on
     other non-2xx statuses or a connection error (an OSError, as urllib's
     are), MalformedResponse when the body is not a SPARQL results document
-    or its head, a row or a cell is misshapen. Any other exception from the
-    transport propagates.
+    or its head, a row or a cell is misshapen; each names the endpoint. Any
+    other exception from the transport propagates.
     """
     transport = transport or http_transport
     try:
@@ -112,28 +112,32 @@ def exec_sparql(endpoint: str, query: str,
     try:
         payload = parse_json(reply.text)
     except ValueError as exc:
-        raise MalformedResponse(f"not JSON: {exc}") from exc
+        raise MalformedResponse(f"{endpoint}: not JSON: {exc}") from exc
     results = payload.get("results") if isinstance(payload, dict) else None
     bindings = results.get("bindings") if isinstance(results, dict) else None
     if not isinstance(bindings, list):
-        raise MalformedResponse("missing results.bindings")
+        raise MalformedResponse(f"{endpoint}: missing results.bindings")
     head = payload.get("head", {})
     vars_ = head.get("vars", []) if isinstance(head, dict) else None
     if not isinstance(vars_, list) or \
             not all(isinstance(var, str) for var in vars_):
-        raise MalformedResponse("head.vars is not a list of names")
+        raise MalformedResponse(
+            f"{endpoint}: head.vars is not a list of names")
     rows = []
     for binding in bindings:
         if not isinstance(binding, dict):
-            raise MalformedResponse(f"row {binding!r} is not an object")
+            raise MalformedResponse(
+                f"{endpoint}: row {binding!r} is not an object")
         row: dict[str, Optional[str]] = {}
         for var in vars_:
             cell = binding.get(var)
             if cell is not None and not isinstance(cell, dict):
-                raise MalformedResponse(f"cell {var!r} is not an object")
+                raise MalformedResponse(
+                    f"{endpoint}: cell {var!r} is not an object")
             value = row[var] = cell.get("value") if cell else None
             if value is not None and not isinstance(value, str):
-                raise MalformedResponse(f"cell {var!r}: value is no string")
+                raise MalformedResponse(
+                    f"{endpoint}: cell {var!r}: value is no string")
         rows.append(row)
     return rows
 

@@ -172,8 +172,8 @@ class TripleSet:
 
     def __init__(self, triples: Iterable[FactTriple] = ()):
         by_key: dict[TripleKey, FactTriple] = {}
-        for t in triples:
-            by_key.setdefault(t.key, t)
+        for t in triples:  # t.key, without the property call
+            by_key.setdefault((t.subject, t.relation, t.obj), t)
         self.triples = tuple(map(by_key.__getitem__, sorted(by_key)))
         self.rank_index: tuple | None = None
         self.rank_memo: dict | None = None

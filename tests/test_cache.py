@@ -513,6 +513,15 @@ class TestSync:
                                         issued_at=older))
         assert store.get("US", "head_of_gov").fetched_at == newer
 
+    def test_a_manual_edit_issued_at_the_snapshot_time_loses(self):
+        # sync keeps a manual edit issued after the snapshot, not at it
+        store, slow = make_store([US_BIDEN], prefetch_depth=0)
+        store.retrieve("US")
+        store.inject_manual(EditRequest("US", "head_of_gov", "Obama",
+                                        issued_at=SNAPSHOT))
+        assert store.sync() == 1
+        assert store.get("US", "head_of_gov").obj == "Biden"
+
     def test_manual_edit_older_than_snapshot_loses(self):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)
         store.retrieve("US")
@@ -1731,13 +1740,15 @@ class TestRemoteSparqlSource:
         with pytest.raises(SlowUnreachable) as exc:
             source.fetch_subject("Q30")
         assert isinstance(exc.value.__cause__, MalformedResponse)
+        assert str(exc.value).count("https://unit.test/sparql") == 1
         assert len(calls) == 1 and naps == []  # the same reply would return
 
     def test_a_rejected_query_is_not_retried(self):
         naps = []
         source, calls = self.make_source([(400, "bad query")], naps)
-        with pytest.raises(SlowUnreachable):
+        with pytest.raises(SlowUnreachable) as exc:
             source.fetch_subject("Q30")
+        assert str(exc.value).count("https://unit.test/sparql") == 1
         assert len(calls) == 1 and naps == []
 
     def test_a_programming_error_in_the_transport_is_raised_as_itself(self):

@@ -311,7 +311,8 @@ class TestCorruptInput:
         code, out, err = run(capsys, "data", "fetch", "--relation", "P6",
                              "--fixture", fixture, *extra)
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and "lone surrogate" in err
+        assert err.startswith(f"error: {fixture}: ")
+        assert "lone surrogate" in err
 
     def test_an_argument_that_is_not_text(self, workdir, capsys):
         run(capsys, "edit", "America", "capital", "Washington")
@@ -382,7 +383,7 @@ class TestCorruptInput:
                              "dump.jsonl", "--out", path)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and path in err
-        assert "Traceback" not in err
+        assert ".tmp" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("data, key", [
         (b"5\n", "JSON object"),

@@ -168,12 +168,13 @@ def test_a_state_file_is_written_byte_for_byte(tmp_path):
 
 def test_a_replace_that_fails_leaves_no_temporary_file(tmp_path):
     (tmp_path / "folder").mkdir()
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(IsADirectoryError) as exc:
         write_text(tmp_path / "folder", "text")
     assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+    assert str(exc.value).endswith(f"'{tmp_path / 'folder'}'")
     with pytest.raises(FileNotFoundError) as exc:
         write_text(tmp_path / "nodir" / "out", "text")
-    assert "nodir/out" in str(exc.value)
+    assert str(exc.value).endswith(f"'{tmp_path / 'nodir' / 'out'}'")
 
 
 @pytest.mark.parametrize("text", [

@@ -339,6 +339,17 @@ class TestAnswer:
             "Who is the current head of government for Sioux Falls?")
         assert trace.cache_hits == 1
 
+    def test_latencies_are_the_steps_between_the_clock_readings(
+            self, us_pipeline):
+        _, trace = us_pipeline.answer_traced(
+            "Who is the current head of government for Sioux Falls?")
+        latencies, clock = trace.latencies, trace.clock
+        assert list(latencies) == ["extract", "retrieve", "rank", "assemble",
+                                   "generate"]
+        assert len(clock) == 6
+        for i, latency in enumerate(latencies.values()):
+            assert latency == clock[i + 1] - clock[i] >= 0
+
     def test_multi_entity_query_unions_retrievals(self, us_pipeline):
         query = "Does Joe Biden lead America?"
         us_pipeline.k = 10  # rank every candidate, not just the best

@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factcache import ranking
@@ -42,6 +42,20 @@ class TestTokenCosine:
     def test_tokenizer_lowercases_and_splits_punctuation(self):
         assert tokenize("Route 128 station, USA!") == \
             ["route", "128", "station", "usa"]
+
+
+# control characters, punctuation and upper case; and text whose case fold
+# yields ASCII letters or none: a dotted capital I, the Kelvin sign, sharp
+# s and full-width digits
+_ASCII = st.characters(max_codepoint=127)
+_FOLDS = st.sampled_from("\u0130\u212a\u00df\uff10\uff19Kk")
+
+
+@given(st.text(_ASCII) | st.text(_ASCII | _FOLDS | st.characters()))
+@example("\u0130stanbul \u212aelvin Stra\u00dfe \uff11\uff12")
+@settings(max_examples=300)
+def test_tokenize_equals_the_regex_on_the_folded_text(text):
+    assert tokenize(text) == ranking._TOKEN_RE.findall(text.lower())
 
 
 class TestRankTriples:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from factcache.cache import RemoteSparqlSource
 from factcache.errors import (SURROGATE, ConfigError, FactCacheError,
-                              HttpError, ModelError, RateLimited)
+                              HttpError, MalformedResponse, ModelError,
+                              RateLimited)
 from factcache.kbclient import KnowledgeBaseClient, filter_ambiguous
 from factcache.models import HttpCompletionModel
 from factcache.sparqlio import (ENTITY_NAMESPACES, HEADERS, RequestPolicy,
@@ -183,6 +184,25 @@ class TestPost:
             endpoint=f"http://127.0.0.1:{closed_port()}/")
         with pytest.raises(ModelError, match="request failed"):
             model.complete_text("Where?")
+
+
+def one_row(row) -> str:
+    return json.dumps({"head": {"vars": ["s"]},
+                       "results": {"bindings": [row]}})
+
+
+@pytest.mark.parametrize("body", [
+    "{", '"\\ud800"', "[]", '{"results": {"bindings": []}, "head": 5}',
+    one_row(5), one_row({"s": 5}), one_row({"s": {"value": 5}})],
+    ids=["not-json", "surrogate", "no-bindings", "head", "row", "cell",
+         "value"])
+def test_a_malformed_reply_names_its_endpoint(body):
+    def transport(url, params, headers):
+        return TransportReply(200, body)
+
+    with pytest.raises(MalformedResponse) as exc:
+        exec_sparql("https://unit.test/sparql", "SELECT ?s {}", transport)
+    assert str(exc.value).startswith("https://unit.test/sparql: ")
 
 
 # --- the entity rule ---------------------------------------------------------

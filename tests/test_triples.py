@@ -80,6 +80,15 @@ class TestTripleSet:
         assert len(ts) == 1
         assert a in ts and b in ts
 
+    def test_the_first_fact_of_a_repeated_key_is_kept(self):
+        first = triple("s", "r", "o", source=Source.WIKIDATA, version=1)
+        later = triple("s", "r", "o", source=Source.MANUAL, version=4)
+        other = triple("s", "q", "o")
+        kept = TripleSet([first, other, later]).triples
+        assert len(kept) == 2 and kept[0] is other and kept[1] is first
+        (kept,) = TripleSet([later, first]).triples
+        assert kept is later
+
     def test_contains_accepts_key_tuples(self):
         ts = TripleSet([triple("s", "r", "o")])
         assert ("s", "r", "o") in ts
