@@ -381,24 +381,28 @@ class TieredFactStore:
     are evicted, least recently used first. Each edit (apply_update /
     inject_manual) marks its fact, and a subject with a marked fact is
     pinned and never evicted, so edits alone may exceed capacity. A sync
-    clears the mark of each fact the slow source now holds and releases a
+    clears the mark of each fact the slow source now holds and unpins a
     subject left with none.
 
     With prefetch_depth 1 (the default) a miss also prefetches the
     subjects its facts name as entity objects, one hop out; 0 turns
     prefetch off.
 
-    Structural access goes through one short-held lock and slow fetches run
-    unlocked. Each write to a subject stamps it from one store clock, which
-    a read-through (a miss, a prefetch, a sync) reads as its ticket before
-    it fetches. A fetch older than its subject's stamp is dropped, and its
-    caller is served what is resident, as by a hit (a miss that an edit
-    overtook on an unread subject answers from its fetch). So each subject
-    is linearizable while it stays resident, a sync taking two steps: it
-    reads the source, then applies what it read unless the subject was
-    written since it began. Concurrent misses on one entity still converge
-    to one stored copy (both fetches count); an edit waits on a sync for
-    one subject at most.
+    One short-held lock guards the table; slow fetches run unlocked. Each
+    write to a subject stamps it from one store clock. A read-through (a
+    miss, a prefetch, a sync) holds its subject's record, then reads the
+    clock as its ticket and fetches; a subject whose first read is in flight
+    holds an empty, incomplete record, stamped when admitted. A fetch is
+    applied only onto a record whose stamp its ticket covers; one whose
+    subject was written, evicted or found absent since is dropped, and its
+    caller is served what is resident, as by a hit, or else its own fetch
+    under the edits it held. So each subject is linearizable (a sync reads
+    the source, then applies what it read unless the subject was written
+    since it began), bar one case under a capacity: a miss that an older
+    concurrent miss overtook answers from its own fetch if that copy is
+    evicted before it lands. Concurrent misses on one entity converge to
+    one stored copy (both fetches count); an edit waits on a sync for one
+    subject at most.
     """
 
     def __init__(self, slow: Optional[SlowSource] = None,
@@ -435,8 +439,7 @@ class TieredFactStore:
             if hit is not None:
                 self.stats.hits += 1
                 return hit
-            record = self._subjects.get(entity)  # absent, or edits only
-            held = dict(record.facts) if record else {}
+            held = dict(self._hold(entity).facts)  # edits only, if any
             ticket = self._clock
         result = self._read_through("miss", ticket, [entity], held)[1]
         try:
@@ -498,10 +501,9 @@ class TieredFactStore:
         if self.prefetch_depth == 0:
             return 0
         with self._lock:
-            held, ticket = self._subjects, self._clock
-            targets = sorted({
-                t.obj for t in seeds if t.object_is_entity
-                and not (t.obj in held and held[t.obj].complete)})
+            targets = sorted({t.obj for t in seeds if t.object_is_entity
+                              and not self._hold(t.obj).complete})
+            ticket = self._clock
         return self._read_through("prefetch", ticket, targets)[0]  # may raise
 
     # -- writes ---------------------------------------------------------------
@@ -527,8 +529,7 @@ class TieredFactStore:
             fetched_at=edit.issued_at)
         with self._lock:
             self.stats.updates_applied += 1
-            record = self._subjects.get(subject) or self._admit(
-                subject, _Subject(complete=False))  # laid over a fetch later
+            record = self._hold(subject)  # laid over a fetch later
             # marked and stamped even when the object is unchanged
             if not record.edited:
                 del self._lru[subject]
@@ -562,11 +563,11 @@ class TieredFactStore:
     # -- sync ------------------------------------------------------------------
 
     def sync(self) -> int:
-        """Re-fetch every fast-table subject and lay its edits over exactly
-        the fetched facts, so each unedited fact the source no longer
-        returns is dropped; returns replacements + insertions + drops. An
-        edit whose fact now equals the source's is absorbed: its mark is
-        cleared, and a subject left with none is released to eviction.
+        """Re-fetch every subject holding a fact and lay its edits over
+        exactly the fetched facts, so each unedited fact the source no
+        longer returns is dropped; returns replacements + insertions +
+        drops. An edit whose fact now equals the source's is absorbed: its
+        mark is cleared, and a subject left with none is unpinned.
 
         A marked manual edit issued after the slow snapshot time, or under
         a source with none, is kept; once absorbed, the source's later
@@ -576,7 +577,8 @@ class TieredFactStore:
         since the sync began is skipped: the later write wins.
         """
         with self._lock:
-            ticket, subjects = self._clock, sorted(self._subjects)
+            ticket, subjects = self._clock, sorted(
+                s for s, record in self._subjects.items() if record.facts)
         return self._read_through("sync", ticket, subjects)[0]
 
     @staticmethod
@@ -593,8 +595,9 @@ class TieredFactStore:
                       ) -> tuple[int, Optional[TripleSet]]:
         """Fetch `subjects` unlocked for a "miss", "prefetch" or "sync"
         (`why`; a sync fetches all first), then apply each fetch under the
-        lock unless its subject was written since `ticket`. A miss is served
-        what is resident or, while that is only edits, its fetch under
+        lock onto its subject's record, held before `ticket`, unless the
+        subject was written or released since. A miss is served what is
+        resident or, while that is only edits or nothing, its fetch under
         `held`, the edits at the ticket. Returns (facts changed, answer)."""
         sync = why == "sync"
         fetched = ((subject, self._fetch(subject)) for subject in subjects)
@@ -608,14 +611,8 @@ class TieredFactStore:
                     self.stats.slow_fetches += 1
                 elif not sync:
                     self.stats.prefetch_fetches += 1
-                record = self._subjects.get(subject)
-                if record is None:
-                    if facts and not sync:  # absence is not cached
-                        self._clock += 1
-                        self._admit(subject,
-                                    _Subject(facts, stamp=self._clock))
-                        changed += len(facts)
-                elif record.stamp <= ticket:
+                record = self._subjects.get(subject)  # None: released
+                if record is not None and record.stamp <= ticket:
                     # the edits that stay marked (a sync's: see sync())
                     kept = record.edited if not sync else frozenset(
                         r for r in record.edited if r not in facts
@@ -660,6 +657,13 @@ class TieredFactStore:
 
     # -- internals --------------------------------------------------------------
 
+    def _hold(self, subject: str) -> _Subject:
+        """The subject's record, admitted empty and newly stamped if absent."""
+        if subject not in self._subjects:
+            self._clock += 1
+            self._admit(subject, _Subject(complete=False, stamp=self._clock))
+        return self._subjects[subject]
+
     def _admit(self, subject: str, record: _Subject) -> _Subject:
         self._subjects[subject] = record
         if not record.edited:
@@ -701,8 +705,8 @@ def save_state(store: TieredFactStore, path: str | Path) -> None:
             for _, record in sorted(store._subjects.items())
             for _, t in sorted(record.facts.items())
         ]
-        incomplete = sorted(subject for subject, record
-                            in store._subjects.items() if not record.complete)
+        incomplete = sorted(s for s, record in store._subjects.items()
+                            if record.facts and not record.complete)
         state = {"stats": store.stats.snapshot(), "entries": entries,
                  "incomplete": incomplete}
     write_text(path, json.dumps(state, ensure_ascii=False, indent=2))

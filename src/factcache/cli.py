@@ -23,8 +23,8 @@ from .cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
 from .config import Config, DEFAULT_CONFIG_PATH, load_config
 from .dataset import (build_benchmark, build_multihop_benchmark,
                       emit_benchmark, load_benchmark, load_relation_templates)
-from .errors import (NAME, SURROGATE, TEXT, FactCacheError, read_json_rows,
-                     read_text)
+from .errors import (NAME, SURROGATE, TEXT, ConfigError, FactCacheError,
+                     read_json_rows, read_text)
 from .harness import (run_main_eval, run_multihop_scenario,
                       run_scale_scenario, run_transition_scenario)
 from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
@@ -124,6 +124,8 @@ def _save(cfg: Config, store: TieredFactStore) -> None:
 # --- commands -----------------------------------------------------------------
 
 def cmd_edit(cfg: Config, args) -> int:
+    if args.literal and (args.object_label or args.object) != args.object:
+        raise ConfigError("a --literal is stored as its own --object-label")
     store = _store(cfg)
     before = store.get(args.subject, args.relation)
     outcome = store.inject_manual(EditRequest(

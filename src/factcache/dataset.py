@@ -111,14 +111,13 @@ class BenchmarkItem:
     """One single-hop task instance over a fact triple.
 
     queries maps each edit-facing task kind to the final query string; the
-    CHOICE and FACT_CHECK entries embed their options / proposition, and the
-    parsed options are kept alongside for scoring. The gold answer is the
-    object label, and the fact-check truth is read off the proposition.
+    CHOICE and FACT_CHECK entries embed their options / proposition. The
+    gold answer is the object label, and the options and the fact-check
+    truth are read off their queries.
     """
 
     triple: FactTriple
     queries: Mapping[TaskKind, str]
-    choice_options: tuple[tuple[str, str], ...]  # (letter, option text)
     locality_subject: str
     locality_object: str
     locality_query: str
@@ -126,7 +125,7 @@ class BenchmarkItem:
     def __post_init__(self):
         object.__setattr__(self, "queries", dict(self.queries))
         matches = sum(1 for _, text in self.choice_options if text == self.gold)
-        if matches != 1:
+        if matches != 1:  # no options line reads as no options
             raise SchemaViolation(
                 f"choice options must contain the gold exactly once, got {matches}")
         if self.locality_subject == self.triple.subject_label:
@@ -156,6 +155,11 @@ class BenchmarkItem:
             return self.locality_object
         return self.gold
 
+    @property
+    def choice_options(self) -> tuple[tuple[str, str], ...]:  # (letter, text)
+        line = _CHOICE_LINE.fullmatch(self.queries[TaskKind.CHOICE])
+        return tuple(zip(CHOICE_LETTERS, line.groups() if line else ()))
+
     def option_map(self) -> dict[str, str]:
         return {letter.lower(): text for letter, text in self.choice_options}
 
@@ -182,8 +186,6 @@ class BenchmarkItem:
                 source=Source.SYNTHETIC,
             ),
             queries={task: record[key] for task, key in QUERY_KEYS.items()},
-            choice_options=tuple(zip(CHOICE_LETTERS, _CHOICE_LINE.fullmatch(
-                record["choose_query"]).groups())),
             locality_subject=record["localitysubjectLabel"],
             locality_object=record["localityobjectLabel"],
             locality_query=record["locality_query"],
@@ -227,7 +229,7 @@ def build_item(triple: FactTriple, relation: RelationRef,
 
     locality_query = fill_template(relation.template(TaskKind.QA),
                                    locality.subject_label)
-    return BenchmarkItem(
+    item = BenchmarkItem(
         triple=triple,
         queries={
             TaskKind.QA: qa,
@@ -236,11 +238,13 @@ def build_item(triple: FactTriple, relation: RelationRef,
             TaskKind.CHOICE: choose,
             TaskKind.FACT_CHECK: fc,
         },
-        choice_options=tuple(zip(CHOICE_LETTERS, options)),
         locality_subject=locality.subject_label,
         locality_object=locality.object_label,
         locality_query=locality_query,
     )
+    if item.choice_options != tuple(zip(CHOICE_LETTERS, options)):
+        raise SchemaViolation(f"options {options} misread: {options_line!r}")
+    return item
 
 
 # --- multi-hop items ----------------------------------------------------------

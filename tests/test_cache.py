@@ -1239,6 +1239,47 @@ class TestStaleFetches:
         assert pairs(slow.run(store.retrieve, "X")) == {("r1", "e")}
         assert_counts(store, 2)
 
+    def test_a_read_older_than_an_eviction_is_not_stored(self):
+        slow = GatedSource(literals("X", r1="a") + literals("Y", r1="y"))
+        store = TieredFactStore(slow, capacity=1, prefetch_depth=0)
+        first, gate = slow.park(store.retrieve, "X")  # reads {r1: a}
+        slow.put(literals("X", r1="b")[0])
+        assert pairs(slow.run(store.retrieve, "X")) == {("r1", "b")}
+        slow.run(store.retrieve, "Y")  # evicts X
+        gate.set()
+        assert pairs(first.join()) == {("r1", "a")}
+        assert store.get("X", "r1") is None
+        assert pairs(slow.run(store.retrieve, "X")) == {("r1", "b")}
+        assert_counts(store, 4)
+
+    def test_a_read_older_than_an_eviction_and_a_new_miss_is_dropped(self):
+        slow = GatedSource(literals("X", r1="a") + literals("Y", r1="y"))
+        store = TieredFactStore(slow, capacity=1, prefetch_depth=0)
+        first, first_gate = slow.park(store.retrieve, "X")  # reads {r1: a}
+        slow.put(literals("X", r1="b")[0])
+        assert pairs(slow.run(store.retrieve, "X")) == {("r1", "b")}
+        slow.run(store.retrieve, "Y")  # evicts X
+        third, third_gate = slow.park(store.retrieve, "X")  # reads {r1: b}
+        first_gate.set()
+        assert pairs(first.join()) == {("r1", "a")}
+        third_gate.set()
+        assert pairs(third.join()) == {("r1", "b")}
+        assert store.get("X", "r1").obj == "b"
+        assert pairs(store.retrieve("X")) == {("r1", "b")}
+        assert_counts(store, 5)
+
+    def test_a_read_older_than_an_absent_read_is_not_stored(self):
+        slow = GatedSource(literals("X", r1="a"))
+        store = TieredFactStore(slow, prefetch_depth=0)
+        first, gate = slow.park(store.retrieve, "X")  # reads {r1: a}
+        slow.remove("X", "r1")
+        assert pairs(slow.run(store.retrieve, "X")) == set()
+        gate.set()
+        assert pairs(first.join()) == {("r1", "a")}
+        assert len(store) == 0 and store.get("X", "r1") is None
+        assert pairs(slow.run(store.retrieve, "X")) == set()
+        assert_counts(store, 3)
+
 
 @dataclass
 class Call:
@@ -1323,14 +1364,14 @@ def linearizable(history, initial) -> bool:
     return search(frozenset(range(len(history))), initial)
 
 
-def record_history(seed, steps=40):
+def record_history(seed, steps=40, changed=("r1", "r2")):
     """Seeded threads call retrieve, apply_update and sync on two or three
     subjects, and the source puts and removes facts, through a gated
     source: one call runs at a time, and each step either starts a call or
     opens one parked fetch, so the seed alone sets the interleaving.
-    Every subject keeps r0 in the source; a final retrieve of each subject
-    closes the history. Returns the store, the source's first facts and
-    the calls."""
+    The source puts and removes only `changed` relations, so by default
+    every subject keeps r0 there; a final retrieve of each subject closes
+    the history. Returns the store, the source's first facts and the calls."""
     rng = random.Random(seed)
     subjects = ["X", "Y", "Z"][:rng.choice((2, 2, 3))]
     first = {(s, r): f"{s}-{r}" for s in subjects
@@ -1401,9 +1442,9 @@ def record_history(seed, steps=40):
         elif roll < 0.72:
             begin(Call("sync", None, ()), store.sync)
         elif roll < 0.86:
-            change("put", subject, rng.choice(["r1", "r2"]), f"p{n}")
+            change("put", subject, rng.choice(changed), f"p{n}")
         else:
-            change("remove", subject, rng.choice(["r1", "r2"]))
+            change("remove", subject, rng.choice(changed))
     open_all()
     for subject in subjects:  # a last read of each subject closes it
         read(subject)
@@ -1436,6 +1477,43 @@ def test_every_subject_is_linearizable(seed):
                    for call in calls if call.subject == subject]
         for number, sync in enumerate(calls):
             if sync.kind == "sync":  # its count sums over every subject
+                history += [dataclasses.replace(
+                    sync, kind=kind, args=(number,), result=None,
+                    may_pass=may_pass(sync, calls, subject))
+                    for kind in ("read", "sync")]
+        source = frozenset((r, o) for (s, r), o in first.items()
+                           if s == subject)
+        initial = (source, None, False, frozenset(), frozenset())
+        assert linearizable(history, initial), (subject, history)
+
+
+def may_release(call, calls, subject) -> bool:
+    """may_pass, and also: a retrieve that another retrieve of `subject`,
+    or a sync, ran alongside may leave the subject as it found it, since
+    either may find the subject absent in the source and drop its record
+    before this retrieve's fetch lands."""
+    return may_pass(call, calls, subject) or call.kind == "retrieve" and any(
+        other.start < call.end and call.start < other.end
+        for other in calls if other is not call and (
+            other.kind == "sync"
+            or other.kind == "retrieve" and other.subject == subject))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_every_subject_is_linearizable_through_absence(seed):
+    """As test_every_subject_is_linearizable, but the source puts and
+    removes r0 too, so a subject can become absent in it: a fetch that
+    finds its subject's record dropped, or held anew, must not put an
+    older copy back."""
+    store, first, calls = record_history(seed, changed=("r0", "r1", "r2"))
+    assert_counts(store, sum(call.kind == "retrieve" for call in calls))
+    for subject in {s for s, _ in first}:
+        history = [dataclasses.replace(
+            call, may_pass=call.kind == "retrieve"
+            and may_release(call, calls, subject))
+            for call in calls if call.subject == subject]
+        for number, sync in enumerate(calls):
+            if sync.kind == "sync":
                 history += [dataclasses.replace(
                     sync, kind=kind, args=(number,), result=None,
                     may_pass=may_pass(sync, calls, subject))
@@ -1882,6 +1960,16 @@ class TestDumpFormat:
         # edited flag survives: the restored edit still wins over slow data
         restored.bulk_load([US_BIDEN])
         assert restored.get("US", "head_of_gov").obj == "Harris"
+
+    def test_a_failed_first_read_leaves_the_state_file_empty(self,
+                                                              tmp_path):
+        store, slow = make_store()
+        slow.unreachable = True
+        with pytest.raises(SlowUnreachable):
+            store.retrieve("US")
+        save_state(store, tmp_path / "state.json")
+        state = json.loads((tmp_path / "state.json").read_text())
+        assert (state["entries"], state["incomplete"]) == ([], [])
 
     def test_state_keeps_incomplete_subjects(self, tmp_path):
         capital = triple("US", "capital", "Washington",

@@ -96,6 +96,22 @@ class TestEdit:
         code, out, _ = run(capsys, "cache", "stats")
         assert "updates_applied=1" in out
 
+    def test_a_literal_edit_repeats_as_no_change(self, workdir, capsys):
+        argv = ("edit", "America", "population", "331", "--literal")
+        assert run(capsys, *argv)[:2] == (0, "INSERTED\n")
+        assert run(capsys, *argv)[:2] == (0, "REPLACED (no change)\n")
+
+    def test_a_literal_takes_no_other_object_label(self, workdir, capsys):
+        # a stored literal is its label, so the label would replace 331
+        code, out, err = run(capsys, "edit", "America", "population", "331",
+                             "--literal", "--object-label", "three hundred")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "--object-label" in err
+        assert not Path("state.json").exists()
+        code, out, _ = run(capsys, "edit", "America", "population", "331",
+                           "--literal", "--object-label", "331")
+        assert (code, out) == (0, "INSERTED\n")
+
 
 class TestQuery:
     QUESTION = "Who is the current head of government for Sioux Falls?"

@@ -120,6 +120,32 @@ class TestBuildItem:
         assert sorted(letter for letter, _ in item.choice_options) == \
             ["A", "B", "C"]
 
+    def test_options_their_line_would_misread_are_refused(self, templates):
+        # first on the line, "Al B: Gore" reads back as "Al" and " Gore B:..";
+        # elsewhere it reads back whole, through a record too
+        t = triple("America", "head of government", "Joe Biden")
+        locality = triple("Viarmes", "head of government", "William Rouyer")
+        refused = 0
+        for seed in range(12):
+            try:
+                item = build_item(t, templates["head of government"],
+                                  ["Al B: Gore", "Bush"], locality,
+                                  random.Random(seed))
+            except SchemaViolation:
+                refused += 1
+                continue
+            loaded = BenchmarkItem.from_record(item.to_record())
+            assert sorted(loaded.option_map().values()) == \
+                ["Al B: Gore", "Bush", "Joe Biden"]
+        assert 0 < refused < 12
+
+    def test_a_choice_query_without_an_options_line_is_refused(
+            self, templates):
+        item = sioux_falls_item(templates)
+        with pytest.raises(SchemaViolation):
+            dataclasses.replace(item, queries={
+                **item.queries, TaskKind.CHOICE: "Who heads Sioux Falls?"})
+
 
 AMTRAK_CHAIN = [
     triple("Amtrak", "owner of", "Route 128 station", source=Source.SYNTHETIC),

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 from factcache.cache import RemoteSparqlSource
@@ -279,6 +279,46 @@ def sparql_results(draw, variables):
                  "results": part({"bindings": part(rows)})})
 
 
+def strings_for(variable):
+    """What a string_results cell binds `variable` to: a decimal count, a
+    label, or a URI, an item's as often as one from _VALUES."""
+    if variable.endswith("Count"):
+        return st.integers(0, 99).map(str)
+    if variable.endswith("Label"):
+        return st.text(min_size=1, max_size=3)
+    return st.sampled_from([ns + "Q2" for ns in ENTITY_NAMESPACES]) | _VALUES
+
+
+@st.composite
+def string_results(draw, variables):
+    """A well-formed SPARQL results document over `variables` whose two to
+    five rows bind each of them to a strings_for string; in one document
+    in 8, one cell holds any scalar instead."""
+    rows = [{var: {"type": "literal", "value": draw(strings_for(var))}
+             for var in variables}
+            for _ in range(draw(st.integers(2, 5)))]
+    if draw(st.integers(0, 7)) == 7:
+        cell = {"type": "literal", "value": draw(_SCALARS)}
+        draw(st.sampled_from(rows))[draw(st.sampled_from(variables))] = cell
+    return {"head": {"vars": list(variables)}, "results": {"bindings": rows}}
+
+
+def reached(check, variables, examples=100):
+    """The share of `examples` string_results replies over `variables`,
+    drawn from a fixed seed, for which check(reply) says it reached its
+    typed checks (it read at least one fact or row)."""
+    outcomes = []
+
+    @seed(39)
+    @settings(max_examples=examples, deadline=None, database=None)
+    @given(body=string_results(variables))
+    def run(body):
+        outcomes.append(check(body))
+
+    run()
+    return sum(outcomes) / len(outcomes)
+
+
 def replaying(body):
     text = json.dumps(body)
     return lambda url, params, headers: TransportReply(200, text)
@@ -291,11 +331,15 @@ def text(value) -> bool:
 
 
 def typed_or_refused(read):
-    """read()'s value, or None when it raised a FactCacheError."""
+    """read()'s value, or None when it raised a FactCacheError; an event
+    reports which, so a property's statistics show its accepted share."""
     try:
-        return read()
+        value = read()
     except FactCacheError:
+        event("refused")
         return None
+    event("read, with items" if value else "read, empty")
+    return value
 
 
 @given(body=sparql_results(["relation", "relationLabel", "object",
@@ -308,6 +352,24 @@ def test_any_subject_facts_reply_reads_typed_or_is_refused(body):
     facts = typed_or_refused(lambda: source.fetch_subject("Q30"))
     assert facts is None or all(isinstance(t, FactTriple) and all(
         map(text, (t.relation, t.obj, t.object_label))) for t in facts)
+
+
+def subject_facts_are_typed(body) -> bool:
+    """The checks of test_any_subject_facts_reply_reads_typed_or_is_refused
+    on the reply `body`; whether they saw a fact."""
+    source = RemoteSparqlSource("https://unit.test/sparql",
+                                transport=replaying(body),
+                                sleep=lambda s: None)
+    facts = typed_or_refused(lambda: source.fetch_subject("Q30"))
+    assert facts is None or all(isinstance(t, FactTriple) and all(
+        map(text, (t.relation, t.obj, t.object_label))) for t in facts)
+    return bool(facts)
+
+
+def test_string_subject_facts_replies_reach_their_typed_checks():
+    assert reached(subject_facts_are_typed, [
+        "relation", "relationLabel", "object", "objectLabel",
+        "subjectLabel"]) >= 0.5
 
 
 # Wikidata's triples query counts each subject's relations; DBpedia's
@@ -332,6 +394,36 @@ def test_any_triples_reply_reads_and_filters_typed_or_is_refused(
                    for row in rows)
         assert all(isinstance(t, FactTriple) and text(t.obj)
                    for t in filter_ambiguous(rows))
+
+
+TRIPLES_QUERIES = [
+    ("wikidata", "P6", ["subject", "object", "subjectLabel", "objectLabel",
+                        "relationCount"]),
+    ("dbpedia", "http://dbpedia.org/ontology/birthPlace",
+     ["subject", "subjectLabel", "object", "objectLabel"])]
+
+
+@pytest.mark.parametrize("kind, relation, variables", TRIPLES_QUERIES,
+                         ids=["wikidata", "dbpedia"])
+def test_string_triples_replies_reach_their_typed_checks(kind, relation,
+                                                         variables):
+    def rows_are_typed(body) -> bool:
+        """The checks of
+        test_any_triples_reply_reads_and_filters_typed_or_is_refused on
+        the reply `body`; whether they saw a row."""
+        client = KnowledgeBaseClient(kind, "https://unit.test/sparql",
+                                     transport=replaying(body))
+        rows = typed_or_refused(
+            lambda: client.fetch_triples(relation, limit=5))
+        if rows is not None:
+            assert all(text(row.subject_uri) and text(row.object_label) and
+                       type(row.relation_count) in (int, type(None))
+                       for row in rows)
+            assert all(isinstance(t, FactTriple) and text(t.obj)
+                       for t in filter_ambiguous(rows))
+        return bool(rows)
+
+    assert reached(rows_are_typed, variables) >= 0.5
 
 
 @given(body=sparql_results(["DBpediaProp", "itemLabel", "WikidataProp"]))
