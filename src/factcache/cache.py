@@ -390,19 +390,15 @@ class TieredFactStore:
 
     One short-held lock guards the table; slow fetches run unlocked. Each
     write to a subject stamps it from one store clock. A read-through (a
-    miss, a prefetch, a sync) holds its subject's record, then reads the
-    clock as its ticket and fetches; a subject whose first read is in flight
-    holds an empty, incomplete record, stamped when admitted. A fetch is
-    applied only onto a record whose stamp its ticket covers; one whose
-    subject was written, evicted or found absent since is dropped, and its
-    caller is served what is resident, as by a hit, or else its own fetch
-    under the edits it held. So each subject is linearizable (a sync reads
-    the source, then applies what it read unless the subject was written
-    since it began), bar one case under a capacity: a miss that an older
-    concurrent miss overtook answers from its own fetch if that copy is
-    evicted before it lands. Concurrent misses on one entity converge to
-    one stored copy (both fetches count); an edit waits on a sync for one
-    subject at most.
+    miss, a prefetch, a sync) holds its subject's record, an empty and
+    incomplete one while its first read is in flight, then reads the clock
+    as its ticket and fetches. A fetch is applied only onto a record whose
+    stamp the ticket covers. A miss is served that record as last written,
+    if it was filled, or else its own fetch under the edits it held. So
+    each subject is linearizable, a sync taking two steps: it reads the
+    source, then applies what it read unless the subject was written since
+    it began. Concurrent misses on one entity converge to one stored copy
+    (both fetches count); an edit waits on a sync for one subject at most.
     """
 
     def __init__(self, slow: Optional[SlowSource] = None,
@@ -439,8 +435,8 @@ class TieredFactStore:
             if hit is not None:
                 self.stats.hits += 1
                 return hit
-            held = dict(self._hold(entity).facts)  # edits only, if any
-            ticket = self._clock
+            mine = self._hold(entity)  # its facts are edits only, if any
+            held, ticket = (mine, dict(mine.facts)), self._clock
         result = self._read_through("miss", ticket, [entity], held)[1]
         try:
             self.prefetch_neighbors(result)
@@ -591,14 +587,14 @@ class TieredFactStore:
     # -- the read-through -----------------------------------------------------
 
     def _read_through(self, why: str, ticket: int, subjects: list[str],
-                      held: Optional[dict[str, FactTriple]] = None
-                      ) -> tuple[int, Optional[TripleSet]]:
+                      held: tuple = ()) -> tuple[int, Optional[TripleSet]]:
         """Fetch `subjects` unlocked for a "miss", "prefetch" or "sync"
         (`why`; a sync fetches all first), then apply each fetch under the
-        lock onto its subject's record, held before `ticket`, unless the
-        subject was written or released since. A miss is served what is
-        resident or, while that is only edits or nothing, its fetch under
-        `held`, the edits at the ticket. Returns (facts changed, answer)."""
+        lock unless its subject's record was written or released since
+        `ticket`. A miss is served the record it held, `held[0]`, if that
+        holds a full copy (as last written, if released since), else its
+        fetch under `held[1]`, the edits at the ticket. Returns (facts
+        changed, answer)."""
         sync = why == "sync"
         fetched = ((subject, self._fetch(subject)) for subject in subjects)
         if sync:  # SlowUnreachable leaves the fast table untouched
@@ -620,8 +616,12 @@ class TieredFactStore:
                         and self._manual_wins(record.facts[r], snapshot_at))
                     changed += self._lay(subject, record, facts, kept)
                 if why == "miss":
-                    served = self._serve_fast(subject) or TripleSet(
-                        {**facts, **held}.values())
+                    mine, edits = held
+                    if record is mine:
+                        served = self._serve_fast(subject)
+                    elif mine.complete:  # as released; empty if found absent
+                        served = TripleSet(mine.facts.values())
+                    served = served or TripleSet({**facts, **edits}.values())
                 self._evict()
         return changed, served
 

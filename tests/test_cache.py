@@ -1240,6 +1240,8 @@ class TestStaleFetches:
         assert_counts(store, 2)
 
     def test_a_read_older_than_an_eviction_is_not_stored(self):
+        # the first read answers with the copy the second stored, as it
+        # would have had X stayed resident
         slow = GatedSource(literals("X", r1="a") + literals("Y", r1="y"))
         store = TieredFactStore(slow, capacity=1, prefetch_depth=0)
         first, gate = slow.park(store.retrieve, "X")  # reads {r1: a}
@@ -1247,7 +1249,7 @@ class TestStaleFetches:
         assert pairs(slow.run(store.retrieve, "X")) == {("r1", "b")}
         slow.run(store.retrieve, "Y")  # evicts X
         gate.set()
-        assert pairs(first.join()) == {("r1", "a")}
+        assert pairs(first.join()) == {("r1", "b")}
         assert store.get("X", "r1") is None
         assert pairs(slow.run(store.retrieve, "X")) == {("r1", "b")}
         assert_counts(store, 4)
@@ -1261,11 +1263,30 @@ class TestStaleFetches:
         slow.run(store.retrieve, "Y")  # evicts X
         third, third_gate = slow.park(store.retrieve, "X")  # reads {r1: b}
         first_gate.set()
-        assert pairs(first.join()) == {("r1", "a")}
+        assert pairs(first.join()) == {("r1", "b")}
         third_gate.set()
         assert pairs(third.join()) == {("r1", "b")}
         assert store.get("X", "r1").obj == "b"
         assert pairs(store.retrieve("X")) == {("r1", "b")}
+        assert_counts(store, 5)
+
+    def test_a_read_an_older_one_overtook_answers_as_its_copy_was(self):
+        # the second read defers to the first one's copy, which a hit served
+        # after the source moved on; that copy is evicted before the second
+        # read lands, and the second still answers with it, not its own
+        slow = GatedSource(literals("X", r1="a") + literals("Y", r1="y"))
+        store = TieredFactStore(slow, capacity=1, prefetch_depth=0)
+        first, first_gate = slow.park(store.retrieve, "X")  # reads {r1: a}
+        slow.put(literals("X", r1="b")[0])
+        second, second_gate = slow.park(store.retrieve, "X")  # {r1: b}
+        first_gate.set()
+        assert pairs(first.join()) == {("r1", "a")}
+        slow.put(literals("X", r1="c")[0])
+        assert pairs(store.retrieve("X")) == {("r1", "a")}  # a hit
+        slow.run(store.retrieve, "Y")  # evicts X
+        second_gate.set()
+        assert pairs(second.join()) == {("r1", "a")}
+        assert pairs(slow.run(store.retrieve, "X")) == {("r1", "c")}
         assert_counts(store, 5)
 
     def test_a_read_older_than_an_absent_read_is_not_stored(self):
@@ -1338,10 +1359,10 @@ def model_step(state, call):
     return synced + [(None, (*state[:4], read))] * call.may_pass
 
 
-def linearizable(history, initial) -> bool:
+def linearizable(history, initial, step=model_step) -> bool:
     """Wing and Gong's search, with Lowe's memo of the states reached: can
     the calls of `history` be put in one order, each between its start and
-    its end, in which model_step gives each call its recorded result?"""
+    its end, in which `step` gives each call its recorded result?"""
     seen = set()
 
     def search(left, state):
@@ -1355,7 +1376,7 @@ def linearizable(history, initial) -> bool:
             call = history[i]
             if call.start > first_end:
                 continue  # a call left ended before this one started
-            for result, after in model_step(state, call):
+            for result, after in step(state, call):
                 if (call.result is None or result == call.result) \
                         and search(left - {i}, after):
                     return True
@@ -1364,21 +1385,22 @@ def linearizable(history, initial) -> bool:
     return search(frozenset(range(len(history))), initial)
 
 
-def record_history(seed, steps=40, changed=("r1", "r2")):
+def record_history(seed, steps=40, changed=("r1", "r2"), capacity=None):
     """Seeded threads call retrieve, apply_update and sync on two or three
     subjects, and the source puts and removes facts, through a gated
     source: one call runs at a time, and each step either starts a call or
     opens one parked fetch, so the seed alone sets the interleaving.
     The source puts and removes only `changed` relations, so by default
     every subject keeps r0 there; a final retrieve of each subject closes
-    the history. Returns the store, the source's first facts and the calls."""
+    the history. The store holds up to `capacity` facts. Returns the
+    store, the source's first facts and the calls."""
     rng = random.Random(seed)
     subjects = ["X", "Y", "Z"][:rng.choice((2, 2, 3))]
     first = {(s, r): f"{s}-{r}" for s in subjects
              for r in ["r0"] + ["r1"] * rng.randrange(2)}
     slow = GatedSource(triple(s, r, o, object_is_entity=False)
                        for (s, r), o in first.items())
-    store = TieredFactStore(slow, prefetch_depth=0)
+    store = TieredFactStore(slow, capacity=capacity, prefetch_depth=0)
     clock = itertools.count()
     calls: list[Call] = []
     gates: list[threading.Event] = []
@@ -1487,6 +1509,15 @@ def test_every_subject_is_linearizable(seed):
         assert linearizable(history, initial), (subject, history)
 
 
+def evicting_step(state, call):
+    """model_step in a store with a capacity: before any call, a resident
+    subject with no marked fact may have been evicted."""
+    source, held, complete, marked, read = state
+    evicted = (source, None, False, marked, read)
+    return model_step(state, call) + (
+        model_step(evicted, call) if held is not None and not marked else [])
+
+
 def may_release(call, calls, subject) -> bool:
     """may_pass, and also: a retrieve that another retrieve of `subject`,
     or a sync, ran alongside may leave the subject as it found it, since
@@ -1499,13 +1530,15 @@ def may_release(call, calls, subject) -> bool:
             or other.kind == "retrieve" and other.subject == subject))
 
 
+@pytest.mark.parametrize("capacity", [None, 1])
 @pytest.mark.parametrize("seed", range(60))
-def test_every_subject_is_linearizable_through_absence(seed):
+def test_every_subject_is_linearizable_through_absence(seed, capacity):
     """As test_every_subject_is_linearizable, but the source puts and
-    removes r0 too, so a subject can become absent in it: a fetch that
-    finds its subject's record dropped, or held anew, must not put an
-    older copy back."""
-    store, first, calls = record_history(seed, changed=("r0", "r1", "r2"))
+    removes r0 too, so a subject can become absent in it, and a capacity
+    of one fact evicts: a fetch that finds its subject's record dropped,
+    or held anew, must not put an older copy back."""
+    store, first, calls = record_history(seed, changed=("r0", "r1", "r2"),
+                                         capacity=capacity)
     assert_counts(store, sum(call.kind == "retrieve" for call in calls))
     for subject in {s for s, _ in first}:
         history = [dataclasses.replace(
@@ -1521,7 +1554,8 @@ def test_every_subject_is_linearizable_through_absence(seed):
         source = frozenset((r, o) for (s, r), o in first.items()
                            if s == subject)
         initial = (source, None, False, frozenset(), frozenset())
-        assert linearizable(history, initial), (subject, history)
+        step = model_step if capacity is None else evicting_step
+        assert linearizable(history, initial, step), (subject, history)
 
 
 # any code point, a lone surrogate too: the JSON escape \ud800 spells one
