@@ -221,6 +221,9 @@ def build_item(triple: FactTriple, relation: RelationRef,
         f"{letter}:{text}" for letter, text in zip(CHOICE_LETTERS, options))
     choose = (fill_template(relation.template(TaskKind.CHOICE), subject)
               + "\n" + options_line)
+    line = _CHOICE_LINE.fullmatch(choose)  # as BenchmarkItem reads it back
+    if not line or line.groups() != tuple(options):
+        raise SchemaViolation(f"options {options} misread: {options_line!r}")
 
     truth = rng.random() < 0.5 if fc_truth is None else fc_truth
     stated = gold if truth else rng.choice(list(distractors))
@@ -229,7 +232,7 @@ def build_item(triple: FactTriple, relation: RelationRef,
 
     locality_query = fill_template(relation.template(TaskKind.QA),
                                    locality.subject_label)
-    item = BenchmarkItem(
+    return BenchmarkItem(
         triple=triple,
         queries={
             TaskKind.QA: qa,
@@ -242,9 +245,6 @@ def build_item(triple: FactTriple, relation: RelationRef,
         locality_object=locality.object_label,
         locality_query=locality_query,
     )
-    if item.choice_options != tuple(zip(CHOICE_LETTERS, options)):
-        raise SchemaViolation(f"options {options} misread: {options_line!r}")
-    return item
 
 
 # --- multi-hop items ----------------------------------------------------------

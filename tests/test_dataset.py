@@ -131,7 +131,8 @@ class TestBuildItem:
                 item = build_item(t, templates["head of government"],
                                   ["Al B: Gore", "Bush"], locality,
                                   random.Random(seed))
-            except SchemaViolation:
+            except SchemaViolation as exc:
+                assert "misread" in str(exc)
                 refused += 1
                 continue
             loaded = BenchmarkItem.from_record(item.to_record())

@@ -281,11 +281,14 @@ def sparql_results(draw, variables):
 
 def strings_for(variable):
     """What a string_results cell binds `variable` to: a decimal count, a
-    label, or a URI, an item's as often as one from _VALUES."""
+    label, or a URI, a property's or an item's as its name says as often
+    as one from _VALUES."""
     if variable.endswith("Count"):
         return st.integers(0, 99).map(str)
     if variable.endswith("Label"):
         return st.text(min_size=1, max_size=3)
+    if variable.endswith("Prop"):
+        return st.just("http://www.wikidata.org/entity/P6") | _VALUES
     return st.sampled_from([ns + "Q2" for ns in ENTITY_NAMESPACES]) | _VALUES
 
 
@@ -434,6 +437,21 @@ def test_any_properties_reply_reads_typed_or_is_refused(body):
     pairs = typed_or_refused(client.fetch_equivalent_properties)
     assert pairs is None or all(
         text(p.dbpedia_property) and text(p.label) for p in pairs)
+
+
+def test_string_properties_replies_reach_their_typed_checks():
+    def pairs_are_typed(body) -> bool:
+        """The checks of test_any_properties_reply_reads_typed_or_is_refused
+        on the reply `body`; whether they saw a pair."""
+        client = KnowledgeBaseClient("dbpedia", "https://unit.test/sparql",
+                                     transport=replaying(body))
+        pairs = typed_or_refused(client.fetch_equivalent_properties)
+        assert pairs is None or all(
+            text(p.dbpedia_property) and text(p.label) for p in pairs)
+        return bool(pairs)
+
+    assert reached(pairs_are_typed,
+                   ["DBpediaProp", "itemLabel", "WikidataProp"]) >= 0.5
 
 
 @given(body=_JSON
