@@ -391,14 +391,15 @@ class TieredFactStore:
     One short-held lock guards the table; slow fetches run unlocked. Each
     write to a subject stamps it from one store clock. A read-through (a
     miss, a prefetch, a sync) holds its subject's record, an empty and
-    incomplete one while its first read is in flight, then reads the clock
-    as its ticket and fetches. A fetch is applied only onto a record whose
-    stamp the ticket covers. A miss is served that record as last written,
-    if it was filled, or else its own fetch under the edits it held. So
-    each subject is linearizable, a sync taking two steps: it reads the
-    source, then applies what it read unless the subject was written since
-    it began. Concurrent misses on one entity converge to one stored copy
-    (both fetches count); an edit waits on a sync for one subject at most.
+    incomplete one while its first read is in flight (released if the
+    fetch fails), then reads the clock as its ticket and fetches. A fetch
+    is applied only onto a record whose stamp the ticket covers. A miss is
+    served that record as last written, if it was filled, or else its own
+    fetch under the edits it held. So each subject is linearizable, a sync
+    taking two steps: it reads the source, then applies what it read unless
+    the subject was written since it began. Concurrent misses on one entity
+    converge to one stored copy (both fetches count); an edit waits on a
+    sync for one subject at most.
     """
 
     def __init__(self, slow: Optional[SlowSource] = None,
@@ -493,7 +494,8 @@ class TieredFactStore:
         hop out, in sorted order, and insert them as complete subjects under
         any edits; subjects held complete are skipped. Returns the number of
         triples inserted. On SlowUnreachable the partial prefetch already
-        inserted is kept and the error raised."""
+        inserted is kept, the targets left are released, and the error
+        raised."""
         if self.prefetch_depth == 0:
             return 0
         with self._lock:
@@ -593,36 +595,47 @@ class TieredFactStore:
         lock unless its subject's record was written or released since
         `ticket`. A miss is served the record it held, `held[0]`, if that
         holds a full copy (as last written, if released since), else its
-        fetch under `held[1]`, the edits at the ticket. Returns (facts
-        changed, answer)."""
+        fetch under `held[1]`, the edits at the ticket. On SlowUnreachable,
+        each record still held empty and incomplete since the ticket is
+        released. Returns (facts changed, answer)."""
         sync = why == "sync"
         fetched = ((subject, self._fetch(subject)) for subject in subjects)
-        if sync:  # SlowUnreachable leaves the fast table untouched
-            fetched, snapshot_at = list(fetched), self.slow.snapshot_at
-        changed, served = 0, None
-        for subject, facts in fetched:
-            with self._lock:
-                if why == "miss":
-                    self.stats.misses += 1
-                    self.stats.slow_fetches += 1
-                elif not sync:
-                    self.stats.prefetch_fetches += 1
-                record = self._subjects.get(subject)  # None: released
-                if record is not None and record.stamp <= ticket:
-                    # the edits that stay marked (a sync's: see sync())
-                    kept = record.edited if not sync else frozenset(
-                        r for r in record.edited if r not in facts
-                        or facts[r].obj != record.facts[r].obj
-                        and self._manual_wins(record.facts[r], snapshot_at))
-                    changed += self._lay(subject, record, facts, kept)
-                if why == "miss":
-                    mine, edits = held
-                    if record is mine:
-                        served = self._serve_fast(subject)
-                    elif mine.complete:  # as released; empty if found absent
-                        served = TripleSet(mine.facts.values())
-                    served = served or TripleSet({**facts, **edits}.values())
-                self._evict()
+        try:
+            if sync:  # SlowUnreachable leaves the fast table untouched
+                fetched, snapshot_at = list(fetched), self.slow.snapshot_at
+            changed, served = 0, None
+            for subject, facts in fetched:
+                with self._lock:
+                    if why == "miss":
+                        self.stats.misses += 1
+                        self.stats.slow_fetches += 1
+                    elif not sync:
+                        self.stats.prefetch_fetches += 1
+                    record = self._subjects.get(subject)  # None: released
+                    if record is not None and record.stamp <= ticket:
+                        # the edits that stay marked (a sync's: see sync())
+                        kept = record.edited if not sync else frozenset(
+                            r for r in record.edited if r not in facts
+                            or facts[r].obj != record.facts[r].obj and
+                            self._manual_wins(record.facts[r], snapshot_at))
+                        changed += self._lay(subject, record, facts, kept)
+                    if why == "miss":
+                        mine, edits = held
+                        if record is mine:
+                            served = self._serve_fast(subject)
+                        elif mine.complete:  # as released; empty if absent
+                            served = TripleSet(mine.facts.values())
+                        served = served or TripleSet(
+                            {**facts, **edits}.values())
+                    self._evict()
+        except SlowUnreachable:
+            with self._lock:  # release each hold no fetch has filled
+                for subject in subjects:
+                    record = self._subjects.get(subject)
+                    if record is not None and record.stamp <= ticket and \
+                            not (record.complete or record.facts):
+                        del self._subjects[subject], self._lru[subject]
+            raise
         return changed, served
 
     def _lay(self, subject: str, record: _Subject,

@@ -30,7 +30,7 @@ from .harness import (run_main_eval, run_multihop_scenario,
 from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
                        KnowledgeBaseClient, filter_ambiguous)
 from .models import HttpCompletionModel, MockTableModel
-from .pipeline import AliasIndex, ExtractorKind, Pipeline, item_aliases
+from .pipeline import AliasIndex, ExtractorKind, Pipeline, item_facts
 from .sparqlio import TransportReply
 from .triples import EntityRef, TaskKind
 
@@ -227,9 +227,9 @@ def cmd_data_fetch(cfg: Config, args) -> int:
         for row in rows:
             print(json.dumps({
                 "subject_uri": row.subject_uri,
-                "subject_label": row.subject_label,
+                "subject_label": row.fact.subject_label,
                 "object_uri": row.object_uri,
-                "object_label": row.object_label,
+                "object_label": row.fact.object_label,
                 "relation_count": row.relation_count,
             }, ensure_ascii=False))
     return 0
@@ -275,8 +275,7 @@ def cmd_eval(cfg: Config, args) -> int:
             return 2
         items = load_benchmark(path, entities=entities)
         # after the state, dump and entities labels, which keep their ids
-        for surface, entity_id in item_aliases(items):
-            pipeline.aliases.add(surface, entity_id)
+        pipeline.aliases.add_facts(item_facts(items))
 
     if args.suite == "main":
         report = run_main_eval(items, pipeline, params=cfg.sure_params)

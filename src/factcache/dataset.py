@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import (NAME, BadTemplate, BrokenChain, DistractorCollision,
-                     SchemaViolation, fault, read_json_lines, read_json_rows,
-                     write_text)
+                     OptionsMisread, SchemaViolation, fault, read_json_lines,
+                     read_json_rows, write_text)
 from .ranking import contains_phrase
 from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
                       TripleSet)
@@ -223,7 +223,7 @@ def build_item(triple: FactTriple, relation: RelationRef,
               + "\n" + options_line)
     line = _CHOICE_LINE.fullmatch(choose)  # as BenchmarkItem reads it back
     if not line or line.groups() != tuple(options):
-        raise SchemaViolation(f"options {options} misread: {options_line!r}")
+        raise OptionsMisread(f"options {options} misread: {options_line!r}")
 
     truth = rng.random() < 0.5 if fc_truth is None else fc_truth
     stated = gold if truth else rng.choice(list(distractors))
@@ -396,7 +396,8 @@ def build_benchmark(triples: Iterable[FactTriple],
     id order. Each fact needs two distractors from the relation's other
     object labels and, as its locality probe, the relation's next fact
     (wrapping around) whose subject label differs, since a record holds
-    labels only; without them it is skipped."""
+    labels only; without them, or when its choice line would misread
+    (build_item), it is skipped."""
     items = []
     for _, group in sorted(_by_relation(triples, templates).items()):
         if len(group) < 3:
@@ -411,7 +412,10 @@ def build_benchmark(triples: Iterable[FactTriple],
                              if lt.subject_label != t.subject_label), None)
             if locality is None:
                 continue
-            items.append(build_item(t, ref, distractors, locality, rng))
+            try:
+                items.append(build_item(t, ref, distractors, locality, rng))
+            except OptionsMisread:
+                continue
     return items
 
 

@@ -84,6 +84,10 @@ class SchemaViolation(ParseError):
     """A benchmark record parses but violates the item schema."""
 
 
+class OptionsMisread(SchemaViolation):
+    """A choice line would not read back the options it was built from."""
+
+
 # --- reading input files ---
 
 def _located(path, exc: Exception, line: Optional[int] = None

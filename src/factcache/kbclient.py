@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from typing import Optional
 
@@ -80,20 +80,14 @@ class EquivalentPropertyPair:
 
 @dataclass(frozen=True)
 class RawTripleRow:
-    """One result row from a triple-collection query.
+    """One result row from a triple-collection query: the fact it states
+    (sparqlio.row_fact, with no fetch time), plus what the fact cannot give
+    back, the row's URIs and the Wikidata query's relation count."""
 
-    relation_* and origin are stamped on by the fetching client so the rows
-    stay self-describing through filtering.
-    """
-
+    fact: FactTriple
     subject_uri: str
-    subject_label: str
-    object_uri: Optional[str]  # None for a literal (sparqlio.row_fact)
-    object_label: str
+    object_uri: Optional[str]  # None for a literal
     relation_count: Optional[int] = None  # Wikidata query only
-    relation_id: str = ""
-    relation_label: str = ""
-    origin: Source = Source.WIKIDATA
 
 
 @dataclass
@@ -146,7 +140,7 @@ class KnowledgeBaseClient:
         naming no property id or holding a character SPARQL's IRIREF
         forbids, is a ConfigError raised before any request.
         A row is kept if it has a subject label and states a fact
-        (sparqlio.row_fact); its object_label is that fact's.
+        (sparqlio.row_fact), which it holds.
         """
         if limit < 0 or offset < 0:
             raise ConfigError("limit and offset must be non-negative")
@@ -178,15 +172,9 @@ class KnowledgeBaseClient:
             if count is not None and not count.isdecimal():
                 raise MalformedResponse(f"relationCount {count!r} is no count")
             out.append(RawTripleRow(
-                subject_uri=row["subject"],
-                subject_label=subject_label,
-                object_uri=row["object"] if fact.object_is_entity else None,
-                object_label=fact.object_label,
-                relation_count=int(count) if count is not None else None,
-                relation_id=relation_id,
-                relation_label=fact.relation_label,
-                origin=self.source,
-            ))
+                fact, row["subject"],
+                row["object"] if fact.object_is_entity else None,
+                int(count) if count is not None else None))
         return out
 
 
@@ -199,29 +187,21 @@ def _identifier_like(label: str) -> bool:
 
 def filter_ambiguous(rows: list[RawTripleRow],
                      fetched_at: Optional[datetime] = None) -> TripleSet:
-    """The facts the rows state (sparqlio.row_fact, the slow tier's rule
-    too), stamped `fetched_at` (None when the fetch time is unknown), less
-    those that would make a question ambiguous.
+    """The rows' facts, stamped `fetched_at` (None when the fetch time is
+    unknown), less those that would make a question ambiguous.
 
     Within the batch (which must cover a single relation per grouping):
     (a) a subject label naming more than one subject is dropped entirely,
     (b) a (subject, relation) with more than one object is dropped entirely.
-    A row's object is its `object_uri`, or else its `object_label`, a
-    literal; a row that states no fact counts for neither.
     """
     # exact duplicate facts collapse first so they do not fake a conflict
     unique: dict[tuple, FactTriple] = {}
     for row in rows:
-        fact = row_fact(row.subject_uri, row.relation_id,
-                        row.object_uri or row.object_label, row.object_label,
-                        row.subject_label, row.relation_label, row.origin,
-                        fetched_at)
-        if fact is not None:
-            unique.setdefault((fact.key, fact.object_label), fact)
+        unique.setdefault((row.fact.key, row.fact.object_label), row.fact)
     facts = unique.values()
     objects = Counter((t.relation, t.subject) for t in facts)
     subjects = Counter((relation, label) for relation, label, _ in
                        {(t.relation, t.subject_label, t.subject) for t in facts})
-    return TripleSet(t for t in facts
+    return TripleSet(replace(t, fetched_at=fetched_at) for t in facts
                      if objects[t.relation, t.subject] == 1
                      and subjects[t.relation, t.subject_label] == 1)

@@ -72,18 +72,22 @@ class AliasIndex:
             lengths = {*self._lengths.get(key[0], ()), len(key)}
             self._lengths[key[0]] = tuple(sorted(lengths, reverse=True))
 
-    @classmethod
-    def from_triples(cls, triples: Iterable[FactTriple]) -> "AliasIndex":
-        """Index subject and entity-object labels as `add` would row by
-        row, tokenizing each distinct label once."""
+    def add_facts(self, triples: Iterable[FactTriple]) -> None:
+        """Register the names rule, as `add` would row by row: a subject
+        label names its subject, an entity object's label its object. Each
+        distinct label is tokenized once."""
         first: dict[str, str] = {}
         for t in triples:
             first.setdefault(t.subject_label, t.subject)
             if t.object_is_entity:
                 first.setdefault(t.object_label, t.obj)
-        index = cls()
         for label, entity_id in first.items():
-            index.add(label, entity_id)
+            self.add(label, entity_id)
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[FactTriple]) -> "AliasIndex":
+        index = cls()
+        index.add_facts(triples)
         return index
 
     def lookup(self, surface: str) -> Optional[str]:
@@ -132,26 +136,21 @@ class AliasIndex:
         return list(found)
 
 
-def item_aliases(items) -> Iterator[tuple[str, str]]:
-    """(surface, entity id) for every label a benchmark item set can
-    mention: subjects, entity objects, and locality subjects/objects."""
+def item_facts(items) -> Iterator[FactTriple]:
+    """The facts whose labels a benchmark item set can mention: each
+    chain's links, or each item's triple and its locality probe."""
     for item in items:
-        multihop = isinstance(item, MultiHopItem)
-        for t in item.chain if multihop else (item.triple,):
-            yield t.subject_label, t.subject
-            if t.object_is_entity:
-                yield t.object_label, t.obj
-        if not multihop:
-            yield item.locality_subject, item.locality_subject
-            yield item.locality_object, item.locality_object
+        if isinstance(item, MultiHopItem):
+            yield from item.chain
+        else:
+            yield item.triple
+            yield FactTriple(item.locality_subject, item.triple.relation,
+                             item.locality_object)
 
 
 def aliases_for_items(items) -> AliasIndex:
-    """An alias index of `item_aliases(items)`, in order."""
-    index = AliasIndex()
-    for surface, entity_id in item_aliases(items):
-        index.add(surface, entity_id)
-    return index
+    """An alias index of `item_facts(items)`, in order."""
+    return AliasIndex.from_triples(item_facts(items))
 
 
 @dataclass(slots=True)

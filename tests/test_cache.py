@@ -102,6 +102,20 @@ class TestRetrieve:
         assert store.stats.hits + store.stats.misses == 3
         assert store.stats.misses == store.stats.slow_fetches
 
+    def test_failed_reads_hold_nothing_and_evict_nothing(self):
+        facts = [triple(f"s{i}", "r", f"o{i}") for i in range(5)]
+        store, slow = make_store(facts, capacity=2, prefetch_depth=0)
+        slow.unreachable = True
+        for i in range(10):
+            with pytest.raises(SlowUnreachable):
+                store.retrieve(f"ghost{i}")
+        assert not store._subjects and not store._lru
+        slow.unreachable = False
+        for t in facts:
+            assert store.retrieve(t.subject) == TripleSet([t])
+        assert store.stats.evictions == 3  # s0, s1, s2: the two left fit
+        assert set(store._subjects) == {"s3", "s4"}
+
     def test_rejects_empty_entity(self):
         store, _ = make_store()
         with pytest.raises(ValueError):
@@ -196,6 +210,24 @@ class TestPrefetch:
         # the first neighbor fetched before the failure is retained
         assert store.get("b", "r") is not None
         assert store.get("c", "r") is None
+
+    def test_a_prefetch_stopped_part_way_releases_the_targets_left(self):
+        seeds = [triple("a", f"r{n}", n) for n in "bcd"]
+        store, slow = make_store(
+            [*seeds, *(triple(n, "r", "x") for n in "bcd")])
+        fetch = slow.fetch_subject
+
+        def unreachable_past_b(entity):
+            if entity != "b":
+                raise SlowUnreachable("budget exhausted")
+            return fetch(entity)
+
+        slow.fetch_subject = unreachable_past_b
+        store.apply_update(EditRequest("d", "r2", "y"))  # held, not released
+        with pytest.raises(SlowUnreachable):
+            store.prefetch_neighbors(TripleSet(seeds))
+        assert set(store._subjects) == set(store._lru) | {"d"} == {"b", "d"}
+        assert store.get("d", "r2").obj == "y"
 
 
 class TestApplyUpdate:

@@ -264,6 +264,12 @@ class TestCache:
         assert code == 0
         assert out.strip() == f"{dump_lines} triples"
 
+    def test_load_without_a_dump_path_is_a_usage_error(self, workdir,
+                                                        capsys):
+        code, out, err = run(capsys, "cache", "load")
+        assert (code, out) == (2, "")
+        assert err.strip() == "cache load requires a dump file path"
+
 
 class TestCorruptInput:
     QUESTION = "Who is the current head of government for Sioux Falls?"
@@ -523,6 +529,25 @@ class TestData:
         assert (workdir / "a.jsonl").read_bytes() == \
             (workdir / "b.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_build_skips_a_fact_whose_choice_line_would_misread(
+            self, workdir, capsys, seed):
+        # the sample dump, with Viarmes' head of government labelled so
+        # that, first on a choice line, it reads back as two options
+        sample = Path(__file__).parent.parent / "sample_data" / "dump.jsonl"
+        text = sample.read_text(encoding="utf-8")
+        label = '"object_label": "William Rouyer"'
+        assert text.count(label) == 1
+        (workdir / "gore.jsonl").write_text(
+            text.replace(label, '"object_label": "Al B: Gore"'),
+            encoding="utf-8")
+        code, out, err = run(capsys, "--seed", seed, "data", "build",
+                             "--triples", "gore.jsonl", "--out", "items.jsonl")
+        assert (code, out, err) == (0, "2 items written to items.jsonl\n", "")
+        code, out, _ = run(capsys, "data", "validate", "--items",
+                           "items.jsonl")
+        assert (code, out) == (0, "2 items OK\n")
+
     def test_fetch_fixture_mode(self, workdir, capsys):
         code, out, _ = run(
             capsys, "data", "fetch", "--kb", "wikidata", "--relation", "P6",
@@ -583,6 +608,25 @@ class TestEval:
                            "--format", "json")
         curve = json.loads(out)["em_by_edit_count"]
         assert list(curve) == ["1", "2", "5", "10"]
+
+    def test_rq1_table_prints_one_line_per_edit_count(self, workdir, capsys):
+        run(capsys, "data", "build", "--triples", "dump.jsonl",
+            "--out", "items.jsonl")
+        code, out, _ = run(capsys, "eval", "rq1", "--items", "items.jsonl",
+                           "--counts", "1", "2")
+        assert code == 0
+        assert re.fullmatch(r"edits=1 EM=\d+\.\d\d\nedits=2 EM=\d+\.\d\d\n",
+                            out)
+
+    def test_rq3_table_prints_one_line_per_size(self, workdir, capsys):
+        code, out, _ = run(capsys, "eval", "rq3", "--sizes", "1", "10")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["size=1", "EM=100.00"], ["size=10", "EM=100.00"]]
+        assert all(re.fullmatch(r"size=\d+ EM=100\.00 lookup=\d+\.\d{3}ms "
+                                r"answer=\d+\.\d{3}ms", line)
+                   for line in lines)
 
     def test_rq3_small_sizes(self, workdir, capsys):
         code, out, _ = run(capsys, "eval", "rq3", "--sizes", "1", "10",

@@ -250,6 +250,34 @@ class TestBuildFromDump:
         assert [(i.triple.subject, i.locality_subject) for i in items] == [
             ("Q1", "Shelbyville"), ("Q2", "Shelbyville"), ("Q3", "Springfield")]
 
+    @pytest.mark.parametrize("capitals", [
+        # two object labels: each fact has one distractor, not two
+        [_fact("Austria", "P36", "Vienna"),
+         _fact("Habsburg realm", "P36", "Vienna"),
+         _fact("Hungary", "P36", "Budapest")],
+        # three places named Springfield: none can probe another
+        [triple(f"Q{n}", "P36", city, subject_label="Springfield")
+         for n, city in enumerate(["Ann", "Bob", "Cy"])]],
+        ids=["one-other-object-label", "one-subject-label"])
+    def test_a_fact_without_distractors_or_a_probe_is_skipped(
+            self, templates, capitals):
+        items = build_benchmark(self.HOG + capitals, templates,
+                                random.Random(1))
+        assert [i.triple.subject for i in items] == ["Kyoto", "Naples",
+                                                     "Paris"]
+
+    def test_a_fact_whose_choice_line_would_misread_is_skipped(self,
+                                                              templates):
+        # first on the line, "Al B: Gore" reads back as "Al" and " Gore B:.."
+        hog = self.HOG + [_fact("Viarmes", "P6", "Al B: Gore")]
+        built = {seed: build_benchmark(hog, templates, random.Random(seed))
+                 for seed in range(8)}
+        assert min(map(len, built.values())) < 4  # some seeds skip a fact
+        for items in built.values():
+            for item in items:
+                loaded = BenchmarkItem.from_record(item.to_record())
+                assert loaded.option_map() == item.option_map()
+
     def test_chains_follow_objects_and_drop_dead_ends(self, templates):
         facts = [_fact("Westwood", "P17", "United States"),
                  _fact("Route 128 station", "P131", "Westwood"),

@@ -18,7 +18,7 @@ from factcache.kbclient import (DBPEDIA_ENDPOINT, EquivalentPropertyPair,
                                 equivalent_properties_query, filter_ambiguous,
                                 wikidata_triples_query)
 from factcache.sparqlio import (ENTITY_NAMESPACES, RequestPolicy,
-                                TransportReply, entity_id)
+                                TransportReply, entity_id, row_fact)
 from factcache.triples import Source
 from conftest import FIXTURES, SNAPSHOT
 
@@ -152,10 +152,10 @@ class TestFetchTriples:
         client = wikidata_client()
         rows = client.fetch_triples("P6", limit=10,
                                     relation_label="head of government")
-        assert rows[0].subject_label == "Sioux Falls"
-        assert rows[0].object_label == "Paul Ten Haken"
+        assert rows[0].fact.subject_label == "Sioux Falls"
+        assert rows[0].fact.object_label == "Paul Ten Haken"
         assert rows[0].relation_count == 41
-        assert rows[0].origin is Source.WIKIDATA
+        assert rows[0].fact.source is Source.WIKIDATA
 
     def test_zero_limit_short_circuits(self):
         calls = []
@@ -185,7 +185,7 @@ class TestFetchTriples:
         client = dbpedia_client()
         rows = client.fetch_triples("http://dbpedia.org/ontology/capital",
                                     limit=2, offset=1)
-        assert [r.subject_label for r in rows] == ["France", "Norway"]
+        assert [r.fact.subject_label for r in rows] == ["France", "Norway"]
 
     def test_a_literal_object_has_no_uri(self):
         body = json.dumps({
@@ -201,7 +201,7 @@ class TestFetchTriples:
             transport=lambda u, p, h: TransportReply(200, body))
         (raw,) = client.fetch_triples("http://dbpedia.org/ontology/artist",
                                       limit=5)
-        assert (raw.object_uri, raw.object_label) == (None, "AC/DC")
+        assert (raw.object_uri, raw.fact.object_label) == (None, "AC/DC")
         (fact,) = filter_ambiguous([raw])
         assert (fact.obj, fact.object_is_entity) == ("AC/DC", False)
 
@@ -234,7 +234,7 @@ class TestFetchTriples:
             "object": "http://dbpedia.org/resource/Stockholm"}))
         (raw,) = client.fetch_triples("http://dbpedia.org/ontology/capital",
                                       limit=5)
-        assert raw.object_label == "Stockholm"
+        assert raw.fact.object_label == "Stockholm"
         (fact,) = filter_ambiguous([raw])
         assert fact.render() == "(Sweden, capital, Stockholm)"
 
@@ -244,7 +244,6 @@ class TestFetchTriples:
             "subject": WD + "Q1", "subjectLabel": "Town",
             "object": None, "objectLabel": "Mayor"}))
         assert client.fetch_triples("P6", limit=5) == []
-        assert len(filter_ambiguous([row(WD + "Q1", "Town", None, "")])) == 0
 
     @pytest.mark.parametrize("relation", [
         "P6 } #", "P6\n", "p6", "Q6", "P", "P6.5",
@@ -284,7 +283,7 @@ class TestFetchTriples:
         rows = client.fetch_triples("http://www.wikidata.org/prop/direct/P6",
                                     limit=5)
         assert queries == [wikidata_triples_query("P6", 5, 0)]
-        assert {(r.relation_id, r.relation_label) for r in rows} == \
+        assert {(r.fact.relation, r.fact.relation_label) for r in rows} == \
             {("P6", "P6")}
 
     @pytest.mark.parametrize("kind", ["wikidata", "dbpedia"])
@@ -321,7 +320,7 @@ class TestFetchTriples:
         naps = []
         client.policy.sleep = naps.append
         rows = client.fetch_triples("P6", limit=10)
-        assert rows[0].subject_label == "Sioux Falls"
+        assert rows[0].fact.subject_label == "Sioux Falls"
         assert (replies, naps) == ([], [0.25])
 
     def test_rate_limited_carries_retry_after(self):
@@ -457,9 +456,11 @@ WD = "http://www.wikidata.org/entity/"
 
 def row(subject_uri, subject_label, object_uri, object_label,
         relation_id="P57", relation_label="director"):
-    return RawTripleRow(subject_uri=subject_uri, subject_label=subject_label,
-                        object_uri=object_uri, object_label=object_label,
-                        relation_id=relation_id, relation_label=relation_label)
+    """A fetched row, its fact read by the rule fetch_triples keeps."""
+    fact = row_fact(subject_uri, relation_id, object_uri or object_label,
+                    object_label, subject_label, relation_label,
+                    Source.WIKIDATA, None)
+    return RawTripleRow(fact, subject_uri, object_uri)
 
 
 class TestFilterAmbiguous:
@@ -510,8 +511,6 @@ class TestFilterAmbiguous:
             "subject": "http://wd/Q1", "subjectLabel": "Town",
             "object": WD + "Q2", "objectLabel": "Mayor"}))
         assert client.fetch_triples("P6", limit=5) == []
-        assert len(filter_ambiguous(
-            [row("http://wd/Q1", "Town", WD + "Q2", "Mayor")])) == 0
 
     def test_literal_objects_survive(self):
         kept = filter_ambiguous(

@@ -12,7 +12,7 @@ from factcache import pipeline as pipeline_module
 from factcache import ranking as ranking_module
 from factcache.cache import EditRequest, InMemorySlowSource, TieredFactStore
 from factcache.config import Config
-from factcache.dataset import build_multihop
+from factcache.dataset import BenchmarkItem, MultiHopItem, build_multihop
 from factcache.errors import HopFailed
 from factcache.models import MockTableModel
 from factcache.pipeline import (AliasIndex, ExtractorKind, MultihopMode,
@@ -582,3 +582,56 @@ def test_aliases_for_items_covers_locality_probes(templates):
     assert index.lookup("Sioux Falls") == "Sioux Falls"
     assert index.lookup("Paul Ten Haken") == "Paul Ten Haken"
     assert index.lookup("Viarmes") == "Viarmes"
+    assert index.lookup("William Rouyer") == "William Rouyer"
+
+
+def old_item_pairs(items):
+    """(surface, entity id) for every label an item set can mention, by the
+    pair rule aliases_for_items must keep: a subject label names its
+    subject, an entity object's label its object, and a locality probe's
+    subject and object labels name themselves."""
+    for item in items:
+        multihop = isinstance(item, MultiHopItem)
+        for t in item.chain if multihop else (item.triple,):
+            yield t.subject_label, t.subject
+            if t.object_is_entity:
+                yield t.object_label, t.obj
+        if not multihop:
+            yield item.locality_subject, item.locality_subject
+            yield item.locality_object, item.locality_object
+
+
+# labels that collide with each other once tokenized, and with the ids
+ITEM_LABELS = st.sampled_from(["Paris", "paris", "New York", "new-york",
+                               "York", "Q1", "q2", "York New"])
+
+
+@st.composite
+def benchmark_items(draw):
+    """A single-hop or a multi-hop item over drawn ids and labels."""
+    ids = st.sampled_from(["Q1", "Q2", "Q3", "Paris"])
+    if draw(st.booleans()):
+        subjects = draw(st.lists(ids, min_size=3, max_size=4))
+        chain = tuple(triple(s, "r", o, subject_label=draw(ITEM_LABELS),
+                             object_label=draw(ITEM_LABELS),
+                             object_is_entity=draw(st.booleans()))
+                      for s, o in zip(subjects, subjects[1:]))
+        return MultiHopItem(chain, ("q",) * len(chain), "{}?", ())
+    t = triple(draw(ids), "r", draw(ids), subject_label=draw(ITEM_LABELS),
+               object_label=draw(ITEM_LABELS),
+               object_is_entity=draw(st.booleans()))
+    return BenchmarkItem(
+        t, {TaskKind.CHOICE: f"Who?\nA:zz B:{t.object_label} C:yy"},
+        draw(ITEM_LABELS.filter(lambda label: label != t.subject_label)),
+        draw(ITEM_LABELS), "q")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(benchmark_items(), max_size=6))
+def test_aliases_for_items_registers_as_the_pair_rule_row_by_row(items):
+    expected = AliasIndex()
+    for surface, entity_id in old_item_pairs(items):
+        expected.add(surface, entity_id)
+    index = aliases_for_items(items)
+    assert index._by_tokens == expected._by_tokens
+    assert index._lengths == expected._lengths

@@ -392,7 +392,7 @@ def test_any_triples_reply_reads_and_filters_typed_or_is_refused(
                                  transport=replaying(body))
     rows = typed_or_refused(lambda: client.fetch_triples(relation, limit=5))
     if rows is not None:
-        assert all(text(row.subject_uri) and text(row.object_label) and
+        assert all(text(row.subject_uri) and text(row.fact.object_label) and
                    type(row.relation_count) in (int, type(None))
                    for row in rows)
         assert all(isinstance(t, FactTriple) and text(t.obj)
@@ -419,7 +419,8 @@ def test_string_triples_replies_reach_their_typed_checks(kind, relation,
         rows = typed_or_refused(
             lambda: client.fetch_triples(relation, limit=5))
         if rows is not None:
-            assert all(text(row.subject_uri) and text(row.object_label) and
+            assert all(text(row.subject_uri) and
+                       text(row.fact.object_label) and
                        type(row.relation_count) in (int, type(None))
                        for row in rows)
             assert all(isinstance(t, FactTriple) and text(t.obj)
