@@ -80,22 +80,16 @@ class CacheStats:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class EditRequest:
-    """One requested fact update: set (subject, relation) to new_object."""
-
-    subject: str
-    relation: str
-    new_object: str
-    issued_at: datetime = field(default_factory=utcnow)
-    subject_label: str = ""
-    relation_label: str = ""
-    object_label: str = ""
-    object_is_entity: bool = True
-
-    def __post_init__(self):
-        if not self.subject or not self.relation:
-            raise ValueError("subject and relation must be non-empty")
+def EditRequest(subject: str, relation: str, new_object: str,
+                issued_at: Optional[datetime] = None, subject_label: str = "",
+                relation_label: str = "", object_label: str = "",
+                object_is_entity: bool = True) -> FactTriple:
+    """The fact an edit writes: (subject, relation) set to new_object,
+    issued at `issued_at` (apply_update stamps it when None). Kept because
+    the benchmark under perfbench/ builds its edits with it."""
+    return FactTriple(subject, relation, new_object, subject_label,
+                      relation_label, object_label, object_is_entity,
+                      fetched_at=issued_at)
 
 
 class SlowSource(Protocol):
@@ -506,25 +500,25 @@ class TieredFactStore:
 
     # -- writes ---------------------------------------------------------------
 
-    def apply_update(self, edit: EditRequest,
+    def apply_update(self, fact: FactTriple,
                      source: Source = Source.SYNTHETIC) -> UpdateOutcome:
-        """Replace the object under (subject, relation), or insert the fact,
-        and pin the subject. An edit to a subject that is not resident is
-        laid over the slow source's facts on its next retrieve.
+        """Write `fact` under its (subject, relation): replace the object
+        there, or insert the fact, and pin the subject. It is stored with
+        `source`, version 1 (bumped on a replace) and its `fetched_at` as
+        the issue time, or now when that is None. An edit to a subject that
+        is not resident is laid over the slow source's facts on its next
+        retrieve.
 
         Re-applying the current object is reported as REPLACED with no
         version bump; it still marks the fact, and a manual edit also takes
         over the fact's provenance unless a manual edit issued later holds
         it. The (subject, relation) key stays unique.
         """
-        subject, relation = edit.subject, edit.relation
+        subject, relation = fact.subject, fact.relation
         triple = FactTriple(
-            subject=subject, relation=relation, obj=edit.new_object,
-            subject_label=edit.subject_label,
-            relation_label=edit.relation_label,
-            object_label=edit.object_label,
-            object_is_entity=edit.object_is_entity, source=source,
-            fetched_at=edit.issued_at)
+            subject, relation, fact.obj, fact.subject_label,
+            fact.relation_label, fact.object_label, fact.object_is_entity,
+            source, fact.fetched_at or utcnow())
         with self._lock:
             self.stats.updates_applied += 1
             record = self._hold(subject)  # laid over a fetch later
@@ -535,8 +529,8 @@ class TieredFactStore:
             record.stamp = self._clock = self._clock + 1
             existing = record.facts.get(relation)
             if existing is not None and existing.obj == triple.obj:
-                if (source is Source.MANUAL
-                        and not self._manual_wins(existing, edit.issued_at)):
+                if source is Source.MANUAL and not self._manual_wins(
+                        existing, triple.fetched_at):
                     # a manual edit takes over the provenance it confirms
                     record.facts[relation] = dataclasses.replace(
                         triple, version=existing.version)
@@ -553,10 +547,10 @@ class TieredFactStore:
             self.stats.replacements += 1
             return UpdateOutcome.REPLACED
 
-    def inject_manual(self, edit: EditRequest) -> UpdateOutcome:
+    def inject_manual(self, fact: FactTriple) -> UpdateOutcome:
         """apply_update with MANUAL provenance: a real-world fact injected
         directly, ahead of the slow source absorbing it."""
-        return self.apply_update(edit, source=Source.MANUAL)
+        return self.apply_update(fact, source=Source.MANUAL)
 
     # -- sync ------------------------------------------------------------------
 

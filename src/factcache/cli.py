@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import cache as cachemod
-from .cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
-                    RemoteSparqlSource, TieredFactStore, read_dump)
+from .cache import (InMemorySlowSource, LocalDumpSource, RemoteSparqlSource,
+                    TieredFactStore, read_dump)
 from .config import Config, DEFAULT_CONFIG_PATH, load_config
 from .dataset import (build_benchmark, build_multihop_benchmark,
                       emit_benchmark, load_benchmark, load_relation_templates)
@@ -32,7 +32,7 @@ from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
 from .models import HttpCompletionModel, MockTableModel
 from .pipeline import AliasIndex, ExtractorKind, Pipeline, item_facts
 from .sparqlio import TransportReply
-from .triples import EntityRef, TaskKind
+from .triples import EntityRef, FactTriple, TaskKind
 
 
 def _err(message: str) -> None:
@@ -128,10 +128,10 @@ def cmd_edit(cfg: Config, args) -> int:
         raise ConfigError("a --literal is stored as its own --object-label")
     store = _store(cfg)
     before = store.get(args.subject, args.relation)
-    outcome = store.inject_manual(EditRequest(
+    outcome = store.inject_manual(FactTriple(
         subject=args.subject,
         relation=args.relation,
-        new_object=args.object,
+        obj=args.object,
         subject_label=args.subject_label or "",
         relation_label=args.relation_label or "",
         object_label=args.object_label or "",

@@ -395,9 +395,9 @@ def build_benchmark(triples: Iterable[FactTriple],
     """Single-hop items for relations with three or more facts, in relation
     id order. Each fact needs two distractors from the relation's other
     object labels and, as its locality probe, the relation's next fact
-    (wrapping around) whose subject label differs, since a record holds
-    labels only; without them, or when its choice line would misread
-    (build_item), it is skipped."""
+    (wrapping around) with its relation id and another subject label,
+    since a record holds labels only; without them, or when its choice
+    line would misread (build_item), it is skipped."""
     items = []
     for _, group in sorted(_by_relation(triples, templates).items()):
         if len(group) < 3:
@@ -409,7 +409,8 @@ def build_benchmark(triples: Iterable[FactTriple],
                 continue
             distractors = rng.sample(candidates, 2)
             locality = next((lt for _, lt in group[i + 1:] + group[:i]
-                             if lt.subject_label != t.subject_label), None)
+                             if lt.subject_label != t.subject_label
+                             and lt.relation == t.relation), None)
             if locality is None:
                 continue
             try:

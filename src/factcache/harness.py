@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from .cache import EditRequest
 from .dataset import BenchmarkItem, MultiHopItem, load_relation_templates
 from .errors import EmptySet, HopFailed
 from .metrics import (NKL_REPORT_SCALE, SUREParams, drawdown, em_score, nkl,
@@ -45,18 +44,6 @@ def _align_support(p, q):
     union = p.keys() | q.keys()
     return ({c: p.get(c, 0.0) for c in union},
             {c: q.get(c, 0.0) for c in union})
-
-
-def _edit_for(triple: FactTriple) -> EditRequest:
-    return EditRequest(
-        subject=triple.subject,
-        relation=triple.relation,
-        new_object=triple.obj,
-        subject_label=triple.subject_label,
-        relation_label=triple.relation_label,
-        object_label=triple.object_label,
-        object_is_entity=triple.object_is_entity,
-    )
 
 
 @dataclass
@@ -129,7 +116,7 @@ def run_main_eval(items: Iterable[BenchmarkItem], pipeline: Pipeline,
     started = time.perf_counter()
 
     for item in single_hop:
-        pipeline.store.apply_update(_edit_for(item.triple))
+        pipeline.store.apply_update(item.triple)
 
     per_task_pairs: dict[TaskKind, list[tuple[str, str]]] = {}
     choice_maps: list[dict[str, str]] = []
@@ -204,9 +191,9 @@ def run_transition_scenario(items: Iterable[BenchmarkItem],
             t = item.triple
             for j in range(1, n):
                 revision = f"{t.object_label} (revision {j})"
-                pipeline.store.apply_update(_edit_for(
-                    replace(t, obj=revision, object_label=revision)))
-            pipeline.store.apply_update(_edit_for(t))
+                pipeline.store.apply_update(
+                    replace(t, obj=revision, object_label=revision))
+            pipeline.store.apply_update(t)
         pairs = []
         for item in single_hop:
             answer = pipeline.answer(item.queries[TaskKind.QA], TaskKind.QA)
@@ -244,12 +231,9 @@ def run_scale_scenario(pipeline: Pipeline,
         pipeline.aliases = AliasIndex()
         for i in range(size):
             subject = f"Scale Town {i}"
-            pipeline.store.apply_update(EditRequest(
-                subject=subject,
-                relation=relation.id,
-                new_object=f"Mayor Number {i}",
-                relation_label=relation.label,
-            ))
+            pipeline.store.apply_update(FactTriple(
+                subject, relation.id, f"Mayor Number {i}",
+                relation_label=relation.label))
             pipeline.aliases.add(subject, subject)
 
         probes = [f"Scale Town {i}" for i in range(min(size, probe_count))]
@@ -312,7 +296,7 @@ def run_multihop_scenario(items: Iterable[MultiHopItem], pipeline: Pipeline
         raise EmptySet("no multi-hop items to evaluate")
     for item in chains:
         for link in item.chain:
-            pipeline.store.apply_update(_edit_for(link))
+            pipeline.store.apply_update(link)
 
     by_hops: dict[int, list[MultiHopItem]] = {}
     for item in chains:

@@ -9,7 +9,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from typing import Optional
 
 import pytest
@@ -289,6 +289,36 @@ class TestApplyUpdate:
         outcome = store.inject_manual(EditRequest("US", "head_of_gov", "Biden"))
         assert outcome is UpdateOutcome.REPLACED
         assert store.get("US", "head_of_gov").version == 1
+
+    WRITES = pytest.mark.parametrize("write, source", [
+        (TieredFactStore.apply_update, Source.SYNTHETIC),
+        (TieredFactStore.inject_manual, Source.MANUAL)],
+        ids=["apply_update", "inject_manual"])
+
+    @WRITES
+    def test_a_fact_is_stored_with_the_write_source_version_one_and_its_time(
+            self, write, source):
+        store, _ = make_store()
+        fact = triple("US", "head_of_gov", "Joe Biden",
+                      subject_label="United States",
+                      relation_label="head of government",
+                      object_label="Biden", object_is_entity=False,
+                      source=Source.WIKIDATA,
+                      fetched_at=SNAPSHOT + timedelta(hours=1), version=7)
+        assert write(store, fact) is UpdateOutcome.INSERTED
+        assert store.get("US", "head_of_gov") == dataclasses.replace(
+            fact, source=source, version=1)
+
+    @WRITES
+    def test_a_fact_without_a_time_is_stamped_when_written(self, write,
+                                                          source):
+        store, _ = make_store()
+        before = datetime.now(timezone.utc)
+        write(store, triple("US", "head_of_gov", "Biden"))
+        after = datetime.now(timezone.utc)
+        stored = store.get("US", "head_of_gov")
+        assert stored.source is source
+        assert before <= stored.fetched_at <= after
 
     def test_replacement_counter_tracks_changes_only(self):
         store, _ = make_store()

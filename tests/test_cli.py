@@ -11,6 +11,8 @@ import factcache.cli
 from factcache import sparqlio
 from factcache.cache import write_dump
 from factcache.cli import main
+from factcache.config import Config
+from factcache.models import HttpCompletionModel
 from factcache.triples import Source
 from conftest import FIXTURES, SNAPSHOT, subject_facts_endpoint, triple
 
@@ -548,6 +550,35 @@ class TestData:
                            "items.jsonl")
         assert (code, out) == (0, "2 items OK\n")
 
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_build_takes_a_dump_that_mixes_relation_ids(self, workdir,
+                                                        capsys, seed):
+        # the sample dump, with Viarmes' head of government named by its
+        # id, as data fetch writes it, and the others by label
+        sample = Path(__file__).parent.parent / "sample_data" / "dump.jsonl"
+        text = sample.read_text(encoding="utf-8")
+        row = '"subject_label": "Viarmes", "relation_id": '
+        assert text.count(row + '"head of government"') == 1
+        (workdir / "mixed.jsonl").write_text(
+            text.replace(row + '"head of government"', row + '"P6"'),
+            encoding="utf-8")
+        code, out, err = run(capsys, "--seed", seed, "data", "build",
+                             "--triples", "mixed.jsonl", "--out",
+                             "items.jsonl")
+        assert (code, out, err) == (0, "2 items written to items.jsonl\n", "")
+        code, out, _ = run(capsys, "data", "validate", "--items",
+                           "items.jsonl")
+        assert (code, out) == (0, "2 items OK\n")
+
+    def test_build_count_keeps_the_first_items(self, workdir, capsys):
+        run(capsys, "data", "build", "--triples", "dump.jsonl",
+            "--out", "all.jsonl")
+        code, out, _ = run(capsys, "data", "build", "--triples", "dump.jsonl",
+                           "--out", "one.jsonl", "--count", "1")
+        assert (code, out) == (0, "1 items written to one.jsonl\n")
+        first = (workdir / "all.jsonl").read_text().splitlines(True)[0]
+        assert (workdir / "one.jsonl").read_text() == first
+
     def test_fetch_fixture_mode(self, workdir, capsys):
         code, out, _ = run(
             capsys, "data", "fetch", "--kb", "wikidata", "--relation", "P6",
@@ -588,6 +619,31 @@ class TestData:
         labels = [json.loads(line)["label"] for line in out.splitlines()]
         assert "birth place" in labels
         assert "VIAF ID" not in labels
+
+
+@pytest.mark.parametrize("command, message", [
+    (["data", "fetch", "--fixture",
+      str(FIXTURES / "wikidata_triples_response.json")],
+     "data fetch requires --relation or --properties"),
+    (["data", "validate"],
+     "data validate requires --items or a configured benchmark_path"),
+    (["eval", "main"], "eval main requires --items or a configured path"),
+    (["eval", "rq1"], "eval rq1 requires --items or a configured path"),
+    (["eval", "rq2"], "eval rq2 requires --items or a configured path")],
+    ids=["fetch", "validate", "eval-main", "eval-rq1", "eval-rq2"])
+def test_a_command_without_its_input_is_a_usage_error(workdir, capsys,
+                                                      command, message):
+    assert run(capsys, *command) == (2, "", message + "\n")
+
+
+def test_an_http_model_reads_its_key_from_the_named_variable(monkeypatch):
+    monkeypatch.setenv("FACTCACHE_TEST_KEY", "sekrit")
+    cfg = Config(model_kind="http", model_endpoint="http://127.0.0.1:9/c",
+                 api_key_env="FACTCACHE_TEST_KEY", model_max_tokens=16)
+    model = factcache.cli._model(cfg)
+    assert isinstance(model, HttpCompletionModel)
+    assert (model.endpoint, model.api_key, model.max_tokens) == (
+        "http://127.0.0.1:9/c", "sekrit", 16)
 
 
 class TestEval:

@@ -92,6 +92,14 @@ def test_a_malformed_config_is_an_error_naming_the_key(tmp_path, capsys,
     assert err.startswith("error: ") and key in err
 
 
+def test_a_missing_default_file_means_defaults_but_a_named_one_is_an_error(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the default file is ./factcache.json
+    assert load_config() == Config()
+    with pytest.raises(ConfigError, match="config file not found: gone.json"):
+        load_config("gone.json")
+
+
 def test_a_config_that_is_not_json_is_an_error_naming_it(tmp_path):
     path = tmp_path / "factcache.json"
     path.write_text("{not json", encoding="utf-8")

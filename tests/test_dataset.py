@@ -266,6 +266,16 @@ class TestBuildFromDump:
         assert [i.triple.subject for i in items] == ["Kyoto", "Naples",
                                                      "Paris"]
 
+    def test_a_probe_shares_the_relation_id(self, templates):
+        # one head of government named by label, as sample_data names it,
+        # among three named P6, as data fetch writes them: one template
+        # groups the four, and the fact with no probe of its id is skipped
+        mixed = self.HOG + [_fact("Viarmes", "head of government",
+                                  "William Rouyer")]
+        items = build_benchmark(mixed, templates, random.Random(1))
+        assert [(i.triple.subject, i.locality_subject) for i in items] == [
+            ("Kyoto", "Naples"), ("Naples", "Paris"), ("Paris", "Kyoto")]
+
     def test_a_fact_whose_choice_line_would_misread_is_skipped(self,
                                                               templates):
         # first on the line, "Al B: Gore" reads back as "Al" and " Gore B:.."
