@@ -515,10 +515,7 @@ class TieredFactStore:
         it. The (subject, relation) key stays unique.
         """
         subject, relation = fact.subject, fact.relation
-        triple = FactTriple(
-            subject, relation, fact.obj, fact.subject_label,
-            fact.relation_label, fact.object_label, fact.object_is_entity,
-            source, fact.fetched_at or utcnow())
+        issued_at = fact.fetched_at or utcnow()
         with self._lock:
             self.stats.updates_applied += 1
             record = self._hold(subject)  # laid over a fetch later
@@ -527,25 +524,27 @@ class TieredFactStore:
                 del self._lru[subject]
             record.edited |= {relation}
             record.stamp = self._clock = self._clock + 1
-            existing = record.facts.get(relation)
-            if existing is not None and existing.obj == triple.obj:
-                if source is Source.MANUAL and not self._manual_wins(
-                        existing, triple.fetched_at):
+            existing, version = record.facts.get(relation), 1
+            if existing is not None:
+                if existing.obj != fact.obj:
+                    version = existing.version + 1
+                    self.stats.replacements += 1
+                elif source is Source.MANUAL and not self._manual_wins(
+                        existing, issued_at):
                     # a manual edit takes over the provenance it confirms
-                    record.facts[relation] = dataclasses.replace(
-                        triple, version=existing.version)
-                    record.view = None
-                return UpdateOutcome.REPLACED
+                    version = existing.version
+                else:
+                    return UpdateOutcome.REPLACED
+            record.facts[relation] = FactTriple(
+                subject, relation, fact.obj, fact.subject_label,
+                fact.relation_label, fact.object_label, fact.object_is_entity,
+                source, issued_at, version)
             record.view = None
-            if existing is None:
-                record.facts[relation] = triple
-                self._facts += 1
-                self._evict()
-                return UpdateOutcome.INSERTED
-            record.facts[relation] = dataclasses.replace(
-                triple, version=existing.version + 1)
-            self.stats.replacements += 1
-            return UpdateOutcome.REPLACED
+            if existing is not None:
+                return UpdateOutcome.REPLACED
+            self._facts += 1
+            self._evict()
+            return UpdateOutcome.INSERTED
 
     def inject_manual(self, fact: FactTriple) -> UpdateOutcome:
         """apply_update with MANUAL provenance: a real-world fact injected

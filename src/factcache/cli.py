@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -105,7 +106,8 @@ def _pipeline(cfg: Config, store: TieredFactStore,
     if isinstance(store.slow, LocalDumpSource):
         triples += store.slow.triples  # already parsed, in dump-file order
     aliases = AliasIndex.from_triples(triples)
-    for ref in (entities or {}).values():
+    # a ref whose label is not its id sits under both keys
+    for ref in dict.fromkeys((entities or {}).values()):
         for surface in sorted(ref.surface_forms):
             aliases.add(surface, ref.id)
     return Pipeline(
@@ -115,10 +117,6 @@ def _pipeline(cfg: Config, store: TieredFactStore,
         k=cfg.k,
         extractor=ExtractorKind(cfg.extractor),
     )
-
-
-def _save(cfg: Config, store: TieredFactStore) -> None:
-    cachemod.save_state(store, cfg.state_path)
 
 
 # --- commands -----------------------------------------------------------------
@@ -137,12 +135,9 @@ def cmd_edit(cfg: Config, args) -> int:
         object_label=args.object_label or "",
         object_is_entity=not args.literal,
     ))
-    after = store.get(args.subject, args.relation)
-    if before is not None and after is not None and before.version == after.version:
-        print("REPLACED (no change)")
-    else:
-        print(outcome.name)
-    _save(cfg, store)
+    unchanged = before is not None and before.obj == args.object
+    print("REPLACED (no change)" if unchanged else outcome.name)
+    cachemod.save_state(store, cfg.state_path)
     return 0
 
 
@@ -151,7 +146,8 @@ def cmd_query(cfg: Config, args) -> int:
     pipeline = _pipeline(cfg, store, _entities(cfg))
     task = TaskKind(args.task)
     answer, trace = pipeline.answer_traced(args.question, task)
-    _save(cfg, store)  # persist before printing; output pipes may close early
+    # persist before printing; output pipes may close early
+    cachemod.save_state(store, cfg.state_path)
     print(answer.text)
     if args.trace:
         _err(f"entities: {', '.join(trace.entities) or '(none)'}")
@@ -174,7 +170,7 @@ def cmd_cache(cfg: Config, args) -> int:
     if args.action == "sync":
         changed = store.sync()
         print(f"{changed} changed")
-        _save(cfg, store)
+        cachemod.save_state(store, cfg.state_path)
         return 0
     # load <dump>
     if not args.dump:
@@ -183,7 +179,7 @@ def cmd_cache(cfg: Config, args) -> int:
     _, triples = read_dump(args.dump)
     added = store.bulk_load(triples)
     print(f"{added} triples")
-    _save(cfg, store)
+    cachemod.save_state(store, cfg.state_path)
     return 0
 
 
@@ -205,11 +201,7 @@ def cmd_data_fetch(cfg: Config, args) -> int:
                                  transport=transport)
     if args.properties:
         for pair in client.fetch_equivalent_properties():
-            print(json.dumps({
-                "dbpedia_property": pair.dbpedia_property,
-                "wikidata_property": pair.wikidata_property,
-                "label": pair.label,
-            }, ensure_ascii=False))
+            print(json.dumps(asdict(pair), ensure_ascii=False))
         return 0
     if not args.relation:
         _err("data fetch requires --relation or --properties")
@@ -297,11 +289,8 @@ def cmd_eval(cfg: Config, args) -> int:
     # rq3
     points = run_scale_scenario(pipeline, sizes=args.sizes)
     if fmt == "json":
-        print(json.dumps({str(size): {
-            "em": p.em,
-            "median_lookup_s": p.median_lookup_s,
-            "median_answer_s": p.median_answer_s,
-        } for size, p in points.items()}, indent=2))
+        print(json.dumps({str(size): asdict(p)
+                          for size, p in points.items()}, indent=2))
     else:
         for size, p in points.items():
             print(f"size={size} EM={p.em:.2f} "
@@ -311,6 +300,23 @@ def cmd_eval(cfg: Config, args) -> int:
 
 
 # --- parser -------------------------------------------------------------------
+
+def _text(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must be non-empty")
+    return value
+
+
+def _int_from(low: int):
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, not {number}")
+        return number
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -323,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_edit = sub.add_parser("edit", help="inject a manual fact update")
-    p_edit.add_argument("subject")
-    p_edit.add_argument("relation")
+    p_edit.add_argument("subject", type=_text)
+    p_edit.add_argument("relation", type=_text)
     p_edit.add_argument("object")
     p_edit.add_argument("--subject-label", dest="subject_label")
     p_edit.add_argument("--relation-label", dest="relation_label")
@@ -333,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="object is a literal, not an entity id")
 
     p_query = sub.add_parser("query", help="answer a question via the cache")
-    p_query.add_argument("question")
+    p_query.add_argument("question", type=_text)
     p_query.add_argument("--task", default="qa",
                          choices=[k.value for k in TaskKind])
     p_query.add_argument("--trace", action="store_true",
@@ -365,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--triples", required=True, help="triple dump file")
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--multihop", action="store_true")
-    p_build.add_argument("--hops", type=int, default=2)
-    p_build.add_argument("--count", type=int, default=None)
+    p_build.add_argument("--hops", type=int, choices=range(2, 6), default=2)
+    p_build.add_argument("--count", type=_int_from(0), default=None)
 
     p_validate = data_sub.add_parser("validate", help="validate a benchmark file")
     p_validate.add_argument("--items", default=None)
@@ -376,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("suite", choices=["main", "rq1", "rq2", "rq3"])
     p_eval.add_argument("--items", default=None)
     p_eval.add_argument("--format", choices=["json", "table"], default="table")
-    p_eval.add_argument("--counts", type=int, nargs="+", default=[1, 2, 5, 10])
-    p_eval.add_argument("--sizes", type=int, nargs="+",
+    p_eval.add_argument("--counts", type=_int_from(1), nargs="+",
+                        default=[1, 2, 5, 10])
+    p_eval.add_argument("--sizes", type=_int_from(1), nargs="+",
                         default=[1, 10, 100, 1000, 10_000, 100_000])
     return parser
 

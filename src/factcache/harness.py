@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .dataset import BenchmarkItem, MultiHopItem, load_relation_templates
@@ -271,8 +271,7 @@ class MultihopReport:
     reference_em: dict[str, dict[int, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"em": self.em, "counts": self.counts,
-                "reference_em": self.reference_em}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

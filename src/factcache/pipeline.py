@@ -276,29 +276,19 @@ class Pipeline:
 
         Raises HopFailed(i) when hop i selects no evidence at all.
         """
-        if mode is MultihopMode.DIALOGUE:
-            return self._answer_dialogue(item)
-        return self._answer_decompose(item)
-
-    def _answer_dialogue(self, item: MultiHopItem) -> ModelAnswer:
+        dialogue = mode is MultihopMode.DIALOGUE
+        queries = item.dialogue_turns if dialogue else item.hop_queries
+        task = TaskKind.DIALOGUE if dialogue else TaskKind.MULTI_HOP_QA
         answer: Optional[ModelAnswer] = None
-        for i, turn in enumerate(item.dialogue_turns):
-            query = turn if i == 0 else substitute_pronoun(turn, answer.text)
-            answer, trace = self.answer_traced(query, TaskKind.DIALOGUE)
+        for i, query in enumerate(queries):
+            if i and dialogue:
+                query = substitute_pronoun(query, answer.text)
+            elif i:
+                # intermediate objects may have been edited since the item was
+                # built; retarget the stored sub-question at the current entity
+                query = query.replace(item.chain[i].subject_label,
+                                      trace.evidence.selected[0].object_label)
+            answer, trace = self.answer_traced(query, task)
             if not trace.evidence:
                 raise HopFailed(i + 1)
-        return answer
-
-    def _answer_decompose(self, item: MultiHopItem) -> ModelAnswer:
-        current = item.chain[0].subject_label
-        answer: Optional[ModelAnswer] = None
-        for i, (link, hop_query) in enumerate(zip(item.chain,
-                                                  item.hop_queries)):
-            # intermediate objects may have been edited since the item was
-            # built; retarget the stored sub-question at the current entity
-            query = hop_query.replace(link.subject_label, current)
-            answer, trace = self.answer_traced(query, TaskKind.MULTI_HOP_QA)
-            if not trace.evidence:
-                raise HopFailed(i + 1)
-            current = trace.evidence.selected[0].object_label
         return answer

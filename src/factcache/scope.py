@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import UnresolvableProbe
-from .triples import FactTriple, TripleSet
+from .triples import FactTriple, TripleKey, TripleSet
 
 
 class ScopeClass(enum.Enum):
@@ -65,12 +65,10 @@ def join(a: TripleSet, b: TripleSet) -> TripleSet:
     return TripleSet(t for t in b if t.subject in objects)
 
 
-def _triple_class(t: FactTriple, oracle: SimpleOracle) -> tuple[str, str, str]:
-    return (
-        oracle.entity_class(t.subject),
-        oracle.relation_class(t.relation),
-        oracle.entity_class(t.obj),
-    )
+def _triple_class(key: TripleKey, oracle: SimpleOracle) -> TripleKey:
+    subject, relation, obj = key
+    return (oracle.entity_class(subject), oracle.relation_class(relation),
+            oracle.entity_class(obj))
 
 
 def frontier(
@@ -87,9 +85,9 @@ def frontier(
     """
     if i < 0:
         raise ValueError("hop count must be >= 0")
-    seed_class = _triple_class(tr, oracle)
+    seed_class = _triple_class(tr.key, oracle)
     current = TripleSet(
-        [tr, *(t for t in graph if _triple_class(t, oracle) == seed_class)]
+        [tr, *(t for t in graph if _triple_class(t.key, oracle) == seed_class)]
     )
     for _ in range(i):
         current = join(current, graph)
@@ -134,16 +132,12 @@ def classify_scope(
     resolved = oracle.probe_triple(probe_query, probe_answer)
     if resolved is None:
         raise UnresolvableProbe(f"probe not mapped to a triple: {probe_query!r}")
-    probe_class = (
-        oracle.entity_class(resolved[0]),
-        oracle.relation_class(resolved[1]),
-        oracle.entity_class(resolved[2]),
-    )
-    if probe_class == _triple_class(edit, oracle):
+    probe_class = _triple_class(resolved, oracle)
+    if probe_class == _triple_class(edit.key, oracle):
         return ScopeClass.IN_SCOPE
     hop_zero = frontier(edit, graph, 0, oracle)
     extended = compute_ex(edit, graph, max_hops, oracle) - hop_zero
     for t in extended:
-        if _triple_class(t, oracle) == probe_class:
+        if _triple_class(t.key, oracle) == probe_class:
             return ScopeClass.EXTENDED
     return ScopeClass.OUTSIDE

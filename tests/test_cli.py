@@ -8,6 +8,7 @@ import pytest
 
 import factcache.cache
 import factcache.cli
+import factcache.pipeline
 from factcache import sparqlio
 from factcache.cache import write_dump
 from factcache.cli import main
@@ -223,6 +224,28 @@ class TestQuery:
         code, out, _ = run(capsys, "query", "Who is the current head of "
                            "government for the United States?")
         assert code == 0 and out.strip() == "Joe Biden"
+
+    def test_an_entity_under_its_id_and_label_is_registered_once(
+            self, workdir, capsys, monkeypatch):
+        (workdir / "entities.json").write_text(json.dumps([
+            {"id": "Q30", "label": "United States of America",
+             "aliases": ["America", "the States"]}]))
+        config = json.loads((workdir / "factcache.json").read_text())
+        config["data"] = {"entities_path": "entities.json"}
+        (workdir / "factcache.json").write_text(json.dumps(config))
+        added = []
+        add = factcache.pipeline.AliasIndex.add
+
+        def spy(index, surface, entity_id):
+            added.append((surface, entity_id))
+            add(index, surface, entity_id)
+
+        monkeypatch.setattr(factcache.pipeline.AliasIndex, "add", spy)
+        code, _, _ = run(capsys, "query", "Who leads the States?")
+        assert code == 0
+        assert sorted(a for a in added if a[1] == "Q30") == [
+            ("America", "Q30"), ("United States of America", "Q30"),
+            ("the States", "Q30")]
 
     def test_unknown_task_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:
@@ -620,6 +643,16 @@ class TestData:
         assert "birth place" in labels
         assert "VIAF ID" not in labels
 
+    def test_fetch_properties_prints_each_pair_s_fields_in_order(
+            self, workdir, capsys):
+        code, out, _ = run(
+            capsys, "data", "fetch", "--kb", "dbpedia", "--properties",
+            "--fixture", str(FIXTURES / "equivalent_properties_response.json"))
+        assert code == 0
+        assert out.splitlines()[0] == (
+            '{"dbpedia_property": "http://dbpedia.org/ontology/birthPlace", '
+            '"wikidata_property": "P19", "label": "birth place"}')
+
 
 @pytest.mark.parametrize("command, message", [
     (["data", "fetch", "--fixture",
@@ -634,6 +667,30 @@ class TestData:
 def test_a_command_without_its_input_is_a_usage_error(workdir, capsys,
                                                       command, message):
     assert run(capsys, *command) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("argv, argument", [
+    (["edit", "", "head of government", "X"], "subject"),
+    (["edit", "America", "", "X"], "relation"),
+    (["query", ""], "question"),
+    (["eval", "rq1", "--items", "items.jsonl", "--counts", "0"], "--counts"),
+    (["eval", "rq3", "--sizes", "0"], "--sizes"),
+    (["data", "build", "--triples", "dump.jsonl", "--out", "items.jsonl",
+      "--count", "-1"], "--count"),
+    (["data", "build", "--triples", "dump.jsonl", "--out", "items.jsonl",
+      "--multihop", "--hops", "0"], "--hops"),
+    (["data", "build", "--triples", "dump.jsonl", "--out", "items.jsonl",
+      "--multihop", "--hops", "6"], "--hops")],
+    ids=["edit-subject", "edit-relation", "query", "counts", "sizes",
+         "count", "hops-0", "hops-6"])
+def test_a_bad_argument_is_a_usage_error(workdir, capsys, argv, argument):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {argument}: " in err
+    assert "Traceback" not in err
+    assert not Path("items.jsonl").exists() and not Path("state.json").exists()
 
 
 def test_an_http_model_reads_its_key_from_the_named_variable(monkeypatch):
@@ -691,6 +748,16 @@ class TestEval:
         assert points["1"]["em"] == 100.0
         assert points["10"]["em"] == 100.0
 
+    def test_rq3_json_lists_each_point_s_fields_in_order(self, workdir,
+                                                         capsys):
+        code, out, _ = run(capsys, "eval", "rq3", "--sizes", "1", "10",
+                           "--format", "json")
+        assert code == 0
+        points = json.loads(out)
+        assert list(points) == ["1", "10"]
+        assert [list(point) for point in points.values()] == [
+            ["em", "median_lookup_s", "median_answer_s"]] * 2
+
     @staticmethod
     def build_sample_chains(workdir, capsys):
         """Chains from the sample dump, with its entities configured."""
@@ -718,6 +785,17 @@ class TestEval:
         assert code == 0
         turns = [turn for chain in evaluated for turn in chain.dialogue_turns]
         assert "Who is his spouse?" in turns  # Joe Biden is a male person
+
+    def test_rq2_json_lists_em_counts_and_reference_em(self, workdir,
+                                                       capsys):
+        self.build_sample_chains(workdir, capsys)
+        code, out, _ = run(capsys, "eval", "rq2", "--items", "chains.jsonl",
+                           "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == ["em", "counts", "reference_em"]
+        assert report["em"] == {"decompose": {"2": 100.0},
+                                "dialogue": {"2": 50.0}}
 
     def test_an_eval_parses_the_entities_file_once(
             self, workdir, capsys, monkeypatch):

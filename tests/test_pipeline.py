@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from factcache import cli
 from factcache import pipeline as pipeline_module
 from factcache import ranking as ranking_module
-from factcache.cache import EditRequest, InMemorySlowSource, TieredFactStore
+from factcache.cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
+                             TieredFactStore, read_dump)
 from factcache.config import Config
-from factcache.dataset import BenchmarkItem, MultiHopItem, build_multihop
+from factcache.dataset import (BenchmarkItem, MultiHopItem, build_multihop,
+                               build_multihop_benchmark)
 from factcache.errors import HopFailed
 from factcache.models import MockTableModel
 from factcache.pipeline import (AliasIndex, ExtractorKind, MultihopMode,
@@ -482,6 +485,27 @@ class TestMultihop:
         pipeline.aliases.add("New Spouse", "New Spouse")
         answer = pipeline.answer_multihop(item, MultihopMode.DECOMPOSE)
         assert answer.text == "Final Partner"
+
+    def test_the_sample_amtrak_chain_separates_the_two_modes(self,
+                                                              templates):
+        # hop 1 selects Route 128 station, but the mock cannot verbalize it
+        # from "What entities does Amtrak owns?": decompose follows the
+        # selected object, while dialogue fills the pronoun with the answer
+        sample = Path(__file__).parent.parent / "sample_data"
+        _, triples = read_dump(sample / "dump.jsonl")
+        entities = cli.load_entities(str(sample / "entities.json"))
+        [item] = [i for i in build_multihop_benchmark(triples, templates, 2,
+                                                      entities)
+                  if i.chain[0].subject == "Amtrak"]
+        store = TieredFactStore(slow=LocalDumpSource(sample / "dump.jsonl"))
+        pipeline = Pipeline(store=store,
+                            aliases=AliasIndex.from_triples(triples),
+                            model=MockTableModel())
+        answer = pipeline.answer_multihop(item, MultihopMode.DECOMPOSE)
+        assert answer.text == "Westwood"
+        with pytest.raises(HopFailed) as exc:
+            pipeline.answer_multihop(item, MultihopMode.DIALOGUE)
+        assert exc.value.hop == 2
 
 
 def test_concurrent_answers_interleave_with_writers(us_pipeline):
