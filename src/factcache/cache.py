@@ -38,14 +38,10 @@ log = logging.getLogger(__name__)
 
 
 def parse_rfc3339(text: str) -> datetime:
+    """An aware time; one with no offset is read as UTC."""
     # Python 3.10 fromisoformat rejects a trailing Z
-    return datetime.fromisoformat(text.replace("Z", "+00:00"))
-
-
-def format_rfc3339(dt: datetime) -> str:
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.isoformat()
+    dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    return dt if dt.tzinfo else dt.replace(tzinfo=timezone.utc)
 
 
 def utcnow() -> datetime:
@@ -116,7 +112,7 @@ def triple_to_row(t: FactTriple) -> dict:
         "object_id": t.obj if t.object_is_entity else None,
         "object_label": t.object_label,
         "source": t.source.value,
-        "fetched_at": format_rfc3339(t.fetched_at) if t.fetched_at else None,
+        "fetched_at": t.fetched_at.isoformat() if t.fetched_at else None,
     }
 
 
@@ -216,7 +212,7 @@ def write_dump(path: str | Path, triples: Iterable[FactTriple],
                snapshot_at: Optional[datetime] = None) -> int:
     rows = [json.dumps(triple_to_row(t), ensure_ascii=False) for t in triples]
     head = "" if snapshot_at is None else json.dumps(
-        {"snapshot_at": format_rfc3339(snapshot_at)}) + "\n"
+        {"snapshot_at": snapshot_at.isoformat()}) + "\n"
     write_text(path, head + "".join(row + "\n" for row in rows))
     return len(rows)
 

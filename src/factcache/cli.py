@@ -227,7 +227,8 @@ def cmd_data_fetch(cfg: Config, args) -> int:
     return 0
 
 
-def cmd_data_build(cfg: Config, args, seed: int) -> int:
+def cmd_data_build(cfg: Config, args) -> int:
+    seed = args.seed if args.seed is not None else cfg.seed
     _, triples = read_dump(args.triples)
     templates = load_relation_templates(cfg.templates_path or None)
     entities = _entities(cfg)
@@ -329,9 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_edit = sub.add_parser("edit", help="inject a manual fact update")
+    p_edit.set_defaults(run=cmd_edit)
     p_edit.add_argument("subject", type=_text)
     p_edit.add_argument("relation", type=_text)
-    p_edit.add_argument("object")
+    p_edit.add_argument("object", type=_text)
     p_edit.add_argument("--subject-label", dest="subject_label")
     p_edit.add_argument("--relation-label", dest="relation_label")
     p_edit.add_argument("--object-label", dest="object_label")
@@ -339,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="object is a literal, not an entity id")
 
     p_query = sub.add_parser("query", help="answer a question via the cache")
+    p_query.set_defaults(run=cmd_query)
     p_query.add_argument("question", type=_text)
     p_query.add_argument("--task", default="qa",
                          choices=[k.value for k in TaskKind])
@@ -346,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print extraction/retrieval details to stderr")
 
     p_cache = sub.add_parser("cache", help="cache administration")
+    p_cache.set_defaults(run=cmd_cache)
     p_cache.add_argument("action", choices=["sync", "stats", "load"])
     p_cache.add_argument("dump", nargs="?", help="dump file for `load`")
 
@@ -353,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     data_sub = p_data.add_subparsers(dest="data_command", required=True)
 
     p_fetch = data_sub.add_parser("fetch", help="fetch rows from a KB endpoint")
+    p_fetch.set_defaults(run=cmd_data_fetch)
     p_fetch.add_argument("--kb", choices=["wikidata", "dbpedia"],
                          default="wikidata")
     p_fetch.add_argument("--endpoint", default=None)
@@ -368,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fetch.add_argument("--filter-ambiguous", action="store_true")
 
     p_build = data_sub.add_parser("build", help="build benchmark items")
+    p_build.set_defaults(run=cmd_data_build)
     p_build.add_argument("--triples", required=True, help="triple dump file")
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--multihop", action="store_true")
@@ -375,10 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--count", type=_int_from(0), default=None)
 
     p_validate = data_sub.add_parser("validate", help="validate a benchmark file")
+    p_validate.set_defaults(run=cmd_data_validate)
     p_validate.add_argument("--items", default=None)
     p_validate.add_argument("--lenient", action="store_true")
 
     p_eval = sub.add_parser("eval", help="run an evaluation suite")
+    p_eval.set_defaults(run=cmd_eval)
     p_eval.add_argument("suite", choices=["main", "rq1", "rq2", "rq3"])
     p_eval.add_argument("--items", default=None)
     p_eval.add_argument("--format", choices=["json", "table"], default="table")
@@ -398,21 +406,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.seed
-        if args.command == "edit":
-            return cmd_edit(cfg, args)
-        if args.command == "query":
-            return cmd_query(cfg, args)
-        if args.command == "cache":
-            return cmd_cache(cfg, args)
-        if args.command == "data":
-            if args.data_command == "fetch":
-                return cmd_data_fetch(cfg, args)
-            if args.data_command == "build":
-                return cmd_data_build(cfg, args, seed)
-            return cmd_data_validate(cfg, args)
-        return cmd_eval(cfg, args)
+        return args.run(load_config(args.config), args)
     except (FactCacheError, OSError) as exc:  # OSError: an output file
         _err(f"error: {exc}")
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -162,6 +163,12 @@ class BenchmarkItem:
 
     def option_map(self) -> dict[str, str]:
         return {letter.lower(): text for letter, text in self.choice_options}
+
+    def read_choice(self, answer: str) -> str:
+        """The option that a bare letter answer names ("A", "b.", "(C)"),
+        or else the answer as given."""
+        letter = answer.strip(string.whitespace + string.punctuation).lower()
+        return self.option_map().get(letter, answer)
 
     def to_record(self) -> dict:
         return {

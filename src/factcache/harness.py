@@ -119,22 +119,20 @@ def run_main_eval(items: Iterable[BenchmarkItem], pipeline: Pipeline,
         pipeline.store.apply_update(item.triple)
 
     per_task_pairs: dict[TaskKind, list[tuple[str, str]]] = {}
-    choice_maps: list[dict[str, str]] = []
     for item in single_hop:
         for task in SINGLE_HOP_TASKS:
-            answer = pipeline.answer(item.queries[task], task,
-                                     use_evidence=use_evidence)
-            per_task_pairs.setdefault(task, []).append(
-                (answer.text, item.gold_for(task)))
+            text = pipeline.answer(item.queries[task], task,
+                                   use_evidence=use_evidence).text
             if task is TaskKind.CHOICE:
-                choice_maps.append(item.option_map())
+                text = item.read_choice(text)
+            per_task_pairs.setdefault(task, []).append(
+                (text, item.gold_for(task)))
 
     per_task_em: dict[str, float] = {}
     correct_weighted = 0.0
     total = 0
     for task, pairs in per_task_pairs.items():
-        maps = choice_maps if task is TaskKind.CHOICE else None
-        em = em_score(pairs, task, maps)
+        em = em_score(pairs)
         per_task_em[task.value] = em
         correct_weighted += em * len(pairs)
         total += len(pairs)

@@ -108,10 +108,6 @@ class KnowledgeBaseClient:
             raise ValueError(f"unknown endpoint kind: {self.kind!r}")
         self.policy = RequestPolicy(self.endpoint, self.transport)
 
-    @property
-    def source(self) -> Source:
-        return Source.WIKIDATA if self.kind == "wikidata" else Source.DBPEDIA
-
     def fetch_equivalent_properties(self) -> list[EquivalentPropertyPair]:
         """Properties shared by DBpedia and Wikidata, minus identifier-like
         relations (blocklist by label token, with an allowlist override)."""
@@ -160,12 +156,13 @@ class KnowledgeBaseClient:
         else:  # the DBpedia query has no pages: slice its rows
             rows = self.policy.select(
                 dbpedia_triples_query(relation))[offset:offset + limit]
+        source = Source.WIKIDATA if self.kind == "wikidata" else Source.DBPEDIA
         out = []
         for row in rows:
             subject_label = row.get("subjectLabel")
             fact = row_fact(row.get("subject"), relation_id, row.get("object"),
                             row.get("objectLabel"), subject_label,
-                            relation_label, self.source, None)
+                            relation_label, source, None)
             if fact is None or not subject_label:
                 continue
             count = row.get("relationCount")

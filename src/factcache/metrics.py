@@ -2,9 +2,10 @@
 and the composite accuracy-vs-side-effect score.
 
 EM normalization (lowercase, punctuation stripped, whitespace collapsed,
-leading articles dropped) is a pinned convention; multiple-choice answers
-may be given as the bare option letter and fact-check answers as any casing
-of true/false.
+leading articles dropped) is a pinned convention, so fact-check answers
+match in any casing of true/false. A multiple-choice answer given as the
+bare option letter is read as its option by `BenchmarkItem.read_choice`
+before it is scored.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import EmptySet, SupportMismatch
-from .triples import TaskKind
 
 _ARTICLES = ("a", "an", "the")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
@@ -34,28 +34,12 @@ def normalize_answer(text: str) -> str:
     return " ".join(tokens)
 
 
-def em_score(pairs: Sequence[tuple[str, str]],
-             task: Optional[TaskKind] = None,
-             option_maps: Optional[Sequence[Optional[Mapping[str, str]]]] = None
-             ) -> float:
-    """Percentage of (prediction, gold) pairs that match after normalization.
-
-    For CHOICE, `option_maps` aligns a letter->option mapping with each pair
-    so a bare letter answer counts when it names the gold option.
-    """
+def em_score(pairs: Sequence[tuple[str, str]]) -> float:
+    """Percentage of (prediction, gold) pairs that match after normalization."""
     if not pairs:
         raise EmptySet("no predictions to score")
-    if option_maps is not None and len(option_maps) != len(pairs):
-        raise ValueError("option_maps must align with pairs")
-    matches = 0
-    for i, (prediction, gold) in enumerate(pairs):
-        pred_norm = normalize_answer(prediction)
-        if task is TaskKind.CHOICE and option_maps is not None:
-            mapping = option_maps[i] or {}
-            if pred_norm in mapping:
-                pred_norm = normalize_answer(mapping[pred_norm])
-        if pred_norm == normalize_answer(gold):
-            matches += 1
+    matches = sum(normalize_answer(prediction) == normalize_answer(gold)
+                  for prediction, gold in pairs)
     return 100.0 * matches / len(pairs)
 
 

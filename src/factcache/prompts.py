@@ -40,8 +40,6 @@ def _read_asset(name: str) -> str:
 def _instruction_table() -> dict[str, str]:
     table = {}
     for line in _read_asset("task_instructions.txt").splitlines():
-        if not line.strip():
-            continue
         m = _INSTRUCTION_LINE_RE.match(line)
         if m:
             table[m.group(1)] = m.group(2)

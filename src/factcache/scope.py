@@ -40,12 +40,6 @@ class SimpleOracle:
     query_map: Mapping[str, tuple[str, str]] = field(default_factory=dict)
     answer_map: Mapping[str, str] = field(default_factory=dict)
 
-    def entity_class(self, entity: str) -> str:
-        return self.entity_sets.get(entity, entity)
-
-    def relation_class(self, relation: str) -> str:
-        return self.relation_sets.get(relation, relation)
-
     def probe_triple(self, query: str, answer: str):
         """Underlying (subject, relation, object) for a probe, or None."""
         pair = self.query_map.get(query)
@@ -67,8 +61,10 @@ def join(a: TripleSet, b: TripleSet) -> TripleSet:
 
 def _triple_class(key: TripleKey, oracle: SimpleOracle) -> TripleKey:
     subject, relation, obj = key
-    return (oracle.entity_class(subject), oracle.relation_class(relation),
-            oracle.entity_class(obj))
+    entities = oracle.entity_sets
+    return (entities.get(subject, subject),
+            oracle.relation_sets.get(relation, relation),
+            entities.get(obj, obj))
 
 
 def frontier(

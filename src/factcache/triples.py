@@ -65,8 +65,6 @@ class EntityRef:
             raise ValueError("entity id must be non-empty")
         if not self.label:
             object.__setattr__(self, "label", self.id)
-        if not isinstance(self.aliases, frozenset):
-            object.__setattr__(self, "aliases", frozenset(self.aliases))
         if "" in self.aliases:
             raise ValueError("aliases must not contain the empty string")
 

@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factcache.cache import (CacheStats, EditRequest, InMemorySlowSource,
-                             LocalDumpSource, TieredFactStore, UpdateOutcome,
-                             load_state, read_dump, save_state, triple_to_row,
-                             write_dump)
+                             LocalDumpSource, RemoteSparqlSource,
+                             TieredFactStore, UpdateOutcome, load_state,
+                             parse_rfc3339, read_dump, save_state,
+                             triple_to_row, write_dump)
 from factcache.cli import load_entities
 from factcache.config import load_config
 from factcache.dataset import (BenchmarkItem, load_benchmark,
@@ -795,6 +796,15 @@ def test_shuffled_dump_rows_give_the_same_store(tmp_path_factory, rows,
         loaded, _ = make_store(prefetch_depth=0)
         loaded.bulk_load(read_dump(directory / "dump.jsonl")[1])
         assert store_state(read) == store_state(loaded) == expected
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TieredFactStore(capacity=0), "capacity must be >= 1 when set"),
+    (lambda: RemoteSparqlSource(""), "endpoint must be non-empty")],
+    ids=["zero-capacity", "no-endpoint"])
+def test_a_tier_without_room_or_an_endpoint_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestCapacity:
@@ -2033,6 +2043,18 @@ class TestDumpFormat:
         assert TripleSet(loaded) == TripleSet(rows)
         literal = next(t for t in loaded if not t.object_is_entity)
         assert literal.obj == "352 km"
+
+    def test_a_time_without_an_offset_is_read_as_utc(self, tmp_path):
+        fetched = parse_rfc3339("2024-01-01T00:00:00")
+        assert fetched.tzinfo is not None and fetched == SNAPSHOT
+        row = triple_to_row(dataclasses.replace(US_BIDEN, fetched_at=fetched))
+        assert row["fetched_at"] == "2024-01-01T00:00:00+00:00"
+        path = tmp_path / "dump.jsonl"
+        path.write_text(json.dumps({"snapshot_at": "2024-01-01T00:00:00"})
+                        + "\n" + json.dumps(row) + "\n")
+        snapshot_at, (loaded,) = read_dump(path)
+        assert snapshot_at.tzinfo is not None and snapshot_at == SNAPSHOT
+        assert loaded.fetched_at == SNAPSHOT
 
     def test_local_dump_source(self, tmp_path):
         path = tmp_path / "dump.jsonl"

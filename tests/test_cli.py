@@ -281,6 +281,27 @@ class TestCache:
         code, out, _ = run(capsys, "query", self.QUESTION)
         assert out.strip() == "Someone New"
 
+    def test_sync_keeps_an_edit_over_a_snapshot_time_without_an_offset(
+            self, workdir, capsys):
+        dump = workdir / "dump.jsonl"
+        head, rows = dump.read_text().split("\n", 1)
+        dump.write_text(head.replace("+00:00", "") + "\n" + rows)
+        assert '"2024-01-01T00:00:00"}' in dump.read_text()
+        run(capsys, "edit", "America", "head of government", "Kamala Harris")
+        assert run(capsys, "cache", "sync") == (0, "0 changed\n", "")
+        assert run(capsys, "query", "Who is the current head of government "
+                   "for America?")[:2] == (0, "Kamala Harris\n")
+
+    def test_an_edit_over_a_state_time_without_an_offset(self, workdir,
+                                                          capsys):
+        argv = ("edit", "America", "capital", "Paris")
+        assert run(capsys, *argv) == (0, "INSERTED\n", "")
+        state = json.loads(Path("state.json").read_text())
+        (entry,) = state["entries"]
+        entry["fetched_at"] = entry["fetched_at"].removesuffix("+00:00")
+        Path("state.json").write_text(json.dumps(state))
+        assert run(capsys, *argv) == (0, "REPLACED (no change)\n", "")
+
     def test_load_reports_the_triple_count(self, workdir, capsys):
         dump_lines = sum(
             1 for line in (workdir / "dump.jsonl").read_text().splitlines()
@@ -446,6 +467,20 @@ class TestCorruptInput:
         code, out, err = run(capsys, "data", "validate", "--lenient",
                              "--items", "items.jsonl")
         assert code == 0 and out.strip() == "0 items OK"
+
+    @pytest.mark.parametrize("query", [
+        "In which administrative territorial entity is the entities Amtrak "
+        "owns located?",
+        "In which {} is the entities {} owns located?"],
+        ids=["no-placeholder", "two-placeholders"])
+    def test_validate_a_multihop_query_without_one_placeholder(
+            self, workdir, capsys, query):
+        record = json.loads((FIXTURES / "multihop_item.jsonl").read_text())
+        record["MultihopQA_query"] = query
+        (workdir / "items.jsonl").write_text(json.dumps(record) + "\n")
+        assert run(capsys, "data", "validate", "--items", "items.jsonl") == (
+            1, "", "error: line 1: items.jsonl: multihop query must keep "
+                   "exactly one {} placeholder\n")
 
     @pytest.mark.parametrize("kb", ["dbpedia", "wikidata"])
     def test_fetch_a_relation_that_names_no_property(self, workdir, capsys,
@@ -672,6 +707,7 @@ def test_a_command_without_its_input_is_a_usage_error(workdir, capsys,
 @pytest.mark.parametrize("argv, argument", [
     (["edit", "", "head of government", "X"], "subject"),
     (["edit", "America", "", "X"], "relation"),
+    (["edit", "America", "head of government", ""], "object"),
     (["query", ""], "question"),
     (["eval", "rq1", "--items", "items.jsonl", "--counts", "0"], "--counts"),
     (["eval", "rq3", "--sizes", "0"], "--sizes"),
@@ -681,8 +717,8 @@ def test_a_command_without_its_input_is_a_usage_error(workdir, capsys,
       "--multihop", "--hops", "0"], "--hops"),
     (["data", "build", "--triples", "dump.jsonl", "--out", "items.jsonl",
       "--multihop", "--hops", "6"], "--hops")],
-    ids=["edit-subject", "edit-relation", "query", "counts", "sizes",
-         "count", "hops-0", "hops-6"])
+    ids=["edit-subject", "edit-relation", "edit-object", "query", "counts",
+         "sizes", "count", "hops-0", "hops-6"])
 def test_a_bad_argument_is_a_usage_error(workdir, capsys, argv, argument):
     with pytest.raises(SystemExit) as exc:
         main(argv)

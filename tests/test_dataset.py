@@ -15,6 +15,7 @@ from factcache.dataset import (BenchmarkItem, MultiHopItem, build_benchmark,
                                record_line, substitute_pronoun)
 from factcache.errors import (BadTemplate, BrokenChain, DistractorCollision,
                               ParseError, SchemaViolation)
+from factcache.metrics import em_score
 from factcache.triples import EntityRef, Source, TaskKind
 from conftest import FIXTURES, triple
 
@@ -148,6 +149,35 @@ class TestBuildItem:
                 **item.queries, TaskKind.CHOICE: "Who heads Sioux Falls?"})
 
 
+class TestReadChoice:
+    def test_every_letter_form_reads_as_its_option(self, templates):
+        golds = {}
+        for seed in range(12):
+            item = sioux_falls_item(templates, seed=seed, fc_truth=None)
+            letter = next(letter for letter, text in item.choice_options
+                          if text == item.gold)
+            golds.setdefault(letter, item)
+        assert sorted(golds) == ["A", "B", "C"]
+        for letter, item in golds.items():
+            for answer in (letter, letter.lower(), f"{letter}.",
+                           f"({letter})", f" {letter} "):
+                assert item.read_choice(answer) == item.gold, answer
+
+    def test_choice_accepts_the_bare_letter(self, templates):
+        item = sioux_falls_item(templates)  # A, B, C: Leutwein, Trotha, Haken
+        assert em_score([(item.read_choice("C"), item.gold)]) == 100.0
+        assert item.read_choice("A") == "Theodor Leutwein"
+        assert em_score([(item.read_choice("A"), item.gold)]) == 0.0
+
+    def test_choice_accepts_the_option_text_too(self, templates):
+        item = sioux_falls_item(templates)
+        assert em_score([(item.read_choice(item.gold), item.gold)]) == 100.0
+        # an answer that names no letter comes back as given
+        for answer in ("Paul Ten Haken", "Lothar von Trotha", "D", "AB",
+                       "a b", "", "I don't know"):
+            assert item.read_choice(answer) == answer
+
+
 AMTRAK_CHAIN = [
     triple("Amtrak", "owner of", "Route 128 station", source=Source.SYNTHETIC),
     triple("Route 128 station",
@@ -211,6 +241,14 @@ class TestBuildMultihop:
         chain = [triple(f"e{i}", "spouse", f"e{i + 1}")
                  for i in range(length)]
         with pytest.raises(BrokenChain):
+            build_multihop(chain, templates)
+
+    @pytest.mark.parametrize("hop", [0, 1])
+    def test_a_relation_without_templates_is_refused(self, templates, hop):
+        chain = list(AMTRAK_CHAIN)
+        chain[hop] = dataclasses.replace(chain[hop], relation="P999")
+        with pytest.raises(BadTemplate, match="no templates registered for "
+                                              "'P999'"):
             build_multihop(chain, templates)
 
 

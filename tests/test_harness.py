@@ -119,6 +119,26 @@ class TestMainEval:
         assert report.nkl_scaled is None
         assert "*" in report.format_table()
 
+    def test_a_choice_answered_by_its_letter_scores(self, templates):
+        class LetterMock(MockTableModel):
+            """Answers each choice question with its gold option's letter."""
+
+            def generate(self, prompt):
+                answer = super().generate(prompt)
+                if prompt.task is not TaskKind.CHOICE:
+                    return answer
+                return type(answer)(text=letters[prompt.query],
+                                    distribution=answer.distribution)
+
+        items, pipeline = desk_set(templates)
+        letters = {item.queries[TaskKind.CHOICE]: letter for item in items
+                   for letter, text in item.choice_options
+                   if text == item.gold}
+        assert "A" in letters.values()
+        pipeline.model = LetterMock()
+        report = run_main_eval(items, pipeline)
+        assert report.per_task_em["choice"] == 100.0
+
 
 class TestTransitionScenario:
     def test_em_is_flat_across_edit_counts(self, templates):
@@ -133,6 +153,22 @@ class TestTransitionScenario:
         pipeline.store.reset()
         report = run_main_eval(items, pipeline)
         assert curve[1] == report.per_task_em["qa"]
+
+
+@pytest.mark.parametrize("scenario, error, message", [
+    (lambda items, pipeline: run_transition_scenario([], pipeline),
+     EmptySet, "no items for the transition scenario"),
+    (lambda items, pipeline: run_transition_scenario(items, pipeline,
+                                                     edit_counts=[0]),
+     ValueError, "edit counts must be >= 1"),
+    (lambda items, pipeline: run_scale_scenario(pipeline, sizes=[0]),
+     ValueError, "sizes must be >= 1")],
+    ids=["transition-no-items", "transition-zero-edits", "scale-zero-size"])
+def test_a_scenario_refuses_what_it_cannot_score(templates, scenario, error,
+                                                 message):
+    items, pipeline = desk_set(templates, n=3)
+    with pytest.raises(error, match=message):
+        scenario(items, pipeline)
 
 
 class TestScaleScenario:

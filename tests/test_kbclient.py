@@ -157,6 +157,21 @@ class TestFetchTriples:
         assert rows[0].relation_count == 41
         assert rows[0].fact.source is Source.WIKIDATA
 
+    @pytest.mark.parametrize("client, relation, source", [
+        (wikidata_client, "P6", Source.WIKIDATA),
+        (dbpedia_client, "http://dbpedia.org/ontology/capital",
+         Source.DBPEDIA)],
+        ids=["wikidata", "dbpedia"])
+    def test_a_row_names_its_endpoint_s_kind_as_its_source(
+            self, client, relation, source):
+        rows = client().fetch_triples(relation, limit=10)
+        assert rows and {row.fact.source for row in rows} == {source}
+
+    @pytest.mark.parametrize("kind", ["x", "", "Wikidata"])
+    def test_an_unknown_endpoint_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match="unknown endpoint kind"):
+            KnowledgeBaseClient(kind, "https://u.t")
+
     def test_zero_limit_short_circuits(self):
         calls = []
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from factcache.errors import EmptySet, SupportMismatch
 from factcache.metrics import (SUREParams, drawdown, em_score, kl_divergence,
                                nkl, normalize_answer, sure)
-from factcache.triples import TaskKind
 
 
 class TestNormalization:
@@ -52,24 +51,10 @@ class TestEmScore:
         with pytest.raises(EmptySet):
             em_score([])
 
-    def test_choice_accepts_the_bare_letter(self):
-        options = {"a": "Theodor Leutwein", "b": "Lothar von Trotha",
-                   "c": "Paul Ten Haken"}
-        assert em_score([("C", "Paul Ten Haken")], task=TaskKind.CHOICE,
-                        option_maps=[options]) == 100.0
-        assert em_score([("A", "Paul Ten Haken")], task=TaskKind.CHOICE,
-                        option_maps=[options]) == 0.0
-
-    def test_choice_accepts_the_option_text_too(self):
-        options = {"a": "x", "b": "y", "c": "Paul Ten Haken"}
-        assert em_score([("Paul Ten Haken", "Paul Ten Haken")],
-                        task=TaskKind.CHOICE, option_maps=[options]) == 100.0
-
     def test_fact_check_is_case_insensitive(self):
-        assert em_score([("TRUE", "True")], task=TaskKind.FACT_CHECK) == 100.0
-        assert em_score([("false.", "False")],
-                        task=TaskKind.FACT_CHECK) == 100.0
-        assert em_score([("True", "False")], task=TaskKind.FACT_CHECK) == 0.0
+        assert em_score([("TRUE", "True")]) == 100.0
+        assert em_score([("false.", "False")]) == 100.0
+        assert em_score([("True", "False")]) == 0.0
 
 
 class TestDrawdown:

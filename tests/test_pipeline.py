@@ -285,6 +285,13 @@ class TestExtractEntity:
         assert pipeline.extract_entities("q?") == []
 
 
+class GenerateOnlyModel:
+    """A model client without the raw completion that extraction asks."""
+
+    def generate(self, prompt):
+        raise AssertionError("extraction fails first")
+
+
 class TestAnswer:
     def test_cached_fact_is_echoed(self, us_pipeline):
         answer = us_pipeline.answer(
@@ -395,6 +402,20 @@ class TestAnswer:
         us_pipeline.k = 0  # after construction
         with pytest.raises(ValueError, match="k must be >= 1, not 0"):
             us_pipeline.answer(query)
+        assert us_pipeline.store.slow.fetch_log == []  # nothing was read
+
+    @pytest.mark.parametrize("model, extractor, message", [
+        (None, ExtractorKind.ALIAS_DICTIONARY, "no model client configured"),
+        (GenerateOnlyModel(), ExtractorKind.MODEL_PROMPTED,
+         "model-prompted extraction needs a client with complete_text")],
+        ids=["no-model", "no-complete-text"])
+    def test_a_model_that_cannot_serve_the_answer_is_refused(
+            self, us_pipeline, model, extractor, message):
+        pipeline = Pipeline(store=us_pipeline.store,
+                            aliases=us_pipeline.aliases, model=model,
+                            extractor=extractor)
+        with pytest.raises(ValueError, match=message):
+            pipeline.answer("Who is the head of government in America?")
         assert us_pipeline.store.slow.fetch_log == []  # nothing was read
 
     def test_format_invariance_across_phrasings(self, us_pipeline, templates):
