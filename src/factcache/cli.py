@@ -70,44 +70,30 @@ def _store(cfg: Config, fresh: bool = False) -> TieredFactStore:
 
 _ENTITY_RULES = {
     "id": (True, *NAME),
-    **{key: (False, *TEXT) for key in ("label", "kind", "gender")},
+    "label": (False, *TEXT),
     "aliases": (False, "a list of non-empty strings",
                 lambda v: type(v) is list and all(type(a) is str and a
                                                   for a in v)),
 }
 
 
-def load_entities(path: str) -> dict[str, EntityRef]:
-    """The entities file: a JSON list of objects, each with a non-empty
-    string `id`, optional `label`, `kind` and `gender` strings, and
-    optional `aliases`, a list of non-empty strings. A file that breaks
-    this raises ParseError naming the file, the entry and the key."""
-    entities: dict[str, EntityRef] = {}
-    for row in read_json_rows(path, _ENTITY_RULES, "entity"):
-        ref = EntityRef(
-            id=row["id"],
-            label=row.get("label", ""),
-            aliases=frozenset(row.get("aliases", ())),
-            kind=row.get("kind", ""),
-            gender=row.get("gender", ""),
-        )
-        entities[ref.id] = ref
-        entities.setdefault(ref.label, ref)
-    return entities
+def load_entities(path: str) -> list[EntityRef]:
+    """The entities file, in file order: a JSON list of objects, each with
+    a non-empty string `id`, an optional `label` string and optional
+    `aliases`, a list of non-empty strings; other keys are ignored. A file
+    that breaks this raises ParseError naming the file, the entry and the
+    key."""
+    return [EntityRef(id=row["id"], label=row.get("label", ""),
+                      aliases=frozenset(row.get("aliases", ())))
+            for row in read_json_rows(path, _ENTITY_RULES, "entity")]
 
 
-def _entities(cfg: Config) -> Optional[dict[str, EntityRef]]:
-    return load_entities(cfg.entities_path) if cfg.entities_path else None
-
-
-def _pipeline(cfg: Config, store: TieredFactStore,
-              entities: Optional[dict[str, EntityRef]]) -> Pipeline:
+def _pipeline(cfg: Config, store: TieredFactStore) -> Pipeline:
     triples = list(store.fast_snapshot())
     if isinstance(store.slow, LocalDumpSource):
         triples += store.slow.triples  # already parsed, in dump-file order
     aliases = AliasIndex.from_triples(triples)
-    # a ref whose label is not its id sits under both keys
-    for ref in dict.fromkeys((entities or {}).values()):
+    for ref in load_entities(cfg.entities_path) if cfg.entities_path else ():
         for surface in sorted(ref.surface_forms):
             aliases.add(surface, ref.id)
     return Pipeline(
@@ -143,7 +129,7 @@ def cmd_edit(cfg: Config, args) -> int:
 
 def cmd_query(cfg: Config, args) -> int:
     store = _store(cfg)
-    pipeline = _pipeline(cfg, store, _entities(cfg))
+    pipeline = _pipeline(cfg, store)
     task = TaskKind(args.task)
     answer, trace = pipeline.answer_traced(args.question, task)
     # persist before printing; output pipes may close early
@@ -231,10 +217,8 @@ def cmd_data_build(cfg: Config, args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     _, triples = read_dump(args.triples)
     templates = load_relation_templates(cfg.templates_path or None)
-    entities = _entities(cfg)
     if args.multihop:
-        items: list = build_multihop_benchmark(triples, templates, args.hops,
-                                               entities)
+        items: list = build_multihop_benchmark(triples, templates, args.hops)
     else:
         items = build_benchmark(triples, templates, random.Random(seed))
     if args.count is not None:
@@ -256,8 +240,7 @@ def cmd_data_validate(cfg: Config, args) -> int:
 
 def cmd_eval(cfg: Config, args) -> int:
     store = _store(cfg, fresh=True)  # evaluation never touches saved state
-    entities = _entities(cfg)
-    pipeline = _pipeline(cfg, store, entities)
+    pipeline = _pipeline(cfg, store)
     fmt = args.format
 
     if args.suite in ("main", "rq1", "rq2"):
@@ -266,7 +249,7 @@ def cmd_eval(cfg: Config, args) -> int:
         if not path:
             _err(f"eval {args.suite} requires --items or a configured path")
             return 2
-        items = load_benchmark(path, entities=entities)
+        items = load_benchmark(path)
         # after the state, dump and entities labels, which keep their ids
         pipeline.aliases.add_facts(item_facts(items))
 

@@ -22,8 +22,7 @@ from .errors import (NAME, BadTemplate, BrokenChain, DistractorCollision,
                      OptionsMisread, SchemaViolation, fault, read_json_lines,
                      read_json_rows, write_text)
 from .ranking import contains_phrase
-from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
-                      TripleSet)
+from .triples import FactTriple, RelationRef, Source, TaskKind, TripleSet
 
 CHOICE_LETTERS = ("A", "B", "C")
 
@@ -56,53 +55,6 @@ def fill_template(template: str, subject_label: str) -> str:
         raise BadTemplate(
             f"template must contain exactly one {{}} placeholder: {template!r}")
     return template.replace("{}", subject_label)
-
-
-# --- pronouns for dialogue turns ---------------------------------------------
-
-def pronoun_for(entity: Optional[EntityRef], possessive: bool) -> str:
-    """Deterministic pronoun: person entities get his/her (their when gender
-    is unknown); everything else, including untagged entities, gets its/it."""
-    if entity is None or entity.kind != "person":
-        return "its" if possessive else "it"
-    if entity.gender == "male":
-        return "his" if possessive else "him"
-    if entity.gender == "female":
-        return "her"
-    return "their" if possessive else "them"
-
-
-def dialogue_turn(query: str, subject_label: str,
-                  entity: Optional[EntityRef] = None) -> str:
-    """Rewrite a per-hop question with its subject replaced by a pronoun."""
-    possessive = f"{subject_label}'s"
-    if possessive in query:
-        return query.replace(possessive, pronoun_for(entity, True), 1)
-    return query.replace(subject_label, pronoun_for(entity, False), 1)
-
-
-def substitute_pronoun(turn: str, answer: str) -> str:
-    """Fill a dialogue turn's pronoun with the previous turn's answer.
-
-    Possessive pronouns become ``answer's``; "her" counts as possessive only
-    when a word follows it.
-    """
-    tokens = turn.split(" ")
-    for i, token in enumerate(tokens):
-        word = token.strip("?,.!;:")
-        lower = word.lower()
-        if lower in ("his", "its", "their"):
-            replacement = f"{answer}'s"
-        elif lower in ("him", "them", "it"):
-            replacement = answer
-        elif lower == "her":
-            followed_by_word = (token == word) and i + 1 < len(tokens)
-            replacement = f"{answer}'s" if followed_by_word else answer
-        else:
-            continue
-        tokens[i] = token.replace(word, replacement, 1)
-        return " ".join(tokens)
-    return turn
 
 
 # --- single-hop items ---------------------------------------------------------
@@ -258,8 +210,8 @@ def build_item(triple: FactTriple, relation: RelationRef,
 
 @dataclass(frozen=True)
 class MultiHopItem:
-    """An ordered chain of triples with per-hop questions, one nested
-    question template, and derived dialogue turns.
+    """An ordered chain of triples with per-hop questions and one nested
+    question template.
 
     The chain has 2..5 links and satisfies object(i) == subject(i+1); the
     answer to the whole item is the final object label.
@@ -268,7 +220,6 @@ class MultiHopItem:
     chain: tuple[FactTriple, ...]
     hop_queries: tuple[str, ...]
     multihop_query: str
-    dialogue_turns: tuple[str, ...]
 
     def __post_init__(self):
         if not 2 <= len(self.chain) <= 5:
@@ -304,9 +255,7 @@ class MultiHopItem:
         return record
 
     @classmethod
-    def from_record(cls, record: dict,
-                    entities: Optional[Mapping[str, EntityRef]] = None
-                    ) -> "MultiHopItem":
+    def from_record(cls, record: dict) -> "MultiHopItem":
         hops = 0
         while f"relation_label_{hops + 1}" in record:
             hops += 1
@@ -320,34 +269,15 @@ class MultiHopItem:
         chain = tuple(FactTriple(subject=subject, relation=record[relation],
                                  obj=record[obj], source=Source.SYNTHETIC)
                       for subject, (relation, obj, _) in zip(subjects, links))
-        hop_queries = tuple(record[query] for _, _, query in links)
-        turns = _derive_dialogue_turns(chain, hop_queries, entities)
-        try:
-            return cls(
-                chain=chain,
-                hop_queries=hop_queries,
-                multihop_query=record["MultihopQA_query"],
-                dialogue_turns=turns,
-            )
-        except BrokenChain as exc:
-            raise SchemaViolation(str(exc)) from exc
-
-
-def _derive_dialogue_turns(
-        chain: Sequence[FactTriple], hop_queries: Sequence[str],
-        entities: Optional[Mapping[str, EntityRef]]) -> tuple[str, ...]:
-    turns = list(hop_queries[:1])
-    for t, query in zip(chain[1:], hop_queries[1:]):
-        entity = entities.get(t.subject) if entities else None
-        turns.append(dialogue_turn(query, t.subject_label, entity))
-    return tuple(turns)
+        return cls(chain=chain,
+                   hop_queries=tuple(record[query] for _, _, query in links),
+                   multihop_query=record["MultihopQA_query"])
 
 
 def build_multihop(chain: Sequence[FactTriple],
-                   relations: Mapping[str, RelationRef],
-                   entities: Optional[Mapping[str, EntityRef]] = None
-                   ) -> MultiHopItem:
-    """Compose a chain of triples into one nested question plus dialogue.
+                   relations: Mapping[str, RelationRef]) -> MultiHopItem:
+    """Compose a chain of triples into per-hop questions and one nested
+    question.
 
     `relations` maps relation ids to their templates; every relation but the
     last needs a nesting phrase (MULTI_HOP_QA template), the last needs QA.
@@ -371,12 +301,8 @@ def build_multihop(chain: Sequence[FactTriple],
             raise BadTemplate(f"relation {ref.id!r} has no nesting phrase")
         multihop_query = ref.template(kind).replace("{}", multihop_query)
 
-    return MultiHopItem(
-        chain=tuple(chain),
-        hop_queries=hop_queries,
-        multihop_query=multihop_query,
-        dialogue_turns=_derive_dialogue_turns(chain, hop_queries, entities),
-    )
+    return MultiHopItem(chain=tuple(chain), hop_queries=hop_queries,
+                        multihop_query=multihop_query)
 
 
 AnyItem = Union[BenchmarkItem, MultiHopItem]
@@ -428,8 +354,7 @@ def build_benchmark(triples: Iterable[FactTriple],
 
 
 def build_multihop_benchmark(triples: Iterable[FactTriple],
-                             templates: Mapping[str, RelationRef], hops: int,
-                             entities: Optional[Mapping[str, EntityRef]] = None
+                             templates: Mapping[str, RelationRef], hops: int
                              ) -> list[MultiHopItem]:
     """One chain per templated fact, in key order: follow each object to
     the first fact (by key) about it until the chain has `hops` links;
@@ -447,7 +372,7 @@ def build_multihop_benchmark(triples: Iterable[FactTriple],
         while len(chain) < hops and chain[-1].obj in first_about:
             chain.append(first_about[chain[-1].obj])
         if len(chain) == hops:
-            items.append(build_multihop(chain, relation_map, entities))
+            items.append(build_multihop(chain, relation_map))
     return items
 
 
@@ -463,9 +388,7 @@ def emit_benchmark(items: Iterable[AnyItem], path: str | Path) -> int:
     return len(lines)
 
 
-def load_benchmark(path: str | Path, strict: bool = True,
-                   entities: Optional[Mapping[str, EntityRef]] = None
-                   ) -> list[AnyItem]:
+def load_benchmark(path: str | Path, strict: bool = True) -> list[AnyItem]:
     """Parse and validate a benchmark file.
 
     An unreadable file or a line that is not UTF-8 JSON is a ParseError, a
@@ -475,7 +398,7 @@ def load_benchmark(path: str | Path, strict: bool = True,
     """
     def parse(record) -> AnyItem:
         if type(record) is dict and "s1_label" in record:
-            return MultiHopItem.from_record(record, entities)
+            return MultiHopItem.from_record(record)
         return BenchmarkItem.from_record(record)
 
     return read_json_lines(path, parse, strict)

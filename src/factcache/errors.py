@@ -64,10 +64,6 @@ class DistractorCollision(FactCacheError):
     """A multiple-choice distractor equals the gold answer."""
 
 
-class BrokenChain(FactCacheError):
-    """A multi-hop chain violates the object-to-subject adjacency constraint."""
-
-
 class ParseError(FactCacheError):
     """An input file (dump, state, entities, benchmark or templates) cannot
     be read, is not UTF-8 JSON, or holds a value its rule table refuses;
@@ -82,6 +78,11 @@ class ParseError(FactCacheError):
 
 class SchemaViolation(ParseError):
     """A benchmark record parses but violates the item schema."""
+
+
+class BrokenChain(SchemaViolation):
+    """A multi-hop chain does not have 2..5 links, each link's object the
+    next link's subject."""
 
 
 class OptionsMisread(SchemaViolation):

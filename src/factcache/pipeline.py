@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator, Optional
 
 from .cache import TieredFactStore
-from .dataset import MultiHopItem, substitute_pronoun
+from .dataset import MultiHopItem
 from .errors import HopFailed
 from .models import ModelAnswer, ModelClient
 from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
@@ -271,23 +271,22 @@ class Pipeline:
     def answer_multihop(self, item: MultiHopItem,
                         mode: MultihopMode = MultihopMode.DECOMPOSE
                         ) -> ModelAnswer:
-        """Traverse a chain item turn by turn (DIALOGUE) or by hopping to
-        each evidence object (DECOMPOSE); returns the final answer.
+        """Answer a chain item hop by hop; returns the final answer. From
+        hop 2 on, the item's question for the hop names, in place of the
+        link's subject, the last answer (DIALOGUE) or the object of the
+        fact the last hop selected (DECOMPOSE), which an edit may have
+        changed since the item was built.
 
         Raises HopFailed(i) when hop i selects no evidence at all.
         """
         dialogue = mode is MultihopMode.DIALOGUE
-        queries = item.dialogue_turns if dialogue else item.hop_queries
         task = TaskKind.DIALOGUE if dialogue else TaskKind.MULTI_HOP_QA
         answer: Optional[ModelAnswer] = None
-        for i, query in enumerate(queries):
-            if i and dialogue:
-                query = substitute_pronoun(query, answer.text)
-            elif i:
-                # intermediate objects may have been edited since the item was
-                # built; retarget the stored sub-question at the current entity
-                query = query.replace(item.chain[i].subject_label,
-                                      trace.evidence.selected[0].object_label)
+        for i, query in enumerate(item.hop_queries):
+            if i:
+                last = (answer.text if dialogue
+                        else trace.evidence.selected[0].object_label)
+                query = query.replace(item.chain[i].subject_label, last)
             answer, trace = self.answer_traced(query, task)
             if not trace.evidence:
                 raise HopFailed(i + 1)

@@ -48,17 +48,11 @@ SINGLE_HOP_TASKS = (
 
 @dataclass(frozen=True)
 class EntityRef:
-    """A stable entity identifier with display label and surface aliases.
-
-    `kind` and `gender` are optional tags consumed by pronoun selection when
-    composing dialogue turns; both default to unknown.
-    """
+    """A stable entity identifier with display label and surface aliases."""
 
     id: str
     label: str = ""
     aliases: frozenset[str] = frozenset()
-    kind: str = ""    # "person" or ""
-    gender: str = ""  # "male", "female", or ""
 
     def __post_init__(self):
         if not self.id:

@@ -13,8 +13,8 @@ from factcache import sparqlio
 from factcache.cache import write_dump
 from factcache.cli import main
 from factcache.config import Config
-from factcache.models import HttpCompletionModel
-from factcache.triples import Source
+from factcache.models import HttpCompletionModel, MockTableModel
+from factcache.triples import Source, TaskKind
 from conftest import FIXTURES, SNAPSHOT, subject_facts_endpoint, triple
 
 
@@ -482,6 +482,17 @@ class TestCorruptInput:
             1, "", "error: line 1: items.jsonl: multihop query must keep "
                    "exactly one {} placeholder\n")
 
+    @pytest.mark.parametrize("hops", [1, 6])
+    def test_validate_a_chain_of_a_bad_length(self, workdir, capsys, hops):
+        record = {"s1_label": "e0", "MultihopQA_query": "Who is {}?"}
+        for i in range(1, hops + 1):
+            record |= {f"relation_label_{i}": "spouse", f"o{i}_label": f"e{i}",
+                       f"qa_query_{i}": f"Who is e{i - 1}'s spouse?"}
+        (workdir / "items.jsonl").write_text(json.dumps(record) + "\n")
+        assert run(capsys, "data", "validate", "--items", "items.jsonl") == (
+            1, "", f"error: line 1: items.jsonl: chain length must be 2..5, "
+                   f"got {hops}\n")
+
     @pytest.mark.parametrize("kb", ["dbpedia", "wikidata"])
     def test_fetch_a_relation_that_names_no_property(self, workdir, capsys,
                                                      kb):
@@ -806,21 +817,54 @@ class TestEval:
         run(capsys, "data", "build", "--triples", "dump.jsonl",
             "--out", "chains.jsonl", "--multihop")
 
+    @staticmethod
+    def dialogue_asked(monkeypatch) -> list:
+        """The query of each dialogue prompt the mock model is given, in
+        order, filled as the model answers."""
+        asked = []
+        generate = MockTableModel.generate
+
+        def spy(model, prompt):
+            if prompt.task is TaskKind.DIALOGUE:
+                asked.append(prompt.query)
+            return generate(model, prompt)
+
+        monkeypatch.setattr(MockTableModel, "generate", spy)
+        return asked
+
     def test_rq2_reads_the_dialogue_with_the_configured_entities(
             self, workdir, capsys, monkeypatch):
         self.build_sample_chains(workdir, capsys)
-        evaluated = []
-        scenario = factcache.cli.run_multihop_scenario
-
-        def spy(chains, pipeline):
-            evaluated.extend(chains)
-            return scenario(chains, pipeline)
-
-        monkeypatch.setattr(factcache.cli, "run_multihop_scenario", spy)
+        asked = self.dialogue_asked(monkeypatch)
         code, _, _ = run(capsys, "eval", "rq2", "--items", "chains.jsonl")
         assert code == 0
-        turns = [turn for chain in evaluated for turn in chain.dialogue_turns]
-        assert "Who is his spouse?" in turns  # Joe Biden is a male person
+        # hop 1 answers "Joe Biden", and hop 2 names that answer as subject
+        assert "Who is Joe Biden's spouse?" in asked
+
+    def test_rq2_dialogue_keeps_the_hop_question_around_the_last_answer(
+            self, workdir, capsys, monkeypatch):
+        # an entities file tags Jill Biden a female person; hop 2's
+        # question reads as its template does, with her name as subject
+        write_dump(workdir / "dump.jsonl", [
+            triple("Joe Biden", "spouse", "Jill Biden"),
+            triple("Jill Biden", "P54", "Team X",
+                   relation_label="member of sports team")],
+            snapshot_at=SNAPSHOT)
+        (workdir / "entities.json").write_text(json.dumps([
+            {"id": "Jill Biden", "label": "Jill Biden", "kind": "person",
+             "gender": "female"}]))
+        config = json.loads((workdir / "factcache.json").read_text())
+        config["data"] = {"entities_path": "entities.json"}
+        (workdir / "factcache.json").write_text(json.dumps(config))
+        code, out, _ = run(capsys, "data", "build", "--triples", "dump.jsonl",
+                           "--out", "chains.jsonl", "--multihop", "--hops",
+                           "2")
+        assert (code, out) == (0, "1 items written to chains.jsonl\n")
+        asked = self.dialogue_asked(monkeypatch)
+        code, _, _ = run(capsys, "eval", "rq2", "--items", "chains.jsonl")
+        assert code == 0
+        assert asked == ["Who is Joe Biden's spouse?",
+                         "Which sports team does Jill Biden play for?"]
 
     def test_rq2_json_lists_em_counts_and_reference_em(self, workdir,
                                                        capsys):

@@ -8,15 +8,13 @@ import pytest
 
 from factcache.dataset import (BenchmarkItem, MultiHopItem, build_benchmark,
                                build_item, build_multihop,
-                               build_multihop_benchmark, dialogue_turn,
-                               emit_benchmark,
+                               build_multihop_benchmark, emit_benchmark,
                                fill_template, load_benchmark,
-                               load_relation_templates, pronoun_for,
-                               record_line, substitute_pronoun)
+                               load_relation_templates, record_line)
 from factcache.errors import (BadTemplate, BrokenChain, DistractorCollision,
                               ParseError, SchemaViolation)
 from factcache.metrics import em_score
-from factcache.triples import EntityRef, Source, TaskKind
+from factcache.triples import Source, TaskKind
 from conftest import FIXTURES, triple
 
 QA_TEMPLATE = "Who is the current head of government for {}?"
@@ -200,23 +198,6 @@ class TestBuildMultihop:
                                        "entity is Route 128 station located?")
         assert item.final_gold == "Westwood"
 
-    def test_dialogue_pronoun_for_tagged_person(self, templates):
-        chain = [
-            triple("America", "head of government", "Joe Biden",
-                   source=Source.SYNTHETIC),
-            triple("Joe Biden", "spouse", "Jill Biden",
-                   source=Source.SYNTHETIC),
-        ]
-        entities = {"Joe Biden": EntityRef(id="Joe Biden", kind="person",
-                                           gender="male")}
-        item = build_multihop(chain, templates, entities)
-        assert item.dialogue_turns[1] == "Who is his spouse?"
-
-    def test_dialogue_pronoun_defaults_to_it(self, templates):
-        item = build_multihop(AMTRAK_CHAIN, templates)
-        assert item.dialogue_turns[1] == (
-            "In which administrative territorial entity is it located?")
-
     def test_three_hop_nesting(self, templates):
         chain = [
             triple("America", "head of government", "Joe Biden"),
@@ -341,45 +322,6 @@ class TestBuildFromDump:
         assert subjects(4) == []
 
 
-class TestPronouns:
-    def test_pronoun_map(self):
-        male = EntityRef(id="x", kind="person", gender="male")
-        female = EntityRef(id="x", kind="person", gender="female")
-        unknown = EntityRef(id="x", kind="person")
-        place = EntityRef(id="x")
-        assert pronoun_for(male, possessive=True) == "his"
-        assert pronoun_for(female, possessive=True) == "her"
-        assert pronoun_for(unknown, possessive=True) == "their"
-        assert pronoun_for(place, possessive=True) == "its"
-        assert pronoun_for(male, possessive=False) == "him"
-        assert pronoun_for(None, possessive=False) == "it"
-
-    def test_dialogue_turn_possessive_form(self):
-        male = EntityRef(id="Joe Biden", kind="person", gender="male")
-        assert dialogue_turn("Who is Joe Biden's spouse?", "Joe Biden",
-                             male) == "Who is his spouse?"
-
-    def test_dialogue_turn_plain_form(self):
-        assert dialogue_turn("In which country is Westwood located?",
-                             "Westwood") == "In which country is it located?"
-
-    def test_substitute_possessive(self):
-        assert substitute_pronoun("Who is his spouse?", "Joe Biden") == \
-            "Who is Joe Biden's spouse?"
-
-    def test_substitute_objective(self):
-        assert substitute_pronoun(
-            "In which administrative territorial entity is it located?",
-            "Route 128 station") == ("In which administrative territorial "
-                                     "entity is Route 128 station located?")
-
-    def test_substitute_her_possessive_vs_objective(self):
-        assert substitute_pronoun("Who is her spouse?", "Jill") == \
-            "Who is Jill's spouse?"
-        assert substitute_pronoun("Who employs her?", "Jill") == \
-            "Who employs Jill?"
-
-
 class TestLoadBenchmark:
     def test_reference_single_hop_record(self):
         items = load_benchmark(FIXTURES / "single_hop_item.jsonl")
@@ -496,18 +438,16 @@ class TestLoadRelationTemplates:
 
 class TestRoundTrip:
     def test_emit_then_load_reproduces_items(self, templates, tmp_path):
-        entities = {"Joe Biden": EntityRef(id="Joe Biden", kind="person",
-                                           gender="male")}
         single = sioux_falls_item(templates)
         multi = build_multihop([
             triple("America", "head of government", "Joe Biden",
                    source=Source.SYNTHETIC),
             triple("Joe Biden", "spouse", "Jill Biden",
                    source=Source.SYNTHETIC),
-        ], templates, entities)
+        ], templates)
         path = tmp_path / "items.jsonl"
         emit_benchmark([single, multi], path)
-        loaded = load_benchmark(path, entities=entities)
+        loaded = load_benchmark(path)
         assert loaded[0] == single
         assert loaded[1] == multi
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from pathlib import Path
@@ -15,13 +16,14 @@ from factcache.cache import (EditRequest, InMemorySlowSource, LocalDumpSource,
                              TieredFactStore, read_dump)
 from factcache.config import Config
 from factcache.dataset import (BenchmarkItem, MultiHopItem, build_multihop,
-                               build_multihop_benchmark)
+                               build_multihop_benchmark,
+                               load_relation_templates)
 from factcache.errors import HopFailed
-from factcache.models import MockTableModel
+from factcache.models import MockTableModel, ModelAnswer
 from factcache.pipeline import (AliasIndex, ExtractorKind, MultihopMode,
                                 Pipeline, aliases_for_items)
 from factcache.ranking import rank_triples, token_cosine, tokenize
-from factcache.triples import EntityRef, Source, TaskKind, TripleSet
+from factcache.triples import Source, TaskKind, TripleSet
 from conftest import triple
 
 
@@ -117,11 +119,13 @@ class TestAliasIndex:
         assert alias_index.entities(texts[8]) == ["Q30"]
         assert list(alias_index._memo) == texts[8:]
 
-    def test_from_entities_uses_all_surface_forms(self, us_store):
+    def test_from_entities_uses_all_surface_forms(self, us_store, tmp_path):
         # the CLI registers each entities-file entry under every surface
-        ref = EntityRef(id="Q30", label="United States",
-                        aliases=frozenset({"America", "US"}))
-        index = cli._pipeline(Config(), us_store, {"Q30": ref}).aliases
+        path = tmp_path / "entities.json"
+        path.write_text(json.dumps([{"id": "Q30", "label": "United States",
+                                     "aliases": ["America", "US"]}]))
+        index = cli._pipeline(Config(entities_path=str(path)),
+                              us_store).aliases
         assert index.lookup("america") == "Q30"
         assert index.lookup("United States") == "Q30"
         assert index.entities("Is the US America?") == ["Q30"]
@@ -462,9 +466,7 @@ class TestMultihop:
             triple("Joe Biden", "spouse", "Jill Biden",
                    source=Source.SYNTHETIC),
         ]
-        entities = {"Joe Biden": EntityRef(id="Joe Biden", kind="person",
-                                           gender="male")}
-        item = build_multihop(chain, templates, entities)
+        item = build_multihop(chain, templates)
         for mode in (MultihopMode.DECOMPOSE, MultihopMode.DIALOGUE):
             answer = us_pipeline.answer_multihop(item, mode)
             assert answer.text == "Jill Biden", mode
@@ -511,12 +513,10 @@ class TestMultihop:
                                                               templates):
         # hop 1 selects Route 128 station, but the mock cannot verbalize it
         # from "What entities does Amtrak owns?": decompose follows the
-        # selected object, while dialogue fills the pronoun with the answer
+        # selected object, while dialogue names the answer
         sample = Path(__file__).parent.parent / "sample_data"
         _, triples = read_dump(sample / "dump.jsonl")
-        entities = cli.load_entities(str(sample / "entities.json"))
-        [item] = [i for i in build_multihop_benchmark(triples, templates, 2,
-                                                      entities)
+        [item] = [i for i in build_multihop_benchmark(triples, templates, 2)
                   if i.chain[0].subject == "Amtrak"]
         store = TieredFactStore(slow=LocalDumpSource(sample / "dump.jsonl"))
         pipeline = Pipeline(store=store,
@@ -527,6 +527,39 @@ class TestMultihop:
         with pytest.raises(HopFailed) as exc:
             pipeline.answer_multihop(item, MultihopMode.DIALOGUE)
         assert exc.value.hop == 2
+
+
+class FirstEvidenceModel:
+    """Answers with the first evidence fact's object, and keeps the query of
+    each prompt under its task."""
+
+    def __init__(self):
+        self.asked: dict[TaskKind, list[str]] = {}
+
+    def generate(self, prompt):
+        self.asked.setdefault(prompt.task, []).append(prompt.query)
+        return ModelAnswer(text=prompt.evidence[0].object_label)
+
+
+@settings(max_examples=50, deadline=None)
+@given(hops=st.integers(2, 5), data=st.data())
+def test_both_modes_ask_the_same_question_at_every_hop(hops, data):
+    # a model that answers with the selected fact's object makes the last
+    # answer and the last selected object one name, so the one rule asks
+    # alike in both modes, also where an edit reroutes the chain
+    item, pipeline = chain_world(load_relation_templates(), hops)
+    rerouted = data.draw(st.none() | st.integers(0, hops - 2))
+    if rerouted is not None:
+        for subject, obj in ((f"Person {rerouted}", "Someone New"),
+                             ("Someone New", f"Person {rerouted + 2}")):
+            pipeline.store.apply_update(EditRequest(
+                subject, "spouse", obj, relation_label="spouse"))
+        pipeline.aliases.add("Someone New", "Someone New")
+    pipeline.model = model = FirstEvidenceModel()
+    for mode in (MultihopMode.DECOMPOSE, MultihopMode.DIALOGUE):
+        assert pipeline.answer_multihop(item, mode).text == f"Person {hops}"
+    assert len(model.asked[TaskKind.MULTI_HOP_QA]) == hops
+    assert model.asked[TaskKind.DIALOGUE] == model.asked[TaskKind.MULTI_HOP_QA]
 
 
 def test_concurrent_answers_interleave_with_writers(us_pipeline):
@@ -661,7 +694,7 @@ def benchmark_items(draw):
                              object_label=draw(ITEM_LABELS),
                              object_is_entity=draw(st.booleans()))
                       for s, o in zip(subjects, subjects[1:]))
-        return MultiHopItem(chain, ("q",) * len(chain), "{}?", ())
+        return MultiHopItem(chain, ("q",) * len(chain), "{}?")
     t = triple(draw(ids), "r", draw(ids), subject_label=draw(ITEM_LABELS),
                object_label=draw(ITEM_LABELS),
                object_is_entity=draw(st.booleans()))
