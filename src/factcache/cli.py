@@ -93,9 +93,9 @@ def _pipeline(cfg: Config, store: TieredFactStore) -> Pipeline:
     if isinstance(store.slow, LocalDumpSource):
         triples += store.slow.triples  # already parsed, in dump-file order
     aliases = AliasIndex.from_triples(triples)
-    for ref in load_entities(cfg.entities_path) if cfg.entities_path else ():
-        for surface in sorted(ref.surface_forms):
-            aliases.add(surface, ref.id)
+    refs = load_entities(cfg.entities_path) if cfg.entities_path else ()
+    aliases.add_all([(surface, ref.id) for ref in refs
+                     for surface in sorted(ref.surface_forms)])
     return Pipeline(
         store=store,
         aliases=aliases,

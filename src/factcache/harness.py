@@ -226,13 +226,13 @@ def run_scale_scenario(pipeline: Pipeline,
         if size < 1:
             raise ValueError("sizes must be >= 1")
         pipeline.store.reset()
-        pipeline.aliases = AliasIndex()
-        for i in range(size):
-            subject = f"Scale Town {i}"
+        subjects = [f"Scale Town {i}" for i in range(size)]
+        for i, subject in enumerate(subjects):
             pipeline.store.apply_update(FactTriple(
                 subject, relation.id, f"Mayor Number {i}",
                 relation_label=relation.label))
-            pipeline.aliases.add(subject, subject)
+        pipeline.aliases = AliasIndex()
+        pipeline.aliases.add_all([(s, s) for s in subjects])
 
         probes = [f"Scale Town {i}" for i in range(min(size, probe_count))]
         pairs = []

@@ -19,7 +19,8 @@ from .dataset import MultiHopItem
 from .errors import HopFailed
 from .models import ModelAnswer, ModelClient
 from .prompts import AssembledPrompt, assemble_prompt, build_extraction_prompt
-from .ranking import EMPTY_EVIDENCE, RankedEvidence, rank_triples, tokenize
+from .ranking import (EMPTY_EVIDENCE, RankedEvidence, rank_triples, tokenize,
+                      tokenize_all)
 from .triples import FactTriple, TaskKind
 
 # texts whose entities an AliasIndex keeps; a full memo is cleared
@@ -62,15 +63,23 @@ class AliasIndex:
         return len(self._by_tokens)
 
     def add(self, surface: str, entity_id: str) -> None:
-        tokens = tokenize(surface)
-        key = _alias_key(tokens)
-        if not tokens or key in self._by_tokens:
-            return  # the first registration wins; its length is known
-        self._by_tokens[key] = entity_id
+        self.add_all([(surface, entity_id)])
+
+    def add_all(self, pairs: Collection[tuple[str, str]]) -> None:
+        """Register each (surface, entity id) pair in order; `pairs` is read
+        twice, to tokenize its surfaces in one batch. Clears the memo once."""
+        by_tokens, lengths = self._by_tokens, self._lengths
+        for tokens, (_, entity_id) in zip(
+                tokenize_all([surface for surface, _ in pairs]), pairs,
+                strict=True):
+            key = _alias_key(tokens)
+            if not tokens or key in by_tokens:
+                continue  # the first registration wins; its length is known
+            by_tokens[key] = entity_id
+            if type(key) is tuple:
+                known = {*lengths.get(key[0], ()), len(key)}
+                lengths[key[0]] = tuple(sorted(known, reverse=True))
         self._memo.clear()
-        if type(key) is tuple:
-            lengths = {*self._lengths.get(key[0], ()), len(key)}
-            self._lengths[key[0]] = tuple(sorted(lengths, reverse=True))
 
     def add_facts(self, triples: Iterable[FactTriple]) -> None:
         """Register the names rule, as `add` would row by row: a subject
@@ -81,8 +90,7 @@ class AliasIndex:
             first.setdefault(t.subject_label, t.subject)
             if t.object_is_entity:
                 first.setdefault(t.object_label, t.obj)
-        for label, entity_id in first.items():
-            self.add(label, entity_id)
+        self.add_all(first.items())
 
     @classmethod
     def from_triples(cls, triples: Iterable[FactTriple]) -> "AliasIndex":

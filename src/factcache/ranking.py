@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import filterfalse, islice, repeat
 from operator import mul
-from typing import Iterable
+from typing import Collection, Iterable, Iterator
 
 from .triples import FactTriple, TripleSet
 
@@ -32,6 +32,7 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 # for ASCII text: keep 0-9 and a-z, fold A-Z, make every other byte a space
 _ASCII_TOKENS = bytes(c | 32 if chr(c).isalpha() else c if chr(c).isdigit()
                       else 32 for c in range(128)) + b" " * 128
+_ASCII_LINES = _ASCII_TOKENS[:10] + b"\n" + _ASCII_TOKENS[11:]  # keeps "\n"
 # distinct relation labels whose tokens are kept for reuse
 RELATION_MEMO_SIZE = 4096
 # queries whose evidence a TripleSet keeps; a full memo is cleared
@@ -45,6 +46,22 @@ def tokenize(text: str) -> list[str]:
     if text.isascii():
         return text.encode().translate(_ASCII_TOKENS).decode().split()
     return _TOKEN_RE.findall(text.lower())
+
+
+def tokenize_all(texts: Collection[str]) -> Iterator[list[str]]:
+    """`tokenize(text)` for each text, in order. The ASCII texts that hold
+    no newline are joined by one and translated in one pass; any other
+    text goes through `tokenize`."""
+    joined = "\n".join(texts)
+    one_pass = joined.isascii() and joined.count("\n") == len(texts) - 1
+    if not one_pass:  # a text needs `tokenize`, or there is no text
+        joined = "\n".join([text for text in texts
+                            if text.isascii() and "\n" not in text])
+    lines = map(str.split, joined.encode().translate(_ASCII_LINES).decode()
+                .split("\n"))
+    return lines if one_pass else (
+        next(lines) if text.isascii() and "\n" not in text else tokenize(text)
+        for text in texts)
 
 
 def _vector(tokens: Iterable[str]) -> tuple[dict[str, int], float]:

@@ -234,13 +234,13 @@ class TestQuery:
         config["data"] = {"entities_path": "entities.json"}
         (workdir / "factcache.json").write_text(json.dumps(config))
         added = []
-        add = factcache.pipeline.AliasIndex.add
+        add_all = factcache.pipeline.AliasIndex.add_all
 
-        def spy(index, surface, entity_id):
-            added.append((surface, entity_id))
-            add(index, surface, entity_id)
+        def spy(index, pairs):
+            added.extend(pairs)
+            add_all(index, pairs)
 
-        monkeypatch.setattr(factcache.pipeline.AliasIndex, "add", spy)
+        monkeypatch.setattr(factcache.pipeline.AliasIndex, "add_all", spy)
         code, _, _ = run(capsys, "query", "Who leads the States?")
         assert code == 0
         assert sorted(a for a in added if a[1] == "Q30") == [

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from factcache import ranking
 from factcache.cache import TieredFactStore, save_state, write_dump
 from factcache.ranking import (RankedEvidence, rank_triples, token_cosine,
-                               tokenize)
+                               tokenize, tokenize_all)
 from factcache.triples import FactTriple, Source, TripleSet
 from conftest import SNAPSHOT, triple
 
@@ -51,11 +51,28 @@ _ASCII = st.characters(max_codepoint=127)
 _FOLDS = st.sampled_from("\u0130\u212a\u00df\uff10\uff19Kk")
 
 
-@given(st.text(_ASCII) | st.text(_ASCII | _FOLDS | st.characters()))
+_TEXTS = st.text(_ASCII) | st.text(_ASCII | _FOLDS | st.characters())
+
+
+@given(_TEXTS)
 @example("\u0130stanbul \u212aelvin Stra\u00dfe \uff11\uff12")
 @settings(max_examples=300)
 def test_tokenize_equals_the_regex_on_the_folded_text(text):
     assert tokenize(text) == ranking._TOKEN_RE.findall(text.lower())
+
+
+# texts split by a line break, which one translated batch cannot hold
+_BROKEN = st.tuples(_TEXTS, st.sampled_from(["\n", "\r\n"]), _TEXTS
+                    ).map("".join)
+
+
+@given(st.lists(_TEXTS | _BROKEN, max_size=8))
+@example([])
+@example(["New York", "", "Z\u00fcrich", "a\nb", "\u212aelvin", "x\r\ny",
+          "Q1"])
+@settings(max_examples=300)
+def test_tokenize_all_equals_tokenize_on_each_text(texts):
+    assert list(tokenize_all(texts)) == [tokenize(text) for text in texts]
 
 
 class TestRankTriples:
