@@ -364,8 +364,8 @@ class TieredFactStore:
 
     A hit serves the subject's view: one immutable TripleSet, built on the
     first hit and returned by every later hit until a write changes the
-    subject's facts. Ranking indexes the view once, so a subject read many
-    times is sorted and indexed once per write, not once per read.
+    subject's facts. So a subject read many times is sorted once per
+    write, not once per read, and ranking indexes a wide view once.
 
     Capacity counts facts, as len() does. Past it, whole unpinned subjects
     are evicted, least recently used first. Each edit (apply_update /

@@ -251,7 +251,7 @@ class Pipeline:
 
         candidates: Collection[FactTriple] = ()
         if len(entities) == 1:
-            # the store's cached set, which ranking indexes once
+            # the store's cached set, whose memo and any index persist
             candidates = self.store.retrieve(entities[0])
         elif entities:
             # distinct entities, one subject per retrieve: no key repeats

@@ -155,9 +155,9 @@ class TripleSet:
 
     The set stores its facts once, as the key-sorted tuple `triples`;
     membership, equality and `keys()` read the keys off it. `rank_index`
-    (norms and postings) and `rank_memo` (a dict of recent evidence,
-    cleared when full) are caches that `rank_triples` fills; the set is
-    immutable, so they never go stale.
+    (norms and postings, on a set too wide to score fact by fact) and
+    `rank_memo` (recent evidence, cleared when full) are caches that
+    `rank_triples` fills; the set is immutable, so they never go stale.
     """
 
     __slots__ = ("triples", "rank_index", "rank_memo")

@@ -13,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from factcache.cache import (CacheStats, EditRequest, InMemorySlowSource,
@@ -1683,20 +1683,26 @@ def _typed(t):
             and (t.fetched_at is None or isinstance(t.fetched_at, datetime)))
 
 
-def _loads_typed_or_refuses(load, text, tmp_path_factory):
+def _loads_typed_or_refuses(load, text, tmp_path_factory, content=bool):
+    """load(path) of a file holding text, or None when it raised a
+    FactCacheError; an event reports which, and whether `content` of what
+    was read is truthy, so a property's statistics show what it tests."""
     path = tmp_path_factory.mktemp("input") / "file.json"
     path.write_text(text, encoding="utf-8")
     try:
-        return load(path)
+        loaded = load(path)
     except FactCacheError:
+        event("refused")
         return None
+    event("typed with content" if content(loaded) else "read empty")
+    return loaded
 
 
 @given(row=_JSON | _near(_STATE_ROW))
 @settings(max_examples=150, deadline=None)
 def test_any_json_dump_row_loads_typed_or_is_refused(tmp_path_factory, row):
     loaded = _loads_typed_or_refuses(read_dump, json.dumps(row),
-                                     tmp_path_factory)
+                                     tmp_path_factory, lambda dump: dump[1])
     assert loaded is None or all(map(_typed, loaded[1]))
 
 
@@ -1706,7 +1712,7 @@ def test_any_json_state_file_loads_typed_or_is_refused(tmp_path_factory,
                                                        state):
     store = _loads_typed_or_refuses(
         lambda path: load_state(TieredFactStore(), path), json.dumps(state),
-        tmp_path_factory)
+        tmp_path_factory, lambda store: store.fast_snapshot())
     if store is not None:
         assert all(type(n) is int for n in store.stats.snapshot().values())
         assert all(map(_typed, store.fast_snapshot()))

@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from factcache.cli import main
@@ -216,7 +216,12 @@ def test_any_json_config_loads_usable_or_is_a_config_error(tmp_path_factory,
     try:
         cfg = load_config(str(path))
     except ConfigError:
+        event("refused")
         return
+    empty = path.with_name("empty.json")  # the defaults, from that directory
+    empty.write_text("{}", encoding="utf-8")
+    event("typed with content" if cfg != load_config(str(empty))
+          else "read empty")
     for key, attr, kind, check in KEYS:
         value = getattr(cfg, attr)
         assert type(value) is kind or (value is None and attr == "capacity")

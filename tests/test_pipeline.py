@@ -24,7 +24,7 @@ from factcache.pipeline import (AliasIndex, ExtractorKind, MultihopMode,
                                 Pipeline, aliases_for_items)
 from factcache.ranking import rank_triples, token_cosine, tokenize
 from factcache.triples import Source, TaskKind, TripleSet
-from conftest import triple
+from conftest import SNAPSHOT, triple
 
 
 @pytest.fixture
@@ -380,8 +380,14 @@ class TestAnswer:
 
     def test_an_edit_is_ranked_from_its_own_vector(self, us_pipeline):
         query = "Who is the head of government in America?"
+        for j in range(ranking_module.UNINDEXED_MAX):  # a view to index
+            us_pipeline.store.slow.put(triple(
+                "America", f"X{j}", f"w{j}", relation_label=f"attribute {j}",
+                source=Source.WIKIDATA, fetched_at=SNAPSHOT))
         us_pipeline.answer(query)  # ranks, and so indexes, the America view
-        assert us_pipeline.store.retrieve("America").rank_index is not None
+        view = us_pipeline.store.retrieve("America")
+        assert len(view) > ranking_module.UNINDEXED_MAX
+        assert view.rank_index is not None
         us_pipeline.store.apply_update(EditRequest(
             "America", "capital", "Q1",
             object_label="who is the head of government in America"))

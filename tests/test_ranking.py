@@ -113,12 +113,17 @@ class TestRankTriples:
         with pytest.raises(ValueError):
             rank_triples(QUERY, TripleSet(), k=0)
 
-    def test_one_fact_is_scored_without_an_index(self):
-        ts = TripleSet([CAPITAL])
+    @pytest.mark.parametrize("n", range(1, ranking.UNINDEXED_MAX + 2))
+    def test_only_a_set_past_the_unindexed_size_keeps_an_index(self, n):
+        facts = [CAPITAL, *(triple("America", f"r{i}", f"o{i}")
+                            for i in range(n - 1))]
+        ts = TripleSet(facts)
         evidence = rank_triples(QUERY, ts, k=3)
-        assert ts.rank_index is None
-        assert evidence.triples == ((CAPITAL,
-                                     token_cosine(QUERY, CAPITAL.render())),)
+        assert (ts.rank_index is not None) == (n > ranking.UNINDEXED_MAX)
+        assert evidence.triples == _brute_force(QUERY, facts, 3)
+        # the others tie with it on "america" and follow it in key order
+        assert evidence.triples[0] == (CAPITAL,
+                                       token_cosine(QUERY, CAPITAL.render()))
 
     def test_an_empty_list_yields_empty_evidence(self):
         evidence = rank_triples(QUERY, [], k=3)
@@ -226,7 +231,7 @@ def _one_subject(draw):
     subject_tokens = set(tokenize(subject_label))
     words = st.sampled_from(subject_label.split()) | _WORDS
     label = st.lists(words, min_size=1, max_size=4).map(" ".join)
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(2, ranking.UNINDEXED_MAX + 4))
     triples = [triple("s", f"r{i % 3}", f"o{i}", subject_label=subject_label,
                       relation_label=draw(label), object_label=draw(label))
                for i in range(n)]
@@ -253,7 +258,8 @@ def test_a_one_subject_view_matches_brute_force(case, list_first, order):
         brute = _brute_force(query, candidates, k)
         assert rank_triples(query, candidates, k).triples == brute
         assert rank_triples(query, shuffled, k).triples == brute
-    assert candidates.rank_index is not None
+    assert (candidates.rank_index is not None) == \
+        (len(candidates) > ranking.UNINDEXED_MAX)
 
 
 @pytest.mark.parametrize("subject, relation, obj", [
@@ -266,12 +272,13 @@ def test_a_one_subject_view_matches_brute_force(case, list_first, order):
 def test_the_index_holds_the_vector_of_each_rendered_line(
         subject, relation, obj):
     # the index, which shares the subject, keeps each fact's norm and
-    # postings
-    pair = TripleSet([triple(subject, relation, obj),
-                      triple(subject, "r", "x")])
-    rank_triples(QUERY, pair)
-    norms, postings, shared, _ = pair.rank_index
-    for position, t in enumerate(pair):
+    # postings; the set is padded with facts of that subject to be indexed
+    padded = TripleSet([triple(subject, relation, obj),
+                        *(triple(subject, f"r{i}", f"x{i}")
+                          for i in range(ranking.UNINDEXED_MAX))])
+    rank_triples(QUERY, padded)
+    norms, postings, shared, _ = padded.rank_index
+    for position, t in enumerate(padded):
         counts = Counter(tokenize(t.render()))
         assert norms[position] == \
             math.sqrt(sum(v * v for v in counts.values()))
@@ -372,7 +379,9 @@ def test_a_repeated_query_is_served_from_the_set():
 
 def test_a_set_is_indexed_once_and_counts_repeated_tokens():
     paris = triple("Paris", "capital of", "Paris")  # "paris" twice
-    ts = TripleSet([paris, CAPITAL, HOG])
+    padding = [triple("Paris", f"r{i}", f"x{i}")
+               for i in range(ranking.UNINDEXED_MAX - 2)]
+    ts = TripleSet([paris, CAPITAL, HOG, *padding])
     assert ts.rank_index is None
     rank_triples(QUERY, ts)
     index = ts.rank_index
