@@ -29,13 +29,12 @@ from .prompts import AssembledPrompt, assemble_prompt, task_instruction
 from .ranking import RankedEvidence, rank_triples
 from .scope import (ScopeClass, SimpleOracle, classify_scope, compute_ex,
                     frontier, join)
-from .triples import (EntityRef, FactTriple, RelationRef, Source, TaskKind,
-                      TripleSet)
+from .triples import FactTriple, RelationRef, Source, TaskKind, TripleSet
 
 
 __all__ = [
     "AliasIndex", "AssembledPrompt", "BenchmarkItem", "CacheStats",
-    "EditRequest", "EntityRef", "EquivalentPropertyPair",
+    "EditRequest", "EquivalentPropertyPair",
     "EvalReport", "ExtractorKind", "FactCacheError", "FactTriple",
     "HttpCompletionModel", "InMemorySlowSource", "KnowledgeBaseClient",
     "LocalDumpSource", "MockTableModel", "ModelAnswer", "MultiHopItem",

@@ -33,7 +33,7 @@ from .kbclient import (DBPEDIA_ENDPOINT, WIKIDATA_ENDPOINT,
 from .models import HttpCompletionModel, MockTableModel
 from .pipeline import AliasIndex, ExtractorKind, Pipeline, item_facts
 from .sparqlio import TransportReply
-from .triples import EntityRef, FactTriple, TaskKind
+from .triples import FactTriple, TaskKind
 
 
 def _err(message: str) -> None:
@@ -77,15 +77,18 @@ _ENTITY_RULES = {
 }
 
 
-def load_entities(path: str) -> list[EntityRef]:
-    """The entities file, in file order: a JSON list of objects, each with
-    a non-empty string `id`, an optional `label` string and optional
-    `aliases`, a list of non-empty strings; other keys are ignored. A file
-    that breaks this raises ParseError naming the file, the entry and the
-    key."""
-    return [EntityRef(id=row["id"], label=row.get("label", ""),
-                      aliases=frozenset(row.get("aliases", ())))
-            for row in read_json_rows(path, _ENTITY_RULES, "entity")]
+def load_entities(path: str) -> list[tuple[str, str]]:
+    """The (surface, entity id) pairs the entities file names: entries in
+    file order, and within each its distinct surfaces sorted, its label
+    (its id when the label is empty or missing) and its aliases. The file
+    is a JSON list of objects, each with a non-empty string `id`, an
+    optional `label` string and optional `aliases`, a list of non-empty
+    strings; other keys are ignored. A file that breaks this raises
+    ParseError naming the file, the entry and the key."""
+    return [(surface, row["id"])
+            for row in read_json_rows(path, _ENTITY_RULES, "entity")
+            for surface in sorted({row.get("label") or row["id"],
+                                   *row.get("aliases", ())})]
 
 
 def _pipeline(cfg: Config, store: TieredFactStore) -> Pipeline:
@@ -93,9 +96,8 @@ def _pipeline(cfg: Config, store: TieredFactStore) -> Pipeline:
     if isinstance(store.slow, LocalDumpSource):
         triples += store.slow.triples  # already parsed, in dump-file order
     aliases = AliasIndex.from_triples(triples)
-    refs = load_entities(cfg.entities_path) if cfg.entities_path else ()
-    aliases.add_all([(surface, ref.id) for ref in refs
-                     for surface in sorted(ref.surface_forms)])
+    aliases.add_all(load_entities(cfg.entities_path)
+                    if cfg.entities_path else ())
     return Pipeline(
         store=store,
         aliases=aliases,

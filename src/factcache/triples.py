@@ -1,4 +1,4 @@
-"""Core fact-triple types: entities, relations, triples, and triple sets.
+"""Core fact-triple types: relations, triples, and triple sets.
 
 A triple's identity is its (subject, relation, object) key. Provenance fields
 (source, fetched_at, version) and display labels never affect set membership:
@@ -44,28 +44,6 @@ SINGLE_HOP_TASKS = (
     TaskKind.CHOICE,
     TaskKind.FACT_CHECK,
 )
-
-
-@dataclass(frozen=True)
-class EntityRef:
-    """A stable entity identifier with display label and surface aliases."""
-
-    id: str
-    label: str = ""
-    aliases: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("entity id must be non-empty")
-        if not self.label:
-            object.__setattr__(self, "label", self.id)
-        if "" in self.aliases:
-            raise ValueError("aliases must not contain the empty string")
-
-    @property
-    def surface_forms(self) -> frozenset[str]:
-        """Label plus aliases; everything this entity can be called in text."""
-        return self.aliases | {self.label}
 
 
 @dataclass(frozen=True)

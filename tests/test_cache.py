@@ -13,7 +13,7 @@ from datetime import datetime, timedelta, timezone
 from typing import Optional
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 from factcache.cache import (CacheStats, EditRequest, InMemorySlowSource,
@@ -1641,15 +1641,25 @@ _JSON = st.recursive(
 
 
 @st.composite
-def _near(draw, row):
-    """`row` with some keys dropped or set to any text or JSON value."""
+def _near(draw, row, breaks=3):
+    """`row` with up to `breaks` of its keys dropped or set to any text or
+    JSON value."""
     row = dict(row)
-    for key in draw(st.sets(st.sampled_from(sorted(row)), max_size=3)):
+    for key in draw(st.sets(st.sampled_from(sorted(row)), max_size=breaks)):
         if draw(st.booleans()):
             del row[key]
         else:
             row[key] = draw(st.text(_CHARS, max_size=4) | _JSON)
     return row
+
+
+@st.composite
+def _near_valid(draw, row, key):
+    """`row` with `key` set to a non-empty name that UTF-8 can encode; in
+    half the draws, with at most one of its keys broken as `_near` breaks
+    it."""
+    row = {**row, key: draw(st.text(min_size=1, max_size=6))}
+    return draw(_near(row, breaks=1)) if draw(st.booleans()) else row
 
 
 _STATE_ROW = {**triple_to_row(US_BIDEN), "version": 1, "edited": False}
@@ -1662,9 +1672,12 @@ _ENTITIES = _JSON | st.lists(_JSON | st.fixed_dictionaries(
     {"id": _JSON | st.just("Q1")},
     optional={key: _JSON for key in ("label", "aliases", "kind", "gender")}),
     max_size=3)
-_RECORDS = _JSON | _near(json.loads(
-    (FIXTURES / "single_hop_item.jsonl").read_text())) | _near(json.loads(
-        (FIXTURES / "multihop_item.jsonl").read_text()))
+_ENTITY_ROW = {"id": "Q30", "label": "United States",
+               "aliases": ["America", "US"]}
+_SINGLE_HOP_RECORD = json.loads(
+    (FIXTURES / "single_hop_item.jsonl").read_text())
+_MULTIHOP_RECORD = json.loads((FIXTURES / "multihop_item.jsonl").read_text())
+_RECORDS = _JSON | _near(_SINGLE_HOP_RECORD) | _near(_MULTIHOP_RECORD)
 _TEMPLATE_ROW = {"id": "P6", "label": "head of government",
                  "qa": ["Who heads {}?"], "completion": ["{} is headed by"],
                  "cloze": ["() heads {}."], "choice": ["Who heads {}?"],
@@ -1698,47 +1711,48 @@ def _loads_typed_or_refuses(load, text, tmp_path_factory, content=bool):
     return loaded
 
 
-@given(row=_JSON | _near(_STATE_ROW))
-@settings(max_examples=150, deadline=None)
-def test_any_json_dump_row_loads_typed_or_is_refused(tmp_path_factory, row):
-    loaded = _loads_typed_or_refuses(read_dump, json.dumps(row),
-                                     tmp_path_factory, lambda dump: dump[1])
-    assert loaded is None or all(map(_typed, loaded[1]))
+def _near_valid_loads_typed(tmp_path_factory, load, files, check,
+                            content=bool):
+    """The companion of a `test_any_json_*` property: each file drawn from
+    `files`, a valid one with at most one key broken, is refused or loads
+    to what passes `check`, and at a fixed seed at least half of them load
+    with content, so the typed checks run."""
+    with_content = []
+
+    @seed(49)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(value=files)
+    def run(value):
+        loaded = _loads_typed_or_refuses(load, json.dumps(value),
+                                         tmp_path_factory, content)
+        if loaded is not None:
+            check(loaded)
+        with_content.append(loaded is not None and bool(content(loaded)))
+
+    run()
+    assert sum(with_content) >= len(with_content) / 2, (
+        f"{sum(with_content)} of {len(with_content)} loaded with content")
 
 
-@given(state=_STATES)
-@settings(max_examples=150, deadline=None)
-def test_any_json_state_file_loads_typed_or_is_refused(tmp_path_factory,
-                                                       state):
-    store = _loads_typed_or_refuses(
-        lambda path: load_state(TieredFactStore(), path), json.dumps(state),
-        tmp_path_factory, lambda store: store.fast_snapshot())
-    if store is not None:
-        assert all(type(n) is int for n in store.stats.snapshot().values())
-        assert all(map(_typed, store.fast_snapshot()))
-        assert all(type(r) is str for record in store._subjects.values()
-                   for r in record.edited)
+def _dump_typed(dump):
+    assert all(map(_typed, dump[1]))
 
 
-@given(entities=_ENTITIES)
-@settings(max_examples=150, deadline=None)
-def test_any_json_entities_file_loads_typed_or_is_refused(tmp_path_factory,
-                                                          entities):
-    loaded = _loads_typed_or_refuses(load_entities, json.dumps(entities),
-                                     tmp_path_factory)
-    for ref in loaded or ():
-        assert type(ref.id) is str and ref.id
-        assert type(ref.label) is str
-        assert all(type(alias) is str and alias for alias in ref.aliases)
+def _state_typed(store):
+    assert all(type(n) is int for n in store.stats.snapshot().values())
+    assert all(map(_typed, store.fast_snapshot()))
+    assert all(type(r) is str for record in store._subjects.values()
+               for r in record.edited)
 
 
-@given(record=_RECORDS)
-@settings(max_examples=150, deadline=None)
-def test_any_json_benchmark_line_loads_typed_or_is_refused(tmp_path_factory,
-                                                          record):
-    items = _loads_typed_or_refuses(load_benchmark, json.dumps(record),
-                                    tmp_path_factory)
-    for item in items or ():
+def _entities_typed(pairs):
+    assert type(pairs) is list
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs)
+    assert all(type(text) is str and text for pair in pairs for text in pair)
+
+
+def _items_typed(items):
+    for item in items:
         if isinstance(item, BenchmarkItem):
             texts = [*item.queries.values(), item.locality_subject,
                      item.locality_object, item.locality_query,
@@ -1750,18 +1764,104 @@ def test_any_json_benchmark_line_loads_typed_or_is_refused(tmp_path_factory,
         assert all(type(text) is str for text in texts)
 
 
+def _templates_typed(loaded):
+    for ref in loaded.values():
+        assert type(ref.id) is str and ref.id and type(ref.label) is str
+        assert len(ref.task_templates) == 5
+        assert all(tpls and all(type(tpl) is str and tpl.count("{}") == 1
+                                for tpl in tpls)
+                   for tpls in ref.task_templates.values())
+
+
+def _load_state(path):
+    return load_state(TieredFactStore(), path)
+
+
+@given(row=_JSON | _near(_STATE_ROW))
+@settings(max_examples=150, deadline=None)
+def test_any_json_dump_row_loads_typed_or_is_refused(tmp_path_factory, row):
+    loaded = _loads_typed_or_refuses(read_dump, json.dumps(row),
+                                     tmp_path_factory, lambda dump: dump[1])
+    if loaded is not None:
+        _dump_typed(loaded)
+
+
+def test_a_near_valid_dump_row_loads_typed(tmp_path_factory):
+    _near_valid_loads_typed(tmp_path_factory, read_dump,
+                            _near_valid(_STATE_ROW, "subject_id"), _dump_typed,
+                            lambda dump: dump[1])
+
+
+@given(state=_STATES)
+@settings(max_examples=150, deadline=None)
+def test_any_json_state_file_loads_typed_or_is_refused(tmp_path_factory,
+                                                       state):
+    store = _loads_typed_or_refuses(
+        _load_state, json.dumps(state), tmp_path_factory,
+        lambda store: store.fast_snapshot())
+    if store is not None:
+        _state_typed(store)
+
+
+def test_a_near_valid_state_file_loads_typed(tmp_path_factory):
+    states = st.fixed_dictionaries(
+        {"entries": _near_valid(_STATE_ROW, "subject_id").map(
+            lambda row: [row])},
+        optional={"stats": st.just(CacheStats().snapshot()),
+                  "incomplete": st.lists(st.sampled_from(["US", "x"]),
+                                         max_size=2)})
+    _near_valid_loads_typed(tmp_path_factory, _load_state, states,
+                            _state_typed, lambda store: store.fast_snapshot())
+
+
+@given(entities=_ENTITIES)
+@settings(max_examples=150, deadline=None)
+def test_any_json_entities_file_loads_typed_or_is_refused(tmp_path_factory,
+                                                          entities):
+    loaded = _loads_typed_or_refuses(load_entities, json.dumps(entities),
+                                     tmp_path_factory)
+    if loaded is not None:
+        _entities_typed(loaded)
+
+
+def test_a_near_valid_entities_file_loads_typed(tmp_path_factory):
+    _near_valid_loads_typed(
+        tmp_path_factory, load_entities,
+        _near_valid(_ENTITY_ROW, "id").map(lambda row: [row]),
+        _entities_typed)
+
+
+@given(record=_RECORDS)
+@settings(max_examples=150, deadline=None)
+def test_any_json_benchmark_line_loads_typed_or_is_refused(tmp_path_factory,
+                                                          record):
+    items = _loads_typed_or_refuses(load_benchmark, json.dumps(record),
+                                    tmp_path_factory)
+    _items_typed(items or ())
+
+
+def test_a_near_valid_benchmark_line_loads_typed(tmp_path_factory):
+    _near_valid_loads_typed(
+        tmp_path_factory, load_benchmark,
+        _near_valid(_SINGLE_HOP_RECORD, "subject_label")
+        | _near_valid(_MULTIHOP_RECORD, "s1_label"),
+        _items_typed)
+
+
 @given(rows=_TEMPLATES)
 @settings(max_examples=150, deadline=None)
 def test_any_json_templates_file_loads_typed_or_is_refused(tmp_path_factory,
                                                            rows):
     loaded = _loads_typed_or_refuses(load_relation_templates,
                                      json.dumps(rows), tmp_path_factory)
-    for ref in (loaded or {}).values():
-        assert type(ref.id) is str and ref.id and type(ref.label) is str
-        assert len(ref.task_templates) == 5
-        assert all(tpls and all(type(tpl) is str and tpl.count("{}") == 1
-                                for tpl in tpls)
-                   for tpls in ref.task_templates.values())
+    _templates_typed(loaded or {})
+
+
+def test_a_near_valid_templates_file_loads_typed(tmp_path_factory):
+    _near_valid_loads_typed(
+        tmp_path_factory, load_relation_templates,
+        _near_valid(_TEMPLATE_ROW, "id").map(lambda row: [row]),
+        _templates_typed)
 
 
 class TestRemoteSparqlSource:

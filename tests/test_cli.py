@@ -5,15 +5,19 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import factcache.cache
 import factcache.cli
 import factcache.pipeline
 from factcache import sparqlio
-from factcache.cache import write_dump
-from factcache.cli import main
+from factcache.cache import TieredFactStore, write_dump
+from factcache.cli import load_entities, main
 from factcache.config import Config
+from factcache.errors import ParseError
 from factcache.models import HttpCompletionModel, MockTableModel
+from factcache.ranking import tokenize
 from factcache.triples import Source, TaskKind
 from conftest import FIXTURES, SNAPSHOT, subject_facts_endpoint, triple
 
@@ -251,6 +255,82 @@ class TestQuery:
         with pytest.raises(SystemExit) as exc:
             main(["query", "q", "--task", "nonsense"])
         assert exc.value.code == 2
+
+
+def entities_file(directory, entries) -> str:
+    path = directory / "entities.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return str(path)
+
+
+def entity_index(path):
+    """The alias index a command builds over an empty store and the
+    entities file at `path`."""
+    return factcache.cli._pipeline(Config(entities_path=path),
+                                   TieredFactStore()).aliases
+
+
+def reference_entity_pairs(entries):
+    """Each entry in file order; within it, its surfaces sorted: its label,
+    or its id when the label is empty or missing, and its aliases."""
+    pairs = []
+    for entry in entries:
+        surfaces = set(entry.get("aliases", []))
+        if entry.get("label", ""):
+            surfaces.add(entry["label"])
+        else:
+            surfaces.add(entry["id"])
+        pairs += [(surface, entry["id"]) for surface in sorted(surfaces)]
+    return pairs
+
+
+# names that tokenize alike ("US" and "us"), to two tokens ("U.S.") or to
+# none ("?"), and any other text that UTF-8 can encode
+_SURFACES = st.sampled_from(["US", "us", "U.S.", "America", "the States",
+                             "Q30", "?"]) | st.text(min_size=1, max_size=6)
+_ENTITY_ENTRIES = st.lists(st.fixed_dictionaries(
+    {"id": _SURFACES},
+    optional={"label": st.just("") | _SURFACES,
+              "aliases": st.lists(_SURFACES, max_size=3),
+              "kind": st.text(max_size=3)}), max_size=4)
+
+
+class TestEntitiesFile:
+    @pytest.mark.parametrize("entry", [{"id": "Q42"},
+                                       {"id": "Q42", "label": ""}],
+                             ids=["no-label", "empty-label"])
+    def test_an_entry_without_a_label_registers_its_id(self, tmp_path,
+                                                       entry):
+        path = entities_file(tmp_path, [entry])
+        assert load_entities(path) == [("Q42", "Q42")]
+        assert entity_index(path).lookup("q42") == "Q42"
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"id": ""}, "id"), ({"id": "Q2", "aliases": ["Two", ""]}, "aliases")],
+        ids=["empty-id", "empty-alias"])
+    def test_an_empty_id_or_alias_is_refused_at_its_entry(self, tmp_path,
+                                                         entry, key):
+        path = entities_file(tmp_path, [{"id": "Q1"}, entry])
+        for build in (load_entities, entity_index):
+            with pytest.raises(ParseError) as exc:
+                build(path)
+            assert str(exc.value).startswith(
+                f"{path}: entity 1: {key} must be a ")
+
+    @given(entries=_ENTITY_ENTRIES)
+    @settings(max_examples=100, deadline=None)
+    def test_a_valid_file_names_the_reference_pairs(self, tmp_path_factory,
+                                                    entries):
+        path = entities_file(tmp_path_factory.mktemp("entities"), entries)
+        pairs = load_entities(path)
+        assert pairs == reference_entity_pairs(entries)
+        # the first entry to name a surface, by its tokens, keeps it
+        index = entity_index(path)
+        for surface, _ in pairs:
+            if tokens := tokenize(surface):
+                assert index.lookup(surface) == next(
+                    entity for other, entity in pairs
+                    if tokenize(other) == tokens)
 
 
 class TestCache:

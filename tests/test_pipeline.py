@@ -124,6 +124,8 @@ class TestAliasIndex:
         path = tmp_path / "entities.json"
         path.write_text(json.dumps([{"id": "Q30", "label": "United States",
                                      "aliases": ["America", "US"]}]))
+        assert cli.load_entities(path) == [
+            ("America", "Q30"), ("US", "Q30"), ("United States", "Q30")]
         index = cli._pipeline(Config(entities_path=str(path)),
                               us_store).aliases
         assert index.lookup("america") == "Q30"

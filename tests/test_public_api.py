@@ -1,10 +1,13 @@
-"""The package's exported names: everything in `__all__` must import, and
-the names the benchmark patches or constructs must keep existing."""
+"""The package's exported names: everything in `__all__` must import, the
+names the benchmark patches or constructs must keep existing, and the
+README's library example runs as it says."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,16 @@ def test_every_exported_name_imports():
 
 def test_exported_names_are_unique():
     assert len(factcache.__all__) == len(set(factcache.__all__))
+
+
+def test_the_readme_library_example_prints_what_it_says(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Library usage\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = re.search(r"^# -> (.+)$", block, re.MULTILINE).group(1)
+    assert expected == "Joe Biden"
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == expected + "\n"
 
 
 # What the benchmark under perfbench/ patches or calls. Its own self-tests

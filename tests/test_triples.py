@@ -4,27 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factcache.triples import (EntityRef, FactTriple, RelationRef, Source,
-                               TaskKind, TripleSet)
+from factcache.triples import (FactTriple, RelationRef, Source, TaskKind,
+                               TripleSet)
 from conftest import triple
-
-
-class TestEntityRef:
-    def test_requires_id(self):
-        with pytest.raises(ValueError):
-            EntityRef(id="")
-
-    def test_label_defaults_to_id(self):
-        assert EntityRef(id="Q42").label == "Q42"
-
-    def test_rejects_empty_alias(self):
-        with pytest.raises(ValueError):
-            EntityRef(id="Q42", label="x", aliases=frozenset({""}))
-
-    def test_surface_forms_include_label(self):
-        e = EntityRef(id="Q30", label="United States",
-                      aliases=frozenset({"America", "US"}))
-        assert e.surface_forms == {"United States", "America", "US"}
 
 
 class TestRelationRef:
