@@ -1,12 +1,29 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from factcache.cli import load_entities
 from factcache.triples import (FactTriple, RelationRef, Source, TaskKind,
                                TripleSet)
 from conftest import triple
+
+
+class TestEntityRef:
+    """An entity as the entities file states it: an id, a label and
+    aliases, read by load_entities into (surface, id) pairs."""
+
+    def test_surface_forms_include_label(self, tmp_path):
+        path = tmp_path / "entities.json"
+        path.write_text(json.dumps([{"id": "Q30", "label": "United States",
+                                     "aliases": ["America", "US"]}]))
+        pairs = load_entities(str(path))
+        assert {surface for surface, _ in pairs} == {
+            "United States", "America", "US"}
+        assert {entity for _, entity in pairs} == {"Q30"}
 
 
 class TestRelationRef:
