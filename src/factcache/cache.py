@@ -18,14 +18,15 @@ import logging
 import re
 import threading
 import time
+from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Collection, Iterable, Optional, Protocol
 
 from .errors import (NAME, TEXT, HttpError, MalformedResponse, ParseError,
                      SlowUnreachable, fault, read_json, read_json_lines,
@@ -322,18 +323,29 @@ class RemoteSparqlSource:
 
 # --- the store --------------------------------------------------------------
 
-def _by_subject(triples: Iterable[FactTriple]
-                ) -> dict[str, dict[str, FactTriple]]:
-    """Facts by subject, then by relation. A (subject, relation) that
-    repeats keeps the fact with the least object id, so the order of the
-    triples does not matter."""
-    subjects: dict[str, dict[str, FactTriple]] = {}
+Facts = tuple[FactTriple, ...]  # one subject's, one per relation, by relation
+_RELATION = attrgetter("relation")
+
+
+def _at(facts: Facts, relation: str) -> tuple[int, Optional[FactTriple]]:
+    """Where `relation` stands in `facts`, and its fact there, if any."""
+    i = bisect_left(facts, relation, key=_RELATION)
+    return i, next((t for t in facts[i:i + 1] if t.relation == relation), None)
+
+
+def _by_subject(triples: Iterable[FactTriple]) -> dict[str, Facts]:
+    """Facts by subject, each subject's sorted by relation. A (subject,
+    relation) that repeats keeps the fact with the least object id, so the
+    order of the triples does not matter."""
+    subjects: dict[str, Facts] = {}
     for subject, run in groupby(triples, key=attrgetter("subject")):
-        facts = subjects.setdefault(subject, {})
-        for t in run:
-            kept = facts.setdefault(t.relation, t)
-            if kept is not t and t.obj < kept.obj:
-                facts[t.relation] = t
+        facts = [*subjects.get(subject, ()), *run]
+        if len(facts) > 1:
+            facts.sort(key=_RELATION)
+            if len({t.relation for t in facts}) < len(facts):  # a repeat
+                facts = [min(same, key=attrgetter("obj"))
+                         for _, same in groupby(facts, _RELATION)]
+        subjects[subject] = tuple(facts)
     return subjects
 
 
@@ -341,13 +353,13 @@ def _by_subject(triples: Iterable[FactTriple]
 class _Subject:
     """Everything the fast table holds about one subject."""
 
-    facts: dict[str, FactTriple] = field(default_factory=dict)  # by relation
+    facts: Facts = ()  # a held placeholder shares the empty tuple
+    stamp: int = 0  # the store's clock at the last write to the subject
     complete: bool = True  # holds the slow source's facts, not only edits
     # the relations holding an edit; while any does, the subject is pinned
     # (never evicted). An unedited record shares the empty default.
     edited: frozenset[str] = frozenset()
-    view: Optional[TripleSet] = None  # served by hits until a write
-    stamp: int = 0  # the store's clock at the last write to the subject
+    view: Optional[TripleSet] = None  # wraps facts; served until a write
 
 
 class TieredFactStore:
@@ -362,10 +374,10 @@ class TieredFactStore:
     fetched facts go in under the edits, so every edit wins. Absence is not
     cached.
 
-    A hit serves the subject's view: one immutable TripleSet, built on the
-    first hit and returned by every later hit until a write changes the
-    subject's facts. So a subject read many times is sorted once per
-    write, not once per read, and ranking indexes a wide view once.
+    A subject's facts are one tuple sorted by relation, built anew by each
+    write. A hit serves a TripleSet that wraps that tuple with no copy,
+    made on the first hit and kept until a write changes the facts, so
+    ranking indexes a wide view once per write, not once per read.
 
     Capacity counts facts, as len() does. Past it, whole unpinned subjects
     are evicted, least recently used first. Each edit (apply_update /
@@ -427,7 +439,7 @@ class TieredFactStore:
                 self.stats.hits += 1
                 return hit
             mine = self._hold(entity)  # its facts are edits only, if any
-            held, ticket = (mine, dict(mine.facts)), self._clock
+            held, ticket = (mine, mine.facts), self._clock
         result = self._read_through("miss", ticket, [entity], held)[1]
         try:
             self.prefetch_neighbors(result)
@@ -440,12 +452,12 @@ class TieredFactStore:
         """Fast-table lookup without read-through; no counters touched."""
         with self._lock:
             record = self._subjects.get(subject)
-            return record.facts.get(relation) if record else None
+            return _at(record.facts, relation)[1] if record else None
 
     def fast_snapshot(self) -> TripleSet:
         with self._lock:
             return TripleSet(t for record in self._subjects.values()
-                             for t in record.facts.values())
+                             for t in record.facts)
 
     def bulk_load(self, triples: Iterable[FactTriple]) -> int:
         """Warm the fast table with read-only triples, taking each subject
@@ -456,16 +468,18 @@ class TieredFactStore:
         grouped = _by_subject(triples)
         added = 0
         with self._lock:
-            self._clock += 1  # one stamp for every subject loaded
+            stamp = self._clock = self._clock + 1  # one for every subject
+            subjects, lru, fresh = self._subjects, self._lru, 0
             for subject, facts in grouped.items():
-                record = self._subjects.get(subject)
-                if record is None:
-                    self._admit(subject, _Subject(facts, stamp=self._clock))
-                    added += len(facts)
+                record = subjects.get(subject)
+                if record is None:  # _admit's work, in line for a load
+                    subjects[subject] = lru[subject] = _Subject(facts, stamp)
+                    fresh += len(facts)
                 else:  # each resident fact wins
                     added += self._lay(subject, record, facts, record.facts)
+            self._facts += fresh
             self._evict()
-        return added
+        return added + fresh
 
     def _serve_fast(self, entity: str) -> Optional[TripleSet]:
         record = self._subjects.get(entity)
@@ -474,7 +488,7 @@ class TieredFactStore:
         if not record.edited:
             self._lru.move_to_end(entity)
         if record.view is None:
-            record.view = TripleSet(record.facts.values())
+            record.view = TripleSet.wrap(record.facts)
         return record.view
 
     # -- prefetch -------------------------------------------------------------
@@ -520,7 +534,7 @@ class TieredFactStore:
                 del self._lru[subject]
             record.edited |= {relation}
             record.stamp = self._clock = self._clock + 1
-            existing, version = record.facts.get(relation), 1
+            (i, existing), version = _at(record.facts, relation), 1
             if existing is not None:
                 if existing.obj != fact.obj:
                     version = existing.version + 1
@@ -531,10 +545,10 @@ class TieredFactStore:
                     version = existing.version
                 else:
                     return UpdateOutcome.REPLACED
-            record.facts[relation] = FactTriple(
+            record.facts = (*record.facts[:i], FactTriple(
                 subject, relation, fact.obj, fact.subject_label,
                 fact.relation_label, fact.object_label, fact.object_is_entity,
-                source, issued_at, version)
+                source, issued_at, version), *record.facts[i + bool(existing):])
             record.view = None
             if existing is not None:
                 return UpdateOutcome.REPLACED
@@ -603,19 +617,20 @@ class TieredFactStore:
                     record = self._subjects.get(subject)  # None: released
                     if record is not None and record.stamp <= ticket:
                         # the edits that stay marked (a sync's: see sync())
-                        kept = record.edited if not sync else frozenset(
-                            r for r in record.edited if r not in facts
-                            or facts[r].obj != record.facts[r].obj and
-                            self._manual_wins(record.facts[r], snapshot_at))
+                        kept = [t for t in record.facts
+                                if t.relation in record.edited and (not sync
+                                or (theirs := _at(facts, t.relation)[1]) is None
+                                or theirs.obj != t.obj
+                                and self._manual_wins(t, snapshot_at))]
                         changed += self._lay(subject, record, facts, kept)
                     if why == "miss":
                         mine, edits = held
                         if record is mine:
                             served = self._serve_fast(subject)
                         elif mine.complete:  # as released; empty if absent
-                            served = TripleSet(mine.facts.values())
-                        served = served or TripleSet(
-                            {**facts, **edits}.values())
+                            served = TripleSet.wrap(mine.facts)
+                        served = served or TripleSet({
+                            t.relation: t for t in (*facts, *edits)}.values())
                     self._evict()
         except SlowUnreachable:
             with self._lock:  # release each hold no fetch has filled
@@ -627,29 +642,30 @@ class TieredFactStore:
             raise
         return changed, served
 
-    def _lay(self, subject: str, record: _Subject,
-             facts: dict[str, FactTriple], kept: Iterable[str]) -> int:
-        """Lay the resident facts of the `kept` relations over exactly
-        `facts`: a record never mixes two fetches, an unchanged object keeps
-        its version, only kept edits stay marked. Returns the facts changed."""
+    def _lay(self, subject: str, record: _Subject, facts: Facts,
+             kept: Collection[FactTriple]) -> int:
+        """Lay `kept`, resident facts, over exactly `facts`: a record never
+        mixes two fetches, an unchanged object keeps its version, only kept
+        edits stay marked. Returns the facts changed."""
         old = record.facts
-        new = {**facts, **{r: old[r] for r in kept}}
-        changed = len(new.keys() ^ old.keys())  # inserted or dropped
-        for relation in new.keys() & old.keys():
-            t, existing = new[relation], old[relation]
+        new = {t.relation: t for t in (*facts, *kept)}
+        changed = len(new.keys() ^ {t.relation for t in old})  # in or out
+        for existing in (t for t in old if t.relation in new):
+            t = new[existing.relation]
             if t.obj == existing.obj:
-                new[relation] = existing
+                new[t.relation] = existing
             else:
-                new[relation] = dataclasses.replace(
+                new[t.relation] = dataclasses.replace(
                     t, version=existing.version + 1)
                 changed += 1
                 self.stats.replacements += 1
         self._facts += len(new) - len(old)
         if record.edited:
-            record.edited = record.edited.intersection(kept)
+            record.edited &= {t.relation for t in kept}
             if not record.edited:  # the source holds every edit
                 self._lru[subject] = record
-        record.facts, record.complete = new, True
+        record.facts = tuple(sorted(new.values(), key=_RELATION))
+        record.complete = True
         record.stamp = self._clock = self._clock + 1
         if changed:
             record.view = None
@@ -673,9 +689,9 @@ class TieredFactStore:
         self._facts += len(record.facts)
         return record
 
-    def _fetch(self, subject: str) -> dict[str, FactTriple]:
-        """The slow source's facts about `subject`, by relation."""
-        return _by_subject(self.slow.fetch_subject(subject)).get(subject, {})
+    def _fetch(self, subject: str) -> Facts:
+        """The slow source's facts about `subject`, sorted by relation."""
+        return _by_subject(self.slow.fetch_subject(subject)).get(subject, ())
 
     def _evict(self) -> None:
         if self.capacity is None:
@@ -705,7 +721,7 @@ def save_state(store: TieredFactStore, path: str | Path) -> None:
             {**triple_to_row(t), "version": t.version,
              "edited": t.relation in record.edited}
             for _, record in sorted(store._subjects.items())
-            for _, t in sorted(record.facts.items())
+            for t in record.facts
         ]
         incomplete = sorted(s for s, record in store._subjects.items()
                             if record.facts and not record.complete)
@@ -715,16 +731,19 @@ def save_state(store: TieredFactStore, path: str | Path) -> None:
 
 
 def load_state(store: TieredFactStore, path: str | Path) -> TieredFactStore:
-    """Fill the empty `store` with the state save_state wrote to `path`,
-    and return it. An edited row marks its fact and pins its subject;
-    older files, which flag every row of a pinned subject, load with each
-    of its facts marked until a sync. A subject listed as incomplete reads
-    through on its next retrieve, and a file without that list loads every
-    subject complete.
+    """Fill the empty `store` (else ValueError) with the state save_state
+    wrote to `path`, and return it. An edited row marks its fact and pins
+    its subject; older files, which flag every row of a pinned subject, load
+    with each of its facts marked until a sync. A subject listed as
+    incomplete reads through on its next retrieve, and a file without that
+    list loads every subject complete.
     Unpinned subjects past the store's capacity are evicted, as after any
     write. The file keeps no recency, so subjects load in name order and
     that eviction takes the first unpinned subjects by name."""
+    if store._subjects:
+        raise ValueError("load_state fills an empty store")
     records: dict[str, _Subject] = {}
+    facts: dict[str, dict[str, FactTriple]] = {}  # by subject, by relation
     state = read_json(path)
     stats = state.get("stats", {}) if type(state) is dict else {}
     if reason := (fault(state, _STATE_RULES)
@@ -740,12 +759,13 @@ def load_state(store: TieredFactStore, path: str | Path) -> TieredFactStore:
             raise ParseError(f"{path}: entries[{index}]: {exc}") from None
         record = records.setdefault(
             triple.subject, _Subject(complete=triple.subject not in incomplete))
-        record.facts[triple.relation] = triple
+        facts.setdefault(triple.subject, {})[triple.relation] = triple
         if edited:
             record.edited |= {triple.relation}
     store.stats = CacheStats(**{k: stats.get(k, 0)
                                 for k in CacheStats().snapshot()})
     for subject, record in records.items():
+        record.facts = tuple(sorted(facts[subject].values(), key=_RELATION))
         store._admit(subject, record)
     store._evict()  # the file may hold more than this capacity
     return store

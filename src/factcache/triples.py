@@ -8,6 +8,7 @@ two triples asserting the same fact are one element of a TripleSet.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Iterator, Mapping
@@ -132,10 +133,10 @@ class TripleSet:
     is sorted by key, so downstream output is deterministic.
 
     The set stores its facts once, as the key-sorted tuple `triples`;
-    membership, equality and `keys()` read the keys off it. `rank_index`
-    (norms and postings, on a set too wide to score fact by fact) and
-    `rank_memo` (recent evidence, cleared when full) are caches that
-    `rank_triples` fills; the set is immutable, so they never go stale.
+    membership bisects it, equality and `keys()` read the keys off it.
+    `rank_index` (norms and postings, on a set too wide to score fact by
+    fact) and `rank_memo` (recent evidence, cleared when full) are caches
+    that `rank_triples` fills; the set is immutable, so they never go stale.
     """
 
     __slots__ = ("triples", "rank_index", "rank_memo")
@@ -148,6 +149,13 @@ class TripleSet:
         self.rank_index: tuple | None = None
         self.rank_memo: dict | None = None
 
+    @classmethod
+    def wrap(cls, triples: tuple[FactTriple, ...]) -> "TripleSet":
+        """The set of `triples`, key-sorted and distinct, held as given."""
+        view = cls.__new__(cls)
+        view.triples, view.rank_index, view.rank_memo = triples, None, None
+        return view
+
     def __len__(self) -> int:
         return len(self.triples)
 
@@ -156,7 +164,11 @@ class TripleSet:
 
     def __contains__(self, item) -> bool:
         key = item.key if isinstance(item, FactTriple) else tuple(item)
-        return key in self.keys()
+        try:
+            i = bisect_left(self.triples, key, key=FactTriple.key.fget)
+        except TypeError:  # items that do not compare with a key's strings
+            return False
+        return i < len(self.triples) and self.triples[i].key == key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripleSet):

@@ -8,6 +8,7 @@ import queue
 import random
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Optional
@@ -356,24 +357,28 @@ def test_functional_dependency_invariant(ops):
 
 MODEL_SUBJECTS = ["s0", "s1", "s2", "s3"]
 MODEL_RELATIONS = ["r0", "r1", "r2"]
+# more relations than ranking.UNINDEXED_MAX, named so that string order is
+# not numeric order ("r10" sorts before "r2")
+WIDE_RELATIONS = [f"r{i}" for i in range(12)]
 
 
 @st.composite
-def _store_scenarios(draw):
+def _store_scenarios(draw, relations=MODEL_RELATIONS, slow_sizes=(0, 8),
+                     capacities=st.integers(1, 4)):
     objects = st.sampled_from(MODEL_SUBJECTS + ["x", "y"])
     slow_facts = draw(st.dictionaries(
         st.tuples(st.sampled_from(MODEL_SUBJECTS),
-                  st.sampled_from(MODEL_RELATIONS)), objects, max_size=8))
+                  st.sampled_from(relations)), objects,
+        min_size=slow_sizes[0], max_size=slow_sizes[1]))
     ops = draw(st.lists(st.one_of(
         st.tuples(st.just("retrieve"), st.sampled_from(MODEL_SUBJECTS)),
         st.tuples(st.just("edit"), st.sampled_from(MODEL_SUBJECTS),
-                  st.sampled_from(MODEL_RELATIONS), objects),
+                  st.sampled_from(relations), objects),
         st.tuples(st.just("bulk_load"),
                   st.sets(st.sampled_from(MODEL_SUBJECTS), max_size=2)),
         st.tuples(st.just("sync")),
     ), max_size=30))
-    return (slow_facts, draw(st.integers(1, 4)), draw(st.integers(0, 1)),
-            ops)
+    return (slow_facts, draw(capacities), draw(st.integers(0, 1)), ops)
 
 
 @given(_store_scenarios())
@@ -384,6 +389,24 @@ def test_store_matches_reference_model(scenario):
     edits are synthetic, so a sync gives each one on a relation the slow
     source holds way to the slow value; a subject left with no other edit
     is released and counts against capacity again."""
+    _check_against_reference_model(scenario)
+
+
+@given(_store_scenarios(WIDE_RELATIONS, slow_sizes=(24, 40),
+                        capacities=st.integers(1, 60)))
+@settings(max_examples=150, deadline=None)
+def test_wide_records_match_reference_model(scenario):
+    """The same model over up to 12 relations a subject, so records grow
+    past ranking.UNINDEXED_MAX facts and lookups, inserts and replaces
+    find their place in a wide relation-sorted record."""
+    _check_against_reference_model(scenario)
+    slow_facts = scenario[0]
+    widest = max(Counter(s for s, _ in slow_facts).values(), default=0)
+    event("a subject holds more than 8 slow facts" if widest > 8
+          else "no subject holds more than 8 slow facts")
+
+
+def _check_against_reference_model(scenario):
     slow_facts, capacity, prefetch_depth, ops = scenario
     slow_rows = [triple(s, r, o) for (s, r), o in slow_facts.items()]
     store, _ = make_store(slow_rows, capacity=capacity,
@@ -399,7 +422,9 @@ def test_store_matches_reference_model(scenario):
     for op in ops:
         if op[0] == "retrieve":
             retrieves += 1
-            assert store.retrieve(op[1]).keys() == view(op[1])
+            served = store.retrieve(op[1])
+            assert served.keys() == view(op[1])
+            assert served.triples == TripleSet(served).triples  # key order
         elif op[0] == "edit":
             _, subject, relation, obj = op
             store.apply_update(EditRequest(subject, relation, obj))
@@ -950,6 +975,26 @@ class TestCachedView:
         assert served_fresh(store, "US") == TripleSet(
             [triple("US", "head_of_gov", "Harris")])
         assert store.stats.misses == 3
+
+    def test_a_wide_subject_is_served_in_key_order(self):
+        # 300 relations, r0 .. r299, whose string order is not numeric
+        wide = [triple("W", f"r{i}", f"o{i}") for i in range(300)]
+        store, _ = make_store(prefetch_depth=0)
+        store.bulk_load(reversed(wide))
+        first = store.retrieve("W")  # a hit: bulk_load made W complete
+        assert first.triples == TripleSet(wide).triples
+        assert store.retrieve("W") is first
+        assert store.stats.hits == 2
+        store.apply_update(EditRequest("W", "r150", "changed"))
+        after = served_fresh(store, "W")
+        assert after is not first and len(after) == 300
+        assert store.get("W", "r150").obj == "changed"
+        store.apply_update(EditRequest("W", "r15a", "inserted"))
+        inserted = served_fresh(store, "W")
+        assert inserted is not after and len(inserted) == 301
+        relations = [t.relation for t in inserted]
+        at = relations.index("r15a")  # between r159 and r16
+        assert relations[at - 1:at + 2] == ["r159", "r15a", "r16"]
 
     def test_reset_drops_the_view(self):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)
@@ -2238,6 +2283,21 @@ class TestDumpFormat:
         restored.retrieve("s8")
         assert len(restored) == 3
         assert restored.stats.hits == 1
+
+    def test_load_state_refuses_a_store_that_holds_a_subject(self,
+                                                             tmp_path):
+        # loaded over A's one fact, a state holding A's two would leave
+        # len() at 3 while the store holds 2, and eviction counting wrong
+        saved, _ = make_store(prefetch_depth=0)
+        saved.bulk_load([triple("A", "r1", "x"), triple("A", "r2", "y")])
+        state_path = tmp_path / "state.json"
+        save_state(saved, state_path)
+        store, _ = make_store(prefetch_depth=0)
+        store.bulk_load([triple("A", "r1", "x")])
+        with pytest.raises(ValueError, match="empty store"):
+            load_state(store, state_path)
+        assert len(store) == 1
+        assert store.fast_snapshot() == TripleSet([triple("A", "r1", "x")])
 
     def test_failed_save_leaves_previous_state(self, tmp_path):
         store, slow = make_store([US_BIDEN], prefetch_depth=0)

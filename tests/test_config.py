@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 from factcache.cli import main
@@ -211,17 +211,19 @@ def _configs(draw):
 @settings(max_examples=200, deadline=None)
 def test_any_json_config_loads_usable_or_is_a_config_error(tmp_path_factory,
                                                           config):
+    event(_loads_usable_or_refused(tmp_path_factory, config))
+
+
+def _loads_usable_or_refused(tmp_path_factory, config) -> str:
+    """Write `config` as a config file and load it: it is refused with a
+    ConfigError or loads with every key of its type. Returns what it read:
+    "refused", "read empty" (the defaults) or "typed with content"."""
     path = tmp_path_factory.mktemp("config") / "factcache.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     try:
         cfg = load_config(str(path))
     except ConfigError:
-        event("refused")
-        return
-    empty = path.with_name("empty.json")  # the defaults, from that directory
-    empty.write_text("{}", encoding="utf-8")
-    event("typed with content" if cfg != load_config(str(empty))
-          else "read empty")
+        return "refused"
     for key, attr, kind, check in KEYS:
         value = getattr(cfg, attr)
         assert type(value) is kind or (value is None and attr == "capacity")
@@ -232,3 +234,66 @@ def test_any_json_config_loads_usable_or_is_a_config_error(tmp_path_factory,
                 pass
     assert all(type(v) is str for v in cfg.model_priors.values())
     assert isinstance(cfg.sure_params, SUREParams)
+    empty = path.with_name("empty.json")  # the defaults, from that directory
+    empty.write_text("{}", encoding="utf-8")
+    return ("typed with content" if cfg != load_config(str(empty))
+            else "read empty")
+
+
+# a kind that needs no other key set
+_SELF_CONTAINED = {"slow_source.kind": "memory", "model.kind": "mock"}
+
+
+def _valid(key: str, kind: type, check):
+    """A value the key's check accepts with no other key set."""
+    if key in _SELF_CONTAINED:
+        return st.just(_SELF_CONTAINED[key])
+    if isinstance(check, tuple):
+        return st.sampled_from(check)
+    if check in (INPUT, OUTPUT):  # this file; a file in its directory
+        return st.just("factcache.json" if check == INPUT else "state.json")
+    if kind is int:
+        return st.integers(1 if check is None else check, 9)
+    if kind is float:  # an eval.sure weight
+        return st.floats(0.25, 4.0)
+    if kind is dict:
+        return st.dictionaries(st.text(max_size=4), st.text(max_size=4),
+                               min_size=1, max_size=2)
+    return st.text(min_size=1, max_size=6)
+
+
+@st.composite
+def _near_valid_configs(draw):
+    """A config object setting one to four keys to values their checks
+    accept; in half the draws one of them is broken instead, set to a value
+    its check treats specially or to any JSON."""
+    rows = draw(st.lists(st.sampled_from(_ROWS), min_size=1, max_size=4,
+                         unique=True))
+    broken = draw(st.sampled_from(rows)) if draw(st.booleans()) else None
+    config = {}
+    for row in rows:
+        key, kind, check = row
+        *sections, name = key.split(".")
+        parent = config
+        for section in sections:
+            parent = parent.setdefault(section, {})
+        parent[name] = draw(_special(kind, check) | _JSON if row == broken
+                            else _valid(key, kind, check))
+    return config
+
+
+def test_a_near_valid_config_loads_usable(tmp_path_factory):
+    """The companion of the any-JSON property: near-valid configs reach its
+    typed checks, at a fixed seed in at least half the examples."""
+    reads = []
+
+    @seed(49)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(config=_near_valid_configs())
+    def run(config):
+        reads.append(_loads_usable_or_refused(tmp_path_factory, config))
+
+    run()
+    with_content = reads.count("typed with content")
+    assert with_content >= len(reads) / 2, (
+        f"{with_content} of {len(reads)} loaded with content")

@@ -126,3 +126,25 @@ def test_subject_index_consistent_with_contents(ts_list):
     grouped = [t for s in sorted(subjects) for t in ts if t.subject == s]
     assert [t.key for t in grouped] == sorted({t.key for t in ts_list})
     assert all(t in ts for t in ts_list)
+
+
+@given(st.lists(_triples, max_size=30), st.lists(_triples, max_size=10),
+       st.lists(_ids, max_size=4))
+def test_membership_agrees_with_the_key_set(ts_list, probes, short):
+    """`in` bisects the key-sorted triples; it answers as the key set does
+    for facts, for key tuples, and for tuples that are no key at all."""
+    ts = TripleSet(ts_list)
+    keys = ts.keys()
+    for t in [*ts_list, *probes]:
+        assert (t in ts) == (t.key in keys)
+        assert (t.key in ts) == (t.key in keys)
+    assert (tuple(short) in ts) == (tuple(short) in keys)
+    assert ("a", None, 1) not in ts  # no key holds these items
+
+
+def test_a_wrapped_tuple_is_held_as_given():
+    facts = tuple(triple("s", f"r{i}", "o") for i in (1, 10, 2))
+    ts = TripleSet.wrap(facts)
+    assert ts.triples is facts and ts == TripleSet(facts)
+    assert ts.rank_index is None and ts.rank_memo is None
+    assert triple("s", "r10", "o") in ts and ("s", "r3", "o") not in ts
